@@ -33,12 +33,9 @@ from hiddensums.hidden_sum import (
     check_ring_axioms,
     check_uV_subgroup,
     compute_U,
-    coordinates,
     dump_group_spec,
     enumerate_regular_groups,
     find_hidden_sums,
-    hidden_neg,
-    hidden_op,
     hidden_sum_report,
     kappa,
     parse_group_spec,
@@ -83,10 +80,8 @@ class TestBuildGroup:
             for y in range(8):
                 assert hs.op(x, y) == x ^ y
 
-    def test_build_group_function(self):
-        from hiddensums.hidden_sum import build_group
-
-        assert build_group(toy_generators()) == RegularGroup.build(toy_generators())
+    def test_build_is_deterministic(self):
+        assert RegularGroup.build(toy_generators()) == RegularGroup.build(toy_generators())
 
     def test_toy_generators_build_order_eight(self):
         group = RegularGroup.build(toy_generators())
@@ -149,18 +144,18 @@ class TestHiddenOp:
     def test_zero_is_identity(self):
         hs = toy_brick_sum()
         for y in range(8):
-            assert hidden_op(hs, 0, y) == y
-            assert hidden_op(hs, y, 0) == y
+            assert hs.op(0, y) == y
+            assert hs.op(y, 0) == y
 
     def test_unit_vector_sum(self):
         # e1 combined with e3 lands on (1,1,1)
-        assert hidden_op(toy_brick_sum(), 0b001, 0b100) == 0b111
+        assert toy_brick_sum().op(0b001, 0b100) == 0b111
 
     def test_involution(self):
         hs = toy_brick_sum()
         for x in range(8):
-            assert hidden_op(hs, x, x) == 0
-            assert hidden_neg(hs, x) == x
+            assert hs.op(x, x) == 0
+            assert hs.neg(x) == x
 
     def test_abelian_group_axioms_exhaustive(self):
         hs = toy_brick_sum()
@@ -314,8 +309,8 @@ class TestCoordinates:
             assert cm.coords(x) == toy_brick_coords(x)
 
     def test_named_example(self):
-        assert coordinates(toy_brick_sum(), (1, 2, 4), 0b101) == 0b111
-        assert coordinates(toy_brick_sum(), (1, 2, 4), 0b010) == 0b010
+        assert CoordinateMap(toy_brick_sum(), (1, 2, 4)).coords(0b101) == 0b111
+        assert CoordinateMap(toy_brick_sum(), (1, 2, 4)).coords(0b010) == 0b010
 
     def test_isomorphism_onto_xor(self):
         hs = toy_brick_sum()
@@ -373,10 +368,28 @@ class TestEnumeration:
     def test_width_four_count_frozen(self):
         groups = enumerate_regular_groups(4)
         assert len(groups) == 106
-        sample = groups[::21]
-        for g in sample:
+        for g in groups:
             assert RegularGroup.build(list(g.generators)) == g
             HiddenSum(g)  # all involution groups, must construct
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_translation_filter_keeps_vanishing_triple_products(self, width):
+        # translation by a is affine for # exactly when x*y*a = 0 for all
+        # x, y; the triple product is trilinear, so basis vectors suffice
+        units = [1 << i for i in range(width)]
+
+        def triple_products_vanish(hs):
+            return all(
+                ring_product(hs, ring_product(hs, a, b), c) == 0
+                for a in units
+                for b in units
+                for c in units
+            )
+
+        sums = [HiddenSum(g) for g in enumerate_regular_groups(width)]
+        kept = translation_compatible_sums(width)
+        assert kept == tuple(hs for hs in sums if triple_products_vanish(hs))
+        assert len(kept) == len(sums)  # no width-3 or width-4 sum is filtered
 
     def test_width_cap(self):
         with pytest.raises(ValueError):
