@@ -101,14 +101,6 @@ class AffineRepr:
         return cm.element(self.matrix_inv.apply(cm.coords(w) ^ self.t_coords))
 
 
-def apply_repr(repr_: AffineRepr, v: int) -> int:
-    return repr_.apply(v)
-
-
-def apply_repr_inverse(repr_: AffineRepr, w: int) -> int:
-    return repr_.apply_inverse(w)
-
-
 def _affine_rows(oracle: Oracle, cm: CoordinateMap) -> tuple[int, list[int]]:
     """d+1 queries: the image of 0 gives the translation, the images of the
     basis plaintexts give the matrix rows."""

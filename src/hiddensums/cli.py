@@ -258,7 +258,10 @@ def cmd_reproduce(args) -> int:
             criteria = [int(tok) for tok in args.criteria.split(",")]
         except ValueError as exc:
             raise InputError(f"bad criteria list {args.criteria!r}") from exc
-    ok = reproduce.run(criteria)
+    try:
+        ok = reproduce.run(criteria)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return 0 if ok else 1
 
 

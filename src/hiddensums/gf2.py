@@ -38,10 +38,6 @@ def vec_from_str(s: str) -> int:
     return v
 
 
-def vec_to_tuple(v: int, width: int) -> tuple[int, ...]:
-    return tuple((v >> i) & 1 for i in range(width))
-
-
 def vec_from_tuple(bits: Iterable[int]) -> int:
     v = 0
     for i, b in enumerate(bits):
@@ -166,15 +162,6 @@ class BinMatrix:
         return f"BinMatrix({list(self.rows)!r})"
 
 
-def mat_vec_mul(x: int, m: BinMatrix) -> int:
-    """x * M in the row-vector convention."""
-    return m.apply(x)
-
-
-def mat_inverse(m: BinMatrix) -> BinMatrix:
-    return m.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Subspaces and cosets of (F_2)^d
 # ---------------------------------------------------------------------------
@@ -245,8 +232,16 @@ class Subspace:
             yield v
 
     def orthogonal_complement(self) -> Subspace:
-        """All v with dot(v, b) = 0 for every basis vector b."""
-        perp = [v for v in range(1 << self.width) if all(dot(v, b) == 0 for b in self.basis)]
+        """All v with dot(v, b) = 0 for every basis vector b, read off the
+        reduced echelon basis: one vector per non-pivot coordinate j, e_j
+        plus the pivots (leading bits) of the rows that have bit j set."""
+        pivots = [1 << (b.bit_length() - 1) for b in self.basis]
+        taken = sum(pivots)
+        perp = [
+            e | sum(p for b, p in zip(self.basis, pivots) if b & e)
+            for e in (1 << j for j in range(self.width))
+            if not e & taken
+        ]
         return Subspace(perp, self.width)
 
     def __eq__(self, other: object) -> bool:
@@ -325,8 +320,9 @@ class FieldSpec:
     """GF(2^m) described by its extension degree and modulus polynomial.
 
     The modulus must be irreducible of degree exactly m; this is verified
-    at construction by trial division against every polynomial of degree
-    up to m // 2.
+    at construction by Ben-Or's test, in time polynomial in m: a reducible
+    p has an irreducible factor of some degree i <= m // 2, which divides
+    both p and x^(2^i) - x, so p is irreducible iff all those gcds are 1.
     """
 
     __slots__ = ("m", "modulus")
@@ -336,12 +332,17 @@ class FieldSpec:
             raise ValueError("extension degree must be positive")
         if _poly_degree(modulus) != m:
             raise ValueError(f"modulus 0b{modulus:b} does not have degree {m}")
-        for deg in range(1, m // 2 + 1):
-            for q in range(1 << deg, 1 << (deg + 1)):
-                if _poly_mod(modulus, q) == 0:
-                    raise ValueError(
-                        f"modulus 0b{modulus:b} is divisible by 0b{q:b}, not irreducible"
-                    )
+        h = 0b10  # x^(2^i) mod modulus
+        for _ in range(m // 2):
+            # squaring over F_2 spreads the bits: read the binary digits in base 4
+            h = _poly_mod(int(f"{h:b}", 4), modulus)
+            g, r = modulus, h ^ 0b10
+            while r > 1:  # Euclid until coprime (r = 1) or g = gcd (r = 0)
+                g, r = r, _poly_mod(g, r)
+            if r == 0:
+                raise ValueError(
+                    f"modulus 0b{modulus:b} is divisible by 0b{g:b}, not irreducible"
+                )
         self.m = m
         self.modulus = modulus
 

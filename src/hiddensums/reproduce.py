@@ -357,8 +357,13 @@ CRITERIA: tuple[tuple[int, str, Callable[[], str]], ...] = (
 
 
 def run(criteria: Sequence[int] | None = None, out: Callable[[str], None] = print) -> bool:
-    """Run the battery (or a subset); one line per check; True iff all pass."""
-    wanted = set(criteria) if criteria else {num for num, _, _ in CRITERIA}
+    """Run the battery (or a subset); one line per check; True iff all pass.
+    Unknown criterion numbers raise ValueError before any check runs."""
+    known = [num for num, _, _ in CRITERIA]
+    unknown = sorted(set(criteria or ()) - set(known))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; valid: {known[0]}-{known[-1]}")
+    wanted = set(criteria or known)
     all_ok = True
     for num, title, fn in CRITERIA:
         if num not in wanted:

@@ -19,9 +19,9 @@ from .gf2 import (
     BinMatrix,
     FieldSpec,
     Subspace,
-    dot,
     field_to_vec,
     gf_mul,
+    gf_pow,
     span_basis,
     vec_to_field,
 )
@@ -66,32 +66,39 @@ class VBF:
         return cls(m, m, list(range(1 << m)))
 
     @classmethod
+    def _tabulate(cls, fs: FieldSpec, basis: BinMatrix | None, fn) -> VBF:
+        """Tabulate fn: GF(2^m) -> GF(2^m), the table limit checked first.
+
+        The optional basis matrix maps field elements to coordinate vectors;
+        identity means the ascending bit encoding is used directly."""
+        if fs.m > TABLE_LIMIT_BITS:
+            raise ValueError(f"input width {fs.m} exceeds table limit {TABLE_LIMIT_BITS}")
+        if basis is None:
+            basis = BinMatrix.identity(fs.m)
+        table = [field_to_vec(fn(vec_to_field(v, basis)), basis) for v in range(1 << fs.m)]
+        return cls(fs.m, fs.m, table)
+
+    @classmethod
     def from_power(cls, d: int, fs: FieldSpec, basis: BinMatrix | None = None) -> VBF:
-        """The power map x^d on GF(2^m), tabulated in coordinates."""
-        return cls.from_univariate([0] * d + [1], fs, basis)
+        """The power map x^d (d >= 0) on GF(2^m), each point by square-and-multiply."""
+        return cls._tabulate(fs, basis, lambda x: gf_pow(x, d, fs))
 
     @classmethod
     def from_univariate(
         cls, coeffs: Sequence[int], fs: FieldSpec, basis: BinMatrix | None = None
     ) -> VBF:
-        """Tabulate a univariate polynomial over GF(2^m).
-
-        coeffs[i] is the coefficient of x^i.  The optional basis matrix maps
-        field elements to coordinate vectors; identity means the ascending
-        bit encoding is used directly.
-        """
-        if basis is None:
-            basis = BinMatrix.identity(fs.m)
+        """Tabulate a univariate polynomial over GF(2^m) by Horner's rule;
+        coeffs[i] is the coefficient of x^i."""
         if any(c < 0 or c >> fs.m for c in coeffs):
             raise ValueError("coefficients must be field elements")
-        table = []
-        for v in range(1 << fs.m):
-            x = vec_to_field(v, basis)
+
+        def horner(x: int) -> int:
             acc = 0
             for c in reversed(coeffs):
                 acc = gf_mul(acc, x, fs) ^ c
-            table.append(field_to_vec(acc, basis))
-        return cls(fs.m, fs.m, table)
+            return acc
+
+        return cls._tabulate(fs, basis, horner)
 
     def inverse(self) -> VBF:
         if not self.is_permutation:
@@ -114,10 +121,6 @@ class VBF:
 
     def __repr__(self) -> str:
         return f"VBF(m={self.m}, n={self.n})"
-
-
-def inverse_vbf(f: VBF) -> VBF:
-    return f.inverse()
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,8 @@ def is_weakly_apn(f: VBF) -> bool:
     """Every nonzero direction's derivative image has more than 2^(m-2) points."""
     if f.m != f.n:
         raise ValueError("weak APN is defined for m = n")
-    bound = 1 << (f.m - 2)
     return all(
-        derivative_image(f, a).size > bound for a in range(1, 1 << f.m)
+        4 * derivative_image(f, a).size > 1 << f.m for a in range(1, 1 << f.m)
     )
 
 
@@ -294,17 +296,12 @@ def power_ac_dichotomy(d: int, fs: FieldSpec, basis: BinMatrix | None = None) ->
 
 
 def component_space(f: VBF, a: int) -> Subspace:
-    """The space of v for which x |-> dot(D_a f(x), v) is constant."""
+    """The space of v for which x |-> dot(D_a f(x), v) is constant: the
+    complement of the span of the image's differences to its smallest point."""
     if a == 0:
         raise ValueError("direction must be nonzero")
     img = sorted(derivative_image(f, a).image)
-    diffs = [w ^ img[0] for w in img[1:]]
-    members = [
-        v
-        for v in range(1 << f.n)
-        if all(dot(w, v) == 0 for w in diffs)
-    ]
-    return Subspace(members, f.n)
+    return Subspace((w ^ img[0] for w in img[1:]), f.n).orthogonal_complement()
 
 
 def n_hat(f: VBF) -> int:
@@ -357,6 +354,8 @@ def load_sbox(text: str) -> VBF:
         n = int(header[1].removeprefix("n="))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"line 1: bad s-box header {lines[0]!r}") from exc
+    if m < 1:
+        raise ValueError(f"line 1: input width m={m} must be positive")
     table = []
     for lineno, tok in enumerate(lines[1:], start=2):
         try:

@@ -9,8 +9,6 @@ from hiddensums.attack import (
     ConsistencyFailureError,
     InverseMismatchError,
     Oracle,
-    apply_repr,
-    apply_repr_inverse,
     decryption_oracle,
     encryption_oracle,
     reconstruct_cp,
@@ -68,8 +66,8 @@ class TestReconstructCp:
             repr_, transcript = reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
             assert transcript.encryption_count == 7
             for v in range(64):
-                assert apply_repr(repr_, v) == spec.encrypt(key, v)
-                assert apply_repr_inverse(repr_, spec.encrypt(key, v)) == v
+                assert repr_.apply(v) == spec.encrypt(key, v)
+                assert repr_.apply_inverse(spec.encrypt(key, v)) == v
 
     def test_query_log_shapes(self):
         spec = builtin_toy_spec()

@@ -1,7 +1,13 @@
 """Command-line interface tests (in-process via main)."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import hiddensums
 from hiddensums.cli import main
 from hiddensums.cipher import TOY_GROUP_SPEC
 from hiddensums.gf2 import FieldSpec
@@ -80,6 +86,48 @@ class TestAnalyze:
     def test_unreadable_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/sbox.txt")
         assert code == 2
+
+    def test_negative_exponent_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps({"field": {"m": 3, "modulus": "1011"}, "kind": "power", "exponent": -1}))
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "exponent" in err
+
+    @pytest.mark.parametrize(
+        "function",
+        [{"kind": "power", "exponent": 3}, {"kind": "univariate", "coeffs": [0, 1]}],
+    )
+    def test_wide_field_fails_fast(self, tmp_path, function):
+        # x^64 + x^4 + x^3 + x + 1 is irreducible; 2^64 points exceed the table limit
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"field": {"m": 64, "modulus": "1" + "0" * 59 + "11011"}, **function}))
+        src = os.path.dirname(os.path.dirname(hiddensums.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hiddensums.cli", "analyze", str(cfg)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 2
+        assert "table limit" in proc.stderr
+
+    def test_one_bit_sbox(self, tmp_path, capsys):
+        path = tmp_path / "box.txt"
+        path.write_text("m=1 n=1\n0\n1\n")
+        code, out, err = run(capsys, "analyze", str(path), "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["apn"] is True
+        assert report["weakly_apn"] is True
+        assert report["n_hat"] == 1
+
+    def test_zero_bit_sbox_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "box.txt"
+        path.write_text("m=0 n=0\n0\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "bad s-box file" in err
 
 
 class TestHiddenVerify:
@@ -214,3 +262,10 @@ class TestReproduceCommand:
     def test_bad_list(self, capsys):
         code, _, err = run(capsys, "reproduce", "--criteria", "one,two")
         assert code == 2
+
+    def test_unknown_criterion_is_input_error(self, capsys):
+        code, out, err = run(capsys, "reproduce", "--criteria", "1,99")
+        assert code == 2
+        assert out == ""
+        assert "99" in err
+        assert "1-14" in err

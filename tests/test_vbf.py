@@ -22,7 +22,6 @@ from hiddensums.vbf import (
     diff_uniformity,
     dump_sbox,
     ea_transform,
-    inverse_vbf,
     is_anti_crooked,
     is_apn,
     is_coset,
@@ -56,6 +55,14 @@ class TestConstruction:
         for x in range(1, 8):
             assert gf_mul(x, f.table[x], F8) == 1
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            VBF.from_power(-1, F8)
+
+    def test_huge_exponent(self):
+        # x^(2^3) = x on GF(8), so x^(2^64) = x^(2^(64 mod 3)) = x^2
+        assert VBF.from_power(1 << 64, F8) == VBF.from_power(2, F8)
+
     def test_univariate_x_is_identity(self):
         assert VBF.from_univariate([0, 1], F8) == VBF.identity(3)
 
@@ -84,7 +91,7 @@ class TestConstruction:
 
     def test_inverse_round_trip(self):
         f = brick()
-        assert inverse_vbf(inverse_vbf(f)) == f
+        assert f.inverse().inverse() == f
         g = f.inverse()
         assert all(g.table[f.table[x]] == x for x in range(8))
 
