@@ -101,33 +101,46 @@ class AffineRepr:
         return cm.element(self.matrix_inv.apply(cm.coords(w) ^ self.t_coords))
 
 
-def _affine_rows(oracle: Oracle, cm: CoordinateMap) -> tuple[int, list[int]]:
-    """d+1 queries: the image of 0 gives the translation, the images of the
-    basis plaintexts give the matrix rows."""
-    t = cm.coords(oracle.query(0))
-    rows = [cm.coords(oracle.query(b)) ^ t for b in cm.basis]
-    return t, rows
-
-
-def _spot_check(
-    oracle: Oracle,
-    cm: CoordinateMap,
-    matrix: BinMatrix,
-    t: int,
+def _reconstruct(
+    enc_oracle: Oracle,
+    dec_oracle: Oracle | None,
+    hs: HiddenSum,
+    basis: Sequence[int],
     spot_checks: int | str,
     seed: int,
-) -> None:
-    n = 1 << cm.hs.width
-    if spot_checks == "full":
-        points = range(n)
+) -> AffineRepr:
+    """d+1 encryption queries give M and t; the inverse comes from Gaussian
+    elimination or, given a decryption oracle, from d+1 decryption queries.
+    Spot checks then compare the fit with the oracle as verification
+    queries."""
+    cm = CoordinateMap(hs, basis)
+    matrix, t = cm.read_affine(enc_oracle.query)
+    if dec_oracle is None:
+        try:
+            matrix_inv = matrix.inverse()
+        except SingularMatrixError as exc:
+            raise ConsistencyFailureError(
+                "recovered matrix is singular; oracle is not an affine bijection "
+                "for this hidden sum"
+            ) from exc
     else:
-        points = random.Random(seed).sample(range(n), min(spot_checks, n))
-    for v in points:
-        got = cm.coords(oracle.query_verification(v))
-        if got != matrix.apply(cm.coords(v)) ^ t:
+        matrix_inv, _ = cm.read_affine(dec_oracle.query)
+        if matrix @ matrix_inv != BinMatrix.identity(matrix.size):
+            raise InverseMismatchError(
+                "matrix from decryptions does not invert the matrix from encryptions"
+            )
+    if spot_checks:
+        n = 1 << hs.width
+        if spot_checks == "full":
+            points = range(n)
+        else:
+            points = random.Random(seed).sample(range(n), min(spot_checks, n))
+        v = cm.mismatch(enc_oracle.query_verification, matrix, t, points)
+        if v is not None:
             raise ConsistencyFailureError(
                 f"oracle is not affine for this hidden sum (plaintext {v})"
             )
+    return AffineRepr(matrix, t, matrix_inv, cm)
 
 
 def reconstruct_cp(
@@ -139,21 +152,8 @@ def reconstruct_cp(
 ) -> tuple[AffineRepr, AttackTranscript]:
     """Chosen-plaintext attack: d+1 encryption queries, inverse by Gaussian
     elimination, no decryption oracle needed."""
-    cm = CoordinateMap(hs, basis)
-    t, rows = _affine_rows(enc_oracle, cm)
-    matrix = BinMatrix(rows)
-    try:
-        matrix_inv = matrix.inverse()
-    except SingularMatrixError as exc:
-        raise ConsistencyFailureError(
-            "recovered matrix is singular; oracle is not an affine bijection "
-            "for this hidden sum"
-        ) from exc
-    if spot_checks:
-        _spot_check(enc_oracle, cm, matrix, t, spot_checks, seed)
-    repr_ = AffineRepr(matrix, t, matrix_inv, cm)
-    transcript = AttackTranscript(tuple(enc_oracle.log), enc_oracle.query_count, 0)
-    return repr_, transcript
+    repr_ = _reconstruct(enc_oracle, None, hs, basis, spot_checks, seed)
+    return repr_, AttackTranscript(tuple(enc_oracle.log), enc_oracle.query_count, 0)
 
 
 def reconstruct_cpcc(
@@ -167,19 +167,7 @@ def reconstruct_cpcc(
     """Chosen-plaintext/chosen-ciphertext attack: the inverse matrix is read
     off d+1 decryption queries instead of being computed, then cross-checked
     against the encryption side."""
-    cm = CoordinateMap(hs, basis)
-    t, rows = _affine_rows(enc_oracle, cm)
-    matrix = BinMatrix(rows)
-    dec_t = cm.coords(dec_oracle.query(0))
-    inv_rows = [cm.coords(dec_oracle.query(b)) ^ dec_t for b in cm.basis]
-    matrix_inv = BinMatrix(inv_rows)
-    if matrix @ matrix_inv != BinMatrix.identity(matrix.size):
-        raise InverseMismatchError(
-            "matrix from decryptions does not invert the matrix from encryptions"
-        )
-    if spot_checks:
-        _spot_check(enc_oracle, cm, matrix, t, spot_checks, seed)
-    repr_ = AffineRepr(matrix, t, matrix_inv, cm)
+    repr_ = _reconstruct(enc_oracle, dec_oracle, hs, basis, spot_checks, seed)
     transcript = AttackTranscript(
         tuple(enc_oracle.log) + tuple(dec_oracle.log),
         enc_oracle.query_count,

@@ -12,21 +12,12 @@ TOY_GROUP_SPEC, which is what the reconstruction attack exploits.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from .gf2 import BinMatrix, FieldSpec
-from .hidden_sum import (
-    HiddenSum,
-    RegularGroup,
-    agl_membership,
-    parse_group_spec,
-    product_sum,
-    xor_translation_table,
-)
+from .hidden_sum import HiddenSum, RegularGroup, parse_group_spec, product_sum
 from .vbf import VBF
 
 KeySchedule = Callable[[int, int], int]
@@ -180,7 +171,8 @@ TOY_GROUP_SPEC = """\
 110010001|001
 """
 
-# Field-to-coordinate bridge for the bricks, pinned by calibrate_toy_instance.
+# Field-to-coordinate bridge for the bricks, pinned by the calibration search
+# in tests/test_cipher.py (TestCalibration).
 TOY_SBOX_BASIS = BinMatrix.identity(3)
 
 
@@ -257,6 +249,10 @@ def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
     def _read(name: str) -> str:
         return open(os.path.join(base_dir, name)).read()
 
+    if not isinstance(config, dict):
+        raise ValueError("cipher config must be a JSON object")
+    if not isinstance(config.get("bricks", []), list):
+        raise ValueError("cipher config field 'bricks' must be a list")
     try:
         bricks = [
             toy_brick() if ref == "builtin" else load_sbox(_read(ref))
@@ -269,6 +265,8 @@ def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
         schedule_cfg = config.get("schedule", "rotate")
     except KeyError as exc:
         raise ValueError(f"cipher config missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"cipher config field has the wrong type: {exc}") from exc
     if not bricks:
         raise ValueError("cipher config needs at least one brick")
     d = bricks[0].m * len(bricks)
@@ -279,48 +277,3 @@ def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
     else:
         raise ValueError(f"unknown schedule {schedule_cfg!r}")
     return CipherSpec(bricks, mixing, rounds, schedule)
-
-
-# ---------------------------------------------------------------------------
-# Calibration of the field/coordinate bridge
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Calibration:
-    basis: BinMatrix
-    transpose_mixing: bool
-
-
-def calibrate_toy_instance() -> list[Calibration]:
-    """Search every invertible 3x3 bridge basis and both mixing conventions
-    for the combinations under which the keyless round function is affine
-    for the bundled hidden sum.
-
-    The unit XOR translations are checked once up front (they do not
-    depend on the bridge).  Used to pin TOY_SBOX_BASIS; kept as a
-    regression facility.
-    """
-    state_sum = toy_state_sum()
-    for i in range(6):
-        if not agl_membership(xor_translation_table(6, 1 << i), state_sum):
-            raise RuntimeError("bundled hidden sum rejects an XOR translation")
-    mix_row = toy_mixing()
-    mix_col = mix_row.transpose()
-    hits = []
-    for rows in itertools.product(range(8), repeat=3):
-        basis = BinMatrix(rows)
-        if not basis.is_invertible():
-            continue
-        brick = VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD, basis)
-        if brick.table[0] != 0 or not brick.is_permutation:
-            continue
-        for mixing, transpose in ((mix_row, False), (mix_col, True)):
-            state = []
-            for x in range(64):
-                y = brick.table[x & 0b111] | (brick.table[x >> 3] << 3)
-                state.append(mixing.apply(y))
-            if agl_membership(state, state_sum):
-                hits.append(Calibration(basis, transpose))
-    return hits
-

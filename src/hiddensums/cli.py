@@ -142,27 +142,25 @@ def cmd_hidden_search(args) -> int:
         if args.bricks == "inversion"
         else cipher.builtin_toy_spec()
     )
-    found = hidden_sum.find_hidden_sums([spec.core_table()], [3, 3])
+    found = hidden_sum.find_hidden_sums([spec.core_table()], [b.m for b in spec.bricks])
+    specs = [hidden_sum.dump_group_spec(s.generators()).strip().splitlines() for s in found]
     payload = {
         "bricks": args.bricks,
         "count": len(found),
-        "sums": [
-            hidden_sum.dump_group_spec(s.group.generators).strip().splitlines()
-            for s in found
-        ],
+        "sums": specs,
         "contains_bundled": any(s == cipher.toy_state_sum() for s in found),
     }
     lines = [f"bricks         : {args.bricks}", f"hidden sums    : {len(found)}"]
-    for i, s in enumerate(found):
+    for i, spec_lines in enumerate(specs):
         lines.append(f"-- sum {i} generators --")
-        lines += ["  " + ln for ln in hidden_sum.dump_group_spec(s.group.generators).strip().splitlines()]
+        lines += ["  " + ln for ln in spec_lines]
     if found:
         lines.append(f"contains bundled sum: {payload['contains_bundled']}")
     _emit(args, payload, lines)
     return 0
 
 
-def _parse_block(text: str, width: int = 6) -> int:
+def _parse_block(text: str, width: int) -> int:
     try:
         v = int(text, 16)
     except ValueError as exc:
@@ -187,37 +185,38 @@ def _cipher_spec(args) -> cipher.CipherSpec:
             return cipher.load_cipher_config(config, os.path.dirname(args.cipher) or ".")
         except (OSError, ValueError) as exc:
             raise InputError(f"bad cipher config {args.cipher}: {exc}") from exc
-    return cipher.builtin_toy_spec(args.rounds, _schedule(args))
+    try:
+        return cipher.builtin_toy_spec(args.rounds, _schedule(args))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _hex_block(spec: cipher.CipherSpec, v: int) -> str:
+    return format(v, f"0{max(2, (spec.d + 3) // 4)}x")
 
 
 def cmd_encrypt(args) -> int:
     spec = _cipher_spec(args)
-    digits = max(2, (spec.d + 3) // 4)
-    k = _parse_block(args.key, spec.d)
-    x = _parse_block(args.pt, spec.d)
-    y = spec.encrypt(k, x)
-    _emit(args, {"ct": format(y, f"0{digits}x")}, [format(y, f"0{digits}x")])
+    y = spec.encrypt(_parse_block(args.key, spec.d), _parse_block(args.pt, spec.d))
+    _emit(args, {"ct": _hex_block(spec, y)}, [_hex_block(spec, y)])
     return 0
 
 
 def cmd_decrypt(args) -> int:
     spec = _cipher_spec(args)
-    digits = max(2, (spec.d + 3) // 4)
-    k = _parse_block(args.key, spec.d)
-    y = _parse_block(args.ct, spec.d)
-    x = spec.decrypt(k, y)
-    _emit(args, {"pt": format(x, f"0{digits}x")}, [format(x, f"0{digits}x")])
+    x = spec.decrypt(_parse_block(args.key, spec.d), _parse_block(args.ct, spec.d))
+    _emit(args, {"pt": _hex_block(spec, x)}, [_hex_block(spec, x)])
     return 0
 
 
 def cmd_attack(args) -> int:
     import random
 
-    spec = cipher.builtin_toy_spec(args.rounds, _schedule(args))
+    spec = _cipher_spec(args)
     if args.key == "random":
-        key = random.Random(args.seed).randrange(64)
+        key = random.Random(args.seed).randrange(1 << spec.d)
     else:
-        key = _parse_block(args.key)
+        key = _parse_block(args.key, spec.d)
     state = cipher.toy_state_sum()
     basis = cipher.toy_coordinate_basis()
     enc = attack_mod.encryption_oracle(spec, key)
@@ -230,9 +229,9 @@ def cmd_attack(args) -> int:
     payload = {
         "mode": args.mode,
         "rounds": args.rounds,
-        "key": format(key, "02x"),
-        "M": [vec_to_str(r, 6) for r in repr_.matrix.rows],
-        "t": vec_to_str(repr_.t_coords, 6),
+        "key": _hex_block(spec, key),
+        "M": [vec_to_str(r, spec.d) for r in repr_.matrix.rows],
+        "t": vec_to_str(repr_.t_coords, spec.d),
         "enc_queries": report.enc_queries,
         "dec_queries": report.dec_queries,
         "verified_blocks": report.verified_blocks,

@@ -416,8 +416,9 @@ def vec_to_field(v: int, basis: BinMatrix) -> int:
 class XorSum:
     """The standard sum on (F_2)^width, as a group-operation handle.
 
-    Handles expose op(x, y), neg(x) and width; alternative sums built from
-    regular group actions satisfy the same protocol.
+    Handles expose op(x, y) and width; alternative sums built from
+    regular group actions satisfy the same protocol.  Every element of
+    every handled sum is its own negative.
     """
 
     __slots__ = ("width",)
@@ -429,9 +430,6 @@ class XorSum:
 
     def op(self, x: int, y: int) -> int:
         return x ^ y
-
-    def neg(self, x: int) -> int:
-        return x
 
     def __repr__(self) -> str:
         return f"XorSum(width={self.width})"

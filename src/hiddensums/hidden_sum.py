@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gf2 import BinMatrix, Subspace, vec_from_str, vec_to_str
 
@@ -188,45 +188,54 @@ class RegularGroup:
 class HiddenSum:
     """The group operation on (F_2)^d induced by a regular group action.
 
-    op(x, y) applies the element sending 0 to y.  Scope is limited to
-    sums where every element is an involution; construction fails loudly
-    on anything else.
+    A sum is its op table plus a basis: op(x, y) applies the element
+    sending 0 to y, and the d basis elements generate the sum freely.
+    Scope is limited to sums where every element is an involution, so
+    -x = x; construction fails loudly on anything else.
     """
 
-    __slots__ = ("group", "width", "_sigma", "_neg")
+    __slots__ = ("width", "basis", "_sigma")
 
     is_xor = False
 
     def __init__(self, group: RegularGroup):
-        n = 1 << group.width
         if group.elements[0] != AffineMap.identity(group.width):
             raise NotRegularError("element indexed by 0 is not the identity")
-        self._adopt(group, [group.elements[y].table() for y in range(n)])
-        self._neg = [group.elements[x].inverse().apply(0) for x in range(n)]
+        sigma = [e.table() for e in group.elements]
+        # greedy: keep each generator translation not yet in the span
+        span, basis = [0], []
+        for g in group.generators:
+            b = g.translation
+            if b not in span:
+                basis.append(b)
+                span += [sigma[b][x] for x in span]
+        self._adopt(sigma, basis)
 
     @classmethod
-    def _from_tables(cls, group: RegularGroup, sigma: list, neg: list) -> HiddenSum:
-        """A sum whose tables were assembled from verified parts."""
+    def _from_table(cls, sigma: list, basis: Sequence[int]) -> HiddenSum:
+        """A sum whose table was assembled from verified parts."""
         hs = cls.__new__(cls)
-        hs._adopt(group, sigma)
-        hs._neg = neg
+        hs._adopt(sigma, basis)
         return hs
 
-    def _adopt(self, group: RegularGroup, sigma: list) -> None:
-        self.group = group
-        self.width = group.width
+    def _adopt(self, sigma: list, basis: Sequence[int]) -> None:
+        self.width = len(sigma).bit_length() - 1
         self._sigma = sigma
+        self.basis = tuple(basis)
         for x in range(len(sigma)):
             if sigma[x][x] != 0:
                 raise NotElementaryAbelianError(
                     f"element moving 0 to {x} is not an involution"
                 )
+        if len(self.basis) != self.width:
+            raise NotRegularError("generators do not generate the group")
 
     def op(self, x: int, y: int) -> int:
         return self._sigma[y][x]
 
-    def neg(self, x: int) -> int:
-        return self._neg[x]
+    def generators(self) -> tuple[AffineMap, ...]:
+        """The elements moving 0 to the basis vectors."""
+        return tuple(AffineMap(kappa(self, b), b) for b in self.basis)
 
     def op_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(row) for row in self._sigma)
@@ -242,8 +251,10 @@ class HiddenSum:
 
 
 def kappa(hs: HiddenSum, y: int) -> BinMatrix:
-    """Linear part of the translation that moves 0 to y."""
-    return hs.group.elements[y].matrix
+    """Linear part of the translation that moves 0 to y: row i is
+    e_i # y + y."""
+    row = hs._sigma[y]
+    return BinMatrix([row[1 << i] ^ y for i in range(hs.width)])
 
 
 @dataclass(frozen=True)
@@ -257,16 +268,14 @@ class KappaCheck:
 
 def check_kappa_homomorphism(hs: HiddenSum) -> KappaCheck:
     """Exhaustively verify that the linear parts compose along the sum,
-    kappa(x # y) = kappa(x) * kappa(y), and that negation inverts them."""
+    kappa(x # y) = kappa(x) * kappa(y).  At x = y this also checks that
+    each is its own inverse, since y # y = 0 and kappa(0) = I."""
     n = 1 << hs.width
     mats = [kappa(hs, y) for y in range(n)]
     for x in range(n):
         for y in range(n):
             if mats[hs.op(x, y)] != mats[x] @ mats[y]:
                 return KappaCheck(False, (x, y))
-    for y in range(n):
-        if mats[hs.neg(y)] != mats[y].inverse():
-            return KappaCheck(False, (y, hs.neg(y)))
     return KappaCheck(True)
 
 
@@ -344,67 +353,29 @@ def check_uV_subgroup(hs: HiddenSum, u: int) -> bool:
 
 
 def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
-    """Whether the permutation is affine for the hidden sum.
-
-    g is affine iff x |-> g(x) # (-g(0)) is additive for the sum; this is
-    verified over all 2^(2d) pairs.
-    """
+    """Whether the permutation is affine for the hidden sum: in the sum's
+    coordinates it must be v |-> v*M + t at all 2^d points."""
     n = 1 << hs.width
-    if len(g_table) != n or len(set(g_table)) != n:
+    if len(g_table) != n or set(g_table) != set(range(n)):
         raise ValueError("membership test requires a bijective table on the space")
-    sigma = hs._sigma
-    shift = sigma[hs.neg(g_table[0])]
-    h = [shift[y] for y in g_table]
-    for x in range(n):
-        hx = h[x]
-        row = sigma[hx]
-        sx = sigma[x]
-        for y in range(n):
-            if h[sx[y]] != row[h[y]]:
-                return False
-    return True
+    cm = CoordinateMap(hs, hs.basis)
+    g = g_table.__getitem__
+    return cm.mismatch(g, *cm.read_affine(g), range(n)) is None
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
     """Brick-parallel sum acting on the concatenation of the parts.
 
-    (x # y) is taken brick by brick, so the op and negation tables are
-    assembled from the parts' tables."""
-    widths = [p.width for p in parts]
-    total = sum(widths)
-    offsets = [sum(widths[:i]) for i in range(len(parts))]
-
-    def embed(maps: Sequence[AffineMap]) -> AffineMap:
-        rows = []
-        translation = 0
-        for part_map, off, w in zip(maps, offsets, widths):
-            rows += [r << off for r in part_map.matrix.rows]
-            translation |= part_map.translation << off
-        return AffineMap(BinMatrix(rows), translation)
-
-    elements = []
-    for v in range(1 << total):
-        parts_of_v = [
-            (v >> off) & ((1 << w) - 1) for off, w in zip(offsets, widths)
-        ]
-        elements.append(
-            embed([p.group.elements[vi] for p, vi in zip(parts, parts_of_v)])
-        )
-    generators = []
-    for i, p in enumerate(parts):
-        for g in p.group.generators:
-            pieces = [
-                g if j == i else AffineMap.identity(widths[j])
-                for j in range(len(parts))
-            ]
-            generators.append(embed(pieces))
-    sigma, neg = [[0]], [0]
-    for p, off in zip(parts, offsets):
+    (x # y) is taken brick by brick, so the op table is assembled from the
+    parts' tables and the basis from the parts' bases, shifted into place."""
+    sigma, basis, off = [[0]], [], 0
+    for p in parts:
         # index y (and x) = low bits from the parts so far | this part's bits
         high = [[v << off for v in row] for row in p._sigma]
         sigma = [[h | lo for h in hrow for lo in lrow] for hrow in high for lrow in sigma]
-        neg = [(h << off) | lo for h in p._neg for lo in neg]
-    return HiddenSum._from_tables(RegularGroup(total, generators, elements), sigma, neg)
+        basis += [b << off for b in p.basis]
+        off += p.width
+    return HiddenSum._from_table(sigma, basis)
 
 
 class CoordinateMap:
@@ -412,7 +383,9 @@ class CoordinateMap:
 
     Every x decomposes uniquely as the hidden-sum combination of basis
     elements selected by a coefficient vector; because the sum is
-    elementary abelian this map is a group isomorphism onto XOR.
+    elementary abelian this map is a group isomorphism onto XOR.  A map
+    is affine for the sum exactly when it is XOR-affine in coordinates,
+    which read_affine and mismatch test.
     """
 
     __slots__ = ("hs", "basis", "_by_coeff", "_by_element")
@@ -422,14 +395,11 @@ class CoordinateMap:
             raise BasisError(f"need exactly {hs.width} basis vectors")
         self.hs = hs
         self.basis = tuple(basis)
-        n = 1 << hs.width
-        by_coeff = []
-        for c in range(n):
-            x = 0
-            for i in range(hs.width):
-                if (c >> i) & 1:
-                    x = hs.op(x, self.basis[i])
-            by_coeff.append(x)
+        by_coeff = [0]
+        for b in self.basis:
+            row = hs._sigma[b]
+            by_coeff += [row[x] for x in by_coeff]
+        n = len(by_coeff)
         if len(set(by_coeff)) != n:
             raise BasisError("vectors do not freely generate the hidden sum")
         by_element = [0] * n
@@ -443,6 +413,25 @@ class CoordinateMap:
 
     def element(self, coeffs: int) -> int:
         return self._by_coeff[coeffs]
+
+    def read_affine(self, f: Callable[[int], int]) -> tuple[BinMatrix, int]:
+        """M and t of f in coordinates, from f(0) and then f(b_i): the only
+        candidates if f is affine for the sum."""
+        t = self._by_element[f(0)]
+        return BinMatrix([self._by_element[f(b)] ^ t for b in self.basis]), t
+
+    def mismatch(
+        self, f: Callable[[int], int], matrix: BinMatrix, t: int, points: Iterable[int]
+    ) -> int | None:
+        """The first of the points where coords(f(v)) is not coords(v)*M + t."""
+        image = [t]  # image[c] = c*M + t
+        for r in matrix.rows:
+            image += [y ^ r for y in image]
+        coords = self._by_element
+        for v in points:
+            if coords[f(v)] != image[coords[v]]:
+                return v
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,8 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> DerivativeImage:
     else:
         if f.m != f.n:
             raise ValueError("custom sums require m = n")
-        op, neg = sum_op.op, sum_op.neg
-        image = {op(f.table[op(x, a)], neg(f.table[x])) for x in range(1 << f.m)}
+        op = sum_op.op  # every element is its own negative
+        image = {op(f.table[op(x, a)], f.table[x]) for x in range(1 << f.m)}
     return DerivativeImage(a, frozenset(image))
 
 
@@ -213,7 +213,7 @@ def is_coset(points: Iterable[int], sum_op=None) -> bool:
     if sum_op is None or getattr(sum_op, "is_xor", False):
         shifted = [p ^ base for p in pts]
         return len(pts) == 1 << len(span_basis(shifted))
-    shifted = {sum_op.op(p, sum_op.neg(base)) for p in pts}
+    shifted = {sum_op.op(p, base) for p in pts}
     return all(sum_op.op(u, v) in shifted for u in shifted for v in shifted)
 
 

@@ -218,6 +218,37 @@ class TestEncryptDecrypt:
         code, _, err = run(capsys, "encrypt", "--key", "00", "--pt", "00", "--cipher", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            ([1, 2], "must be a JSON object"),
+            # a string must not be read as one brick file per character
+            ({"bricks": "builtin", "mixing": "mix.txt"}, "'bricks' must be a list"),
+            ({"bricks": [5], "mixing": "mix.txt"}, "wrong type"),
+            ({"bricks": ["builtin"] * 2, "mixing": 5}, "wrong type"),
+            ({"bricks": ["builtin"] * 2, "mixing": "mix.txt", "rounds": None}, "wrong type"),
+        ],
+    )
+    def test_malformed_cipher_config(self, tmp_path, capsys, config, reason):
+        (tmp_path / "mix.txt").write_text(
+            "011010\n010000\n111010\n010111\n000010\n010110\n"
+        )
+        cfg = tmp_path / "cipher.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "encrypt", "--key", "00", "--pt", "00", "--cipher", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert reason in err
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("rounds", ["0", "5000"])
+    def test_rounds_out_of_range(self, capsys, command, rounds):
+        block = "--pt" if command == "encrypt" else "--ct"
+        code, out, err = run(capsys, command, "--key", "00", block, "00", "--rounds", rounds)
+        assert code == 2
+        assert out == ""
+        assert "1..1000" in err
+
     def test_block_too_wide(self, capsys):
         code, _, err = run(capsys, "encrypt", "--key", "40", "--pt", "00")
         assert code == 2
@@ -245,6 +276,13 @@ class TestAttackCommand:
         report = json.loads(out)
         assert (report["enc_queries"], report["dec_queries"]) == (7, 7)
         assert report["mismatches"] == 0
+
+    @pytest.mark.parametrize("rounds", ["0", "5000"])
+    def test_rounds_out_of_range(self, capsys, rounds):
+        code, out, err = run(capsys, "attack", "--rounds", rounds)
+        assert code == 2
+        assert out == ""
+        assert "1..1000" in err
 
     def test_random_key_deterministic_with_seed(self, capsys):
         code1, out1, _ = run(capsys, "attack", "--key", "random", "--seed", "9", "--json")

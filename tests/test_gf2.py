@@ -264,5 +264,5 @@ class TestXorSum:
     def test_handle_protocol(self):
         s = XorSum(4)
         assert s.op(0b1010, 0b0110) == 0b1100
-        assert s.neg(0b1010) == 0b1010
+        assert s.op(0b1010, 0b1010) == 0  # -x = x
         assert s.is_xor

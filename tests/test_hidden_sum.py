@@ -155,7 +155,8 @@ class TestHiddenOp:
         hs = toy_brick_sum()
         for x in range(8):
             assert hs.op(x, x) == 0
-            assert hs.neg(x) == x
+            # -x = x: adding x twice undoes it
+            assert all(hs.op(hs.op(y, x), x) == y for y in range(8))
 
     def test_abelian_group_axioms_exhaustive(self):
         hs = toy_brick_sum()
@@ -180,6 +181,12 @@ class TestHiddenOp:
 class TestKappa:
     def test_kappa_at_zero_is_identity(self):
         assert kappa(toy_brick_sum(), 0) == BinMatrix.identity(3)
+
+    def test_generators_from_basis(self):
+        hs = toy_brick_sum()
+        assert hs.basis == tuple(g.translation for g in toy_generators())
+        assert hs.generators() == tuple(toy_generators())
+        assert RegularGroup.build(hs.generators()) == RegularGroup.build(toy_generators())
 
     def test_kappa_at_units(self):
         hs = toy_brick_sum()
@@ -275,6 +282,10 @@ class TestMembership:
         with pytest.raises(ValueError):
             agl_membership([0] * 64, toy_state_sum())
 
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            agl_membership(list(range(1, 65)), toy_state_sum())
+
 
 class TestProductSum:
     def test_two_translation_groups(self):
@@ -344,8 +355,7 @@ class TestEnumeration:
 
     def test_toy_group_included(self):
         groups = enumerate_regular_groups(3)
-        toy = toy_brick_sum().group
-        assert any(HiddenSum(g) == HiddenSum(toy) for g in groups)
+        assert any(HiddenSum(g) == toy_brick_sum() for g in groups)
 
     def test_all_groups_verify(self):
         for g in enumerate_regular_groups(3):

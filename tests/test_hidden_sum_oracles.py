@@ -1,24 +1,41 @@
 """Oracles for the fast hidden-sum paths.
 
 The structure-constant enumerator is compared with the generator-chain
-search it replaced, and the brickwise product tables with the product
-built from the embedded affine maps.  Both references are the former
-library code, kept here unchanged.
+search it replaced, the brickwise product tables with the product built
+from the embedded affine maps, the coordinate affinity test with the
+pair scan, and the doubling coordinate tables with the bit loop.  The
+references are the former library code, kept here as unchanged as the
+current API allows.
 """
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
 
+from hiddensums.cipher import (
+    TOY_GROUP_SPEC,
+    builtin_toy_spec,
+    inverse_brick_spec,
+    toy_brick_sum,
+    toy_coordinate_basis,
+)
 from hiddensums.gf2 import BinMatrix
 from hiddensums.hidden_sum import (
     MAX_BRICK_WIDTH,
     AffineMap,
+    BasisError,
+    CoordinateMap,
     HiddenSum,
     RegularGroup,
+    agl_membership,
     enumerate_regular_groups,
+    kappa,
+    parse_group_spec,
     product_sum,
+    translation_compatible_sums,
+    xor_translation_table,
 )
 
 
@@ -114,8 +131,11 @@ def reference_enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     return tuple(found[k] for k in sorted(found))
 
 
-def reference_product_sum(parts):
-    """Brick-parallel sum acting on the concatenation of the parts."""
+def reference_product_group(parts):
+    """Brick-parallel group acting on the concatenation of the parts.
+
+    The parts' elements and generators are read through kappa and
+    generators(), since a sum no longer keeps its group."""
     widths = [p.width for p in parts]
     total = sum(widths)
     offsets = [sum(widths[:i]) for i in range(len(parts))]
@@ -134,17 +154,56 @@ def reference_product_sum(parts):
             (v >> off) & ((1 << w) - 1) for off, w in zip(offsets, widths)
         ]
         elements.append(
-            embed([p.group.elements[vi] for p, vi in zip(parts, parts_of_v)])
+            embed([AffineMap(kappa(p, vi), vi) for p, vi in zip(parts, parts_of_v)])
         )
     generators = []
     for i, p in enumerate(parts):
-        for g in p.group.generators:
+        for g in p.generators():
             pieces = [
                 g if j == i else AffineMap.identity(widths[j])
                 for j in range(len(parts))
             ]
             generators.append(embed(pieces))
-    return HiddenSum(RegularGroup(total, generators, elements))
+    return RegularGroup(total, generators, elements)
+
+
+def reference_agl_membership(g_table, hs) -> bool:
+    """Whether the permutation is affine for the hidden sum.
+
+    g is affine iff x |-> g(x) # (-g(0)) is additive for the sum; this is
+    verified over all 2^(2d) pairs.  (-g(0) is g(0): the former negation
+    table held the identity map for every sum.)
+    """
+    n = 1 << hs.width
+    if len(g_table) != n or len(set(g_table)) != n:
+        raise ValueError("membership test requires a bijective table on the space")
+    sigma = hs._sigma
+    shift = sigma[g_table[0]]
+    h = [shift[y] for y in g_table]
+    for x in range(n):
+        hx = h[x]
+        row = sigma[hx]
+        sx = sigma[x]
+        for y in range(n):
+            if h[sx[y]] != row[h[y]]:
+                return False
+    return True
+
+
+def reference_coordinate_table(hs, basis):
+    """The element with each coefficient vector, by the former bit loop;
+    BasisError if the vectors do not generate the sum freely."""
+    n = 1 << hs.width
+    by_coeff = []
+    for c in range(n):
+        x = 0
+        for i in range(hs.width):
+            if (c >> i) & 1:
+                x = hs.op(x, basis[i])
+        by_coeff.append(x)
+    if len(set(by_coeff)) != n:
+        raise BasisError("vectors do not freely generate the hidden sum")
+    return by_coeff
 
 
 def sums(width):
@@ -175,14 +234,96 @@ def test_product_sum_matches_embedded_group():
     tested = 0
     for parts in brick_combinations():
         fast = product_sum(list(parts))
-        slow = reference_product_sum(list(parts))
+        group = reference_product_group(list(parts))
+        slow = HiddenSum(group)
         n = 1 << fast.width
         assert fast.width == slow.width
         assert fast.op_table() == slow.op_table()
-        assert [fast.neg(x) for x in range(n)] == [slow.neg(x) for x in range(n)]
-        assert fast.group.encode() == slow.group.encode()
-        assert [g.encode() for g in fast.group.generators] == [
-            g.encode() for g in slow.group.generators
+        assert fast.basis == slow.basis
+        assert [AffineMap(kappa(fast, y), y).encode() for y in range(n)] == [
+            e.encode() for e in group.elements
+        ]
+        assert [g.encode() for g in fast.generators()] == [
+            g.encode() for g in group.generators
         ]
         tested += 1
     assert tested == 64 + 2 * 16 + 8
+
+
+def toy_search_sums():
+    """The 64 product sums the toy search tests: every pair of width-3 sums."""
+    per_brick = translation_compatible_sums(3)
+    return [product_sum([a, b]) for a in per_brick for b in per_brick]
+
+
+def seeded_permutations(width, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        table = list(range(1 << width))
+        rng.shuffle(table)
+        out.append(table)
+    return out
+
+
+def hidden_translations(hs):
+    """x |-> x # b for each basis vector b: affine for the sum by design."""
+    return [[hs.op(x, b) for x in range(1 << hs.width)] for b in hs.basis]
+
+
+def test_membership_matches_pair_scan_on_toy_search_sums():
+    spec = builtin_toy_spec()
+    tables = [spec.core_table(), inverse_brick_spec().core_table()]
+    tables += [spec.encrypt_table(k) for k in range(64)]
+    tables += [xor_translation_table(6, 1 << i) for i in range(6)]
+    tables += seeded_permutations(6, 20, 11)
+    pairs = accepted = 0
+    for hs in toy_search_sums():
+        for table in tables + hidden_translations(hs):
+            verdict = agl_membership(table, hs)
+            assert verdict == reference_agl_membership(table, hs)
+            pairs += 1
+            accepted += verdict
+    assert pairs == 64 * (len(tables) + 6)
+    # every sum keeps its 6 XOR and 6 hidden translations; the bundled sum
+    # also keeps the core round and all 64 encryptions
+    assert accepted == 64 * 12 + 65
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_membership_matches_pair_scan_on_brick_sums(width):
+    perms = seeded_permutations(width, 10, width)
+    for hs in (HiddenSum(g) for g in enumerate_regular_groups(width)):
+        members = [xor_translation_table(width, 1 << i) for i in range(width)]
+        members += hidden_translations(hs)
+        for table in members + perms:
+            assert agl_membership(table, hs) == reference_agl_membership(table, hs)
+        assert all(agl_membership(table, hs) for table in members)
+
+
+def test_coordinate_tables_match_bit_loop():
+    free = 0
+    for hs in toy_search_sums():
+        for basis in (hs.basis, toy_coordinate_basis()):
+            try:
+                slow = reference_coordinate_table(hs, basis)
+            except BasisError:
+                with pytest.raises(BasisError):
+                    CoordinateMap(hs, basis)
+                continue
+            cm = CoordinateMap(hs, basis)
+            assert [cm.element(c) for c in range(64)] == slow
+            assert [cm.coords(x) for x in slow] == list(range(64))
+            free += 1
+    # every own basis is free; the unit vectors generate 49 of the 64 freely
+    assert free == 64 + 49
+
+
+def test_redundant_generator_yields_free_basis():
+    gens = parse_group_spec(TOY_GROUP_SPEC)
+    redundant = gens[:2] + [gens[0].then(gens[1])] + gens[2:]
+    hs = HiddenSum(RegularGroup.build(redundant))
+    assert len(hs.basis) == hs.width == 3
+    assert hs.basis == tuple(g.translation for g in gens)
+    assert hs.op_table() == toy_brick_sum().op_table()
+    CoordinateMap(hs, hs.basis)  # free: must not raise
