@@ -53,7 +53,13 @@ def permuted_key_schedule(width: int, seed: int) -> KeySchedule:
 
 
 class CipherSpec:
-    """Bricks, mixing layer, round count and key schedule of one cipher."""
+    """Bricks, mixing layer, round count and key schedule of one cipher.
+
+    A key schedule must be a pure function of (k, h): the spec computes a
+    key's round keys once and reuses them for every block of that key.  It
+    holds only the last key's round keys, so memory does not grow with the
+    number of keys used.
+    """
 
     def __init__(
         self,
@@ -88,6 +94,7 @@ class CipherSpec:
         self.mixing = mixing
         self.rounds = rounds
         self.key_schedule = key_schedule or rotating_key_schedule(d)
+        self._round_keys: tuple[int | None, tuple[int, ...]] = (None, ())
         self._sbox_state = self._layer_table([b.table for b in bricks])
         inv_bricks = [b.inverse().table for b in bricks]
         self._sbox_state_inv = self._layer_table(inv_bricks)
@@ -124,16 +131,25 @@ class CipherSpec:
     def round_function(self, x: int, round_key: int) -> int:
         return self._mix_state[self._sbox_state[x]] ^ round_key
 
+    def round_keys(self, k: int) -> tuple[int, ...]:
+        """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked."""
+        cached_k, keys = self._round_keys
+        if cached_k != k:
+            ks = self.key_schedule
+            keys = tuple(ks(k, h) for h in range(1, self.rounds + 1))
+            self._round_keys = (k, keys)
+        return keys
+
     def encrypt(self, k: int, x: int) -> int:
-        sbox, mix, ks = self._sbox_state, self._mix_state, self.key_schedule
-        for h in range(1, self.rounds + 1):
-            x = mix[sbox[x]] ^ ks(k, h)
+        sbox, mix = self._sbox_state, self._mix_state
+        for rk in self.round_keys(k):
+            x = mix[sbox[x]] ^ rk
         return x
 
     def decrypt(self, k: int, y: int) -> int:
-        sbox_inv, mix_inv, ks = self._sbox_state_inv, self._mix_state_inv, self.key_schedule
-        for h in range(self.rounds, 0, -1):
-            y = sbox_inv[mix_inv[y ^ ks(k, h)]]
+        sbox_inv, mix_inv = self._sbox_state_inv, self._mix_state_inv
+        for rk in reversed(self.round_keys(k)):
+            y = sbox_inv[mix_inv[y ^ rk]]
         return y
 
     def core_table(self) -> list[int]:
@@ -204,10 +220,6 @@ def toy_brick_coords(x: int) -> int:
     c2 = (x >> 2) & 1
     c1 = ((x >> 1) & 1) ^ (c0 & c2)
     return c0 | (c1 << 1) | (c2 << 2)
-
-
-def toy_state_coords(x: int) -> int:
-    return toy_brick_coords(x & 0b111) | (toy_brick_coords(x >> 3) << 3)
 
 
 @lru_cache(maxsize=None)

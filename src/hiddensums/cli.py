@@ -170,9 +170,9 @@ def _parse_block(text: str, width: int) -> int:
     return v
 
 
-def _schedule(args):
+def _schedule(args, width: int):
     if args.schedule == "permute":
-        return cipher.permuted_key_schedule(6, args.seed)
+        return cipher.permuted_key_schedule(width, args.seed)
     return None
 
 
@@ -186,7 +186,7 @@ def _cipher_spec(args) -> cipher.CipherSpec:
         except (OSError, ValueError) as exc:
             raise InputError(f"bad cipher config {args.cipher}: {exc}") from exc
     try:
-        return cipher.builtin_toy_spec(args.rounds, _schedule(args))
+        return cipher.builtin_toy_spec(args.rounds, _schedule(args, 2 * cipher.toy_brick().m))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

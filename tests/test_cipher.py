@@ -1,6 +1,7 @@
 """Cipher engine and bundled instance tests."""
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -146,6 +147,94 @@ class TestEncryptDecrypt:
         spec = builtin_toy_spec()
         for k in (3, 17):
             assert sorted(spec.encrypt_table(k)) == list(range(64))
+
+
+def reference_encrypt(spec: CipherSpec, k: int, x: int) -> int:
+    """The per-round schedule loop that round_keys replaced: ks(k, h) is
+    called for every block and round."""
+    for h in range(1, spec.rounds + 1):
+        x = spec.round_function(x, spec.key_schedule(k, h))
+    return x
+
+
+def reference_decrypt(spec: CipherSpec, k: int, y: int) -> int:
+    """The matching per-round decryption loop, on the spec's inverse tables."""
+    sbox_inv, mix_inv, ks = spec._sbox_state_inv, spec._mix_state_inv, spec.key_schedule
+    for h in range(spec.rounds, 0, -1):
+        y = sbox_inv[mix_inv[y ^ ks(k, h)]]
+    return y
+
+
+SCHEDULES = {
+    "rotating": lambda: rotating_key_schedule(6),
+    "permuted": lambda: permuted_key_schedule(6, 99),
+}
+
+
+class TestRoundKeys:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("rounds", [1, 6, 7, 100])
+    def test_matches_reference_exhaustive(self, rounds, schedule):
+        # 6 is the rotation period, 7 wraps past it
+        spec = builtin_toy_spec(rounds, SCHEDULES[schedule]())
+        for k in range(64):
+            for x in range(64):
+                assert spec.encrypt(k, x) == reference_encrypt(spec, k, x)
+                assert spec.decrypt(k, x) == reference_decrypt(spec, k, x)
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_matches_reference_1000_rounds(self, schedule):
+        spec = builtin_toy_spec(1000, SCHEDULES[schedule]())
+        blocks = random.Random(1000).sample(range(64), 8)
+        for k in range(64):
+            for x in blocks:
+                assert spec.encrypt(k, x) == reference_encrypt(spec, k, x)
+                assert spec.decrypt(k, x) == reference_decrypt(spec, k, x)
+
+    def test_round_keys_are_the_schedule(self):
+        for rounds in (1, 7, 1000):
+            spec = builtin_toy_spec(rounds, permuted_key_schedule(6, 99))
+            for k in (0, 5, 63):
+                keys = spec.round_keys(k)
+                assert len(keys) == spec.rounds
+                assert list(keys) == [spec.key_schedule(k, h) for h in range(1, rounds + 1)]
+
+    def test_interleaved_keys_and_directions(self):
+        spec = builtin_toy_spec(7)
+        k1, k2 = 0b101100, 0b010011
+        for x in range(64):
+            assert spec.encrypt(k1, x) == reference_encrypt(spec, k1, x)
+            assert spec.encrypt(k2, x) == reference_encrypt(spec, k2, x)
+            assert spec.decrypt(k1, x) == reference_decrypt(spec, k1, x)
+            assert spec.encrypt(k1, x) == reference_encrypt(spec, k1, x)
+
+    def test_two_specs_side_by_side(self):
+        rot = builtin_toy_spec(7, rotating_key_schedule(6))
+        perm = builtin_toy_spec(7, permuted_key_schedule(6, 99))
+        for k in (3, 3, 40, 3):
+            for x in range(64):
+                assert rot.encrypt(k, x) == reference_encrypt(rot, k, x)
+                assert perm.encrypt(k, x) == reference_encrypt(perm, k, x)
+                assert perm.decrypt(k, x) == reference_decrypt(perm, k, x)
+                assert rot.decrypt(k, x) == reference_decrypt(rot, k, x)
+
+    def test_schedule_called_rounds_times_per_key(self):
+        calls = []
+        inner = permuted_key_schedule(6, 99)
+
+        def counting(k, h):
+            calls.append((k, h))
+            return inner(k, h)
+
+        rounds = 20
+        spec = builtin_toy_spec(rounds, counting)
+        calls.clear()  # construction checks surjectivity through the schedule
+        for k in (9, 33, 63):
+            for x in range(64):
+                assert spec.decrypt(k, spec.encrypt(k, x)) == x
+            spec.encrypt_table(k)
+        assert len(calls) == 3 * rounds
+        assert sorted(set(calls)) == [(k, h) for k in (9, 33, 63) for h in range(1, rounds + 1)]
 
 
 class TestHiddenSumCompatibility:

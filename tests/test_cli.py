@@ -9,7 +9,7 @@ import pytest
 
 import hiddensums
 from hiddensums.cli import main
-from hiddensums.cipher import TOY_GROUP_SPEC
+from hiddensums.cipher import TOY_GROUP_SPEC, builtin_toy_spec, permuted_key_schedule
 from hiddensums.gf2 import FieldSpec
 from hiddensums.vbf import VBF, dump_sbox
 
@@ -188,6 +188,14 @@ class TestEncryptDecrypt:
         ct = out.strip()
         code, out, _ = run(capsys, "decrypt", "--ct", ct, *args)
         assert out.strip() == "0a"
+
+    def test_permuted_schedule_matches_library(self, capsys):
+        spec = builtin_toy_spec(7, permuted_key_schedule(6, 5))
+        args = ["--key", "3f", "--rounds", "7", "--schedule", "permute", "--seed", "5"]
+        for pt in (0x00, 0x0A, 0x3F):
+            code, out, _ = run(capsys, "encrypt", "--pt", format(pt, "02x"), *args)
+            assert code == 0
+            assert int(out, 16) == spec.encrypt(0x3F, pt)
 
     def test_cipher_config_document(self, tmp_path, capsys):
         (tmp_path / "mix.txt").write_text(
