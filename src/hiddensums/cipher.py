@@ -96,11 +96,12 @@ class CipherSpec:
         self.key_schedule = key_schedule or rotating_key_schedule(d)
         self._round_keys: tuple[int | None, tuple[int, ...]] = (None, ())
         self._sbox_state = self._layer_table([b.table for b in bricks])
-        inv_bricks = [b.inverse().table for b in bricks]
-        self._sbox_state_inv = self._layer_table(inv_bricks)
         self._mix_state = [mixing.apply(x) for x in range(1 << d)]
-        inv = mixing.inverse()
-        self._mix_state_inv = [inv.apply(x) for x in range(1 << d)]
+        sbox_inv = self._layer_table([b.inverse().table for b in bricks])
+        mix_inv = mixing.inverse()
+        # One table per round direction: mixing after bricks, and its inverse.
+        self._round = [self._mix_state[y] for y in self._sbox_state]
+        self._round_inv = [sbox_inv[mix_inv.apply(y)] for y in range(1 << d)]
         if d <= 8:
             self._check_schedule_surjective()
 
@@ -141,20 +142,20 @@ class CipherSpec:
         return keys
 
     def encrypt(self, k: int, x: int) -> int:
-        sbox, mix = self._sbox_state, self._mix_state
+        core = self._round
         for rk in self.round_keys(k):
-            x = mix[sbox[x]] ^ rk
+            x = core[x] ^ rk
         return x
 
     def decrypt(self, k: int, y: int) -> int:
-        sbox_inv, mix_inv = self._sbox_state_inv, self._mix_state_inv
+        core_inv = self._round_inv
         for rk in reversed(self.round_keys(k)):
-            y = sbox_inv[mix_inv[y ^ rk]]
+            y = core_inv[y ^ rk]
         return y
 
     def core_table(self) -> list[int]:
         """The keyless round function (bricks then mixing) as a table."""
-        return [self._mix_state[self._sbox_state[x]] for x in range(1 << self.d)]
+        return list(self._round)
 
     def encrypt_table(self, k: int) -> list[int]:
         return [self.encrypt(k, x) for x in range(1 << self.d)]

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import attack as attack_mod
@@ -176,15 +177,29 @@ def _schedule(args, width: int):
     return None
 
 
+# Defaults of the builtin cipher's flags on encrypt and decrypt.  The parser
+# leaves them None, so that a flag given with --cipher, whose config sets
+# its own value, can be refused.
+_BUILTIN_DEFAULTS = {"rounds": 20, "schedule": "rotate", "seed": 0}
+
+
 def _cipher_spec(args) -> cipher.CipherSpec:
     if getattr(args, "cipher", None):
         import os.path
 
+        for flag in _BUILTIN_DEFAULTS:
+            if getattr(args, flag) is not None:
+                raise InputError(
+                    f"--{flag} cannot be combined with --cipher; the config sets it"
+                )
         try:
             config = json.loads(open(args.cipher).read())
             return cipher.load_cipher_config(config, os.path.dirname(args.cipher) or ".")
         except (OSError, ValueError) as exc:
             raise InputError(f"bad cipher config {args.cipher}: {exc}") from exc
+    for flag, default in _BUILTIN_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     try:
         return cipher.builtin_toy_spec(args.rounds, _schedule(args, 2 * cipher.toy_brick().m))
     except ValueError as exc:
@@ -258,7 +273,12 @@ def cmd_reproduce(args) -> int:
         except ValueError as exc:
             raise InputError(f"bad criteria list {args.criteria!r}") from exc
     try:
-        ok = reproduce.run(criteria)
+        if _want_json(args):
+            rows = [asdict(result) for result in reproduce.results(criteria)]
+            ok = all(row["verdict"] == "PASS" for row in rows)
+            _emit(args, {"passed": ok, "criteria": rows}, [])
+        else:
+            ok = reproduce.run(criteria)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return 0 if ok else 1
@@ -292,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} one block with the builtin cipher")
         p.add_argument("--key", required=True, help="hex block")
         p.add_argument("--pt" if name == "encrypt" else "--ct", required=True, help="hex block")
-        p.add_argument("--rounds", type=int, default=20)
-        p.add_argument("--schedule", choices=["rotate", "permute"], default="rotate")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--rounds", type=int, help="default 20; not with --cipher")
+        p.add_argument(
+            "--schedule", choices=["rotate", "permute"], help="default rotate; not with --cipher"
+        )
+        p.add_argument("--seed", type=int, help="default 0; not with --cipher")
         p.add_argument("--cipher", help="JSON cipher config document")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=fn)
@@ -310,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the verification battery")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,13")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

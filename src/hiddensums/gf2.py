@@ -172,15 +172,31 @@ def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
 
     Basis rows are returned with strictly decreasing leading bits, and each
     leading bit occurs in exactly one row, so equal spans give equal tuples.
+    Rows are kept by the bit length of their leading bit.  Once those
+    lengths are 1, ..., L, the span holds every vector of at most L bits:
+    such vectors are skipped, and if no longer one comes, the basis is the
+    unit vectors below 2^L.
     """
-    basis: list[int] = []  # kept sorted by leading bit, descending
+    rows: dict[int, int] = {}  # bit length of the leading bit -> row
+    top = 0  # the longest bit length in rows
+    full = 0  # the span holds every vector of at most this many bits
     for v in vectors:
-        for b in basis:
-            if v ^ b < v:
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
+        if not v >> full:
+            continue
+        while v:
+            length = v.bit_length()
+            row = rows.get(length)
+            if row is None:
+                rows[length] = v
+                if length > top:
+                    top = length
+                if len(rows) == top:
+                    full = top
+                break
+            v ^= row
+    if full == top:
+        return tuple(1 << i for i in range(top - 1, -1, -1))
+    basis = [rows[length] for length in sorted(rows, reverse=True)]
     # back-substitute to reduced form
     for i in range(len(basis)):
         for j in range(i):
@@ -231,10 +247,25 @@ class Subspace:
                     v ^= b
             yield v
 
+    @classmethod
+    def _from_echelon(cls, basis: tuple[int, ...], width: int) -> Subspace:
+        """A subspace whose reduced echelon basis is already known."""
+        s = cls.__new__(cls)
+        s.basis = basis
+        s.width = width
+        return s
+
     def orthogonal_complement(self) -> Subspace:
         """All v with dot(v, b) = 0 for every basis vector b, read off the
         reduced echelon basis: one vector per non-pivot coordinate j, e_j
-        plus the pivots (leading bits) of the rows that have bit j set."""
+        plus the pivots (leading bits) of the rows that have bit j set.
+        The zero space and the whole space are each other's complement."""
+        if not self.basis:
+            return Subspace._from_echelon(
+                tuple(1 << j for j in reversed(range(self.width))), self.width
+            )
+        if len(self.basis) == self.width == self.basis[0].bit_length():
+            return Subspace._from_echelon((), self.width)
         pivots = [1 << (b.bit_length() - 1) for b in self.basis]
         taken = sum(pivots)
         perp = [
@@ -325,7 +356,7 @@ class FieldSpec:
     both p and x^(2^i) - x, so p is irreducible iff all those gcds are 1.
     """
 
-    __slots__ = ("m", "modulus")
+    __slots__ = ("m", "modulus", "_exp_log")
 
     def __init__(self, m: int, modulus: int):
         if m < 1:
@@ -345,6 +376,7 @@ class FieldSpec:
                 )
         self.m = m
         self.modulus = modulus
+        self._exp_log: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @classmethod
     def from_modulus_str(cls, bits: str) -> FieldSpec:
@@ -355,6 +387,25 @@ class FieldSpec:
     @property
     def order(self) -> int:
         return 1 << self.m
+
+    def exp_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Exp and log tables of a multiplicative generator g, built on first
+        use: exp[i] = g^i for 0 <= i < 2^m - 1, and g^log[x] = x for x != 0
+        (log[0] is 0 and means nothing).  The generator is the smallest
+        element of order 2^m - 1; x itself need not be one (for the modulus
+        0x11B, x has order 51)."""
+        if self._exp_log is None:
+            for g in range(1, 1 << self.m):
+                exp = [1]
+                while (y := gf_mul(exp[-1], g, self)) != 1:
+                    exp.append(y)
+                if len(exp) == (1 << self.m) - 1:
+                    break
+            log = [0] * (1 << self.m)
+            for i, y in enumerate(exp):
+                log[y] = i
+            self._exp_log = (tuple(exp), tuple(log))
+        return self._exp_log
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldSpec) and self.modulus == other.modulus

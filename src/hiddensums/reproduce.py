@@ -5,13 +5,16 @@ exhaustive computation: the brick's differential profile, the coset
 structure of the power-map examples, the hidden-sum algebra, affinity of
 the cipher's round functions, the 7-query reconstruction, and the
 search falsification.  run() prints one PASS/FAIL line per check and
-returns False if any check fails.
+returns False if any check fails; results() yields each check's verdict,
+detail and elapsed time.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Callable, Iterator, Sequence
 
 from . import attack, cipher, corpus, hidden_sum, vbf
 from .gf2 import AffineSubspace, BinMatrix
@@ -356,22 +359,47 @@ CRITERIA: tuple[tuple[int, str, Callable[[], str]], ...] = (
 )
 
 
-def run(criteria: Sequence[int] | None = None, out: Callable[[str], None] = print) -> bool:
-    """Run the battery (or a subset); one line per check; True iff all pass.
-    Unknown criterion numbers raise ValueError before any check runs."""
+@dataclass(frozen=True)
+class CriterionResult:
+    """One check's outcome: verdict PASS or FAIL, its detail line, and its
+    wall time in seconds."""
+
+    criterion: int
+    title: str
+    verdict: str
+    detail: str
+    elapsed_s: float
+
+    def line(self) -> str:
+        return f"{self.verdict} [{self.criterion:2d}] {self.title}: {self.detail}"
+
+
+def _evaluate(num: int, title: str, fn: Callable[[], str]) -> CriterionResult:
+    start = perf_counter()
+    try:
+        verdict, detail = "PASS", fn()
+    except CheckFailure as exc:
+        verdict, detail = "FAIL", str(exc)
+    return CriterionResult(num, title, verdict, detail, perf_counter() - start)
+
+
+def results(criteria: Sequence[int] | None = None) -> Iterator[CriterionResult]:
+    """The battery (or a subset), each check run as its result is taken.
+    Unknown criterion numbers raise ValueError at the call, before any
+    check runs."""
     known = [num for num, _, _ in CRITERIA]
     unknown = sorted(set(criteria or ()) - set(known))
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; valid: {known[0]}-{known[-1]}")
     wanted = set(criteria or known)
+    return (_evaluate(num, title, fn) for num, title, fn in CRITERIA if num in wanted)
+
+
+def run(criteria: Sequence[int] | None = None, out: Callable[[str], None] = print) -> bool:
+    """Run the battery (or a subset); one line per check; True iff all pass.
+    Unknown criterion numbers raise ValueError before any check runs."""
     all_ok = True
-    for num, title, fn in CRITERIA:
-        if num not in wanted:
-            continue
-        try:
-            detail = fn()
-            out(f"PASS [{num:2d}] {title}: {detail}")
-        except CheckFailure as exc:
-            all_ok = False
-            out(f"FAIL [{num:2d}] {title}: {exc}")
+    for result in results(criteria):
+        out(result.line())
+        all_ok = all_ok and result.verdict == "PASS"
     return all_ok

@@ -21,9 +21,7 @@ from .gf2 import (
     Subspace,
     field_to_vec,
     gf_mul,
-    gf_pow,
     span_basis,
-    vec_to_field,
 )
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
@@ -66,22 +64,35 @@ class VBF:
         return cls(m, m, list(range(1 << m)))
 
     @classmethod
-    def _tabulate(cls, fs: FieldSpec, basis: BinMatrix | None, fn) -> VBF:
-        """Tabulate fn: GF(2^m) -> GF(2^m), the table limit checked first.
+    def _tabulate(cls, fs: FieldSpec, basis: BinMatrix | None, values) -> VBF:
+        """Tabulate a map GF(2^m) -> GF(2^m), the table limit checked first.
 
-        The optional basis matrix maps field elements to coordinate vectors;
-        identity means the ascending bit encoding is used directly."""
+        values() returns the map's values at 0, 1, ..., 2^m - 1 in the
+        ascending field encoding.  The optional basis matrix maps field
+        elements to coordinate vectors; None means the ascending encoding is
+        used directly."""
         if fs.m > TABLE_LIMIT_BITS:
             raise ValueError(f"input width {fs.m} exceeds table limit {TABLE_LIMIT_BITS}")
-        if basis is None:
-            basis = BinMatrix.identity(fs.m)
-        table = [field_to_vec(fn(vec_to_field(v, basis)), basis) for v in range(1 << fs.m)]
+        table = values()
+        if basis is not None:
+            to_field = basis.inverse()
+            table = [basis.apply(table[to_field.apply(v)]) for v in range(1 << fs.m)]
         return cls(fs.m, fs.m, table)
 
     @classmethod
     def from_power(cls, d: int, fs: FieldSpec, basis: BinMatrix | None = None) -> VBF:
-        """The power map x^d (d >= 0) on GF(2^m), each point by square-and-multiply."""
-        return cls._tabulate(fs, basis, lambda x: gf_pow(x, d, fs))
+        """The power map x^d (d >= 0) on GF(2^m), read off the field's exp/log
+        tables: x^d = exp[log(x) * d mod (2^m - 1)] for x != 0, and 0^d is 1
+        for d = 0 and 0 otherwise."""
+        if d < 0:
+            raise ValueError("exponent must be non-negative")
+
+        def values() -> list[int]:
+            exp, log = fs.exp_log()
+            order = len(exp)
+            return [0**d] + [exp[log[x] * d % order] for x in range(1, 1 << fs.m)]
+
+        return cls._tabulate(fs, basis, values)
 
     @classmethod
     def from_univariate(
@@ -98,7 +109,7 @@ class VBF:
                 acc = gf_mul(acc, x, fs) ^ c
             return acc
 
-        return cls._tabulate(fs, basis, horner)
+        return cls._tabulate(fs, basis, lambda: [horner(x) for x in range(1 << fs.m)])
 
     def inverse(self) -> VBF:
         if not self.is_permutation:
@@ -139,13 +150,14 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> DerivativeImage:
     """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR)."""
     if a == 0:
         raise ValueError("derivative direction must be nonzero")
+    table = f.table
     if sum_op is None or getattr(sum_op, "is_xor", False):
-        image = {f.table[x ^ a] ^ f.table[x] for x in range(1 << f.m)}
+        image = {table[x ^ a] ^ table[x] for x in range(1 << f.m)}
     else:
         if f.m != f.n:
             raise ValueError("custom sums require m = n")
         op = sum_op.op  # every element is its own negative
-        image = {op(f.table[op(x, a)], f.table[x]) for x in range(1 << f.m)}
+        image = {op(table[op(x, a)], table[x]) for x in range(1 << f.m)}
     return DerivativeImage(a, frozenset(image))
 
 
@@ -179,9 +191,13 @@ def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
 
 
 def is_apn(f: VBF) -> bool:
+    """Differential uniformity 2, decided from image sizes: D_a f takes each
+    value an even number of times (at x and at x + a), so delta = 2 exactly
+    when every derivative image has 2^(m-1) points."""
     if f.m != f.n:
         raise ValueError("APN is defined for m = n")
-    return diff_uniformity(f).delta == 2
+    half = 1 << f.m >> 1
+    return f.m > 0 and all(derivative_image(f, a).size == half for a in range(1, 1 << f.m))
 
 
 def is_weakly_apn(f: VBF) -> bool:
@@ -203,12 +219,16 @@ def is_coset(points: Iterable[int], sum_op=None) -> bool:
 
     The set is translated so that its lexicographically smallest element
     moves to the identity; a coset is exactly a translate that contains 0
-    and is closed under the sum.  For XOR the closure test reduces to a
-    rank computation; other sums are checked pairwise.
+    and is closed under the sum.  A subgroup of an elementary abelian
+    2-group has 2^k points, so a set of any other size is rejected first.
+    For XOR the closure test reduces to a rank computation; other sums are
+    checked pairwise.
     """
     pts = set(points)
     if not pts:
         raise ValueError("empty set has no coset structure")
+    if len(pts) & (len(pts) - 1):
+        return False
     base = min(pts)
     if sum_op is None or getattr(sum_op, "is_xor", False):
         shifted = [p ^ base for p in pts]

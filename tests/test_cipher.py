@@ -3,6 +3,7 @@
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import pytest
 
@@ -143,6 +144,14 @@ class TestEncryptDecrypt:
                 y = spec.round_function(y, spec.key_schedule(k, h))
             assert spec.encrypt(k, x) == y
 
+    def test_core_table_is_a_copy(self):
+        spec = builtin_toy_spec(3)
+        before = spec.encrypt_table(5)
+        table = spec.core_table()
+        table[:] = [0] * len(table)
+        assert spec.core_table() != table
+        assert spec.encrypt_table(5) == before
+
     def test_encrypt_table_is_permutation(self):
         spec = builtin_toy_spec()
         for k in (3, 17):
@@ -157,11 +166,21 @@ def reference_encrypt(spec: CipherSpec, k: int, x: int) -> int:
     return x
 
 
+@lru_cache(maxsize=None)
+def inverse_layers(spec: CipherSpec) -> tuple[list[int], list[int]]:
+    """The brick and mixing layers inverted from their forward tables."""
+    sbox_inv, mix_inv = [0] * (1 << spec.d), [0] * (1 << spec.d)
+    for x in range(1 << spec.d):
+        sbox_inv[spec.apply_bricks(x)] = x
+        mix_inv[spec.apply_mixing(x)] = x
+    return sbox_inv, mix_inv
+
+
 def reference_decrypt(spec: CipherSpec, k: int, y: int) -> int:
-    """The matching per-round decryption loop, on the spec's inverse tables."""
-    sbox_inv, mix_inv, ks = spec._sbox_state_inv, spec._mix_state_inv, spec.key_schedule
+    """The matching per-round decryption loop, one layer at a time."""
+    sbox_inv, mix_inv = inverse_layers(spec)
     for h in range(spec.rounds, 0, -1):
-        y = sbox_inv[mix_inv[y ^ ks(k, h)]]
+        y = sbox_inv[mix_inv[y ^ spec.key_schedule(k, h)]]
     return y
 
 

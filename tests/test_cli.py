@@ -220,6 +220,29 @@ class TestEncryptDecrypt:
         assert code == 0
         assert out.strip() == "2b"
 
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--rounds", "900"), ("--schedule", "permute"), ("--seed", "3")]
+    )
+    def test_builtin_flags_refused_with_cipher_config(self, tmp_path, capsys, command, flag, value):
+        cfg = tmp_path / "cipher.json"
+        cfg.write_text(json.dumps({"bricks": ["builtin", "builtin"], "mixing": [1, 2, 4, 8, 16, 32], "rounds": 4}))
+        block = "--pt" if command == "encrypt" else "--ct"
+        code, out, err = run(
+            capsys, command, "--key", "11", block, "2b", "--cipher", str(cfg), flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_builtin_defaults_without_cipher_config(self, capsys):
+        code, out, _ = run(capsys, "encrypt", "--key", "11", "--pt", "2b")
+        assert code == 0
+        assert int(out, 16) == builtin_toy_spec(20).encrypt(0x11, 0x2B)
+        code, out, _ = run(capsys, "decrypt", "--key", "11", "--ct", "2b", "--seed", "3")
+        assert code == 0
+        assert int(out, 16) == builtin_toy_spec(20).decrypt(0x11, 0x2B)
+
     def test_bad_cipher_config(self, tmp_path, capsys):
         cfg = tmp_path / "cipher.json"
         cfg.write_text("{\"bricks\": []}")
@@ -315,3 +338,37 @@ class TestReproduceCommand:
         assert out == ""
         assert "99" in err
         assert "1-14" in err
+
+    def test_json_subset(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--criteria", "1,4", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        rows = report["criteria"]
+        assert [(r["criterion"], r["verdict"]) for r in rows] == [(1, "PASS"), (4, "FAIL")]
+        for row in rows:
+            assert set(row) == {"criterion", "title", "verdict", "detail", "elapsed_s"}
+            assert row["elapsed_s"] > 0
+
+    def test_env_var_switches_format(self, capsys, monkeypatch):
+        monkeypatch.setenv("HIDDENSUMS_FORMAT", "json")
+        code, out, _ = run(capsys, "reproduce", "--criteria", "2,10")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert [r["criterion"] for r in report["criteria"]] == [2, 10]
+
+    def test_json_carries_the_text_lines(self, capsys):
+        text_code, text, _ = run(capsys, "reproduce")
+        json_code, out, _ = run(capsys, "reproduce", "--json")
+        assert json_code == text_code == 1
+        rows = json.loads(out)["criteria"]
+        assert [r["criterion"] for r in rows] == list(range(1, 15))
+        lines = [f"{r['verdict']} [{r['criterion']:2d}] {r['title']}: {r['detail']}" for r in rows]
+        assert "\n".join(lines) + "\n" == text
+
+    def test_json_unknown_criterion_is_input_error(self, capsys):
+        code, out, err = run(capsys, "reproduce", "--criteria", "99", "--json")
+        assert code == 2
+        assert out == ""
+        assert "99" in err
