@@ -247,6 +247,19 @@ def inverse_brick_spec(rounds: int = 20, key_schedule: KeySchedule | None = None
 # ---------------------------------------------------------------------------
 
 
+def config_int(value, field: str) -> int:
+    """An integer field of a JSON config: an integer or a decimal string.
+    Booleans and fractional numbers are refused rather than rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"field {field!r} has the wrong type: {value!r} is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}") from None
+
+
 def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
     """Build a CipherSpec from a config document.
 
@@ -274,7 +287,7 @@ def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
         mixing = BinMatrix.from_text(_read(config["mixing"])) if isinstance(
             config["mixing"], str
         ) else BinMatrix(config["mixing"])
-        rounds = int(config.get("rounds", 20))
+        rounds = config_int(config.get("rounds", 20), "rounds")
         schedule_cfg = config.get("schedule", "rotate")
     except KeyError as exc:
         raise ValueError(f"cipher config missing field {exc}") from exc
@@ -286,7 +299,7 @@ def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
     if schedule_cfg == "rotate":
         schedule = rotating_key_schedule(d)
     elif isinstance(schedule_cfg, dict) and schedule_cfg.get("kind") == "permute":
-        schedule = permuted_key_schedule(d, int(schedule_cfg.get("seed", 0)))
+        schedule = permuted_key_schedule(d, config_int(schedule_cfg.get("seed", 0), "seed"))
     else:
         raise ValueError(f"unknown schedule {schedule_cfg!r}")
     return CipherSpec(bricks, mixing, rounds, schedule)

@@ -58,11 +58,15 @@ def _load_function(args) -> tuple[str, vbf.VBF]:
     if text.lstrip().startswith("{"):
         try:
             cfg = json.loads(text)
-            fs = FieldSpec(int(cfg["field"]["m"]), _parse_modulus(cfg["field"]["modulus"]))
+            m = cipher.config_int(cfg["field"]["m"], "m")
+            fs = FieldSpec(m, _parse_modulus(cfg["field"]["modulus"]))
             if cfg["kind"] == "power":
-                return f"x^{cfg['exponent']}", vbf.VBF.from_power(int(cfg["exponent"]), fs)
+                d = cipher.config_int(cfg["exponent"], "exponent")
+                return f"x^{d}", vbf.VBF.from_power(d, fs)
             if cfg["kind"] == "univariate":
-                coeffs = [int(c) for c in cfg["coeffs"]]
+                if not isinstance(cfg["coeffs"], list):
+                    raise InputError("field 'coeffs' must be a list of integers")
+                coeffs = [cipher.config_int(c, "coeffs") for c in cfg["coeffs"]]
                 return "univariate polynomial", vbf.VBF.from_univariate(coeffs, fs)
             raise InputError(f"unknown kind {cfg['kind']!r}")
         except (KeyError, ValueError, TypeError) as exc:

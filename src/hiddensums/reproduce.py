@@ -167,8 +167,7 @@ def check_affine_hull_proposition() -> str:
     for m in range(3, 7):
         for label, f in corpus.pinned_corpus(m):
             for a in range(1, 1 << m):
-                image = vbf.derivative_image(f, a).image
-                hull = vbf.affine_hull(image, f.n)
+                hull = vbf.derivative_hull(f, a)
                 va = vbf.component_space(f, a)
                 expected = AffineSubspace(f.table[a], va.orthogonal_complement())
                 _require(

@@ -34,7 +34,7 @@ ANTI_CROOKED = "anti_crooked"
 class VBF:
     """A vectorial Boolean function as a lookup table over all 2^m inputs."""
 
-    __slots__ = ("m", "n", "table", "_is_permutation")
+    __slots__ = ("m", "n", "table", "_is_permutation", "_hull")
 
     def __init__(self, m: int, n: int, table: Sequence[int]):
         if m > TABLE_LIMIT_BITS:
@@ -49,6 +49,8 @@ class VBF:
         self.n = n
         self.table: tuple[int, ...] = tuple(table)
         self._is_permutation: bool | None = None
+        # derivative_hull's last (direction, hull); one slot per function
+        self._hull: tuple[int | None, AffineSubspace | None] = (None, None)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -147,12 +149,21 @@ class DerivativeImage:
 
 
 def derivative_image(f: VBF, a: int, sum_op=None) -> DerivativeImage:
-    """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR)."""
-    if a == 0:
-        raise ValueError("derivative direction must be nonzero")
+    """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR).
+
+    The direction must satisfy 0 < a < 2^m.  Under XOR, D_a f(x) =
+    D_a f(x + a), so only one point of each pair {x, x + a} is visited: the
+    one whose bit at a's leading position is clear."""
+    if not 0 < a < 1 << f.m:
+        raise ValueError(f"derivative direction must be in 1..{(1 << f.m) - 1}, got {a}")
     table = f.table
     if sum_op is None or getattr(sum_op, "is_xor", False):
-        image = {table[x ^ a] ^ table[x] for x in range(1 << f.m)}
+        top = 1 << a.bit_length() >> 1
+        image = {
+            table[x ^ a] ^ table[x]
+            for lo in range(0, 1 << f.m, top << 1)
+            for x in range(lo, lo + top)
+        }
     else:
         if f.m != f.n:
             raise ValueError("custom sums require m = n")
@@ -315,13 +326,20 @@ def power_ac_dichotomy(d: int, fs: FieldSpec, basis: BinMatrix | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+def derivative_hull(f: VBF, a: int) -> AffineSubspace:
+    """The affine hull of Im D_a f under XOR, kept on f for the last
+    direction asked."""
+    cached_a, hull = f._hull
+    if cached_a != a:
+        hull = affine_hull(derivative_image(f, a).image, f.n)
+        f._hull = (a, hull)
+    return hull
+
+
 def component_space(f: VBF, a: int) -> Subspace:
     """The space of v for which x |-> dot(D_a f(x), v) is constant: the
-    complement of the span of the image's differences to its smallest point."""
-    if a == 0:
-        raise ValueError("direction must be nonzero")
-    img = sorted(derivative_image(f, a).image)
-    return Subspace((w ^ img[0] for w in img[1:]), f.n).orthogonal_complement()
+    orthogonal complement of the space of the derivative image's hull."""
+    return derivative_hull(f, a).space.orthogonal_complement()
 
 
 def n_hat(f: VBF) -> int:

@@ -16,6 +16,8 @@ weakened, so it fails, and criterion 15 (the battery exits clean)
 fails with it.  Widths 4 through 8 all hold.
 """
 
+from pathlib import Path
+
 import pytest
 
 from hiddensums import reproduce
@@ -30,6 +32,8 @@ from hiddensums.cli import main
 from hiddensums.vbf import diff_uniformity
 
 CHECKS = {num: (title, fn) for num, title, fn in reproduce.CRITERIA}
+# The 14 battery lines the benchmark also holds the package to, read only.
+GOLDEN_BATTERY = Path(__file__).resolve().parents[1] / "perfbench" / "golden_battery.txt"
 
 
 @pytest.mark.parametrize("num", sorted(CHECKS))
@@ -37,6 +41,14 @@ def test_criterion(num):
     title, fn = CHECKS[num]
     detail = fn()  # raises CheckFailure with a diagnostic on failure
     print(f"PASS [{num:2d}] {title}: {detail}")
+
+
+def test_battery_lines_match_golden():
+    """Every detail line, criterion 4's FAIL line included, byte for byte."""
+    lines = []
+    reproduce.run(out=lines.append)
+    assert lines == GOLDEN_BATTERY.read_text().splitlines()
+    assert len(lines) == len(CHECKS)
 
 
 class TestHeadlineNumbers:

@@ -112,6 +112,34 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "table limit" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"field": {"m": 3, "modulus": "1011"}, "kind": "power", "exponent": True}, "exponent"),
+            ({"field": {"m": 3, "modulus": "1011"}, "kind": "power", "exponent": 2.5}, "exponent"),
+            ({"field": {"m": True, "modulus": "11"}, "kind": "power", "exponent": 3}, "m"),
+            ({"field": {"m": 3.5, "modulus": "1011"}, "kind": "power", "exponent": 3}, "m"),
+            ({"field": {"m": 3, "modulus": "1011"}, "kind": "univariate", "coeffs": [0, 1.5]}, "coeffs"),
+            ({"field": {"m": 3, "modulus": "1011"}, "kind": "univariate", "coeffs": [0, True]}, "coeffs"),
+            # a string must not be read as one coefficient per digit
+            ({"field": {"m": 3, "modulus": "1011"}, "kind": "univariate", "coeffs": "0227427"}, "coeffs"),
+        ],
+    )
+    def test_non_integer_function_field_is_input_error(self, tmp_path, capsys, config, field):
+        cfg = tmp_path / "function.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert repr(field) in err
+
+    def test_integral_function_fields_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps({"field": {"m": 6.0, "modulus": "1011011"}, "kind": "power", "exponent": "49"}))
+        code, out, _ = run(capsys, "analyze", str(cfg))
+        assert code == 0
+        assert out.startswith("function       : x^49  (6 -> 6 bits)")
+
     def test_one_bit_sbox(self, tmp_path, capsys):
         path = tmp_path / "box.txt"
         path.write_text("m=1 n=1\n0\n1\n")
@@ -270,6 +298,35 @@ class TestEncryptDecrypt:
         assert code == 2
         assert out == ""
         assert reason in err
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"rounds": True}, "rounds"),
+            ({"rounds": 2.9}, "rounds"),
+            ({"rounds": "2.9"}, "rounds"),
+            ({"schedule": {"kind": "permute", "seed": False}}, "seed"),
+            ({"schedule": {"kind": "permute", "seed": 0.5}}, "seed"),
+        ],
+    )
+    def test_non_integer_cipher_field_is_input_error(self, tmp_path, capsys, fields, field):
+        cfg = tmp_path / "cipher.json"
+        cfg.write_text(json.dumps({"bricks": ["builtin", "builtin"], "mixing": [1, 2, 4, 8, 16, 32], **fields}))
+        code, out, err = run(capsys, "encrypt", "--key", "11", "--pt", "2b", "--cipher", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert repr(field) in err
+
+    def test_integral_cipher_fields_accepted(self, tmp_path, capsys):
+        outputs = []
+        for rounds, seed in ((4, 3), (4.0, "3")):
+            cfg = tmp_path / "cipher.json"
+            fields = {"rounds": rounds, "schedule": {"kind": "permute", "seed": seed}}
+            cfg.write_text(json.dumps({"bricks": ["builtin", "builtin"], "mixing": [1, 2, 4, 8, 16, 32], **fields}))
+            code, out, _ = run(capsys, "encrypt", "--key", "11", "--pt", "2b", "--cipher", str(cfg))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
     @pytest.mark.parametrize("rounds", ["0", "5000"])

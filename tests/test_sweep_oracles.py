@@ -1,7 +1,10 @@
 """Oracles for the fast paths of the property sweeps.
 
-The null-space orthogonal complement and the component space built on it
-are compared with the scans over all 2^width vectors they replaced, the
+The derivative image that visits one point of each pair {x, x + a} is
+compared with the scan over all 2^m points, the null-space orthogonal
+complement and the component space built on the derivative hull with the
+scans over all 2^width vectors they replaced and with the span of the
+sorted image's differences to its minimum, the
 exp/log power maps with Horner tabulation of x^d and with square-and-
 multiply at every point, Ben-Or's irreducibility test with trial division,
 the APN test from image sizes with the full difference table, the coset
@@ -38,7 +41,9 @@ from hiddensums.gf2 import (
 )
 from hiddensums.vbf import (
     VBF,
+    affine_hull,
     component_space,
+    derivative_hull,
     derivative_image,
     diff_uniformity,
     is_apn,
@@ -64,6 +69,23 @@ def reference_component_space(f: VBF, a: int) -> Subspace:
         if all(dot(w, v) == 0 for w in diffs)
     ]
     return Subspace(members, f.n)
+
+
+def reference_derivative_image(f: VBF, a: int) -> frozenset[int]:
+    """Im of x |-> f(x + a) + f(x), every x in (F_2)^m visited."""
+    if a == 0:
+        raise ValueError("derivative direction must be nonzero")
+    table = f.table
+    return frozenset(table[x ^ a] ^ table[x] for x in range(1 << f.m))
+
+
+def reference_component_space_from_image(f: VBF, a: int) -> Subspace:
+    """The complement of the span of the image's differences to its
+    smallest point."""
+    if a == 0:
+        raise ValueError("direction must be nonzero")
+    img = sorted(derivative_image(f, a).image)
+    return Subspace((w ^ img[0] for w in img[1:]), f.n).orthogonal_complement()
 
 
 def reference_is_irreducible(modulus: int) -> bool:
@@ -158,9 +180,56 @@ def test_component_space_matches_scan_on_corpus():
     for m in range(3, 7):
         for label, f in pinned_corpus(m):
             for a in range(1, 1 << m):
-                assert component_space(f, a) == reference_component_space(f, a), (label, a)
+                expected = reference_component_space(f, a)
+                assert component_space(f, a) == expected, (label, a)
+                assert reference_component_space_from_image(f, a) == expected, (label, a)
                 pairs += 1
     assert pairs == 9167
+
+
+def test_derivative_image_matches_full_scan_on_corpus():
+    pairs = 0
+    for m in range(3, 7):
+        for label, f in pinned_corpus(m):
+            for a in range(1, 1 << m):
+                assert derivative_image(f, a).image == reference_derivative_image(f, a), (label, a)
+                pairs += 1
+    assert pairs == 9167
+
+
+def test_derivative_image_matches_full_scan_on_all_3bit_permutations():
+    for perm in itertools.permutations(range(8)):
+        f = VBF(3, 3, perm)
+        for a in range(1, 8):
+            assert derivative_image(f, a).image == reference_derivative_image(f, a), (perm, a)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (2, 5), (3, 1), (4, 2), (5, 3), (6, 8), (7, 4)])
+def test_derivative_image_matches_full_scan_off_square(m, n):
+    rng = random.Random(100 * m + n)
+    for _ in range(20):
+        f = VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)])
+        for a in range(1, 1 << m):
+            assert derivative_image(f, a).image == reference_derivative_image(f, a), (f.table, a)
+
+
+def test_derivative_hull_memo_matches_fresh_computation():
+    """The hull kept on each function for its last direction never leaks
+    into another function or direction."""
+    fs = field_spec(4)
+    f, g = VBF.from_power(3, fs), VBF.from_power(7, fs)
+    rng = random.Random(8)
+    calls = [(rng.choice((f, g)), rng.choice((1, 2, 5, 15))) for _ in range(200)]
+    for h, a in calls:
+        fresh = affine_hull(reference_derivative_image(h, a), h.n)
+        assert derivative_hull(h, a) == fresh, (h.table, a)
+        assert component_space(h, a) == reference_component_space(h, a), (h.table, a)
+        assert derivative_hull(h, a) == fresh, (h.table, a)
+    for h in (f, g, VBF.identity(3)):
+        with pytest.raises(ValueError):
+            derivative_hull(h, 0)
+    with pytest.raises(ValueError):
+        component_space(f, 0)
 
 
 @pytest.mark.parametrize("m", sorted(FIELD_MODULI))

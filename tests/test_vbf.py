@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiddensums.cipher import toy_brick_sum
 from hiddensums.gf2 import BinMatrix, FieldSpec, gf_mul, gf_pow
 from hiddensums.hidden_sum import AffineMap
 from hiddensums.vbf import (
@@ -18,6 +19,7 @@ from hiddensums.vbf import (
     VBF,
     affine_hull,
     component_space,
+    derivative_hull,
     derivative_image,
     diff_uniformity,
     dump_sbox,
@@ -115,6 +117,24 @@ class TestDerivativeImage:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             derivative_image(VBF.identity(3), 0)
+
+    @pytest.mark.parametrize("a", [-1, -3, -8, 0, 8, 9, 1 << 20])
+    def test_direction_out_of_range_rejected(self, a):
+        for fn in (derivative_image, component_space, derivative_hull):
+            with pytest.raises(ValueError, match="1..7"):
+                fn(brick(), a)
+        with pytest.raises(ValueError, match="1..7"):
+            derivative_image(brick(), a, toy_brick_sum())
+
+    def test_direction_range_ends_accepted(self):
+        f = VBF(3, 2, [x & 3 for x in range(8)])
+        assert derivative_image(f, 1).image == {1}
+        assert derivative_image(f, 7).image == {3}
+        assert derivative_image(brick(), 7, toy_brick_sum()).size >= 1
+        g = VBF(1, 1, [0, 1])
+        assert derivative_image(g, 1).image == {1}
+        with pytest.raises(ValueError, match="1..1"):
+            derivative_image(g, 2)
 
     def test_brick_dimension_one_directions(self):
         # derived exhaustively: exactly these directions give 2-point images
