@@ -123,18 +123,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_hidden_verify(args) -> int:
-    if args.builtin:
-        generators = hidden_sum.parse_group_spec(cipher.TOY_GROUP_SPEC)
-    elif args.source:
-        try:
-            generators = hidden_sum.parse_group_spec(open(args.source).read())
-        except OSError as exc:
-            raise InputError(f"cannot read {args.source}: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(f"bad group spec: {exc}") from exc
-    else:
+    if not (args.builtin or args.source):
         raise InputError("provide a group spec file or --builtin")
-    report = hidden_sum.hidden_sum_report(generators)
+    try:
+        text = cipher.TOY_GROUP_SPEC if args.builtin else open(args.source).read()
+        report = hidden_sum.hidden_sum_report(hidden_sum.parse_group_spec(text))
+    except OSError as exc:
+        raise InputError(f"cannot read {args.source}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"bad group spec: {exc}") from exc
     lines = [f"{key:18s}: {value}" for key, value in report.items()]
     _emit(args, report, lines)
     checks = [v for v in report.values() if isinstance(v, bool)]

@@ -85,9 +85,6 @@ class AffineMap:
     def encode(self) -> tuple:
         return (self.matrix.rows, self.translation)
 
-    def table(self) -> list[int]:
-        return [self.apply(x) for x in range(1 << self.width)]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AffineMap) and self.encode() == other.encode()
 
@@ -188,57 +185,48 @@ class RegularGroup:
 class HiddenSum:
     """The group operation on (F_2)^d induced by a regular group action.
 
-    A sum is its op table plus a basis: op(x, y) applies the element
-    sending 0 to y, and the d basis elements generate the sum freely.
+    A sum is its coordinate tables plus a basis: _by_coeff[c] combines
+    the basis vectors selected by c, _by_element inverts it, and x # y is
+    the element whose coordinates are the XOR of theirs (an isomorphism).
     Scope is limited to sums where every element is an involution, so
     -x = x; construction fails loudly on anything else.
     """
 
-    __slots__ = ("width", "basis", "_sigma")
-
-    is_xor = False
+    __slots__ = ("width", "basis", "_by_coeff", "_by_element")
 
     def __init__(self, group: RegularGroup):
-        if group.elements[0] != AffineMap.identity(group.width):
-            raise NotRegularError("element indexed by 0 is not the identity")
-        sigma = [e.table() for e in group.elements]
-        # greedy: keep each generator translation not yet in the span
-        span, basis = [0], []
+        # commuting involutions generate an elementary abelian group;
+        # keep each generator whose translation is not yet reached
+        by_coeff, basis = [0], []
         for g in group.generators:
-            b = g.translation
-            if b not in span:
-                basis.append(b)
-                span += [sigma[b][x] for x in span]
-        self._adopt(sigma, basis)
-
-    @classmethod
-    def _from_table(cls, sigma: list, basis: Sequence[int]) -> HiddenSum:
-        """A sum whose table was assembled from verified parts."""
-        hs = cls.__new__(cls)
-        hs._adopt(sigma, basis)
-        return hs
-
-    def _adopt(self, sigma: list, basis: Sequence[int]) -> None:
-        self.width = len(sigma).bit_length() - 1
-        self._sigma = sigma
-        self.basis = tuple(basis)
-        for x in range(len(sigma)):
-            if sigma[x][x] != 0:
+            if not g.is_involution():
                 raise NotElementaryAbelianError(
-                    f"element moving 0 to {x} is not an involution"
+                    f"generator moving 0 to {g.translation} is not an involution"
                 )
-        if len(self.basis) != self.width:
+            if g.translation not in by_coeff:
+                basis.append(g.translation)
+                by_coeff += [g.apply(x) for x in by_coeff]
+        if len(basis) != group.width:
             raise NotRegularError("generators do not generate the group")
+        self._adopt(by_coeff, basis)
+
+    def _adopt(self, by_coeff: list[int], basis: Sequence[int]) -> HiddenSum:
+        self.width = len(basis)
+        self.basis = tuple(basis)
+        self._by_coeff = by_coeff
+        self._by_element = _inverse(by_coeff, NotRegularError("the action is not free"))
+        return self
 
     def op(self, x: int, y: int) -> int:
-        return self._sigma[y][x]
+        return self._by_coeff[self._by_element[x] ^ self._by_element[y]]
 
     def generators(self) -> tuple[AffineMap, ...]:
         """The elements moving 0 to the basis vectors."""
         return tuple(AffineMap(kappa(self, b), b) for b in self.basis)
 
     def op_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in self._sigma)
+        n = 1 << self.width
+        return tuple(tuple(self.op(x, y) for x in range(n)) for y in range(n))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HiddenSum) and self.op_table() == other.op_table()
@@ -250,11 +238,20 @@ class HiddenSum:
         return f"HiddenSum(width={self.width})"
 
 
+def _inverse(table: list[int], error: ValueError) -> list[int]:
+    """The inverse of a permutation of range(len(table)); the error if not."""
+    inverse = [-1] * len(table)
+    for i, x in enumerate(table):
+        inverse[x] = i
+    if -1 in inverse:
+        raise error
+    return inverse
+
+
 def kappa(hs: HiddenSum, y: int) -> BinMatrix:
     """Linear part of the translation that moves 0 to y: row i is
     e_i # y + y."""
-    row = hs._sigma[y]
-    return BinMatrix([row[1 << i] ^ y for i in range(hs.width)])
+    return BinMatrix([hs.op(1 << i, y) ^ y for i in range(hs.width)])
 
 
 @dataclass(frozen=True)
@@ -366,16 +363,16 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
     """Brick-parallel sum acting on the concatenation of the parts.
 
-    (x # y) is taken brick by brick, so the op table is assembled from the
-    parts' tables and the basis from the parts' bases, shifted into place."""
-    sigma, basis, off = [[0]], [], 0
+    (x # y) is taken brick by brick, so the element with coefficients c
+    sets the parts' elements for the pieces of c side by side, and the
+    basis is the parts' bases, shifted into place."""
+    by_coeff, basis, off = [0], [], 0
     for p in parts:
-        # index y (and x) = low bits from the parts so far | this part's bits
-        high = [[v << off for v in row] for row in p._sigma]
-        sigma = [[h | lo for h in hrow for lo in lrow] for hrow in high for lrow in sigma]
+        # coefficients (and elements) = low bits from the parts so far | this part's bits
+        by_coeff = [(h << off) | lo for h in p._by_coeff for lo in by_coeff]
         basis += [b << off for b in p.basis]
         off += p.width
-    return HiddenSum._from_table(sigma, basis)
+    return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
 
 
 class CoordinateMap:
@@ -395,18 +392,16 @@ class CoordinateMap:
             raise BasisError(f"need exactly {hs.width} basis vectors")
         self.hs = hs
         self.basis = tuple(basis)
+        # x # b is an XOR in the sum's own coordinates, read back through them
+        coords, element = hs._by_element, hs._by_coeff
         by_coeff = [0]
         for b in self.basis:
-            row = hs._sigma[b]
-            by_coeff += [row[x] for x in by_coeff]
-        n = len(by_coeff)
-        if len(set(by_coeff)) != n:
-            raise BasisError("vectors do not freely generate the hidden sum")
-        by_element = [0] * n
-        for c, x in enumerate(by_coeff):
-            by_element[x] = c
+            k = coords[b]
+            by_coeff += [element[coords[x] ^ k] for x in by_coeff]
         self._by_coeff = by_coeff
-        self._by_element = by_element
+        self._by_element = _inverse(
+            by_coeff, BasisError("vectors do not freely generate the hidden sum")
+        )
 
     def coords(self, x: int) -> int:
         return self._by_element[x]
@@ -439,6 +434,8 @@ class CoordinateMap:
 # ---------------------------------------------------------------------------
 
 MAX_BRICK_WIDTH = 4
+# the ring axioms are checked on all 8^width triples
+MAX_VERIFY_WIDTH = 8
 
 
 @lru_cache(maxsize=None)
@@ -585,6 +582,8 @@ def parse_group_spec(text: str) -> list[AffineMap]:
         width = int(lines[0])
     except (IndexError, ValueError) as exc:
         raise ValueError("first line must be the width") from exc
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
     gens = []
     for ln in lines[1:]:
         try:
@@ -613,6 +612,9 @@ def dump_group_spec(generators: Sequence[AffineMap]) -> str:
 
 def hidden_sum_report(generators: Sequence[AffineMap]) -> dict:
     """Build and fully verify a hidden sum, reporting each check."""
+    width = generators[0].width
+    if width > MAX_VERIFY_WIDTH:
+        raise ValueError(f"width {width} exceeds {MAX_VERIFY_WIDTH}, the verification limit")
     report: dict = {
         "abelian": True,
         "regular": True,

@@ -11,6 +11,7 @@ import hiddensums
 from hiddensums.cli import main
 from hiddensums.cipher import TOY_GROUP_SPEC, builtin_toy_spec, permuted_key_schedule
 from hiddensums.gf2 import FieldSpec
+from hiddensums.hidden_sum import MAX_VERIFY_WIDTH, AffineMap, dump_group_spec
 from hiddensums.vbf import VBF, dump_sbox
 
 
@@ -185,6 +186,27 @@ class TestHiddenVerify:
         path.write_text("not a group spec")
         code, _, err = run(capsys, "hidden-verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["0\n|\n", "-1\n|\n"])
+    def test_width_below_one_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "group.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "hidden-verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "width must be at least 1" in err
+
+    @pytest.mark.parametrize("width", [MAX_VERIFY_WIDTH + 1, 20])
+    def test_too_wide_exits_two(self, tmp_path, capsys, width):
+        # the translation group: its closure alone has 2^width elements
+        path = tmp_path / "group.txt"
+        path.write_text(
+            dump_group_spec([AffineMap.translation_by(width, 1 << i) for i in range(width)])
+        )
+        code, out, err = run(capsys, "hidden-verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"width {width} exceeds {MAX_VERIFY_WIDTH}" in err
 
 
 class TestHiddenSearch:

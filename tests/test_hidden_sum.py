@@ -6,6 +6,9 @@ product e1*e3 = e2, nilpotency index 3) were computed exhaustively and
 frozen here.
 """
 
+import time
+import tracemalloc
+
 import pytest
 
 from hiddensums.cipher import (
@@ -213,8 +216,16 @@ class TestKappa:
         tau1_matrix = toy_generators()[0].matrix
         # give the pure translation by e2 a wrong (but involutive) matrix
         elements[0b010] = AffineMap(tau1_matrix, 0b010)
-        hacked = HiddenSum(RegularGroup(3, base.generators, elements))
-        check = check_kappa_homomorphism(hacked)
+        table = [[e.apply(x) for x in range(8)] for e in elements]
+
+        class Corrupted:
+            # width and op are all that kappa and the check read
+            width = 3
+
+            def op(self, x, y):
+                return table[y][x]
+
+        check = check_kappa_homomorphism(Corrupted())
         assert not check.ok
         assert check.witness is not None
 
@@ -307,6 +318,40 @@ class TestProductSum:
 
     def test_widths_add(self):
         assert product_sum([toy_brick_sum()] * 2).width == 6
+
+    def test_three_bricks_act_brickwise_on_all_pairs(self):
+        one = toy_brick_sum()
+        prod = product_sum([one] * 3)
+        assert prod.width == 9
+        rows = [[one.op(x, y) for x in range(8)] for y in range(8)]
+        for x in range(512):
+            for y in range(512):
+                expected = 0
+                for off in (0, 3, 6):
+                    expected |= rows[(y >> off) & 7][(x >> off) & 7] << off
+                assert prod.op(x, y) == expected
+
+    def test_twelve_bits_in_milliseconds_and_kilobytes(self):
+        one = toy_brick_sum()
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            product_sum([one] * 4)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.1
+        tracemalloc.start()
+        try:
+            hs = product_sum([one] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert hs.width == 12
+        cm = CoordinateMap(hs, hs.basis)  # free: must not raise
+        assert [cm.coords(b) for b in hs.basis] == [1 << i for i in range(12)]
+        assert all(
+            agl_membership(xor_translation_table(12, 1 << i), hs) for i in range(12)
+        )
 
 
 class TestCoordinates:

@@ -3,7 +3,8 @@
 The structure-constant enumerator is compared with the generator-chain
 search it replaced, the brickwise product tables with the product built
 from the embedded affine maps, the coordinate affinity test with the
-pair scan, and the doubling coordinate tables with the bit loop.  The
+pair scan, the doubling coordinate tables with the bit loop, and the
+sum built from generators alone with the group's own elements.  The
 references are the former library code, kept here as unchanged as the
 current API allows.
 """
@@ -63,7 +64,7 @@ def reference_enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
         if m @ m == ident:
             pool_maps += [AffineMap(m, t) for t in range(1, n) if m.apply(t) == t]
     pool_maps.sort(key=AffineMap.encode)
-    pool = [tuple(g.table()) for g in pool_maps]
+    pool = [tuple(g.apply(x) for x in range(n)) for g in pool_maps]
     index_of = {table: i for i, table in enumerate(pool)}
     units = [0] + [1 << i for i in range(width)]
     all_mask = (1 << len(pool)) - 1
@@ -167,17 +168,23 @@ def reference_product_group(parts):
     return RegularGroup(total, generators, elements)
 
 
-def reference_agl_membership(g_table, hs) -> bool:
-    """Whether the permutation is affine for the hidden sum.
+def op_rows(hs):
+    """Row y holds x # y for every x, read through hs.op."""
+    n = 1 << hs.width
+    return [[hs.op(x, y) for x in range(n)] for y in range(n)]
+
+
+def reference_agl_membership(g_table, sigma) -> bool:
+    """Whether the permutation is affine for the hidden sum whose op rows
+    (op_rows) are given.
 
     g is affine iff x |-> g(x) # (-g(0)) is additive for the sum; this is
     verified over all 2^(2d) pairs.  (-g(0) is g(0): the former negation
     table held the identity map for every sum.)
     """
-    n = 1 << hs.width
+    n = len(sigma)
     if len(g_table) != n or len(set(g_table)) != n:
         raise ValueError("membership test requires a bijective table on the space")
-    sigma = hs._sigma
     shift = sigma[g_table[0]]
     h = [shift[y] for y in g_table]
     for x in range(n):
@@ -240,6 +247,8 @@ def test_product_sum_matches_embedded_group():
         assert fast.width == slow.width
         assert fast.op_table() == slow.op_table()
         assert fast.basis == slow.basis
+        # coefficient bit i selects basis vector i, as in a sum built directly
+        assert fast._by_coeff == slow._by_coeff == reference_coordinate_table(fast, fast.basis)
         assert [AffineMap(kappa(fast, y), y).encode() for y in range(n)] == [
             e.encode() for e in group.elements
         ]
@@ -279,9 +288,10 @@ def test_membership_matches_pair_scan_on_toy_search_sums():
     tables += seeded_permutations(6, 20, 11)
     pairs = accepted = 0
     for hs in toy_search_sums():
+        sigma = op_rows(hs)
         for table in tables + hidden_translations(hs):
             verdict = agl_membership(table, hs)
-            assert verdict == reference_agl_membership(table, hs)
+            assert verdict == reference_agl_membership(table, sigma)
             pairs += 1
             accepted += verdict
     assert pairs == 64 * (len(tables) + 6)
@@ -296,8 +306,9 @@ def test_membership_matches_pair_scan_on_brick_sums(width):
     for hs in (HiddenSum(g) for g in enumerate_regular_groups(width)):
         members = [xor_translation_table(width, 1 << i) for i in range(width)]
         members += hidden_translations(hs)
+        sigma = op_rows(hs)
         for table in members + perms:
-            assert agl_membership(table, hs) == reference_agl_membership(table, hs)
+            assert agl_membership(table, hs) == reference_agl_membership(table, sigma)
         assert all(agl_membership(table, hs) for table in members)
 
 
@@ -327,3 +338,30 @@ def test_redundant_generator_yields_free_basis():
     assert hs.basis == tuple(g.translation for g in gens)
     assert hs.op_table() == toy_brick_sum().op_table()
     CoordinateMap(hs, hs.basis)  # free: must not raise
+
+
+def oracle_groups():
+    """Every enumerated group, the XOR group, and the toy group built with
+    a redundant generator."""
+    for width in range(1, MAX_BRICK_WIDTH + 1):
+        yield from enumerate_regular_groups(width)
+    yield RegularGroup.translations(3)
+    gens = parse_group_spec(TOY_GROUP_SPEC)
+    yield RegularGroup.build(gens[:2] + [gens[0].then(gens[1])] + gens[2:])
+
+
+def test_generator_doubling_matches_group_elements():
+    """The sum, built from the generators alone, is the action of the
+    group's elements: x # y is the element sending 0 to y, applied to x."""
+    tested = 0
+    for group in oracle_groups():
+        hs = HiddenSum(group)
+        n = 1 << group.width
+        assert hs.width == group.width
+        assert hs._by_coeff == reference_coordinate_table(hs, hs.basis)
+        for y in range(n):
+            assert [hs.op(x, y) for x in range(n)] == [
+                group.elements[y].apply(x) for x in range(n)
+            ]
+        tested += 1
+    assert tested == 1 + 1 + 8 + 106 + 2
