@@ -196,7 +196,7 @@ def verify_global_deduction(
     These comparisons use verification queries; the reported query totals
     are the attack-phase ones from the transcript.
     """
-    n = 1 << repr_.coord_map.hs.width
+    n = 1 << repr_.coord_map.width
     mismatches = sum(
         1 for v in range(n) if repr_.apply(v) != enc_oracle.query_verification(v)
     )

@@ -263,7 +263,7 @@ def config_int(value, field: str) -> int:
 def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
     """Build a CipherSpec from a config document.
 
-    Shape: { "bricks": [<s-box file>...], "mixing": <matrix file>,
+    Shape: { "bricks": [<s-box file>...], "mixing": <matrix file> | [<int row>...],
     "rounds": <int>, "schedule": "rotate" | {"kind": "permute", "seed": n} }.
     File references are resolved relative to base_dir; bricks may also be
     the literal string "builtin".
@@ -284,9 +284,13 @@ def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:
             toy_brick() if ref == "builtin" else load_sbox(_read(ref))
             for ref in config["bricks"]
         ]
-        mixing = BinMatrix.from_text(_read(config["mixing"])) if isinstance(
-            config["mixing"], str
-        ) else BinMatrix(config["mixing"])
+        mixing = config["mixing"]
+        if isinstance(mixing, str):
+            mixing = BinMatrix.from_text(_read(mixing))
+        elif isinstance(mixing, list):
+            mixing = BinMatrix([config_int(row, "mixing") for row in mixing])
+        else:
+            raise ValueError(f"cipher config field 'mixing' has the wrong type: {mixing!r}")
         rounds = config_int(config.get("rounds", 20), "rounds")
         schedule_cfg = config.get("schedule", "rotate")
     except KeyError as exc:

@@ -205,13 +205,6 @@ def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def span_contains(basis: Sequence[int], v: int) -> bool:
-    for b in basis:
-        if v ^ b < v:
-            v ^= b
-    return v == 0
-
-
 def span_reduce(basis: Sequence[int], v: int) -> int:
     """Minimal representative of v modulo the span of an echelon basis."""
     for b in basis:
@@ -237,7 +230,7 @@ class Subspace:
         return 1 << self.dim
 
     def __contains__(self, v: int) -> bool:
-        return span_contains(self.basis, v)
+        return not span_reduce(self.basis, v)
 
     def elements(self) -> Iterator[int]:
         for picks in itertools.product((0, 1), repeat=self.dim):
@@ -452,35 +445,3 @@ def field_to_vec(a: int, basis: BinMatrix) -> int:
     if not basis.is_invertible():
         raise SingularMatrixError(basis.rank(), basis.size)
     return basis.apply(a)
-
-
-def vec_to_field(v: int, basis: BinMatrix) -> int:
-    """Inverse of field_to_vec."""
-    return basis.inverse().apply(v)
-
-
-# ---------------------------------------------------------------------------
-# Group operation handles
-# ---------------------------------------------------------------------------
-
-
-class XorSum:
-    """The standard sum on (F_2)^width, as a group-operation handle.
-
-    Handles expose op(x, y) and width; alternative sums built from
-    regular group actions satisfy the same protocol.  Every element of
-    every handled sum is its own negative.
-    """
-
-    __slots__ = ("width",)
-
-    is_xor = True
-
-    def __init__(self, width: int):
-        self.width = width
-
-    def op(self, x: int, y: int) -> int:
-        return x ^ y
-
-    def __repr__(self) -> str:
-        return f"XorSum(width={self.width})"

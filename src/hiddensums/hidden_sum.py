@@ -188,8 +188,10 @@ class HiddenSum:
     A sum is its coordinate tables plus a basis: _by_coeff[c] combines
     the basis vectors selected by c, _by_element inverts it, and x # y is
     the element whose coordinates are the XOR of theirs (an isomorphism).
-    Scope is limited to sums where every element is an involution, so
-    -x = x; construction fails loudly on anything else.
+    A map is affine for the sum exactly when it is XOR-affine in
+    coordinates, which read_affine and mismatch test.  Scope is limited
+    to sums where every element is an involution, so -x = x;
+    construction fails loudly on anything else.
     """
 
     __slots__ = ("width", "basis", "_by_coeff", "_by_element")
@@ -208,44 +210,96 @@ class HiddenSum:
                 by_coeff += [g.apply(x) for x in by_coeff]
         if len(basis) != group.width:
             raise NotRegularError("generators do not generate the group")
-        self._adopt(by_coeff, basis)
+        self._adopt(by_coeff, basis, NotRegularError("the action is not free"))
 
-    def _adopt(self, by_coeff: list[int], basis: Sequence[int]) -> HiddenSum:
+    def _adopt(
+        self, by_coeff: list[int], basis: Sequence[int], error: ValueError
+    ) -> HiddenSum:
+        """Take by_coeff as the coordinate table of the basis; the error if
+        it is not a permutation of the space."""
+        by_element = [-1] * len(by_coeff)
+        for c, x in enumerate(by_coeff):
+            by_element[x] = c
+        if -1 in by_element:
+            raise error
         self.width = len(basis)
         self.basis = tuple(basis)
         self._by_coeff = by_coeff
-        self._by_element = _inverse(by_coeff, NotRegularError("the action is not free"))
+        self._by_element = by_element
         return self
 
     def op(self, x: int, y: int) -> int:
         return self._by_coeff[self._by_element[x] ^ self._by_element[y]]
 
+    def coords(self, x: int) -> int:
+        return self._by_element[x]
+
+    def element(self, coeffs: int) -> int:
+        return self._by_coeff[coeffs]
+
+    def read_affine(self, f: Callable[[int], int]) -> tuple[BinMatrix, int]:
+        """M and t of f in coordinates, from f(0) and then f(b_i): the only
+        candidates if f is affine for the sum."""
+        t = self._by_element[f(0)]
+        return BinMatrix([self._by_element[f(b)] ^ t for b in self.basis]), t
+
+    def mismatch(
+        self, f: Callable[[int], int], matrix: BinMatrix, t: int, points: Iterable[int]
+    ) -> int | None:
+        """The first of the points where coords(f(v)) is not coords(v)*M + t."""
+        image = [t]  # image[c] = c*M + t
+        for r in matrix.rows:
+            image += [y ^ r for y in image]
+        coords = self._by_element
+        for v in points:
+            if coords[f(v)] != image[coords[v]]:
+                return v
+        return None
+
     def generators(self) -> tuple[AffineMap, ...]:
         """The elements moving 0 to the basis vectors."""
         return tuple(AffineMap(kappa(self, b), b) for b in self.basis)
 
-    def op_table(self) -> tuple[tuple[int, ...], ...]:
-        n = 1 << self.width
-        return tuple(tuple(self.op(x, y) for x in range(n)) for y in range(n))
+    def _key(self) -> tuple[int, tuple[int, ...]]:
+        """e_i # e_j for every pair of unit vectors, j outermost.
+
+        Each value is the structure constant e_i*e_j plus e_i + e_j, and
+        the ring product is bilinear, so two sums are equal exactly when
+        their keys are.  Keys also order sums as their op tables (rows
+        indexed by y, entries x # y) would: the first unit pair where two
+        sums differ is the first entry where their tables differ."""
+        units = [1 << i for i in range(self.width)]
+        return self.width, tuple(self.op(x, y) for y in units for x in units)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HiddenSum) and self.op_table() == other.op_table()
+        return isinstance(other, HiddenSum) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.op_table())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"HiddenSum(width={self.width})"
 
 
-def _inverse(table: list[int], error: ValueError) -> list[int]:
-    """The inverse of a permutation of range(len(table)); the error if not."""
-    inverse = [-1] * len(table)
-    for i, x in enumerate(table):
-        inverse[x] = i
-    if -1 in inverse:
-        raise error
-    return inverse
+class CoordinateMap(HiddenSum):
+    """The hidden sum hs, with its coordinates taken in another basis.
+
+    The op is hs's; coords and element change with the basis, which must
+    generate the sum freely (BasisError otherwise).
+    """
+
+    def __init__(self, hs: HiddenSum, basis: Sequence[int]):
+        if len(basis) != hs.width:
+            raise BasisError(f"need exactly {hs.width} basis vectors")
+        # x # b is an XOR in the sum's own coordinates, read back through them
+        coords, element = hs._by_element, hs._by_coeff
+        by_coeff = [0]
+        for b in basis:
+            k = coords[b]
+            by_coeff += [element[coords[x] ^ k] for x in by_coeff]
+        self._adopt(
+            by_coeff, basis, BasisError("vectors do not freely generate the hidden sum")
+        )
 
 
 def kappa(hs: HiddenSum, y: int) -> BinMatrix:
@@ -355,9 +409,8 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     n = 1 << hs.width
     if len(g_table) != n or set(g_table) != set(range(n)):
         raise ValueError("membership test requires a bijective table on the space")
-    cm = CoordinateMap(hs, hs.basis)
     g = g_table.__getitem__
-    return cm.mismatch(g, *cm.read_affine(g), range(n)) is None
+    return hs.mismatch(g, *hs.read_affine(g), range(n)) is None
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
@@ -372,61 +425,9 @@ def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
         by_coeff = [(h << off) | lo for h in p._by_coeff for lo in by_coeff]
         basis += [b << off for b in p.basis]
         off += p.width
-    return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
-
-
-class CoordinateMap:
-    """Coefficients of elements with respect to a basis of the hidden sum.
-
-    Every x decomposes uniquely as the hidden-sum combination of basis
-    elements selected by a coefficient vector; because the sum is
-    elementary abelian this map is a group isomorphism onto XOR.  A map
-    is affine for the sum exactly when it is XOR-affine in coordinates,
-    which read_affine and mismatch test.
-    """
-
-    __slots__ = ("hs", "basis", "_by_coeff", "_by_element")
-
-    def __init__(self, hs: HiddenSum, basis: Sequence[int]):
-        if len(basis) != hs.width:
-            raise BasisError(f"need exactly {hs.width} basis vectors")
-        self.hs = hs
-        self.basis = tuple(basis)
-        # x # b is an XOR in the sum's own coordinates, read back through them
-        coords, element = hs._by_element, hs._by_coeff
-        by_coeff = [0]
-        for b in self.basis:
-            k = coords[b]
-            by_coeff += [element[coords[x] ^ k] for x in by_coeff]
-        self._by_coeff = by_coeff
-        self._by_element = _inverse(
-            by_coeff, BasisError("vectors do not freely generate the hidden sum")
-        )
-
-    def coords(self, x: int) -> int:
-        return self._by_element[x]
-
-    def element(self, coeffs: int) -> int:
-        return self._by_coeff[coeffs]
-
-    def read_affine(self, f: Callable[[int], int]) -> tuple[BinMatrix, int]:
-        """M and t of f in coordinates, from f(0) and then f(b_i): the only
-        candidates if f is affine for the sum."""
-        t = self._by_element[f(0)]
-        return BinMatrix([self._by_element[f(b)] ^ t for b in self.basis]), t
-
-    def mismatch(
-        self, f: Callable[[int], int], matrix: BinMatrix, t: int, points: Iterable[int]
-    ) -> int | None:
-        """The first of the points where coords(f(v)) is not coords(v)*M + t."""
-        image = [t]  # image[c] = c*M + t
-        for r in matrix.rows:
-            image += [y ^ r for y in image]
-        coords = self._by_element
-        for v in points:
-            if coords[f(v)] != image[coords[v]]:
-                return v
-        return None
+    return HiddenSum.__new__(HiddenSum)._adopt(
+        by_coeff, basis, NotRegularError("the action is not free")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +566,7 @@ def find_hidden_sums(
         ):
             continue
         results.append(hs)
-    results.sort(key=HiddenSum.op_table)
+    results.sort(key=HiddenSum._key)
     return results
 
 

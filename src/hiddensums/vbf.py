@@ -5,8 +5,8 @@ every test below exact: differential uniformity, APN and weakly-APN,
 derivative images and their coset structure (crooked / anti-crooked),
 component spaces, and extended-affine transforms.
 
-Derivatives can be taken with respect to the standard XOR sum or any
-group-operation handle (see gf2.XorSum and hidden_sum.HiddenSum).
+Derivatives can be taken with respect to the standard XOR sum (the
+default) or any hidden sum (hidden_sum.HiddenSum).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> DerivativeImage:
     if not 0 < a < 1 << f.m:
         raise ValueError(f"derivative direction must be in 1..{(1 << f.m) - 1}, got {a}")
     table = f.table
-    if sum_op is None or getattr(sum_op, "is_xor", False):
+    if sum_op is None:
         top = 1 << a.bit_length() >> 1
         image = {
             table[x ^ a] ^ table[x]
@@ -241,7 +241,7 @@ def is_coset(points: Iterable[int], sum_op=None) -> bool:
     if len(pts) & (len(pts) - 1):
         return False
     base = min(pts)
-    if sum_op is None or getattr(sum_op, "is_xor", False):
+    if sum_op is None:
         shifted = [p ^ base for p in pts]
         return len(pts) == 1 << len(span_basis(shifted))
     shifted = {sum_op.op(p, base) for p in pts}

@@ -222,6 +222,56 @@ class TestHiddenSearch:
         assert code == 0
         assert json.loads(out)["count"] == 0
 
+    @pytest.mark.parametrize("bricks", ["builtin", "inversion"])
+    def test_output_pinned(self, capsys, bricks):
+        """The full text and JSON reports, so that how sums are compared
+        and ordered cannot change what the search prints."""
+        code, out, _ = run(capsys, "hidden-search", "--bricks", bricks)
+        assert code == 0
+        assert out == HIDDEN_SEARCH_TEXT[bricks]
+        code, out, _ = run(capsys, "hidden-search", "--bricks", bricks, "--json")
+        assert code == 0
+        assert out == HIDDEN_SEARCH_JSON[bricks]
+
+
+BUNDLED_SUM_SPEC = [
+    "6",
+    "100000010000001000000100000010000001|010000",
+    "100000010000011000000100000010000001|100000",
+    "110000010000001000000100000010000001|001000",
+    "100000010000001000000100000010000001|000010",
+    "100000010000001000000100000010000011|000100",
+    "100000010000001000000110000010000001|000001",
+]
+
+HIDDEN_SEARCH_TEXT = {
+    "builtin": "\n".join(
+        ["bricks         : builtin", "hidden sums    : 1", "-- sum 0 generators --"]
+        + ["  " + line for line in BUNDLED_SUM_SPEC]
+        + ["contains bundled sum: True", ""]
+    ),
+    "inversion": "bricks         : inversion\nhidden sums    : 0\n",
+}
+
+HIDDEN_SEARCH_JSON = {
+    "builtin": "{\n"
+    '  "bricks": "builtin",\n'
+    '  "contains_bundled": true,\n'
+    '  "count": 1,\n'
+    '  "sums": [\n'
+    "    [\n"
+    + ",\n".join(f'      "{line}"' for line in BUNDLED_SUM_SPEC)
+    + "\n    ]\n"
+    "  ]\n"
+    "}\n",
+    "inversion": "{\n"
+    '  "bricks": "inversion",\n'
+    '  "contains_bundled": false,\n'
+    '  "count": 0,\n'
+    '  "sums": []\n'
+    "}\n",
+}
+
 
 class TestEncryptDecrypt:
     def test_round_trip(self, capsys):
@@ -329,6 +379,10 @@ class TestEncryptDecrypt:
             ({"rounds": "2.9"}, "rounds"),
             ({"schedule": {"kind": "permute", "seed": False}}, "seed"),
             ({"schedule": {"kind": "permute", "seed": 0.5}}, "seed"),
+            ({"mixing": [1, 2, 4, 8, 16, 32.5]}, "mixing"),
+            ({"mixing": [1, 2, 4, 8, 16, "65/2"]}, "mixing"),
+            ({"mixing": [True, 2, 4, 8, 16, 32]}, "mixing"),
+            ({"mixing": [1, 2, 4, 8, 16, [32]]}, "mixing"),
         ],
     )
     def test_non_integer_cipher_field_is_input_error(self, tmp_path, capsys, fields, field):
@@ -341,10 +395,11 @@ class TestEncryptDecrypt:
 
     def test_integral_cipher_fields_accepted(self, tmp_path, capsys):
         outputs = []
-        for rounds, seed in ((4, 3), (4.0, "3")):
+        for rounds, seed, last_row in ((4, 3, 32), (4.0, "3", 32.0)):
             cfg = tmp_path / "cipher.json"
             fields = {"rounds": rounds, "schedule": {"kind": "permute", "seed": seed}}
-            cfg.write_text(json.dumps({"bricks": ["builtin", "builtin"], "mixing": [1, 2, 4, 8, 16, 32], **fields}))
+            mixing = [1, 2, 4, 8, 16, last_row]
+            cfg.write_text(json.dumps({"bricks": ["builtin", "builtin"], "mixing": mixing, **fields}))
             code, out, _ = run(capsys, "encrypt", "--key", "11", "--pt", "2b", "--cipher", str(cfg))
             assert code == 0
             outputs.append(out)

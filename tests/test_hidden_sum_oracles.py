@@ -3,14 +3,16 @@
 The structure-constant enumerator is compared with the generator-chain
 search it replaced, the brickwise product tables with the product built
 from the embedded affine maps, the coordinate affinity test with the
-pair scan, the doubling coordinate tables with the bit loop, and the
-sum built from generators alone with the group's own elements.  The
+pair scan, the doubling coordinate tables with the bit loop, the sum
+built from generators alone with the group's own elements, and equality
+and order by structure constants with those of the op tables.  The
 references are the former library code, kept here as unchanged as the
 current API allows.
 """
 
 import itertools
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -32,6 +34,7 @@ from hiddensums.hidden_sum import (
     RegularGroup,
     agl_membership,
     enumerate_regular_groups,
+    find_hidden_sums,
     kappa,
     parse_group_spec,
     product_sum,
@@ -245,7 +248,7 @@ def test_product_sum_matches_embedded_group():
         slow = HiddenSum(group)
         n = 1 << fast.width
         assert fast.width == slow.width
-        assert fast.op_table() == slow.op_table()
+        assert op_rows(fast) == op_rows(slow)
         assert fast.basis == slow.basis
         # coefficient bit i selects basis vector i, as in a sum built directly
         assert fast._by_coeff == slow._by_coeff == reference_coordinate_table(fast, fast.basis)
@@ -336,7 +339,7 @@ def test_redundant_generator_yields_free_basis():
     hs = HiddenSum(RegularGroup.build(redundant))
     assert len(hs.basis) == hs.width == 3
     assert hs.basis == tuple(g.translation for g in gens)
-    assert hs.op_table() == toy_brick_sum().op_table()
+    assert op_rows(hs) == op_rows(toy_brick_sum())
     CoordinateMap(hs, hs.basis)  # free: must not raise
 
 
@@ -365,3 +368,59 @@ def test_generator_doubling_matches_group_elements():
             ]
         tested += 1
     assert tested == 1 + 1 + 8 + 106 + 2
+
+
+def identity_pool():
+    """The sums of oracle_groups, the 64 toy products, and re-based
+    copies: each sum in its reversed own basis, the toy products also in
+    the unit vectors wherever those generate them freely."""
+    built = [HiddenSum(g) for g in oracle_groups()] + toy_search_sums()
+    rebased = [CoordinateMap(hs, hs.basis[::-1]) for hs in built]
+    for hs in toy_search_sums():
+        try:
+            rebased.append(CoordinateMap(hs, toy_coordinate_basis()))
+        except BasisError:
+            pass
+    return built, rebased
+
+
+def test_identity_is_the_op_table():
+    """Two sums are equal exactly when x # y agrees on all pairs; equal
+    sums hash equal; and sorting by the key orders sums as their op tables."""
+    built, rebased = identity_pool()
+    assert len(built) == 118 + 64 and len(rebased) == len(built) + 49
+    # a re-based copy is the same sum
+    assert all(hs == cm for hs, cm in zip(built, rebased))
+    pool = built + rebased
+    tables = [(hs.width, tuple(map(tuple, op_rows(hs)))) for hs in pool]
+    for (a, ta), (b, tb) in itertools.combinations(zip(pool, tables), 2):
+        if a.width != b.width:
+            continue
+        assert (a == b) == (ta == tb)
+        if a == b:
+            assert hash(a) == hash(b)
+    order = sorted(range(len(pool)), key=lambda i: pool[i]._key())
+    assert [tables[i] for i in order] == sorted(tables)
+
+
+def test_identity_search_returns_every_width_four_sum():
+    """Every width-4 sum makes the identity and the XOR translations
+    affine: the search finds all 106, ordered by op table."""
+    found = find_hidden_sums([list(range(16))], [4])
+    expected = sorted(op_rows(HiddenSum(g)) for g in enumerate_regular_groups(4))
+    assert [op_rows(hs) for hs in found] == expected
+    assert len(set(found)) == len(found) == 106
+
+
+def test_twelve_bit_identity_in_milliseconds():
+    """hash and == read d^2 values, not the 4^d op table."""
+    brick = toy_brick_sum()
+    a, b = product_sum([brick] * 4), product_sum([brick] * 4)
+    c = product_sum([brick] * 3 + [HiddenSum(RegularGroup.translations(3))])
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        same = hash(a) == hash(b) and a == b
+        seconds.append(time.perf_counter() - start)
+    assert same and a != c
+    assert min(seconds) < 0.01

@@ -37,7 +37,6 @@ from hiddensums.gf2 import (
     field_to_vec,
     gf_pow,
     span_basis,
-    vec_to_field,
 )
 from hiddensums.vbf import (
     VBF,
@@ -112,7 +111,7 @@ def reference_is_coset(points, sum_op=None) -> bool:
     if not pts:
         raise ValueError("empty set has no coset structure")
     base = min(pts)
-    if sum_op is None or getattr(sum_op, "is_xor", False):
+    if sum_op is None:
         shifted = [p ^ base for p in pts]
         return len(pts) == 1 << len(reference_span_basis(shifted))
     shifted = {sum_op.op(p, base) for p in pts}
@@ -142,7 +141,7 @@ def reference_from_power(d: int, fs: FieldSpec, basis: BinMatrix | None = None) 
     """The power map x^d, each point by square-and-multiply."""
     if basis is None:
         basis = BinMatrix.identity(fs.m)
-    table = [field_to_vec(gf_pow(vec_to_field(v, basis), d, fs), basis) for v in range(1 << fs.m)]
+    table = [field_to_vec(gf_pow(basis.inverse().apply(v), d, fs), basis) for v in range(1 << fs.m)]
     return VBF(fs.m, fs.m, table)
 
 

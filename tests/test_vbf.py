@@ -243,8 +243,8 @@ class TestCosets:
             is_coset(set())
 
     def test_xor_shortcut_matches_pairwise_closure(self):
-        # the rank test must agree with the literal closure criterion; a
-        # handle without the is_xor marker exercises the pairwise branch
+        # the rank test must agree with the literal closure criterion; any
+        # sum passed as sum_op exercises the pairwise branch
         class PlainXor:
             @staticmethod
             def op(x, y):
