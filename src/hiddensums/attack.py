@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cipher import CipherSpec
+from .cipher import CipherSpec, state_lookup
 from .gf2 import BinMatrix, SingularMatrixError
 from .hidden_sum import CoordinateMap, HiddenSum
 
@@ -76,9 +76,14 @@ class AttackTranscript:
 
 
 class AffineRepr:
-    """The recovered cipher: coords(f(v)) = coords(v)*M + t."""
+    """The recovered cipher: coords(f(v)) = coords(v)*M + t.
 
-    __slots__ = ("matrix", "t_coords", "matrix_inv", "coord_map")
+    Both directions are lookup tables over the state space, built from M
+    and t (and from matrix_inv) on first use.  Blocks outside 0..2^d - 1
+    are refused with ValueError.
+    """
+
+    __slots__ = ("matrix", "t_coords", "matrix_inv", "coord_map", "_forward", "_backward")
 
     def __init__(
         self,
@@ -91,14 +96,24 @@ class AffineRepr:
         self.t_coords = t_coords
         self.matrix_inv = matrix_inv
         self.coord_map = coord_map
+        self._forward: list[int] | None = None
+        self._backward: list[int] | None = None
 
     def apply(self, v: int) -> int:
-        cm = self.coord_map
-        return cm.element(self.matrix.apply(cm.coords(v)) ^ self.t_coords)
+        table = self._forward
+        if table is None:
+            table = self._forward = self.coord_map.affine_function(self.matrix, self.t_coords)
+        return state_lookup(table, v, self.coord_map.width)
 
     def apply_inverse(self, w: int) -> int:
-        cm = self.coord_map
-        return cm.element(self.matrix_inv.apply(cm.coords(w) ^ self.t_coords))
+        # (coords(w) + t)*M^-1 = coords(w)*M^-1 + t*M^-1
+        table = self._backward
+        if table is None:
+            minv = self.matrix_inv
+            table = self._backward = self.coord_map.affine_function(
+                minv, minv.apply(self.t_coords)
+            )
+        return state_lookup(table, w, self.coord_map.width)
 
 
 def _reconstruct(

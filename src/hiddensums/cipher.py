@@ -52,13 +52,40 @@ def permuted_key_schedule(width: int, seed: int) -> KeySchedule:
     return schedule
 
 
+def block_outside_state(x: int, d: int) -> ValueError:
+    """The error for a block that is not a d-bit state."""
+    return ValueError(f"block {x} is outside the state space 0..{(1 << d) - 1}")
+
+
+def state_lookup(table: Sequence[int], x: int, d: int) -> int:
+    """table[x] for a block x of the d-bit state space (len(table) = 2^d);
+    ValueError for any other x, which plain indexing would wrap or miss."""
+    if x >= 0:
+        try:
+            return table[x]
+        except IndexError:
+            pass
+    raise block_outside_state(x, d)
+
+
+# bytes.translate maps every byte through a 256-entry table, so a state of
+# at most 8 bits can be carried through the rounds as one bytes object.
+BYTE_STATE_BITS = 8
+IDENTITY = bytes(range(256))
+
+
 class CipherSpec:
     """Bricks, mixing layer, round count and key schedule of one cipher.
 
     A key schedule must be a pure function of (k, h): the spec computes a
-    key's round keys once and reuses them for every block of that key.  It
-    holds only the last key's round keys, so memory does not grow with the
-    number of keys used.
+    key's round keys once and reuses them for every block of that key.
+    Round keys and blocks outside 0..2^d - 1 are refused with ValueError.
+    For d <= 8 the spec also holds the key's whole encryption function as
+    a byte table, built by translating the identity through one fused
+    round table per round, and its decryption table, inverted from it on
+    first use.  Wider states run the rounds block by block.  Either way
+    only the last key's round keys and tables are held, so memory does
+    not grow with the number of keys used.
     """
 
     def __init__(
@@ -95,6 +122,9 @@ class CipherSpec:
         self.rounds = rounds
         self.key_schedule = key_schedule or rotating_key_schedule(d)
         self._round_keys: tuple[int | None, tuple[int, ...]] = (None, ())
+        # (key, encryption table, decryption table or None), for d <= 8
+        self._tables: tuple[int | None, bytes, bytes | None] = (None, b"", None)
+        self._fused: list[bytes] | None = None
         self._sbox_state = self._layer_table([b.table for b in bricks])
         self._mix_state = [mixing.apply(x) for x in range(1 << d)]
         sbox_inv = self._layer_table([b.inverse().table for b in bricks])
@@ -138,16 +168,54 @@ class CipherSpec:
         if cached_k != k:
             ks = self.key_schedule
             keys = tuple(ks(k, h) for h in range(1, self.rounds + 1))
+            n = 1 << self.d
+            if min(keys) < 0 or max(keys) >= n:
+                h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
+                raise ValueError(
+                    f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"
+                )
             self._round_keys = (k, keys)
         return keys
 
+    def _encryption_table(self, k: int) -> bytes:
+        """E_k as bytes, for d <= 8: each round translates the table through
+        that round's fused table core[x] ^ rk."""
+        cached_k, enc, _ = self._tables
+        if cached_k != k:
+            fused = self._fused
+            if fused is None:
+                core, pad = self._round, bytes(256 - len(self._round))
+                fused = [bytes([y ^ rk for y in core]) + pad for rk in range(len(core))]
+                self._fused = fused
+            enc = IDENTITY[: 1 << self.d]
+            for rk in self.round_keys(k):
+                enc = enc.translate(fused[rk])
+            self._tables = (k, enc, None)
+        return enc
+
+    def _decryption_table(self, k: int) -> bytes:
+        enc = self._encryption_table(k)
+        _, _, dec = self._tables
+        if dec is None:
+            dec = bytes.maketrans(enc, IDENTITY[: len(enc)])[: len(enc)]
+            self._tables = (k, enc, dec)
+        return dec
+
     def encrypt(self, k: int, x: int) -> int:
+        if self.d <= BYTE_STATE_BITS:
+            return state_lookup(self._encryption_table(k), x, self.d)
+        if not 0 <= x < 1 << self.d:
+            raise block_outside_state(x, self.d)
         core = self._round
         for rk in self.round_keys(k):
             x = core[x] ^ rk
         return x
 
     def decrypt(self, k: int, y: int) -> int:
+        if self.d <= BYTE_STATE_BITS:
+            return state_lookup(self._decryption_table(k), y, self.d)
+        if not 0 <= y < 1 << self.d:
+            raise block_outside_state(y, self.d)
         core_inv = self._round_inv
         for rk in reversed(self.round_keys(k)):
             y = core_inv[y ^ rk]
@@ -158,6 +226,8 @@ class CipherSpec:
         return list(self._round)
 
     def encrypt_table(self, k: int) -> list[int]:
+        if self.d <= BYTE_STATE_BITS:
+            return list(self._encryption_table(k))
         return [self.encrypt(k, x) for x in range(1 << self.d)]
 
 

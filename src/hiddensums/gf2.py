@@ -103,6 +103,14 @@ class BinMatrix:
             x &= x - 1
         return out
 
+    def affine_table(self, t: int = 0) -> list[int]:
+        """[x*M + t for every x], by doubling: the entries for x with bit i
+        set are those without it, each XORed with row i."""
+        table = [t]
+        for r in self.rows:
+            table += [y ^ r for y in table]
+        return table
+
     def __matmul__(self, other: BinMatrix) -> BinMatrix:
         if self.size != other.size:
             raise ValueError("matrix size mismatch")

@@ -243,13 +243,16 @@ class HiddenSum:
         t = self._by_element[f(0)]
         return BinMatrix([self._by_element[f(b)] ^ t for b in self.basis]), t
 
+    def affine_function(self, matrix: BinMatrix, t: int) -> list[int]:
+        """The map with coords(f(v)) = coords(v)*M + t, as a table over v."""
+        image, element = matrix.affine_table(t), self._by_coeff
+        return [element[image[c]] for c in self._by_element]
+
     def mismatch(
         self, f: Callable[[int], int], matrix: BinMatrix, t: int, points: Iterable[int]
     ) -> int | None:
         """The first of the points where coords(f(v)) is not coords(v)*M + t."""
-        image = [t]  # image[c] = c*M + t
-        for r in matrix.rows:
-            image += [y ^ r for y in image]
+        image = matrix.affine_table(t)  # image[c] = c*M + t
         coords = self._by_element
         for v in points:
             if coords[f(v)] != image[coords[v]]:

@@ -18,6 +18,7 @@ from hiddensums.attack import (
 from hiddensums.cipher import (
     builtin_toy_spec,
     permuted_key_schedule,
+    rotating_key_schedule,
     toy_coordinate_basis,
     toy_state_sum,
 )
@@ -177,6 +178,60 @@ class TestGlobalDeduction:
         verify_global_deduction(repr_, oracle, transcript)
         assert oracle.query_count == 7
         assert oracle.verification_count == 64 + 3  # full sweep plus spot checks
+
+
+def reference_apply(repr_: AffineRepr, v: int) -> int:
+    """The per-block body the lookup table replaced: coordinates, M, t."""
+    cm = repr_.coord_map
+    return cm.element(repr_.matrix.apply(cm.coords(v)) ^ repr_.t_coords)
+
+
+def reference_apply_inverse(repr_: AffineRepr, w: int) -> int:
+    cm = repr_.coord_map
+    return cm.element(repr_.matrix_inv.apply(cm.coords(w) ^ repr_.t_coords))
+
+
+SCHEDULES = {
+    "rotating": lambda: rotating_key_schedule(6),
+    "permuted": lambda: permuted_key_schedule(6, 99),
+}
+
+
+class TestLookupTables:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("rounds", [1, 1000])
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    def test_tables_match_reference_every_key(self, mode, rounds, schedule):
+        spec = builtin_toy_spec(rounds, SCHEDULES[schedule]())
+        state, basis = toy_state_sum(), toy_coordinate_basis()
+        for key in range(64):
+            enc = encryption_oracle(spec, key)
+            if mode == "cp":
+                repr_, _ = reconstruct_cp(enc, state, basis)
+            else:
+                repr_, _ = reconstruct_cpcc(enc, decryption_oracle(spec, key), state, basis)
+            for v in range(64):
+                assert repr_.apply(v) == reference_apply(repr_, v) == spec.encrypt(key, v)
+                assert repr_.apply_inverse(v) == reference_apply_inverse(repr_, v)
+                assert repr_.apply_inverse(v) == spec.decrypt(key, v)
+
+    @pytest.mark.parametrize("block", [-1, -2, 64, 69])
+    def test_block_outside_state_refused(self, block):
+        repr_, _ = reconstruct_cp(
+            encryption_oracle(builtin_toy_spec(), 3), toy_state_sum(), toy_coordinate_basis()
+        )
+        for call in (repr_.apply, repr_.apply_inverse):
+            with pytest.raises(ValueError, match=r"outside the state space 0\.\.63"):
+                call(block)
+
+    def test_corrupted_inverse_detected(self):
+        repr_, _ = reconstruct_cp(
+            encryption_oracle(builtin_toy_spec(), 9), toy_state_sum(), toy_coordinate_basis()
+        )
+        inv = repr_.matrix_inv
+        flipped = BinMatrix([inv.rows[0] ^ 1] + list(inv.rows[1:]))
+        bad = AffineRepr(repr_.matrix, repr_.t_coords, flipped, repr_.coord_map)
+        assert any(bad.apply_inverse(repr_.apply(v)) != v for v in range(64))
 
 
 class TestCoordinateLinearityTransfer:

@@ -255,6 +255,118 @@ class TestRoundKeys:
         assert len(calls) == 3 * rounds
         assert sorted(set(calls)) == [(k, h) for k in (9, 33, 63) for h in range(1, rounds + 1)]
 
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("rounds", [1, 7, 1000])
+    def test_decrypt_before_encrypt(self, rounds, schedule):
+        # a key's first use is a decryption: its decryption table comes first
+        spec = builtin_toy_spec(rounds, SCHEDULES[schedule]())
+        blocks = random.Random(rounds).sample(range(64), 8)
+        for k in (0, 17, 63):
+            assert spec.decrypt(k, blocks[0]) == reference_decrypt(spec, k, blocks[0])
+            for x in blocks:
+                assert spec.encrypt(k, x) == reference_encrypt(spec, k, x)
+                assert spec.decrypt(k, x) == reference_decrypt(spec, k, x)
+
+    def test_construction_calls_schedule_only_for_surjectivity(self):
+        calls = []
+        inner = permuted_key_schedule(6, 99)
+
+        def counting(k, h):
+            calls.append((k, h))
+            return inner(k, h)
+
+        builtin_toy_spec(1000, counting)
+        # round 1 of a permuted schedule is already surjective
+        assert calls == [(k, 1) for k in range(64)]
+
+
+def late_overflow_schedule(k: int, h: int) -> int:
+    """Surjective in round 1, then leaves the 6-bit key space in round 2."""
+    return k + 64 if h == 2 else k
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("rounds", [2, 3])
+    def test_round_key_outside_state_refused(self, rounds):
+        spec = builtin_toy_spec(rounds, late_overflow_schedule)
+        for call in (
+            lambda: spec.encrypt(3, 5),
+            lambda: spec.decrypt(3, 5),
+            lambda: spec.encrypt_table(3),
+            lambda: spec.round_keys(3),
+        ):
+            with pytest.raises(ValueError, match="round key 67 in round 2"):
+                call()
+
+    def test_negative_round_key_refused(self):
+        spec = builtin_toy_spec(5, lambda k, h: -1 if h == 4 else k)
+        with pytest.raises(ValueError, match="round key -1 in round 4"):
+            spec.encrypt(0, 0)
+
+    def test_refused_key_leaves_last_key_usable(self):
+        spec = builtin_toy_spec(2, lambda k, h: k + 64 if (h, k) == (2, 9) else k)
+        before = spec.encrypt_table(8)
+        with pytest.raises(ValueError):
+            spec.encrypt(9, 0)
+        assert spec.encrypt_table(8) == before
+        assert [spec.decrypt(8, y) for y in before] == list(range(64))
+
+    @pytest.mark.parametrize("block", [-1, 64, 69])
+    def test_block_outside_state_refused(self, block):
+        spec = builtin_toy_spec(7)
+        for call in (spec.encrypt, spec.decrypt):
+            with pytest.raises(ValueError, match=r"outside the state space 0\.\.63"):
+                call(3, block)
+
+
+@lru_cache(maxsize=None)
+def nine_bit_spec(rounds: int) -> CipherSpec:
+    """Three bundled bricks and a seeded invertible 9x9 mixing: a state too
+    wide for the byte tables, so blocks run through the rounds one by one."""
+    rng = random.Random(9)
+    while True:
+        mixing = BinMatrix([rng.randrange(1 << 9) for _ in range(9)])
+        if mixing.is_invertible():
+            break
+    brick = toy_brick()
+    return CipherSpec([brick, brick, brick], mixing, rounds)
+
+
+class TestWideState:
+    @pytest.mark.parametrize("rounds", [1, 7])
+    def test_matches_reference_exhaustive(self, rounds):
+        spec = nine_bit_spec(rounds)
+        assert spec.d == 9
+        for k in (0, 1, 300, 511):
+            for x in range(512):
+                assert spec.encrypt(k, x) == reference_encrypt(spec, k, x)
+                assert spec.decrypt(k, x) == reference_decrypt(spec, k, x)
+
+    def test_matches_reference_100_rounds(self):
+        spec = nine_bit_spec(100)
+        blocks = random.Random(100).sample(range(512), 16)
+        for k in (5, 257):
+            table = spec.encrypt_table(k)
+            for x in blocks:
+                assert table[x] == spec.encrypt(k, x) == reference_encrypt(spec, k, x)
+                assert spec.decrypt(k, x) == reference_decrypt(spec, k, x)
+
+    @pytest.mark.parametrize("block", [-1, 512, 517])
+    def test_block_outside_state_refused(self, block):
+        spec = nine_bit_spec(7)
+        for call in (spec.encrypt, spec.decrypt):
+            with pytest.raises(ValueError, match=r"outside the state space 0\.\.511"):
+                call(3, block)
+
+    def test_round_key_outside_state_refused(self):
+        brick = toy_brick()
+        spec = CipherSpec(
+            [brick] * 3, nine_bit_spec(1).mixing, 3, lambda k, h: k + 512 if h == 2 else k
+        )
+        for call in (spec.encrypt, spec.decrypt):
+            with pytest.raises(ValueError, match="round key 515 in round 2"):
+                call(3, 5)
+
 
 class TestHiddenSumCompatibility:
     def test_all_round_generators_affine(self):

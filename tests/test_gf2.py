@@ -105,6 +105,12 @@ class TestBinMatrix:
             return
         assert m.inverse().apply(m.apply(x)) == x
 
+    @given(st.lists(st.integers(min_value=0, max_value=63), min_size=6, max_size=6), st.integers(0, 63))
+    @settings(max_examples=100, deadline=None)
+    def test_affine_table_is_apply_plus_t(self, rows, t):
+        m = BinMatrix(rows)
+        assert m.affine_table(t) == [m.apply(x) ^ t for x in range(64)]
+
     def test_inverse_round_trip_width_eight_all_vectors(self):
         import random
 
