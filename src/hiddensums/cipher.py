@@ -79,7 +79,8 @@ class CipherSpec:
 
     A key schedule must be a pure function of (k, h): the spec computes a
     key's round keys once and reuses them for every block of that key.
-    Round keys and blocks outside 0..2^d - 1 are refused with ValueError.
+    Session keys, round keys and blocks outside 0..2^d - 1 are refused
+    with ValueError.
     For d <= 8 the spec also holds the key's whole encryption function as
     a byte table, built by translating the identity through one fused
     round table per round, and its decryption table, inverted from it on
@@ -166,9 +167,12 @@ class CipherSpec:
         """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked."""
         cached_k, keys = self._round_keys
         if cached_k != k:
+            n = 1 << self.d
+            if not 0 <= k < n:
+                # a schedule would wrap or shift such a key onto another one
+                raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
             ks = self.key_schedule
             keys = tuple(ks(k, h) for h in range(1, self.rounds + 1))
-            n = 1 << self.d
             if min(keys) < 0 or max(keys) >= n:
                 h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
                 raise ValueError(

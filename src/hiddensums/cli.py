@@ -53,7 +53,7 @@ def _load_function(args) -> tuple[str, vbf.VBF]:
         raise InputError("provide an s-box file or --builtin-brick")
     try:
         text = open(args.source).read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.source}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
@@ -69,7 +69,8 @@ def _load_function(args) -> tuple[str, vbf.VBF]:
                 coeffs = [cipher.config_int(c, "coeffs") for c in cfg["coeffs"]]
                 return "univariate polynomial", vbf.VBF.from_univariate(coeffs, fs)
             raise InputError(f"unknown kind {cfg['kind']!r}")
-        except (KeyError, ValueError, TypeError) as exc:
+        # json.loads raises RecursionError on nesting deeper than the stack allows
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad function config: {exc}") from exc
     try:
         return args.source, vbf.load_sbox(text)
@@ -196,7 +197,7 @@ def _cipher_spec(args) -> cipher.CipherSpec:
         try:
             config = json.loads(open(args.cipher).read())
             return cipher.load_cipher_config(config, os.path.dirname(args.cipher) or ".")
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"bad cipher config {args.cipher}: {exc}") from exc
     for flag, default in _BUILTIN_DEFAULTS.items():
         if getattr(args, flag) is None:

@@ -80,7 +80,11 @@ class AffineMap:
         return AffineMap(minv, minv.apply(self.translation))
 
     def is_involution(self) -> bool:
-        return self.then(self) == AffineMap.identity(self.width)
+        """M*M = I and t*M = t, the conditions for self.then(self) to be
+        the identity."""
+        m, t = self.matrix, self.translation
+        square = [m.apply(r) for r in m.rows]
+        return m.apply(t) == t and square == [1 << i for i in range(self.width)]
 
     def encode(self) -> tuple:
         return (self.matrix.rows, self.translation)
@@ -452,63 +456,89 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     group and radical rings"; Calderini & Sala, "Elementary abelian regular
     subgroups as hidden sums for cryptographic trapdoors").  The products
     are found by backtracking over the structure constants e_i*e_j, i < j,
-    pruned as soon as a basis triple breaks associativity.  The element
-    sending 0 to y is x |-> x(I + delta_y) + y, where row i of delta_y is
-    e_i*y.  Generators are chosen greedily, each the smallest element (by
-    AffineMap.encode) not yet generated.  Returned in a canonical order and
-    cached.
+    pruned as soon as a basis triple breaks associativity.  Column tables
+    hold u*e_k for every u, kept current one XOR per entry as constants
+    are set, so a triple's terms (e_a*e_b)*e_c are single lookups; the
+    triples that contain both indices of the pair just set, which reject
+    most candidates, are tested first.  The element sending 0 to y is
+    x |-> x(I + delta_y) + y, where row i of delta_y is e_i*y.
+    Generators are chosen greedily, each the smallest element (by
+    AffineMap.encode) not yet generated.  Returned in a canonical order
+    and cached.
     """
     if width > MAX_BRICK_WIDTH:
         raise ValueError(
             f"regular-group enumeration is exhaustive only up to width {MAX_BRICK_WIDTH}"
         )
     n = 1 << width
-    pairs = list(itertools.combinations(range(width), 2))
-    triples = list(itertools.combinations_with_replacement(range(width), 3))
-    # assigning e_i*e_j changes only the triples that contain i or j
-    touched = [[t for t in triples if i in t or j in t] for i, j in pairs]
     mul = [[0 if i == j else None for j in range(width)] for i in range(width)]
+    # col[k][u] = u*e_k, or None while some e_l*e_k with bit l in u is unset
+    col = [[0 if u in (0, 1 << k) else None for u in range(n)] for k in range(width)]
 
-    def times(v: int, k: int) -> int | None:
-        out = 0
-        while v:
-            m = mul[(v & -v).bit_length() - 1][k]
-            if m is None:
-                return None
-            out ^= m
-            v &= v - 1
-        return out
+    def checks(i: int, j: int) -> list[list[tuple]]:
+        """The basis triples a <= b <= c that setting e_i*e_j can break,
+        those holding both i and j first.  Each is kept as its distinct
+        terms (e_x*e_y)*e_z, read as col[z][mul[x][y]]; a triple with one
+        distinct term cannot fail and is left out."""
+        both, either = [], []
+        for a, b, c in itertools.combinations_with_replacement(range(width), 3):
+            if i in (a, b, c) or j in (a, b, c):
+                terms = sorted({(a, b, c), (b, c, a), (a, c, b)})
+                if len(terms) > 1:
+                    refs = [(mul[x], y, col[z]) for x, y, z in terms]
+                    (both if i in (a, b, c) and j in (a, b, c) else either).append(refs)
+        return both + either
 
-    def associative(s: int) -> bool:
-        # (ab)c, (bc)a and (ac)b must agree wherever they are determined
-        for a, b, c in touched[s]:
+    steps = [(i, j, checks(i, j)) for i, j in itertools.combinations(range(width), 2)]
+
+    def fillable(column: list, bit: int) -> list[tuple[int, int]]:
+        """(u, entry of u + bit) for each u holding the bit whose entry
+        without it is known: setting the constant fills exactly these."""
+        return [(u, w) for u in range(n) if u & bit and (w := column[u ^ bit]) is not None]
+
+    def associative(triples) -> bool:
+        # all determined terms of each triple must agree
+        for terms in triples:
             seen = None
-            for u, k in ((mul[a][b], c), (mul[b][c], a), (mul[a][c], b)):
-                t = None if u is None else times(u, k)
-                if t is None:
-                    continue
-                if seen is None:
-                    seen = t
-                elif t != seen:
-                    return False
+            for row, b, column in terms:
+                u = row[b]
+                if u is not None:
+                    t = column[u]
+                    if t is not None:
+                        if seen is None:
+                            seen = t
+                        elif t != seen:
+                            return False
         return True
 
     def complete(s: int):
         """Yield each time mul holds a complete product, from pair s on."""
-        if s == len(pairs):
+        if s == len(steps):
             yield
             return
-        i, j = pairs[s]
+        i, j, triples = steps[s]
+        row_i, row_j, col_i, col_j = mul[i], mul[j], col[i], col[j]
+        # u*e_j for u holding bit i is (u + e_i)*e_j + v, and the same with
+        # i and j swapped; the entries without that bit do not change here
+        fill_j, fill_i = fillable(col_j, 1 << i), fillable(col_i, 1 << j)
         for v in range(n):
-            mul[i][j] = mul[j][i] = v
-            if associative(s):
+            row_i[j] = row_j[i] = v
+            for u, w in fill_j:
+                col_j[u] = w ^ v
+            for u, w in fill_i:
+                col_i[u] = w ^ v
+            if associative(triples):
                 yield from complete(s + 1)
-        mul[i][j] = mul[j][i] = None
+        row_i[j] = row_j[i] = None
+        for u, _ in fill_j:
+            col_j[u] = None
+        for u, _ in fill_i:
+            col_i[u] = None
 
     groups = []
     for _ in complete(0):
         elements = [
-            AffineMap(BinMatrix([(1 << i) ^ times(y, i) for i in range(width)]), y)
+            AffineMap(BinMatrix([(1 << i) ^ col[i][y] for i in range(width)]), y)
             for y in range(n)
         ]
         span, generators = {0}, []

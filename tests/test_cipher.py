@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from hiddensums.attack import decryption_oracle, encryption_oracle
 from hiddensums.cipher import (
     TOY_FIELD,
     TOY_SBOX_COEFFS,
@@ -280,6 +281,18 @@ class TestRoundKeys:
         assert calls == [(k, 1) for k in range(64)]
 
 
+def session_key_calls(spec: CipherSpec, k: int) -> tuple:
+    """Every entry point that takes a session key, the oracles included."""
+    return (
+        lambda: spec.encrypt(k, 0),
+        lambda: spec.decrypt(k, 0),
+        lambda: spec.encrypt_table(k),
+        lambda: spec.round_keys(k),
+        lambda: encryption_oracle(spec, k).query(0),
+        lambda: decryption_oracle(spec, k).query(0),
+    )
+
+
 def late_overflow_schedule(k: int, h: int) -> int:
     """Surjective in round 1, then leaves the 6-bit key space in round 2."""
     return k + 64 if h == 2 else k
@@ -310,6 +323,19 @@ class TestOutOfRange:
             spec.encrypt(9, 0)
         assert spec.encrypt_table(8) == before
         assert [spec.decrypt(8, y) for y in before] == list(range(64))
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    @pytest.mark.parametrize("key", [-1, 64, 69])
+    def test_session_key_outside_key_space_refused(self, schedule, key):
+        # unchecked, -1 and 63 share a permuted schedule's round keys, and
+        # 64 and 1 a rotating one's
+        ks = rotating_key_schedule(6) if schedule == "rotating" else permuted_key_schedule(6, 3)
+        spec = builtin_toy_spec(5, ks)
+        before = spec.encrypt_table(63)
+        for call in session_key_calls(spec, key):
+            with pytest.raises(ValueError, match=rf"session key {key} is outside the key space 0\.\.63"):
+                call()
+        assert spec.encrypt_table(63) == before
 
     @pytest.mark.parametrize("block", [-1, 64, 69])
     def test_block_outside_state_refused(self, block):
@@ -357,6 +383,13 @@ class TestWideState:
         for call in (spec.encrypt, spec.decrypt):
             with pytest.raises(ValueError, match=r"outside the state space 0\.\.511"):
                 call(3, block)
+
+    @pytest.mark.parametrize("key", [-1, 512, 517])
+    def test_session_key_outside_key_space_refused(self, key):
+        spec = nine_bit_spec(7)
+        for call in session_key_calls(spec, key):
+            with pytest.raises(ValueError, match=rf"session key {key} is outside the key space 0\.\.511"):
+                call()
 
     def test_round_key_outside_state_refused(self):
         brick = toy_brick()

@@ -88,6 +88,22 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent/sbox.txt")
         assert code == 2
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "sbox.txt"
+        src.write_bytes(b"\xff\xfe0 1 3 2\n")
+        code, out, err = run(capsys, "analyze", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {src}")
+
+    def test_deeply_nested_config_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nested.json"
+        cfg.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad function config")
+
     def test_negative_exponent_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "power.json"
         cfg.write_text(json.dumps({"field": {"m": 3, "modulus": "1011"}, "kind": "power", "exponent": -1}))
@@ -348,6 +364,15 @@ class TestEncryptDecrypt:
         cfg.write_text("{\"bricks\": []}")
         code, _, err = run(capsys, "encrypt", "--key", "00", "--pt", "00", "--cipher", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("command, block", [("encrypt", "--pt"), ("decrypt", "--ct")])
+    def test_deeply_nested_cipher_config_is_input_error(self, tmp_path, capsys, command, block):
+        cfg = tmp_path / "cipher.json"
+        cfg.write_text('{"bricks": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, command, "--key", "00", block, "00", "--cipher", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad cipher config {cfg}")
 
     @pytest.mark.parametrize(
         "config, reason",

@@ -1,7 +1,8 @@
 """Oracles for the fast hidden-sum paths.
 
 The structure-constant enumerator is compared with the generator-chain
-search it replaced, the brickwise product tables with the product built
+search it replaced, its column tables with the bit sums they replaced,
+the direct involution test with composition, the brickwise product tables with the product built
 from the embedded affine maps, the coordinate affinity test with the
 pair scan, the doubling coordinate tables with the bit loop, the sum
 built from generators alone with the group's own elements, and equality
@@ -135,6 +136,65 @@ def reference_enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     return tuple(found[k] for k in sorted(found))
 
 
+def reference_structure_constants(width: int):
+    """Yield each commutative, associative product on (F_2)^width with
+    x*x = 0 as its table: entry [y][i] is e_i*y.
+
+    Backtracking over the structure constants e_i*e_j, i < j, pruned as
+    soon as a basis triple breaks associativity; each term u*e_k is
+    summed over the bits of u.
+    """
+    n = 1 << width
+    pairs = list(itertools.combinations(range(width), 2))
+    triples = list(itertools.combinations_with_replacement(range(width), 3))
+    # assigning e_i*e_j changes only the triples that contain i or j
+    touched = [[t for t in triples if i in t or j in t] for i, j in pairs]
+    mul = [[0 if i == j else None for j in range(width)] for i in range(width)]
+
+    def times(v: int, k: int) -> int | None:
+        out = 0
+        while v:
+            m = mul[(v & -v).bit_length() - 1][k]
+            if m is None:
+                return None
+            out ^= m
+            v &= v - 1
+        return out
+
+    def associative(s: int) -> bool:
+        # (ab)c, (bc)a and (ac)b must agree wherever they are determined
+        for a, b, c in touched[s]:
+            seen = None
+            for u, k in ((mul[a][b], c), (mul[b][c], a), (mul[a][c], b)):
+                t = None if u is None else times(u, k)
+                if t is None:
+                    continue
+                if seen is None:
+                    seen = t
+                elif t != seen:
+                    return False
+        return True
+
+    def complete(s: int):
+        """Yield each time mul holds a complete product, from pair s on."""
+        if s == len(pairs):
+            yield
+            return
+        i, j = pairs[s]
+        for v in range(n):
+            mul[i][j] = mul[j][i] = v
+            if associative(s):
+                yield from complete(s + 1)
+        mul[i][j] = mul[j][i] = None
+
+    for _ in complete(0):
+        yield tuple(tuple(times(y, i) for i in range(width)) for y in range(n))
+
+
+def reference_is_involution(g: AffineMap) -> bool:
+    return g.then(g) == AffineMap.identity(g.width)
+
+
 def reference_product_group(parts):
     """Brick-parallel group acting on the concatenation of the parts.
 
@@ -228,6 +288,47 @@ def test_enumeration_matches_generator_chains(width, count):
     for f, s in zip(fast, slow):
         assert f.encode() == s.encode()
         assert [g.encode() for g in f.generators] == [g.encode() for g in s.generators]
+
+
+@pytest.mark.parametrize("width, count", [(1, 1), (2, 1), (3, 8), (4, 106)])
+def test_column_tables_match_bit_sums(width, count):
+    """The products read back from the groups (row i of the element
+    sending 0 to y is e_i + e_i*y) are those the bit sums find."""
+    slow = list(reference_structure_constants(width))
+    fast = {
+        tuple(
+            tuple(row ^ (1 << i) for i, row in enumerate(g.elements[y].matrix.rows))
+            for y in range(1 << width)
+        )
+        for g in enumerate_regular_groups(width)
+    }
+    assert len(slow) == len(set(slow)) == len(fast) == count
+    assert set(slow) == fast
+
+
+def test_involution_test_matches_composition():
+    for width in range(1, MAX_BRICK_WIDTH + 1):
+        for group in enumerate_regular_groups(width):
+            for g in group.elements:
+                assert g.is_involution() and reference_is_involution(g)
+    # random matrices, mostly singular or not involutory, and involutory
+    # matrices of group elements with random translations, which t*M = t
+    # tells apart
+    rng = random.Random(500)
+    seen = set()
+    for k in range(500):
+        width = 1 + k % MAX_BRICK_WIDTH
+        n = 1 << width
+        if rng.random() < 0.5:
+            matrix = BinMatrix([rng.randrange(n) for _ in range(width)])
+        else:
+            matrix = rng.choice(rng.choice(enumerate_regular_groups(width)).elements).matrix
+        g = AffineMap(matrix, rng.randrange(n))
+        verdict = g.is_involution()
+        assert verdict == reference_is_involution(g)
+        involutory = matrix @ matrix == BinMatrix.identity(width)
+        seen.add((verdict, involutory, matrix.is_invertible()))
+    assert seen == {(True, True, True), (False, True, True), (False, False, True), (False, False, False)}
 
 
 def brick_combinations():
