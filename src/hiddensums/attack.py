@@ -10,7 +10,9 @@ encrypt and decrypt arbitrary blocks with no further oracle access and
 no knowledge of the key, whatever the round count or key schedule.
 
 Attack queries and verification queries are metered separately so the
-query-count claims stay auditable.
+query-count claims stay auditable.  A reconstruction spot-checks its fit
+on SPOT_CHECKS seeded blocks; verify_global_deduction compares it with the
+oracle on every block.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from typing import Callable, Sequence
 from .cipher import CipherSpec, state_lookup
 from .gf2 import BinMatrix, SingularMatrixError
 from .hidden_sum import CoordinateMap, HiddenSum
+
+
+# Blocks on which a reconstruction compares its fit with the oracle.
+SPOT_CHECKS = 3
 
 
 class AttackError(RuntimeError):
@@ -121,13 +127,12 @@ def _reconstruct(
     dec_oracle: Oracle | None,
     hs: HiddenSum,
     basis: Sequence[int],
-    spot_checks: int | str,
     seed: int,
 ) -> AffineRepr:
     """d+1 encryption queries give M and t; the inverse comes from Gaussian
     elimination or, given a decryption oracle, from d+1 decryption queries.
-    Spot checks then compare the fit with the oracle as verification
-    queries."""
+    The fit is then compared with the oracle on SPOT_CHECKS blocks drawn
+    with the seed, as verification queries."""
     cm = CoordinateMap(hs, basis)
     matrix, t = cm.read_affine(enc_oracle.query)
     if dec_oracle is None:
@@ -144,17 +149,11 @@ def _reconstruct(
             raise InverseMismatchError(
                 "matrix from decryptions does not invert the matrix from encryptions"
             )
-    if spot_checks:
-        n = 1 << hs.width
-        if spot_checks == "full":
-            points = range(n)
-        else:
-            points = random.Random(seed).sample(range(n), min(spot_checks, n))
-        v = cm.mismatch(enc_oracle.query_verification, matrix, t, points)
-        if v is not None:
-            raise ConsistencyFailureError(
-                f"oracle is not affine for this hidden sum (plaintext {v})"
-            )
+    n = 1 << hs.width
+    points = random.Random(seed).sample(range(n), min(SPOT_CHECKS, n))
+    v = cm.mismatch(enc_oracle.query_verification, matrix, t, points)
+    if v is not None:
+        raise ConsistencyFailureError(f"oracle is not affine for this hidden sum (plaintext {v})")
     return AffineRepr(matrix, t, matrix_inv, cm)
 
 
@@ -162,12 +161,11 @@ def reconstruct_cp(
     enc_oracle: Oracle,
     hs: HiddenSum,
     basis: Sequence[int],
-    spot_checks: int | str = 3,
     seed: int = 0,
 ) -> tuple[AffineRepr, AttackTranscript]:
     """Chosen-plaintext attack: d+1 encryption queries, inverse by Gaussian
     elimination, no decryption oracle needed."""
-    repr_ = _reconstruct(enc_oracle, None, hs, basis, spot_checks, seed)
+    repr_ = _reconstruct(enc_oracle, None, hs, basis, seed)
     return repr_, AttackTranscript(tuple(enc_oracle.log), enc_oracle.query_count, 0)
 
 
@@ -176,13 +174,12 @@ def reconstruct_cpcc(
     dec_oracle: Oracle,
     hs: HiddenSum,
     basis: Sequence[int],
-    spot_checks: int | str = 3,
     seed: int = 0,
 ) -> tuple[AffineRepr, AttackTranscript]:
     """Chosen-plaintext/chosen-ciphertext attack: the inverse matrix is read
     off d+1 decryption queries instead of being computed, then cross-checked
     against the encryption side."""
-    repr_ = _reconstruct(enc_oracle, dec_oracle, hs, basis, spot_checks, seed)
+    repr_ = _reconstruct(enc_oracle, dec_oracle, hs, basis, seed)
     transcript = AttackTranscript(
         tuple(enc_oracle.log) + tuple(dec_oracle.log),
         enc_oracle.query_count,

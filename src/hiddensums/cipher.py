@@ -3,11 +3,14 @@
 The engine is generic: n parallel S-box bricks that fix 0, an invertible
 mixing matrix, round keys XORed in after the mixing layer, and a
 pluggable key schedule that must be surjective in at least one round.
+A spec keeps the keyless round (bricks, then mixing) as one table per
+direction.
 
 The bundled 6-bit instance uses two identical 3-bit bricks given by a
-polynomial over GF(2^3) and a fixed mixing matrix.  Its round functions
-are all affine for the brick-parallel hidden sum built from
-TOY_GROUP_SPEC, which is what the reconstruction attack exploits.
+polynomial over GF(2^3), tabulated in the field's ascending encoding, and
+a fixed mixing matrix.  Its round functions are all affine for the
+brick-parallel hidden sum built from TOY_GROUP_SPEC, which is what the
+reconstruction attack exploits.
 """
 
 from __future__ import annotations
@@ -126,26 +129,18 @@ class CipherSpec:
         # (key, encryption table, decryption table or None), for d <= 8
         self._tables: tuple[int | None, bytes, bytes | None] = (None, b"", None)
         self._fused: list[bytes] | None = None
-        self._sbox_state = self._layer_table([b.table for b in bricks])
-        self._mix_state = [mixing.apply(x) for x in range(1 << d)]
-        sbox_inv = self._layer_table([b.inverse().table for b in bricks])
-        mix_inv = mixing.inverse()
-        # One table per round direction: mixing after bricks, and its inverse.
-        self._round = [self._mix_state[y] for y in self._sbox_state]
-        self._round_inv = [sbox_inv[mix_inv.apply(y)] for y in range(1 << d)]
+        # The brick layer, built brick by brick: the entries for x < 2^(i*m)
+        # are extended by brick i acting on the next m bits of x.
+        layer = [0]
+        for i, b in enumerate(bricks):
+            layer = [y | (z << (i * m)) for z in b.table for y in layer]
+        mix = mixing.affine_table()
+        self._round = [mix[y] for y in layer]
+        self._round_inv = [0] * (1 << d)
+        for x, y in enumerate(self._round):
+            self._round_inv[y] = x
         if d <= 8:
             self._check_schedule_surjective()
-
-    def _layer_table(self, tables: Sequence[Sequence[int]]) -> list[int]:
-        m, d = self.m, self.m * len(tables)
-        mask = (1 << m) - 1
-        out = []
-        for x in range(1 << d):
-            y = 0
-            for i, t in enumerate(tables):
-                y |= t[(x >> (i * m)) & mask] << (i * m)
-            out.append(y)
-        return out
 
     def _check_schedule_surjective(self) -> None:
         n = 1 << self.d
@@ -153,15 +148,6 @@ class CipherSpec:
             if len({self.key_schedule(k, h) for k in range(n)}) == n:
                 return
         raise ValueError("key schedule is not surjective in any round")
-
-    def apply_bricks(self, x: int) -> int:
-        return self._sbox_state[x]
-
-    def apply_mixing(self, x: int) -> int:
-        return self._mix_state[x]
-
-    def round_function(self, x: int, round_key: int) -> int:
-        return self._mix_state[self._sbox_state[x]] ^ round_key
 
     def round_keys(self, k: int) -> tuple[int, ...]:
         """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked."""
@@ -262,11 +248,6 @@ TOY_GROUP_SPEC = """\
 110010001|001
 """
 
-# Field-to-coordinate bridge for the bricks, pinned by the calibration search
-# in tests/test_cipher.py (TestCalibration).
-TOY_SBOX_BASIS = BinMatrix.identity(3)
-
-
 @lru_cache(maxsize=None)
 def toy_mixing() -> BinMatrix:
     return BinMatrix.from_text(TOY_MIXING_TEXT)
@@ -299,7 +280,7 @@ def toy_brick_coords(x: int) -> int:
 
 @lru_cache(maxsize=None)
 def toy_brick() -> VBF:
-    return VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD, TOY_SBOX_BASIS)
+    return VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD)
 
 
 def builtin_toy_spec(rounds: int = 20, key_schedule: KeySchedule | None = None) -> CipherSpec:
@@ -312,7 +293,7 @@ def builtin_toy_spec(rounds: int = 20, key_schedule: KeySchedule | None = None) 
 def inverse_brick_spec(rounds: int = 20, key_schedule: KeySchedule | None = None) -> CipherSpec:
     """Same cipher with both bricks replaced by the patched field inversion
     (an anti-crooked permutation); no hidden sum survives this choice."""
-    brick = VBF.from_power((1 << TOY_FIELD.m) - 2, TOY_FIELD, TOY_SBOX_BASIS)
+    brick = VBF.from_power((1 << TOY_FIELD.m) - 2, TOY_FIELD)
     return CipherSpec([brick, brick], toy_mixing(), rounds, key_schedule)
 
 

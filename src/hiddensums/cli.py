@@ -40,7 +40,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _parse_modulus(value) -> int:
     """Moduli in configs are binary literal strings like '1011'; plain ints
-    are accepted too."""
+    are accepted too, booleans are not."""
+    if isinstance(value, bool):
+        raise ValueError(f"field 'modulus' has the wrong type: {value!r} is not a modulus")
     if isinstance(value, int):
         return value
     return int(str(value).removeprefix("0b"), 2)
@@ -168,6 +170,8 @@ def _parse_block(text: str, width: int) -> int:
         v = int(text, 16)
     except ValueError as exc:
         raise InputError(f"{text!r} is not a hex block") from exc
+    if v < 0:
+        raise InputError(f"block {text!r} must be a non-negative hex number")
     if v >> width:
         raise InputError(f"block {text!r} exceeds {width} bits")
     return v

@@ -351,10 +351,11 @@ def _poly_mod(a: int, b: int) -> int:
 class FieldSpec:
     """GF(2^m) described by its extension degree and modulus polynomial.
 
-    The modulus must be irreducible of degree exactly m; this is verified
-    at construction by Ben-Or's test, in time polynomial in m: a reducible
-    p has an irreducible factor of some degree i <= m // 2, which divides
-    both p and x^(2^i) - x, so p is irreducible iff all those gcds are 1.
+    The modulus must be a non-negative int, irreducible of degree exactly
+    m; this is verified at construction by Ben-Or's test, in time
+    polynomial in m: a reducible p has an irreducible factor of some degree
+    i <= m // 2, which divides both p and x^(2^i) - x, so p is irreducible
+    iff all those gcds are 1.
     """
 
     __slots__ = ("m", "modulus", "_exp_log")
@@ -362,6 +363,9 @@ class FieldSpec:
     def __init__(self, m: int, modulus: int):
         if m < 1:
             raise ValueError("extension degree must be positive")
+        if modulus < 0:
+            # a negative int is no polynomial, and Ben-Or's loop would not end
+            raise ValueError(f"modulus {modulus} must be non-negative")
         if _poly_degree(modulus) != m:
             raise ValueError(f"modulus 0b{modulus:b} does not have degree {m}")
         h = 0b10  # x^(2^i) mod modulus
@@ -378,16 +382,6 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self._exp_log: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-    @classmethod
-    def from_modulus_str(cls, bits: str) -> FieldSpec:
-        """Parse a binary literal like '1011' for x^3 + x + 1 (MSB first)."""
-        modulus = int(bits, 2)
-        return cls(_poly_degree(modulus), modulus)
-
-    @property
-    def order(self) -> int:
-        return 1 << self.m
 
     def exp_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Exp and log tables of a multiplicative generator g, built on first
@@ -446,10 +440,3 @@ def gf_pow(a: int, k: int, fs: FieldSpec) -> int:
         base = gf_mul(base, base, fs)
         k >>= 1
     return r
-
-
-def field_to_vec(a: int, basis: BinMatrix) -> int:
-    """Map a field element to coordinates through an invertible basis matrix."""
-    if not basis.is_invertible():
-        raise SingularMatrixError(basis.rank(), basis.size)
-    return basis.apply(a)

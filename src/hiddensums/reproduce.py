@@ -49,14 +49,14 @@ def check_brick_not_anti_crooked() -> str:
     brick = cipher.toy_brick()
     verdict = vbf.is_anti_crooked(brick)
     _require(not verdict.value, "brick unexpectedly anti-crooked")
-    witness_image = vbf.derivative_image(brick, verdict.witness).image
+    witness_image = vbf.derivative_image(brick, verdict.witness)
     _require(vbf.is_coset(witness_image), "reported witness image is not a coset")
     line_dirs = [
         a
         for a in range(1, 8)
-        if vbf.derivative_image(brick, a).size == 2
-        and vbf.is_coset(vbf.derivative_image(brick, a).image)
-        and vbf.affine_hull(vbf.derivative_image(brick, a).image, 3).dim == 1
+        if len(vbf.derivative_image(brick, a)) == 2
+        and vbf.is_coset(vbf.derivative_image(brick, a))
+        and vbf.affine_hull(vbf.derivative_image(brick, a), 3).dim == 1
     ]
     _require(bool(line_dirs), "no direction with a 2-point coset image")
     return f"brick not AC; dimension-1 coset images in directions {line_dirs}"
@@ -76,7 +76,7 @@ def check_inverse_pair_f64() -> str:
     _require(not verdict.value, "x^5 unexpectedly anti-crooked")
     e6 = gf_pow(2, 6, fs)
     _require(e6 == 0b011011, "generator power disagrees with the pinned modulus")
-    image = vbf.derivative_image(f5, e6).image
+    image = vbf.derivative_image(f5, e6)
     _require(len(image) == 16, f"|Im| at e^6 is {len(image)}, expected 16")
     _require(vbf.is_coset(image), "Im at e^6 is not a coset")
     hull = vbf.affine_hull(image, 6)
@@ -154,7 +154,7 @@ def check_weakly_apn_non_coset() -> str:
                 continue
             qualifying += 1
             has_non_coset = any(
-                not vbf.is_coset(vbf.derivative_image(f, a).image)
+                not vbf.is_coset(vbf.derivative_image(f, a))
                 for a in range(1, 1 << m)
             )
             _require(has_non_coset, f"{label}: weakly-APN, not APN, yet all images are cosets")

@@ -6,7 +6,10 @@ derivative images and their coset structure (crooked / anti-crooked),
 component spaces, and extended-affine transforms.
 
 Derivatives can be taken with respect to the standard XOR sum (the
-default) or any hidden sum (hidden_sum.HiddenSum).
+default) or any hidden sum (hidden_sum.HiddenSum); a derivative image is
+the frozenset of its values.  Maps built from GF(2^m) are tabulated in
+the field's ascending encoding (gf2), so a field element is its own
+coordinate vector.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import (
-    AffineSubspace,
-    BinMatrix,
-    FieldSpec,
-    Subspace,
-    field_to_vec,
-    gf_mul,
-    span_basis,
-)
+from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, span_basis
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
@@ -66,23 +61,17 @@ class VBF:
         return cls(m, m, list(range(1 << m)))
 
     @classmethod
-    def _tabulate(cls, fs: FieldSpec, basis: BinMatrix | None, values) -> VBF:
+    def _tabulate(cls, fs: FieldSpec, values) -> VBF:
         """Tabulate a map GF(2^m) -> GF(2^m), the table limit checked first.
 
         values() returns the map's values at 0, 1, ..., 2^m - 1 in the
-        ascending field encoding.  The optional basis matrix maps field
-        elements to coordinate vectors; None means the ascending encoding is
-        used directly."""
+        ascending field encoding."""
         if fs.m > TABLE_LIMIT_BITS:
             raise ValueError(f"input width {fs.m} exceeds table limit {TABLE_LIMIT_BITS}")
-        table = values()
-        if basis is not None:
-            to_field = basis.inverse()
-            table = [basis.apply(table[to_field.apply(v)]) for v in range(1 << fs.m)]
-        return cls(fs.m, fs.m, table)
+        return cls(fs.m, fs.m, values())
 
     @classmethod
-    def from_power(cls, d: int, fs: FieldSpec, basis: BinMatrix | None = None) -> VBF:
+    def from_power(cls, d: int, fs: FieldSpec) -> VBF:
         """The power map x^d (d >= 0) on GF(2^m), read off the field's exp/log
         tables: x^d = exp[log(x) * d mod (2^m - 1)] for x != 0, and 0^d is 1
         for d = 0 and 0 otherwise."""
@@ -94,12 +83,10 @@ class VBF:
             order = len(exp)
             return [0**d] + [exp[log[x] * d % order] for x in range(1, 1 << fs.m)]
 
-        return cls._tabulate(fs, basis, values)
+        return cls._tabulate(fs, values)
 
     @classmethod
-    def from_univariate(
-        cls, coeffs: Sequence[int], fs: FieldSpec, basis: BinMatrix | None = None
-    ) -> VBF:
+    def from_univariate(cls, coeffs: Sequence[int], fs: FieldSpec) -> VBF:
         """Tabulate a univariate polynomial over GF(2^m) by Horner's rule;
         coeffs[i] is the coefficient of x^i."""
         if any(c < 0 or c >> fs.m for c in coeffs):
@@ -111,7 +98,7 @@ class VBF:
                 acc = gf_mul(acc, x, fs) ^ c
             return acc
 
-        return cls._tabulate(fs, basis, lambda: [horner(x) for x in range(1 << fs.m)])
+        return cls._tabulate(fs, lambda: [horner(x) for x in range(1 << fs.m)])
 
     def inverse(self) -> VBF:
         if not self.is_permutation:
@@ -136,19 +123,7 @@ class VBF:
         return f"VBF(m={self.m}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class DerivativeImage:
-    """Image of the derivative of f in one nonzero direction."""
-
-    direction: int
-    image: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-
-def derivative_image(f: VBF, a: int, sum_op=None) -> DerivativeImage:
+def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
     """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR).
 
     The direction must satisfy 0 < a < 2^m.  Under XOR, D_a f(x) =
@@ -169,7 +144,7 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> DerivativeImage:
             raise ValueError("custom sums require m = n")
         op = sum_op.op  # every element is its own negative
         image = {op(table[op(x, a)], table[x]) for x in range(1 << f.m)}
-    return DerivativeImage(a, frozenset(image))
+    return frozenset(image)
 
 
 @dataclass(frozen=True)
@@ -208,16 +183,14 @@ def is_apn(f: VBF) -> bool:
     if f.m != f.n:
         raise ValueError("APN is defined for m = n")
     half = 1 << f.m >> 1
-    return f.m > 0 and all(derivative_image(f, a).size == half for a in range(1, 1 << f.m))
+    return f.m > 0 and all(len(derivative_image(f, a)) == half for a in range(1, 1 << f.m))
 
 
 def is_weakly_apn(f: VBF) -> bool:
     """Every nonzero direction's derivative image has more than 2^(m-2) points."""
     if f.m != f.n:
         raise ValueError("weak APN is defined for m = n")
-    return all(
-        4 * derivative_image(f, a).size > 1 << f.m for a in range(1, 1 << f.m)
-    )
+    return all(4 * len(derivative_image(f, a)) > 1 << f.m for a in range(1, 1 << f.m))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +260,7 @@ def is_coset_free(f: VBF, sum_op=None) -> ACVerdict:
     a permutation (see is_anti_crooked).
     """
     for a in range(1, 1 << f.m):
-        if is_coset(derivative_image(f, a, sum_op).image, sum_op):
+        if is_coset(derivative_image(f, a, sum_op), sum_op):
             return ACVerdict(False, a)
     return ACVerdict(True, None)
 
@@ -301,23 +274,16 @@ def is_anti_crooked(f: VBF, sum_op=None) -> ACVerdict:
 def is_crooked(f: VBF, sum_op=None) -> bool:
     """True iff every nonzero direction's derivative image is a coset."""
     _require_vbf_permutation(f)
-    return all(
-        is_coset(derivative_image(f, a, sum_op).image, sum_op)
-        for a in range(1, 1 << f.m)
-    )
+    return all(is_coset(derivative_image(f, a, sum_op), sum_op) for a in range(1, 1 << f.m))
 
 
-def power_ac_dichotomy(d: int, fs: FieldSpec, basis: BinMatrix | None = None) -> str:
+def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:
     """Classify the power map x^d as crooked or anti-crooked.
 
     For power maps a single direction decides: if one derivative image is a
     coset then all of them are.  The direction tested is the field element 1.
     """
-    if basis is None:
-        basis = BinMatrix.identity(fs.m)
-    f = VBF.from_power(d, fs, basis)
-    a = field_to_vec(1, basis)
-    coset = is_coset(derivative_image(f, a).image)
+    coset = is_coset(derivative_image(VBF.from_power(d, fs), 1))
     return CROOKED if coset else ANTI_CROOKED
 
 
@@ -331,7 +297,7 @@ def derivative_hull(f: VBF, a: int) -> AffineSubspace:
     direction asked."""
     cached_a, hull = f._hull
     if cached_a != a:
-        hull = affine_hull(derivative_image(f, a).image, f.n)
+        hull = affine_hull(derivative_image(f, a), f.n)
         f._hull = (a, hull)
     return hull
 
@@ -394,6 +360,8 @@ def load_sbox(text: str) -> VBF:
         raise ValueError(f"line 1: bad s-box header {lines[0]!r}") from exc
     if m < 1:
         raise ValueError(f"line 1: input width m={m} must be positive")
+    if n < 1:
+        raise ValueError(f"line 1: output width n={n} must be positive")
     table = []
     for lineno, tok in enumerate(lines[1:], start=2):
         try:

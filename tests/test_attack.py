@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hiddensums.attack import (
+    SPOT_CHECKS,
     AffineRepr,
     ConsistencyFailureError,
     InverseMismatchError,
@@ -81,19 +82,19 @@ class TestReconstructCp:
     def test_spot_checks_use_verification_counter(self):
         spec = builtin_toy_spec()
         oracle = encryption_oracle(spec, 7)
-        reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis(), spot_checks=5)
+        reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
         assert oracle.query_count == 7
-        assert oracle.verification_count == 5
+        assert oracle.verification_count == SPOT_CHECKS == 3
 
     def test_non_affine_oracle_detected_with_full_checks(self):
+        # the default spot checks catch a shuffled table; a full comparison
+        # with the oracle is verify_global_deduction's
         rng = random.Random(5)
         table = list(range(64))
         rng.shuffle(table)
         oracle = Oracle(lambda x: table[x], "encrypt")
         with pytest.raises(ConsistencyFailureError):
-            reconstruct_cp(
-                oracle, toy_state_sum(), toy_coordinate_basis(), spot_checks="full"
-            )
+            reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
 
     @pytest.mark.parametrize("rounds", [1, 5, 20, 100])
     def test_seven_queries_any_round_count(self, rounds):

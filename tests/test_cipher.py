@@ -85,6 +85,18 @@ class TestSpecValidation:
             CipherSpec([b, b], toy_mixing(), 1001)
 
 
+def brick_layer(bricks, x: int) -> int:
+    """The brick layer at x: brick i on the i-th m-bit slice."""
+    m = bricks[0].m
+    mask = (1 << m) - 1
+    return sum(b.table[(x >> (i * m)) & mask] << (i * m) for i, b in enumerate(bricks))
+
+
+def reference_round(spec: CipherSpec, x: int, round_key: int) -> int:
+    """One round from the spec's bricks and mixing matrix, layer by layer."""
+    return spec.mixing.apply(brick_layer(spec.bricks, x)) ^ round_key
+
+
 class TestBuiltinInstance:
     def test_brick_profile(self):
         brick = toy_brick()
@@ -93,7 +105,7 @@ class TestBuiltinInstance:
         assert diff_uniformity(brick).delta == 4
         verdict = is_anti_crooked(brick)
         assert not verdict.value
-        assert is_coset(derivative_image(brick, verdict.witness).image)
+        assert is_coset(derivative_image(brick, verdict.witness))
 
     def test_mixing_invertible(self):
         assert toy_mixing().is_invertible()
@@ -101,23 +113,31 @@ class TestBuiltinInstance:
     def test_bricks_applied_in_parallel(self):
         spec = builtin_toy_spec()
         brick = toy_brick()
-        assert spec.apply_bricks(0) == 0
+        assert spec.bricks == (brick, brick)
+        assert brick_layer(spec.bricks, 0) == 0
         x = 0b000100  # (alpha^2 in the low brick, 0 in the high brick)
-        assert spec.apply_bricks(x) == brick.table[0b100]
+        assert brick_layer(spec.bricks, x) == brick.table[0b100]
+        core = spec.core_table()
         for x in range(64):
             expected = brick.table[x & 7] | (brick.table[x >> 3] << 3)
-            assert spec.apply_bricks(x) == expected
+            assert brick_layer(spec.bricks, x) == expected
+            assert core[x] == toy_mixing().apply(expected)
 
     def test_mixing_row_action(self):
         spec = builtin_toy_spec()
-        assert spec.apply_mixing(0b000001) == 0b010110  # first matrix row
+        assert spec.mixing == toy_mixing()
+        assert spec.mixing.apply(0b000001) == 0b010110  # first matrix row
+        core = spec.core_table()
+        # the block the bricks send to e_1 leaves the round as that row
+        x = next(x for x in range(64) if brick_layer(spec.bricks, x) == 0b000001)
+        assert core[x] == 0b010110
         for x in range(64):
-            assert spec.apply_mixing(x) == toy_mixing().apply(x)
+            assert core[x] == spec.mixing.apply(brick_layer(spec.bricks, x))
 
     def test_round_functions_bijective(self):
         spec = builtin_toy_spec()
         for key in (0, 0b010101):
-            table = [spec.round_function(x, key) for x in range(64)]
+            table = [reference_round(spec, x, key) for x in range(64)]
             assert sorted(table) == list(range(64))
 
 
@@ -142,7 +162,7 @@ class TestEncryptDecrypt:
         for x in range(64):
             y = x
             for h in range(1, rounds + 1):
-                y = spec.round_function(y, spec.key_schedule(k, h))
+                y = reference_round(spec, y, spec.key_schedule(k, h))
             assert spec.encrypt(k, x) == y
 
     def test_core_table_is_a_copy(self):
@@ -161,20 +181,21 @@ class TestEncryptDecrypt:
 
 def reference_encrypt(spec: CipherSpec, k: int, x: int) -> int:
     """The per-round schedule loop that round_keys replaced: ks(k, h) is
-    called for every block and round."""
+    called for every block and round, and each round is computed from the
+    bricks and the mixing matrix."""
     for h in range(1, spec.rounds + 1):
-        x = spec.round_function(x, spec.key_schedule(k, h))
+        x = reference_round(spec, x, spec.key_schedule(k, h))
     return x
 
 
 @lru_cache(maxsize=None)
 def inverse_layers(spec: CipherSpec) -> tuple[list[int], list[int]]:
-    """The brick and mixing layers inverted from their forward tables."""
-    sbox_inv, mix_inv = [0] * (1 << spec.d), [0] * (1 << spec.d)
-    for x in range(1 << spec.d):
-        sbox_inv[spec.apply_bricks(x)] = x
-        mix_inv[spec.apply_mixing(x)] = x
-    return sbox_inv, mix_inv
+    """The brick layer of the inverse bricks and the inverse mixing, as
+    tables."""
+    inverse_bricks = [b.inverse() for b in spec.bricks]
+    mix_inv = spec.mixing.inverse()
+    states = range(1 << spec.d)
+    return [brick_layer(inverse_bricks, y) for y in states], [mix_inv.apply(y) for y in states]
 
 
 def reference_decrypt(spec: CipherSpec, k: int, y: int) -> int:
@@ -401,6 +422,30 @@ class TestWideState:
                 call(3, 5)
 
 
+ROUND_TABLE_SPECS = {
+    "bundled": lambda: builtin_toy_spec(1),
+    "inversion": lambda: inverse_brick_spec(1),
+    "nine_bit": lambda: nine_bit_spec(1),
+}
+
+
+class TestRoundTables:
+    """The round tables against the layered computation they replaced:
+    forward, mixing after the bricks; inverse, the inverse bricks after
+    the inverse mixing."""
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TABLE_SPECS))
+    def test_core_table_is_mixing_after_bricks(self, name):
+        spec = ROUND_TABLE_SPECS[name]()
+        assert spec.core_table() == [reference_round(spec, x, 0) for x in range(1 << spec.d)]
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TABLE_SPECS))
+    def test_inverse_round_table_matches_layered_inverse(self, name):
+        spec = ROUND_TABLE_SPECS[name]()
+        sbox_inv, mix_inv = inverse_layers(spec)
+        assert spec._round_inv == [sbox_inv[mix_inv[y]] for y in range(1 << spec.d)]
+
+
 class TestHiddenSumCompatibility:
     def test_all_round_generators_affine(self):
         state = toy_state_sum()
@@ -433,13 +478,16 @@ class Calibration:
 
 
 def calibrate_toy_instance() -> list[Calibration]:
-    """Search every invertible 3x3 bridge basis and both mixing conventions
-    for the combinations under which the keyless round function is affine
-    for the bundled hidden sum.
+    """Search every invertible 3x3 bridge basis B and both mixing
+    conventions for the combinations under which the keyless round
+    function is affine for the bundled hidden sum.
 
-    The unit XOR translations are checked once up front (they do not
-    depend on the bridge).  Used to pin TOY_SBOX_BASIS; kept as a
-    regression facility.
+    The bridge maps field elements to coordinates: the brick tabulated in
+    the ascending field encoding, t, becomes v |-> B(t[B^-1 v]).  The
+    unit XOR translations are checked once up front (they do not depend on
+    the bridge).  This search pinned the identity bridge, the ascending
+    encoding the bricks are tabulated in; it is kept as a regression
+    facility.
     """
     state_sum = toy_state_sum()
     for i in range(6):
@@ -447,12 +495,14 @@ def calibrate_toy_instance() -> list[Calibration]:
             raise RuntimeError("bundled hidden sum rejects an XOR translation")
     mix_row = toy_mixing()
     mix_col = mix_row.transpose()
+    field_table = VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD).table
     hits = []
     for rows in itertools.product(range(8), repeat=3):
         basis = BinMatrix(rows)
         if not basis.is_invertible():
             continue
-        brick = VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD, basis)
+        to_field = basis.inverse()
+        brick = VBF(3, 3, [basis.apply(field_table[to_field.apply(v)]) for v in range(8)])
         if brick.table[0] != 0 or not brick.is_permutation:
             continue
         for mixing, transpose in ((mix_row, False), (mix_col, True)):

@@ -21,6 +21,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_subprocess(*argv, timeout=30):
+    """The command in a fresh interpreter, so that a hang fails the test."""
+    src = os.path.dirname(os.path.dirname(hiddensums.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "hiddensums.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
 class TestAnalyze:
     def test_builtin_brick_text(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin-brick")
@@ -120,14 +130,30 @@ class TestAnalyze:
         # x^64 + x^4 + x^3 + x + 1 is irreducible; 2^64 points exceed the table limit
         cfg = tmp_path / "wide.json"
         cfg.write_text(json.dumps({"field": {"m": 64, "modulus": "1" + "0" * 59 + "11011"}, **function}))
-        src = os.path.dirname(os.path.dirname(hiddensums.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "hiddensums.cli", "analyze", str(cfg)],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
+        proc = run_subprocess("analyze", str(cfg))
         assert proc.returncode == 2
         assert "table limit" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "modulus, message",
+        [
+            (-8, "modulus -8 must be non-negative"),
+            ("-1000", "modulus -8 must be non-negative"),
+            (-11, "modulus -11 must be non-negative"),
+            (True, "field 'modulus' has the wrong type: True"),
+        ],
+        ids=["-8", "'-1000'", "-11", "true"],
+    )
+    def test_bad_modulus_is_input_error(self, tmp_path, modulus, message):
+        # -8 and "-1000" once hung Ben-Or's loop, -11 passed as a degree-3
+        # modulus, and true was read as 1
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps({"field": {"m": 3, "modulus": modulus}, "kind": "power", "exponent": 3}))
+        proc = run_subprocess("analyze", str(cfg), timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bad function config: ")
+        assert message in proc.stderr
 
     @pytest.mark.parametrize(
         "config, field",
@@ -173,6 +199,15 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 2
         assert "bad s-box file" in err
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_output_width_below_one_is_input_error(self, tmp_path, capsys, n):
+        path = tmp_path / "box.txt"
+        path.write_text(f"m=3 n={n}\n" + "0\n" * 8)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"bad s-box file: line 1: output width n={n} must be positive" in err
 
 
 class TestHiddenVerify:
@@ -447,6 +482,12 @@ class TestEncryptDecrypt:
         code, _, err = run(capsys, "encrypt", "--key", "zz", "--pt", "00")
         assert code == 2
 
+    def test_negative_block(self, capsys):
+        code, out, err = run(capsys, "encrypt", "--key", "0", "--pt", "-1")
+        assert code == 2
+        assert out == ""
+        assert "block '-1' must be a non-negative hex number" in err
+
 
 class TestAttackCommand:
     def test_cp_mode(self, capsys):
@@ -473,6 +514,12 @@ class TestAttackCommand:
         assert code == 2
         assert out == ""
         assert "1..1000" in err
+
+    def test_negative_key(self, capsys):
+        code, out, err = run(capsys, "attack", "--key", "-1")
+        assert code == 2
+        assert out == ""
+        assert "block '-1' must be a non-negative hex number" in err
 
     def test_random_key_deterministic_with_seed(self, capsys):
         code1, out1, _ = run(capsys, "attack", "--key", "random", "--seed", "9", "--json")

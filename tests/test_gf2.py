@@ -15,7 +15,6 @@ from hiddensums.gf2 import (
     SingularMatrixError,
     Subspace,
     dot,
-    field_to_vec,
     gf_mul,
     gf_pow,
     span_basis,
@@ -168,8 +167,11 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(4, 0b1011)
 
-    def test_from_modulus_str(self):
-        assert FieldSpec.from_modulus_str("1011") == F8
+    @pytest.mark.parametrize("modulus", [-1, -8, -11])
+    def test_negative_modulus_rejected(self, modulus):
+        # -8 and -11 have the bit length of a degree-3 polynomial
+        with pytest.raises(ValueError, match=rf"modulus {modulus} must be non-negative"):
+            FieldSpec(3, modulus)
 
 
 class TestFieldArithmetic:
@@ -243,23 +245,3 @@ class TestFieldArithmetic:
         # every nonzero element has order dividing 7 (so 2^3 - 1)
         for a in range(1, 8):
             assert gf_pow(a, 7, F8) == 1
-
-
-class TestBasisBridge:
-    def test_zero_maps_to_zero(self):
-        for rows in ((1, 2, 4), (3, 2, 4), (6, 2, 1)):
-            basis = BinMatrix(rows)
-            assert field_to_vec(0, basis) == 0
-
-    def test_generator_under_identity_basis(self):
-        assert field_to_vec(0b010, BinMatrix.identity(3)) == 0b010
-
-    def test_round_trip_all_elements(self):
-        basis = BinMatrix([3, 2, 4])
-        for a in range(8):
-            assert basis.inverse().apply(field_to_vec(a, basis)) == a
-
-    def test_singular_basis_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            field_to_vec(1, BinMatrix([1, 1, 4]))
-
