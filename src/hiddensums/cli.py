@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -166,12 +167,10 @@ def cmd_hidden_search(args) -> int:
 
 
 def _parse_block(text: str, width: int) -> int:
-    try:
-        v = int(text, 16)
-    except ValueError as exc:
-        raise InputError(f"{text!r} is not a hex block") from exc
-    if v < 0:
-        raise InputError(f"block {text!r} must be a non-negative hex number")
+    """Hex digits only: no sign, prefix, underscore or blank."""
+    if not re.fullmatch(r"[0-9a-fA-F]+", text):
+        raise InputError(f"block {text!r} must be a non-negative hex number (digits 0-9, a-f)")
+    v = int(text, 16)
     if v >> width:
         raise InputError(f"block {text!r} exceeds {width} bits")
     return v

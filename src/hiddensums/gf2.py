@@ -14,6 +14,7 @@ x^3 + x + 1.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -257,24 +258,9 @@ class Subspace:
         return s
 
     def orthogonal_complement(self) -> Subspace:
-        """All v with dot(v, b) = 0 for every basis vector b, read off the
-        reduced echelon basis: one vector per non-pivot coordinate j, e_j
-        plus the pivots (leading bits) of the rows that have bit j set.
-        The zero space and the whole space are each other's complement."""
-        if not self.basis:
-            return Subspace._from_echelon(
-                tuple(1 << j for j in reversed(range(self.width))), self.width
-            )
-        if len(self.basis) == self.width == self.basis[0].bit_length():
-            return Subspace._from_echelon((), self.width)
-        pivots = [1 << (b.bit_length() - 1) for b in self.basis]
-        taken = sum(pivots)
-        perp = [
-            e | sum(p for b, p in zip(self.basis, pivots) if b & e)
-            for e in (1 << j for j in range(self.width))
-            if not e & taken
-        ]
-        return Subspace(perp, self.width)
+        """All v with dot(v, b) = 0 for every basis vector b; computed once
+        per (basis, width) and shared (see _orthogonal_complement)."""
+        return _orthogonal_complement(self.basis, self.width)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -288,6 +274,26 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, basis={list(self.basis)})"
+
+
+@lru_cache(maxsize=1024)
+def _orthogonal_complement(basis: tuple[int, ...], width: int) -> Subspace:
+    """The complement read off a reduced echelon basis: one vector per
+    non-pivot coordinate j, e_j plus the pivots (leading bits) of the rows
+    that have bit j set.  The zero space and the whole space are each
+    other's complement."""
+    if not basis:
+        return Subspace._from_echelon(tuple(1 << j for j in reversed(range(width))), width)
+    if len(basis) == width == basis[0].bit_length():
+        return Subspace._from_echelon((), width)
+    pivots = [1 << (b.bit_length() - 1) for b in basis]
+    taken = sum(pivots)
+    perp = [
+        e | sum(p for b, p in zip(basis, pivots) if b & e)
+        for e in (1 << j for j in range(width))
+        if not e & taken
+    ]
+    return Subspace(perp, width)
 
 
 class AffineSubspace:

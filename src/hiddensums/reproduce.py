@@ -54,9 +54,9 @@ def check_brick_not_anti_crooked() -> str:
     line_dirs = [
         a
         for a in range(1, 8)
-        if len(vbf.derivative_image(brick, a)) == 2
-        and vbf.is_coset(vbf.derivative_image(brick, a))
-        and vbf.affine_hull(vbf.derivative_image(brick, a), 3).dim == 1
+        if vbf.derivative_shape(brick, a)[0] == 2
+        and vbf.derivative_is_coset(brick, a)
+        and vbf.derivative_hull(brick, a).dim == 1
     ]
     _require(bool(line_dirs), "no direction with a 2-point coset image")
     return f"brick not AC; dimension-1 coset images in directions {line_dirs}"
@@ -154,8 +154,7 @@ def check_weakly_apn_non_coset() -> str:
                 continue
             qualifying += 1
             has_non_coset = any(
-                not vbf.is_coset(vbf.derivative_image(f, a))
-                for a in range(1, 1 << m)
+                not vbf.derivative_is_coset(f, a) for a in range(1, 1 << m)
             )
             _require(has_non_coset, f"{label}: weakly-APN, not APN, yet all images are cosets")
     _require(qualifying > 0, "corpus contains no weakly-APN-but-not-APN function")

@@ -9,12 +9,20 @@ Derivatives can be taken with respect to the standard XOR sum (the
 default) or any hidden sum (hidden_sum.HiddenSum); a derivative image is
 the frozenset of its values.  Maps built from GF(2^m) are tabulated in
 the field's ascending encoding (gf2), so a field element is its own
-coordinate vector.
+coordinate vector, and from_power returns one shared object per exponent
+and field.
+
+Under XOR each function keeps, per direction a, the size of Im D_a f and
+its affine hull, built once from one image that is then dropped.  The APN
+tests read the sizes, the component space reads the hull, and the image
+is a coset exactly when its size equals its hull's, since the hull is the
+smallest coset that contains it.  Other sums rebuild the image each time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, span_basis
@@ -29,7 +37,7 @@ ANTI_CROOKED = "anti_crooked"
 class VBF:
     """A vectorial Boolean function as a lookup table over all 2^m inputs."""
 
-    __slots__ = ("m", "n", "table", "_is_permutation", "_hull")
+    __slots__ = ("m", "n", "table", "_is_permutation", "_derivatives")
 
     def __init__(self, m: int, n: int, table: Sequence[int]):
         if m > TABLE_LIMIT_BITS:
@@ -44,8 +52,8 @@ class VBF:
         self.n = n
         self.table: tuple[int, ...] = tuple(table)
         self._is_permutation: bool | None = None
-        # derivative_hull's last (direction, hull); one slot per function
-        self._hull: tuple[int | None, AffineSubspace | None] = (None, None)
+        # direction a -> (|Im D_a f|, affine hull of Im D_a f) under XOR
+        self._derivatives: dict[int, tuple[int, AffineSubspace]] = {}
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -71,10 +79,13 @@ class VBF:
         return cls(fs.m, fs.m, values())
 
     @classmethod
+    @lru_cache(maxsize=256)
     def from_power(cls, d: int, fs: FieldSpec) -> VBF:
         """The power map x^d (d >= 0) on GF(2^m), read off the field's exp/log
         tables: x^d = exp[log(x) * d mod (2^m - 1)] for x != 0, and 0^d is 1
-        for d = 0 and 0 otherwise."""
+        for d = 0 and 0 otherwise.  The last 256 maps built are kept, one
+        object per (exponent, field), so sweeps over x^d share its
+        derivative memo."""
         if d < 0:
             raise ValueError("exponent must be non-negative")
 
@@ -176,6 +187,23 @@ def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
     return DiffSpectrum(delta, witness, all_counts if keep_counts else None)
 
 
+def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
+    """(|Im D_a f|, affine hull of Im D_a f) under XOR, kept on f per
+    direction: the image is built once and only these two are stored."""
+    shape = f._derivatives.get(a)
+    if shape is None:
+        image = derivative_image(f, a)
+        shape = f._derivatives[a] = (len(image), affine_hull(image, f.n))
+    return shape
+
+
+def derivative_is_coset(f: VBF, a: int) -> bool:
+    """Whether Im D_a f is an XOR coset: the hull is the smallest coset
+    containing the image, so the image is one exactly when it fills it."""
+    size, hull = derivative_shape(f, a)
+    return size == len(hull)
+
+
 def is_apn(f: VBF) -> bool:
     """Differential uniformity 2, decided from image sizes: D_a f takes each
     value an even number of times (at x and at x + a), so delta = 2 exactly
@@ -183,14 +211,14 @@ def is_apn(f: VBF) -> bool:
     if f.m != f.n:
         raise ValueError("APN is defined for m = n")
     half = 1 << f.m >> 1
-    return f.m > 0 and all(len(derivative_image(f, a)) == half for a in range(1, 1 << f.m))
+    return f.m > 0 and all(derivative_shape(f, a)[0] == half for a in range(1, 1 << f.m))
 
 
 def is_weakly_apn(f: VBF) -> bool:
     """Every nonzero direction's derivative image has more than 2^(m-2) points."""
     if f.m != f.n:
         raise ValueError("weak APN is defined for m = n")
-    return all(4 * len(derivative_image(f, a)) > 1 << f.m for a in range(1, 1 << f.m))
+    return all(4 * derivative_shape(f, a)[0] > 1 << f.m for a in range(1, 1 << f.m))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +256,7 @@ def affine_hull(points: Iterable[int], width: int) -> AffineSubspace:
     if not pts:
         raise ValueError("empty set has no affine hull")
     base = pts[0]
-    return AffineSubspace(base, Subspace((p ^ base for p in pts), width))
+    return AffineSubspace(base, Subspace([p ^ base for p in pts], width))
 
 
 @dataclass(frozen=True)
@@ -246,6 +274,12 @@ class ACVerdict:
         return self.value
 
 
+def _image_is_coset(f: VBF, a: int, sum_op) -> bool:
+    if sum_op is None:
+        return derivative_is_coset(f, a)
+    return is_coset(derivative_image(f, a, sum_op), sum_op)
+
+
 def _require_vbf_permutation(f: VBF) -> None:
     if f.m != f.n:
         raise ValueError("crookedness tests require m = n")
@@ -260,7 +294,7 @@ def is_coset_free(f: VBF, sum_op=None) -> ACVerdict:
     a permutation (see is_anti_crooked).
     """
     for a in range(1, 1 << f.m):
-        if is_coset(derivative_image(f, a, sum_op), sum_op):
+        if _image_is_coset(f, a, sum_op):
             return ACVerdict(False, a)
     return ACVerdict(True, None)
 
@@ -274,7 +308,7 @@ def is_anti_crooked(f: VBF, sum_op=None) -> ACVerdict:
 def is_crooked(f: VBF, sum_op=None) -> bool:
     """True iff every nonzero direction's derivative image is a coset."""
     _require_vbf_permutation(f)
-    return all(is_coset(derivative_image(f, a, sum_op), sum_op) for a in range(1, 1 << f.m))
+    return all(_image_is_coset(f, a, sum_op) for a in range(1, 1 << f.m))
 
 
 def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:
@@ -283,8 +317,7 @@ def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:
     For power maps a single direction decides: if one derivative image is a
     coset then all of them are.  The direction tested is the field element 1.
     """
-    coset = is_coset(derivative_image(VBF.from_power(d, fs), 1))
-    return CROOKED if coset else ANTI_CROOKED
+    return CROOKED if derivative_is_coset(VBF.from_power(d, fs), 1) else ANTI_CROOKED
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +326,8 @@ def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:
 
 
 def derivative_hull(f: VBF, a: int) -> AffineSubspace:
-    """The affine hull of Im D_a f under XOR, kept on f for the last
-    direction asked."""
-    cached_a, hull = f._hull
-    if cached_a != a:
-        hull = affine_hull(derivative_image(f, a), f.n)
-        f._hull = (a, hull)
-    return hull
+    """The affine hull of Im D_a f under XOR, read from f's memo."""
+    return derivative_shape(f, a)[1]
 
 
 def component_space(f: VBF, a: int) -> Subspace:
@@ -354,9 +382,10 @@ def load_sbox(text: str) -> VBF:
         raise ValueError("empty s-box file")
     header = lines[0].split()
     try:
-        m = int(header[0].removeprefix("m="))
-        n = int(header[1].removeprefix("n="))
-    except (IndexError, ValueError) as exc:
+        m_token, n_token = header
+        m = int(m_token.removeprefix("m="))
+        n = int(n_token.removeprefix("n="))
+    except ValueError as exc:
         raise ValueError(f"line 1: bad s-box header {lines[0]!r}") from exc
     if m < 1:
         raise ValueError(f"line 1: input width m={m} must be positive")

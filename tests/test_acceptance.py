@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hiddensums import reproduce
+from hiddensums import corpus, reproduce, vbf
 from hiddensums.attack import encryption_oracle, reconstruct_cp, verify_global_deduction
 from hiddensums.cipher import (
     builtin_toy_spec,
@@ -49,6 +49,35 @@ def test_battery_lines_match_golden():
     reproduce.run(out=lines.append)
     assert lines == GOLDEN_BATTERY.read_text().splitlines()
     assert len(lines) == len(CHECKS)
+
+
+def verdicts(f: vbf.VBF) -> tuple:
+    coset_free = vbf.is_coset_free(f)
+    return (
+        vbf.is_apn(f),
+        vbf.is_weakly_apn(f),
+        vbf.is_crooked(f),
+        (coset_free.value, coset_free.witness),
+        vbf.n_hat(f),
+        tuple(vbf.derivative_hull(f, a) for a in range(1, 1 << f.m)),
+    )
+
+
+def test_battery_repeats_in_one_interpreter():
+    """A second run after the tests have swept the shared power maps in
+    another order gives the same lines, and each shared map's verdicts
+    equal those of a new object with its table: no memo goes stale."""
+    first = [result.line() for result in reproduce.results()]
+    for m in range(3, 7):
+        fs = corpus.field_spec(m)
+        for d in corpus.power_permutation_exponents(m):
+            shared = vbf.VBF.from_power(d, fs)
+            for a in reversed(range(1, 1 << m)):
+                vbf.component_space(shared, a)
+            assert verdicts(shared) == verdicts(vbf.VBF(m, m, shared.table)), (m, d)
+            assert vbf.VBF.from_power(d, fs) is shared
+    second = [result.line() for result in reproduce.results()]
+    assert first == second == GOLDEN_BATTERY.read_text().splitlines()
 
 
 class TestHeadlineNumbers:

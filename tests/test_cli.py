@@ -200,6 +200,14 @@ class TestAnalyze:
         assert code == 2
         assert "bad s-box file" in err
 
+    def test_extra_header_token_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "box.txt"
+        path.write_text("m=3 n=3 junk\n" + "0\n" * 8)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert "bad s-box file: line 1: bad s-box header 'm=3 n=3 junk'" in err
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_output_width_below_one_is_input_error(self, tmp_path, capsys, n):
         path = tmp_path / "box.txt"
@@ -487,6 +495,20 @@ class TestEncryptDecrypt:
         assert code == 2
         assert out == ""
         assert "block '-1' must be a non-negative hex number" in err
+
+    @pytest.mark.parametrize("block", ["1_0", " 0x2a", "0x2a", "+1", "-1", "2a ", ""])
+    @pytest.mark.parametrize("flag", ["--key", "--pt"])
+    def test_only_hex_digits_accepted(self, capsys, flag, block):
+        """Python's int() syntax (sign, prefix, underscore, blanks) is refused."""
+        argv = {"--key": "10", "--pt": "2a", flag: block}
+        code, out, err = run(capsys, "encrypt", *(x for kv in argv.items() for x in kv))
+        assert code == 2
+        assert out == ""
+        assert f"block {block!r} must be a non-negative hex number" in err
+
+    def test_hex_digits_of_either_case_accepted(self, capsys):
+        assert run(capsys, "encrypt", "--key", "10", "--pt", "2a")[:2] == (0, "37\n")
+        assert run(capsys, "encrypt", "--key", "10", "--pt", "2A")[:2] == (0, "37\n")
 
 
 class TestAttackCommand:

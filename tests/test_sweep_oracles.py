@@ -4,7 +4,10 @@ The derivative image that visits one point of each pair {x, x + a} is
 compared with the scan over all 2^m points, the null-space orthogonal
 complement and the component space built on the derivative hull with the
 scans over all 2^width vectors they replaced and with the span of the
-sorted image's differences to its minimum, the
+sorted image's differences to its minimum, each function's per-direction
+memo of image size and hull (and the coset verdict and component space
+read from it) with the same four taken from a newly scanned image, the
+memoized complement with the scan, the
 exp/log power maps with Horner tabulation of x^d and with square-and-
 multiply at every point, Ben-Or's irreducibility test with trial division,
 the APN test from image sizes with the full difference table, the coset
@@ -15,12 +18,16 @@ references are the former library code, kept here unchanged.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from operator import xor
 
 import pytest
 
+import hiddensums
 from hiddensums.cipher import toy_brick_sum
 from hiddensums.corpus import (
     FIELD_MODULI,
@@ -29,6 +36,7 @@ from hiddensums.corpus import (
     power_permutation_exponents,
 )
 from hiddensums.gf2 import (
+    AffineSubspace,
     FieldSpec,
     Subspace,
     _poly_mod,
@@ -42,6 +50,8 @@ from hiddensums.vbf import (
     component_space,
     derivative_hull,
     derivative_image,
+    derivative_is_coset,
+    derivative_shape,
     diff_uniformity,
     is_apn,
     is_coset,
@@ -207,23 +217,123 @@ def test_derivative_image_matches_full_scan_off_square(m, n):
             assert derivative_image(f, a) == reference_derivative_image(f, a), (f.table, a)
 
 
+def fresh_shape(f: VBF, a: int) -> tuple[int, AffineSubspace, bool, Subspace]:
+    """Size, hull, coset verdict and component space of Im D_a f, all from
+    a newly scanned image."""
+    image = reference_derivative_image(f, a)
+    hull = affine_hull(image, f.n)
+    return len(image), hull, is_coset(image), reference_orthogonal_complement(hull.space)
+
+
+def memo_shape(f: VBF, a: int) -> tuple[int, AffineSubspace, bool, Subspace]:
+    size, hull = derivative_shape(f, a)
+    assert derivative_hull(f, a) is hull
+    return size, hull, derivative_is_coset(f, a), component_space(f, a)
+
+
+def assert_memo_holds_no_images(f: VBF) -> None:
+    for a, shape in f._derivatives.items():
+        size, hull = shape
+        assert 0 < a < 1 << f.m
+        assert type(size) is int and type(hull) is AffineSubspace, (f, a, shape)
+
+
+def test_derivative_memo_matches_fresh_scan_on_corpus():
+    pairs = 0
+    for m in range(3, 7):
+        for label, f in pinned_corpus(m):
+            for a in range(1, 1 << m):
+                assert memo_shape(f, a) == fresh_shape(f, a), (label, a)
+                pairs += 1
+            assert len(f._derivatives) == (1 << m) - 1
+            assert_memo_holds_no_images(f)
+    assert pairs == 9167
+
+
+def test_derivative_memo_matches_fresh_scan_on_all_3bit_permutations():
+    # the reference complement is a pure scan; 16 subspaces of width 3 occur
+    complements: dict[Subspace, Subspace] = {}
+    for perm in itertools.permutations(range(8)):
+        f = VBF(3, 3, perm)
+        for a in range(1, 8):
+            image = reference_derivative_image(f, a)
+            hull = affine_hull(image, 3)
+            if hull.space not in complements:
+                complements[hull.space] = reference_orthogonal_complement(hull.space)
+            expected = (len(image), hull, is_coset(image), complements[hull.space])
+            assert memo_shape(f, a) == expected, (perm, a)
+        assert_memo_holds_no_images(f)
+
+
 def test_derivative_hull_memo_matches_fresh_computation():
-    """The hull kept on each function for its last direction never leaks
-    into another function or direction."""
+    """Interleaved calls on functions that share directions, and on two
+    equal tables held by different objects, each read their own entry."""
     fs = field_spec(4)
     f, g = VBF.from_power(3, fs), VBF.from_power(7, fs)
+    twin = VBF(4, 4, f.table)
+    off_square = VBF(4, 2, [x * 7 % 4 for x in range(16)])
+    functions = (f, g, twin, off_square, VBF.identity(4))
     rng = random.Random(8)
-    calls = [(rng.choice((f, g)), rng.choice((1, 2, 5, 15))) for _ in range(200)]
-    for h, a in calls:
-        fresh = affine_hull(reference_derivative_image(h, a), h.n)
-        assert derivative_hull(h, a) == fresh, (h.table, a)
+    for _ in range(400):
+        h, a = rng.choice(functions), rng.randrange(1, 16)
+        assert memo_shape(h, a) == fresh_shape(h, a), (h.table, a)
         assert component_space(h, a) == reference_component_space(h, a), (h.table, a)
-        assert derivative_hull(h, a) == fresh, (h.table, a)
-    for h in (f, g, VBF.identity(3)):
+    for h in functions:
+        assert_memo_holds_no_images(h)
+        if h.m == h.n:
+            assert is_apn(h) == reference_is_apn(h)
         with pytest.raises(ValueError):
             derivative_hull(h, 0)
+        with pytest.raises(ValueError):
+            derivative_shape(h, 16)
+        assert 0 not in h._derivatives and 16 not in h._derivatives
     with pytest.raises(ValueError):
         component_space(f, 0)
+
+
+def test_power_maps_are_shared_objects():
+    fs = field_spec(5)
+    f = VBF.from_power(7, fs)
+    assert VBF.from_power(7, fs) is f
+    assert VBF.from_power(7, FieldSpec(5, fs.modulus)) is f
+    assert VBF.from_power(7, FieldSpec(5, 0b101001)) is not f
+
+
+def test_battery_power_maps_are_the_corpus_entries():
+    """In a fresh interpreter, as the battery runs, criterion 6's power maps
+    are the corpus entries that criteria 7 and 8 sweep.  (In this process
+    other tests may have pushed them out of from_power's bounded memo.)"""
+    script = (
+        "from hiddensums import corpus, reproduce, vbf\n"
+        "list(reproduce.results([6]))\n"
+        "for m in range(3, 7):\n"
+        "    entries = dict(corpus.pinned_corpus(m))\n"
+        "    for d in corpus.power_permutation_exponents(m):\n"
+        "        f = entries[f'x^{d} over GF(2^{m})']\n"
+        "        assert f is vbf.VBF.from_power(d, corpus.field_spec(m)), (m, d)\n"
+        "        assert len(f._derivatives) == (1 << m) - 1, (m, d)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hiddensums.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_complement_memo_per_basis_and_width(width):
+    """Each (basis, width) is computed once and then shared by every
+    subspace with that basis; the same basis in a wider space has its own
+    complement."""
+    for s in all_subspaces(width):
+        perp = s.orthogonal_complement()
+        assert Subspace(s.basis, width).orthogonal_complement() is perp
+        assert perp == reference_orthogonal_complement(s)
+        assert perp.orthogonal_complement() == s
+        wider = Subspace(s.basis, width + 1).orthogonal_complement()
+        assert wider.width == width + 1 and wider.dim == perp.dim + 1
+        assert wider == reference_orthogonal_complement(Subspace(s.basis, width + 1))
 
 
 @pytest.mark.parametrize("m", sorted(FIELD_MODULI))

@@ -431,3 +431,8 @@ class TestSboxFiles:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             load_sbox("width 3\n0\n1\n")
+
+    @pytest.mark.parametrize("header", ["m=3 n=3 junk", "m=3", "m=3 n=3 m=4"])
+    def test_header_of_other_than_two_tokens_rejected(self, header):
+        with pytest.raises(ValueError, match="line 1: bad s-box header"):
+            load_sbox(header + "\n" + "0\n" * 8)
