@@ -12,16 +12,20 @@ no knowledge of the key, whatever the round count or key schedule.
 Attack queries and verification queries are metered separately so the
 query-count claims stay auditable.  A reconstruction spot-checks its fit
 on SPOT_CHECKS seeded blocks; verify_global_deduction compares it with the
-oracle on every block.
+oracle on every block.  What does not depend on the key is built once:
+the sum's coordinate map per basis (HiddenSum.in_basis) and the
+spot-check blocks per seed.  An oracle output outside the state space
+fails the recovery with ConsistencyFailureError.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
-from .cipher import CipherSpec, state_lookup
+from .cipher import CipherSpec, block_outside_state
 from .gf2 import BinMatrix, SingularMatrixError
 from .hidden_sum import CoordinateMap, HiddenSum
 
@@ -65,13 +69,19 @@ class Oracle:
         self.verification_count += 1
         return self.func(x)
 
+    def verification_outputs(self, blocks: Sequence[int]) -> list[int]:
+        """The function at each block, counted as len(blocks) verification
+        queries."""
+        self.verification_count += len(blocks)
+        return list(map(self.func, blocks))
+
 
 def encryption_oracle(spec: CipherSpec, key: int) -> Oracle:
-    return Oracle(lambda x: spec.encrypt(key, x), "encrypt")
+    return Oracle(partial(spec.encrypt, key), "encrypt")
 
 
 def decryption_oracle(spec: CipherSpec, key: int) -> Oracle:
-    return Oracle(lambda y: spec.decrypt(key, y), "decrypt")
+    return Oracle(partial(spec.decrypt, key), "decrypt")
 
 
 @dataclass(frozen=True)
@@ -105,21 +115,57 @@ class AffineRepr:
         self._forward: list[int] | None = None
         self._backward: list[int] | None = None
 
+    def forward_table(self) -> list[int]:
+        """f(v) for every block v: the table apply reads (not a copy)."""
+        if self._forward is None:
+            self._forward = self.coord_map.affine_function(self.matrix, self.t_coords)
+        return self._forward
+
     def apply(self, v: int) -> int:
-        table = self._forward
-        if table is None:
-            table = self._forward = self.coord_map.affine_function(self.matrix, self.t_coords)
-        return state_lookup(table, v, self.coord_map.width)
+        table = self._forward or self.forward_table()
+        if v >= 0:
+            try:
+                return table[v]
+            except IndexError:
+                pass
+        raise block_outside_state(v, self.coord_map.width)
 
     def apply_inverse(self, w: int) -> int:
-        # (coords(w) + t)*M^-1 = coords(w)*M^-1 + t*M^-1
         table = self._backward
         if table is None:
+            # (coords(w) + t)*M^-1 = coords(w)*M^-1 + t*M^-1
             minv = self.matrix_inv
             table = self._backward = self.coord_map.affine_function(
                 minv, minv.apply(self.t_coords)
             )
-        return state_lookup(table, w, self.coord_map.width)
+        if w >= 0:
+            try:
+                return table[w]
+            except IndexError:
+                pass
+        raise block_outside_state(w, self.coord_map.width)
+
+
+@lru_cache(maxsize=256)
+def spot_check_blocks(seed: int, n: int) -> tuple[int, ...]:
+    """The blocks a recovery with this seed spot-checks in a space of n
+    blocks, drawn once per (seed, n)."""
+    return tuple(random.Random(seed).sample(range(n), min(SPOT_CHECKS, n)))
+
+
+def _in_state(query: Callable[[int], int], n: int) -> Callable[[int], int]:
+    """The query, refusing an output outside 0..n - 1, which a coordinate
+    table would miss or, if negative, silently wrap."""
+
+    def checked(x: int) -> int:
+        y = query(x)
+        if 0 <= y < n:
+            return y
+        raise ConsistencyFailureError(
+            f"oracle output {y} for block {x} is outside the state space 0..{n - 1}"
+        )
+
+    return checked
 
 
 def _reconstruct(
@@ -132,9 +178,12 @@ def _reconstruct(
     """d+1 encryption queries give M and t; the inverse comes from Gaussian
     elimination or, given a decryption oracle, from d+1 decryption queries.
     The fit is then compared with the oracle on SPOT_CHECKS blocks drawn
-    with the seed, as verification queries."""
-    cm = CoordinateMap(hs, basis)
-    matrix, t = cm.read_affine(enc_oracle.query)
+    with the seed, as verification queries.  The coordinate map and the
+    spot-check blocks depend on the sum, basis and seed only, and are
+    built once."""
+    cm = hs.in_basis(basis)
+    n = 1 << cm.width
+    matrix, t = cm.read_affine(_in_state(enc_oracle.query, n))
     if dec_oracle is None:
         try:
             matrix_inv = matrix.inverse()
@@ -144,14 +193,13 @@ def _reconstruct(
                 "for this hidden sum"
             ) from exc
     else:
-        matrix_inv, _ = cm.read_affine(dec_oracle.query)
-        if matrix @ matrix_inv != BinMatrix.identity(matrix.size):
+        matrix_inv, _ = cm.read_affine(_in_state(dec_oracle.query, n))
+        if [matrix_inv.apply(r) for r in matrix.rows] != [1 << i for i in range(cm.width)]:
             raise InverseMismatchError(
                 "matrix from decryptions does not invert the matrix from encryptions"
             )
-    n = 1 << hs.width
-    points = random.Random(seed).sample(range(n), min(SPOT_CHECKS, n))
-    v = cm.mismatch(enc_oracle.query_verification, matrix, t, points)
+    points = spot_check_blocks(seed, n)
+    v = cm.mismatch(_in_state(enc_oracle.query_verification, n), matrix, t, points)
     if v is not None:
         raise ConsistencyFailureError(f"oracle is not affine for this hidden sum (plaintext {v})")
     return AffineRepr(matrix, t, matrix_inv, cm)
@@ -205,15 +253,14 @@ def verify_global_deduction(
 ) -> DeductionReport:
     """Compare the reconstruction against the oracle on every block.
 
-    These comparisons use verification queries; the reported query totals
-    are the attack-phase ones from the transcript.
+    The oracle answers all blocks in one batch of verification queries,
+    one per block; an answer outside the state space is a mismatch.  The
+    reported query totals are the attack-phase ones from the transcript.
     """
-    n = 1 << repr_.coord_map.width
-    mismatches = sum(
-        1 for v in range(n) if repr_.apply(v) != enc_oracle.query_verification(v)
-    )
+    outputs = enc_oracle.verification_outputs(range(1 << repr_.coord_map.width))
+    mismatches = sum(y != z for y, z in zip(repr_.forward_table(), outputs))
     return DeductionReport(
-        verified_blocks=n,
+        verified_blocks=len(outputs),
         mismatches=mismatches,
         enc_queries=transcript.encryption_count if transcript else enc_oracle.query_count,
         dec_queries=transcript.decryption_count if transcript else 0,

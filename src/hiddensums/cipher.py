@@ -60,17 +60,6 @@ def block_outside_state(x: int, d: int) -> ValueError:
     return ValueError(f"block {x} is outside the state space 0..{(1 << d) - 1}")
 
 
-def state_lookup(table: Sequence[int], x: int, d: int) -> int:
-    """table[x] for a block x of the d-bit state space (len(table) = 2^d);
-    ValueError for any other x, which plain indexing would wrap or miss."""
-    if x >= 0:
-        try:
-            return table[x]
-        except IndexError:
-            pass
-    raise block_outside_state(x, d)
-
-
 # bytes.translate maps every byte through a 256-entry table, so a state of
 # at most 8 bits can be carried through the rounds as one bytes object.
 BYTE_STATE_BITS = 8
@@ -193,7 +182,15 @@ class CipherSpec:
 
     def encrypt(self, k: int, x: int) -> int:
         if self.d <= BYTE_STATE_BITS:
-            return state_lookup(self._encryption_table(k), x, self.d)
+            cached_k, table, _ = self._tables
+            if cached_k != k:
+                table = self._encryption_table(k)
+            if x >= 0:
+                try:
+                    return table[x]
+                except IndexError:
+                    pass
+            raise block_outside_state(x, self.d)
         if not 0 <= x < 1 << self.d:
             raise block_outside_state(x, self.d)
         core = self._round
@@ -203,7 +200,15 @@ class CipherSpec:
 
     def decrypt(self, k: int, y: int) -> int:
         if self.d <= BYTE_STATE_BITS:
-            return state_lookup(self._decryption_table(k), y, self.d)
+            cached_k, _, table = self._tables
+            if cached_k != k or table is None:
+                table = self._decryption_table(k)
+            if y >= 0:
+                try:
+                    return table[y]
+                except IndexError:
+                    pass
+            raise block_outside_state(y, self.d)
         if not 0 <= y < 1 << self.d:
             raise block_outside_state(y, self.d)
         core_inv = self._round_inv

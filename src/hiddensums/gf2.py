@@ -129,13 +129,17 @@ class BinMatrix:
         aug = [self.rows[i] | (1 << (n + i)) for i in range(n)]
         rank = 0
         for col in range(n):
-            pivot = next((r for r in range(rank, n) if (aug[r] >> col) & 1), None)
-            if pivot is None:
+            bit = 1 << col
+            for r in range(rank, n):
+                if aug[r] & bit:
+                    break
+            else:
                 continue
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            for r in range(n):
-                if r != rank and (aug[r] >> col) & 1:
-                    aug[r] ^= aug[rank]
+            pivot = aug[r]
+            aug[r] = aug[rank]
+            # clearing the column also clears the pivot row, restored after
+            aug = [a ^ pivot if a & bit else a for a in aug]
+            aug[rank] = pivot
             rank += 1
         return rank, aug
 

@@ -198,7 +198,7 @@ class HiddenSum:
     construction fails loudly on anything else.
     """
 
-    __slots__ = ("width", "basis", "_by_coeff", "_by_element")
+    __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased")
 
     def __init__(self, group: RegularGroup):
         # commuting involutions generate an elementary abelian group;
@@ -230,7 +230,19 @@ class HiddenSum:
         self.basis = tuple(basis)
         self._by_coeff = by_coeff
         self._by_element = by_element
+        self._rebased: dict[tuple[int, ...], CoordinateMap] = {}
         return self
+
+    def in_basis(self, basis: Sequence[int]) -> CoordinateMap:
+        """This sum with its coordinates taken in the basis, built on the
+        first call per basis and kept on the sum.  A basis that does not
+        generate the sum freely raises BasisError on every call and is
+        never kept."""
+        key = tuple(basis)
+        cm = self._rebased.get(key)
+        if cm is None:
+            cm = self._rebased[key] = CoordinateMap(self, key)
+        return cm
 
     def op(self, x: int, y: int) -> int:
         return self._by_coeff[self._by_element[x] ^ self._by_element[y]]
@@ -292,7 +304,8 @@ class CoordinateMap(HiddenSum):
     """The hidden sum hs, with its coordinates taken in another basis.
 
     The op is hs's; coords and element change with the basis, which must
-    generate the sum freely (BasisError otherwise).
+    generate the sum freely (BasisError otherwise).  hs.in_basis(basis)
+    builds one per basis and keeps it on hs.
     """
 
     def __init__(self, hs: HiddenSum, basis: Sequence[int]):

@@ -14,6 +14,7 @@ from hiddensums.attack import (
     encryption_oracle,
     reconstruct_cp,
     reconstruct_cpcc,
+    spot_check_blocks,
     verify_global_deduction,
 )
 from hiddensums.cipher import (
@@ -112,6 +113,86 @@ class TestReconstructCp:
             report = verify_global_deduction(repr_, oracle, transcript)
             assert report.mismatches == 0
 
+    def test_repeated_recoveries_each_count_their_spot_checks(self):
+        # the spot-check blocks are drawn once per seed; the queries are not
+        spec = builtin_toy_spec()
+        for seed in (0, 0, 11, 11):
+            oracle = encryption_oracle(spec, 7)
+            reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis(), seed)
+            assert oracle.query_count == 7
+            assert oracle.verification_count == SPOT_CHECKS
+
+
+class TestSpotCheckBlocks:
+    def test_equal_to_a_fresh_draw_for_every_seed(self):
+        for seed in range(100):
+            expected = random.Random(seed).sample(range(64), SPOT_CHECKS)
+            assert list(spot_check_blocks(seed, 64)) == expected
+            assert spot_check_blocks(seed, 64) is spot_check_blocks(seed, 64)
+
+    def test_small_space_checks_every_block(self):
+        assert sorted(spot_check_blocks(4, 2)) == [0, 1]
+
+    def test_recovery_checks_the_drawn_blocks(self):
+        spec = builtin_toy_spec()
+        seen = []
+        oracle = encryption_oracle(spec, 5)
+        func = oracle.func
+        oracle.func = lambda x: seen.append(x) or func(x)
+        reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis(), seed=23)
+        assert seen[7:] == list(spot_check_blocks(23, 64))
+
+
+def identity_except(block: int, output: int, direction: str = "encrypt") -> Oracle:
+    """The identity, except that one block gives the output."""
+    return Oracle(lambda x: output if x == block else x, direction)
+
+
+def recover(mode: str, enc: Oracle, dec: Oracle | None = None):
+    state, basis = toy_state_sum(), toy_coordinate_basis()
+    if mode == "cp":
+        return reconstruct_cp(enc, state, basis)
+    return reconstruct_cpcc(enc, dec or Oracle(lambda y: y, "decrypt"), state, basis)
+
+
+class TestOutputsOutsideTheState:
+    """An oracle output outside 0..63 is refused, naming the block, before
+    a coordinate table can miss it or (if negative) wrap it."""
+
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    def test_every_output_too_large(self, mode):
+        with pytest.raises(ConsistencyFailureError, match=r"output 64 for block 0 .*0\.\.63"):
+            recover(mode, Oracle(lambda x: x + 64, "encrypt"))
+
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    @pytest.mark.parametrize("output", [64, 1000, -1, -64])
+    @pytest.mark.parametrize("block", [0, 1, 32])
+    def test_one_queried_block(self, mode, output, block):
+        with pytest.raises(ConsistencyFailureError, match=rf"output {output} for block {block} "):
+            recover(mode, identity_except(block, output))
+
+    @pytest.mark.parametrize("output", [64, -1])
+    @pytest.mark.parametrize("block", [0, 8])
+    def test_decryption_side(self, output, block):
+        dec = identity_except(block, output, "decrypt")
+        with pytest.raises(ConsistencyFailureError, match=rf"output {output} for block {block} "):
+            recover("cpcc", identity_oracle(), dec)
+
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    @pytest.mark.parametrize("output", [64, -1])
+    def test_spot_checked_block(self, mode, output):
+        # a block that none of the attack queries (0 and the unit vectors) asks
+        block = next(v for v in spot_check_blocks(0, 64) if v & (v - 1))
+        with pytest.raises(ConsistencyFailureError, match=rf"output {output} for block {block} "):
+            recover(mode, identity_except(block, output))
+
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    def test_negative_outputs_do_not_wrap(self, mode):
+        # coords[y - 64] is coords[y]: read through the wrap, this oracle
+        # looks like the identity on every query and spot check
+        with pytest.raises(ConsistencyFailureError, match=r"output -64 for block 0 "):
+            recover(mode, Oracle(lambda x: x - 64, "encrypt"))
+
 
 class TestReconstructCpcc:
     def test_identity_oracles(self):
@@ -179,6 +260,37 @@ class TestGlobalDeduction:
         verify_global_deduction(repr_, oracle, transcript)
         assert oracle.query_count == 7
         assert oracle.verification_count == 64 + 3  # full sweep plus spot checks
+
+    def test_adds_one_verification_query_per_block(self):
+        spec = builtin_toy_spec()
+        oracle = encryption_oracle(spec, 30)
+        repr_, transcript = reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
+        log = list(oracle.log)
+        for sweep in (1, 2):
+            report = verify_global_deduction(repr_, oracle, transcript)
+            assert report.verified_blocks == 64
+            assert oracle.verification_count == SPOT_CHECKS + 64 * sweep
+            assert oracle.query_count == 7
+            assert oracle.log == log
+
+    def test_one_corrupted_table_entry_is_one_mismatch(self):
+        spec = builtin_toy_spec()
+        oracle = encryption_oracle(spec, 17)
+        repr_, transcript = reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
+        table = repr_.forward_table()
+        table[45] ^= 0b100
+        report = verify_global_deduction(repr_, oracle, transcript)
+        assert report.mismatches == 1
+        assert not report.ok
+
+    @pytest.mark.parametrize("output", [64, -1, -64])
+    def test_output_outside_the_state_is_a_mismatch(self, output):
+        repr_, transcript = reconstruct_cp(
+            identity_oracle(), toy_state_sum(), toy_coordinate_basis()
+        )
+        report = verify_global_deduction(repr_, identity_except(63, output), transcript)
+        assert report.verified_blocks == 64
+        assert report.mismatches == 1
 
 
 def reference_apply(repr_: AffineRepr, v: int) -> int:

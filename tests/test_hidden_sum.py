@@ -389,6 +389,49 @@ class TestCoordinates:
             CoordinateMap(toy_brick_sum(), (1, 2))
 
 
+def fresh_brick_sum() -> HiddenSum:
+    """The bundled brick sum as a new object, so that its memo starts empty."""
+    return HiddenSum(RegularGroup.build(toy_generators()))
+
+
+def coordinate_table(cm: HiddenSum) -> list[int]:
+    return [cm.coords(x) for x in range(1 << cm.width)]
+
+
+class TestInBasis:
+    def test_one_object_per_sum_and_basis(self):
+        hs = fresh_brick_sum()
+        cm = hs.in_basis((1, 2, 4))
+        assert hs.in_basis([1, 2, 4]) is cm
+        assert coordinate_table(cm) == coordinate_table(CoordinateMap(hs, (1, 2, 4)))
+        # an equal sum built separately keeps its own memo
+        twin = fresh_brick_sum()
+        assert twin == hs
+        assert twin.in_basis((1, 2, 4)) is not cm
+
+    def test_another_basis_gets_another_map(self):
+        hs = fresh_brick_sum()
+        cm, other = hs.in_basis((1, 2, 4)), hs.in_basis((4, 2, 1))
+        assert other is not cm
+        assert other.basis == (4, 2, 1)
+        assert coordinate_table(other) == coordinate_table(CoordinateMap(hs, (4, 2, 1)))
+        assert coordinate_table(other) != coordinate_table(cm)
+        assert hs.in_basis((1, 2, 4)) is cm
+        assert hs.in_basis((4, 2, 1)) is other
+
+    @pytest.mark.parametrize("basis", [(1, 2, 3), (1, 2), (1, 2, 4, 0)])
+    def test_bad_basis_raises_every_call_and_is_never_kept(self, basis):
+        hs = fresh_brick_sum()
+        for _ in range(3):
+            with pytest.raises(BasisError):
+                hs.in_basis(basis)
+        assert hs._rebased == {}
+        assert hs.in_basis((1, 2, 4)).basis == (1, 2, 4)
+        with pytest.raises(BasisError):
+            hs.in_basis(basis)
+        assert list(hs._rebased) == [(1, 2, 4)]
+
+
 class TestEnumeration:
     def test_width_three_count_frozen(self):
         groups = enumerate_regular_groups(3)

@@ -12,8 +12,10 @@ exp/log power maps with Horner tabulation of x^d and with square-and-
 multiply at every point, Ben-Or's irreducibility test with trial division,
 the APN test from image sizes with the full difference table, the coset
 test that rejects sizes other than 2^k with the span and closure tests,
-and the pivot-table span kernel with the insertion-sort kernel.  The
-references are the former library code, kept here unchanged.
+the pivot-table span kernel with the insertion-sort kernel, and the
+Gauss-Jordan elimination behind rank and inverse with the former one
+that searched for pivots with a generator.  The references are the
+former library code, kept here unchanged.
 """
 
 import itertools
@@ -37,7 +39,9 @@ from hiddensums.corpus import (
 )
 from hiddensums.gf2 import (
     AffineSubspace,
+    BinMatrix,
     FieldSpec,
+    SingularMatrixError,
     Subspace,
     _poly_mod,
     dot,
@@ -143,6 +147,23 @@ def reference_span_basis(vectors) -> tuple[int, ...]:
             if basis[j] ^ basis[i] < basis[j]:
                 basis[j] ^= basis[i]
     return tuple(basis)
+
+
+def reference_eliminate(m: BinMatrix) -> tuple[int, list[int]]:
+    """Gauss-Jordan on [m | I]; returns (rank, reduced augmented rows)."""
+    n = m.size
+    aug = [m.rows[i] | (1 << (n + i)) for i in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if (aug[r] >> col) & 1), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        for r in range(n):
+            if r != rank and (aug[r] >> col) & 1:
+                aug[r] ^= aug[rank]
+        rank += 1
+    return rank, aug
 
 
 def reference_from_power(d: int, fs: FieldSpec) -> VBF:
@@ -454,6 +475,44 @@ def test_span_basis_of_out_of_width_vectors():
     vectors = [1, 2, 4, 3, 8, 1 << 9, 5, (1 << 9) | 1]
     assert span_basis(vectors) == reference_span_basis(vectors) == (1 << 9, 8, 4, 2, 1)
     assert Subspace([8, 1, 2], 3).orthogonal_complement() == Subspace([4], 3)
+
+
+def assert_elimination_matches_reference(rows) -> int:
+    """Rank, reduced rows, and the inverse or the singular rank, each read
+    from a new matrix so that nothing is cached; returns the rank."""
+    n = len(rows)
+    rank, aug = reference_eliminate(BinMatrix(rows))
+    assert BinMatrix(rows)._eliminate() == (rank, aug), rows
+    assert BinMatrix(rows).rank() == rank
+    if rank == n:
+        inverse = BinMatrix(rows).inverse()
+        assert inverse.rows == tuple((a >> n) & ((1 << n) - 1) for a in aug), rows
+    else:
+        with pytest.raises(SingularMatrixError) as exc:
+            BinMatrix(rows).inverse()
+        assert (exc.value.rank, exc.value.size) == (rank, n)
+    return rank
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_elimination_matches_reference_on_every_matrix(n):
+    ranks = [0] * (n + 1)
+    for rows in itertools.product(range(1 << n), repeat=n):
+        ranks[assert_elimination_matches_reference(rows)] += 1
+    # the number of n x n matrices of each rank over F_2, n = 3 and 4
+    assert ranks == {3: [1, 49, 294, 168], 4: [1, 225, 7350, 37800, 20160]}[n]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_elimination_matches_reference_on_random_matrices(n):
+    rng = random.Random(n)
+    singular = 0
+    for _ in range(400):
+        rows = [rng.randrange(1 << n) for _ in range(n)]
+        if rng.random() < 0.25:
+            rows[rng.randrange(n)] = rows[rng.randrange(n)] ^ rows[rng.randrange(n)]
+        singular += assert_elimination_matches_reference(rows) < n
+    assert 50 < singular < 350
 
 
 FIELDS = [FieldSpec(1, 0b10), FieldSpec(1, 0b11), FieldSpec(2, 0b111)] + [
