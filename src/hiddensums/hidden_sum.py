@@ -267,11 +267,11 @@ class HiddenSum:
     def mismatch(
         self, f: Callable[[int], int], matrix: BinMatrix, t: int, points: Iterable[int]
     ) -> int | None:
-        """The first of the points where coords(f(v)) is not coords(v)*M + t."""
-        image = matrix.affine_table(t)  # image[c] = c*M + t
+        """The first of the points where coords(f(v)) is not coords(v)*M + t,
+        one matrix product per point."""
         coords = self._by_element
         for v in points:
-            if coords[f(v)] != image[coords[v]]:
+            if coords[f(v)] != matrix.apply(coords[v]) ^ t:
                 return v
         return None
 
@@ -425,12 +425,14 @@ def check_uV_subgroup(hs: HiddenSum, u: int) -> bool:
 
 def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     """Whether the permutation is affine for the hidden sum: in the sum's
-    coordinates it must be v |-> v*M + t at all 2^d points."""
+    coordinates it must be v |-> v*M + t at all 2^d points, read off one
+    table of c*M + t built by doubling."""
     n = 1 << hs.width
     if len(g_table) != n or set(g_table) != set(range(n)):
         raise ValueError("membership test requires a bijective table on the space")
-    g = g_table.__getitem__
-    return hs.mismatch(g, *hs.read_affine(g), range(n)) is None
+    matrix, t = hs.read_affine(g_table.__getitem__)
+    image, coords = matrix.affine_table(t), hs._by_element
+    return all(coords[y] == image[c] for c, y in zip(coords, g_table))
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
@@ -471,14 +473,18 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     are found by backtracking over the structure constants e_i*e_j, i < j,
     pruned as soon as a basis triple breaks associativity.  Column tables
     hold u*e_k for every u, kept current one XOR per entry as constants
-    are set, so a triple's terms (e_a*e_b)*e_c are single lookups; the
-    triples that contain both indices of the pair just set, which reject
-    most candidates, are tested first.  The element sending 0 to y is
-    x |-> x(I + delta_y) + y, where row i of delta_y is e_i*y.
-    Generators are chosen greedily, each the smallest element (by
+    are set, so a triple's terms (e_a*e_b)*e_c are single lookups.  Before
+    any entry is filled, a value v for e_i*e_j is dropped if the tables
+    already decide that v*e_i or v*e_j is not 0, as the triples (i, i, j)
+    and (i, j, j) demand; of the rest, the triples that contain both i
+    and j, which reject most candidates, are tested first.  The element
+    sending 0 to y is x |-> x(I + delta_y) + y, where row i of delta_y is
+    e_i*y.  Generators are chosen greedily, each the smallest element (by
     AffineMap.encode) not yet generated.  Returned in a canonical order
     and cached.
     """
+    if width < 1:
+        raise ValueError(f"brick width {width} is not positive")
     if width > MAX_BRICK_WIDTH:
         raise ValueError(
             f"regular-group enumeration is exhaustive only up to width {MAX_BRICK_WIDTH}"
@@ -531,10 +537,19 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
             return
         i, j, triples = steps[s]
         row_i, row_j, col_i, col_j = mul[i], mul[j], col[i], col[j]
+        bit_i, bit_j = 1 << i, 1 << j
         # u*e_j for u holding bit i is (u + e_i)*e_j + v, and the same with
         # i and j swapped; the entries without that bit do not change here
-        fill_j, fill_i = fillable(col_j, 1 << i), fillable(col_i, 1 << j)
-        for v in range(n):
+        fill_j, fill_i = fillable(col_j, bit_i), fillable(col_i, bit_j)
+        # v*e_i = v*e_j = 0, the triples (i, i, j) and (i, j, j): v*e_i is
+        # (v + e_j)*e_i + v once set if v holds bit j, and col_i[v] if not
+        candidates = [
+            v
+            for v in range(n)
+            if (col_i[v ^ bit_j] in (None, v) if v & bit_j else col_i[v] in (None, 0))
+            and (col_j[v ^ bit_i] in (None, v) if v & bit_i else col_j[v] in (None, 0))
+        ]
+        for v in candidates:
             row_i[j] = row_j[i] = v
             for u, w in fill_j:
                 col_j[u] = w ^ v
@@ -563,24 +578,34 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     return tuple(sorted(groups, key=RegularGroup.encode))
 
 
+def triple_products_vanish(hs: HiddenSum) -> bool:
+    """Whether every XOR translation is affine for the sum, read off its
+    ring as x*y*a = 0 for all x, y and a.
+
+    Proof: translation by a is affine exactly when
+    g(x) = (x + a) # a = x + x*a (using a*a = 0) is additive for #, and
+    expanding with x # y = x + y + x*y in the commutative, associative
+    ring of characteristic 2 gives g(x # y) = g(x) # g(y) + x*y*a.  The
+    triple product is trilinear, so basis triples e_i*e_j*e_k decide it;
+    as e_i*e_i = 0 and the product commutes, the pairs i < j suffice.
+    """
+    units = [1 << i for i in range(hs.width)]
+    return not any(
+        ring_product(hs, ring_product(hs, a, b), c)
+        for a, b in itertools.combinations(units, 2)
+        for c in units
+    )
+
+
 @lru_cache(maxsize=None)
 def translation_compatible_sums(width: int) -> tuple[HiddenSum, ...]:
-    """Hidden sums on one brick for which all XOR translations are affine.
-
-    Translation by a is affine for the sum exactly when x*y*a = 0 for all
-    x and y in its ring.  At widths up to 4 every enumerated sum has
+    """Hidden sums on one brick for which all XOR translations are affine,
+    by triple_products_vanish.  At widths up to 4 every enumerated sum has
     vanishing triple products, so all pass; wider bricks can fail, which
     is why the filter stays.
     """
-    keep = []
-    for group in enumerate_regular_groups(width):
-        hs = HiddenSum(group)
-        if all(
-            agl_membership(xor_translation_table(width, 1 << i), hs)
-            for i in range(width)
-        ):
-            keep.append(hs)
-    return tuple(keep)
+    sums = (HiddenSum(group) for group in enumerate_regular_groups(width))
+    return tuple(hs for hs in sums if triple_products_vanish(hs))
 
 
 def find_hidden_sums(
@@ -595,6 +620,11 @@ def find_hidden_sums(
     supplied generators are then tested at full width, and survivors get
     a final full-width translation re-check.
     """
+    if not brick_widths:
+        raise ValueError("need at least one brick")
+    for w in brick_widths:
+        if not 1 <= w <= MAX_BRICK_WIDTH:
+            raise ValueError(f"brick width {w} is outside 1..{MAX_BRICK_WIDTH}")
     total = sum(brick_widths)
     n = 1 << total
     for table in round_generators:

@@ -493,6 +493,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_regular_groups(5)
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_refused(self, width):
+        with pytest.raises(ValueError, match=f"brick width {width} "):
+            enumerate_regular_groups(width)
+
     def test_width_one(self):
         groups = enumerate_regular_groups(1)
         assert len(groups) == 1
@@ -525,6 +530,16 @@ class TestSearch:
     def test_non_bijective_generator_rejected(self):
         with pytest.raises(ValueError):
             find_hidden_sums([[0] * 64], [3, 3])
+
+    @pytest.mark.parametrize("widths, bad", [([3, -3, 6], -3), ([3, 0, 3], 0), ([1, 5], 5)])
+    def test_brick_width_outside_range_refused(self, widths, bad):
+        # each list adds up to 6 bits, so the bijective table fits it
+        with pytest.raises(ValueError, match=f"brick width {bad} is outside 1..4"):
+            find_hidden_sums([builtin_toy_spec().core_table()], widths)
+
+    def test_no_bricks_refused(self):
+        with pytest.raises(ValueError, match="at least one brick"):
+            find_hidden_sums([[0]], [])
 
 
 class TestGroupSpecFiles:

@@ -5,8 +5,10 @@ search it replaced, its column tables with the bit sums they replaced,
 the direct involution test with composition, the brickwise product tables with the product built
 from the embedded affine maps, the coordinate affinity test with the
 pair scan, the doubling coordinate tables with the bit loop, the sum
-built from generators alone with the group's own elements, and equality
-and order by structure constants with those of the op tables.  The
+built from generators alone with the group's own elements, equality
+and order by structure constants with those of the op tables, the
+triple-product translation filter with membership of the translations,
+and the per-point spot check with the doubling table.  The
 references are the former library code, kept here as unchanged as the
 current API allows.
 """
@@ -38,8 +40,10 @@ from hiddensums.hidden_sum import (
     find_hidden_sums,
     kappa,
     parse_group_spec,
+    check_ring_axioms,
     product_sum,
     translation_compatible_sums,
+    triple_products_vanish,
     xor_translation_table,
 )
 
@@ -525,3 +529,115 @@ def test_twelve_bit_identity_in_milliseconds():
         seconds.append(time.perf_counter() - start)
     assert same and a != c
     assert min(seconds) < 0.01
+
+
+def reference_translation_filter(hs) -> bool:
+    """Whether every XOR translation is affine for the sum: the translations
+    by the unit vectors, each put through agl_membership."""
+    return all(
+        agl_membership(xor_translation_table(hs.width, 1 << i), hs)
+        for i in range(hs.width)
+    )
+
+
+def sum_from_constants(width, constants):
+    """The sum of the commutative, associative product with x*x = 0 whose
+    structure constants e_i*e_j, i < j, are constants[(i, j)] (0 if
+    absent): the element sending 0 to y is x |-> x(I + delta_y) + y."""
+
+    def times(u, k):
+        out = 0
+        for i in range(width):
+            if u >> i & 1 and i != k:
+                out ^= constants.get((min(i, k), max(i, k)), 0)
+        return out
+
+    elements = [
+        AffineMap(BinMatrix([(1 << i) ^ times(y, i) for i in range(width)]), y)
+        for y in range(1 << width)
+    ]
+    generators = [elements[1 << i] for i in range(width)]
+    return HiddenSum(RegularGroup(width, generators, elements))
+
+
+def free_algebra_sums():
+    """The algebra on a, b, c (bits 0-2) with ab, ac, bc (bits 3-5) and
+    x*x = 0, whose triple products vanish; and the same with abc (bit 6),
+    where a*b*c does not vanish, also with its bits in reverse order."""
+    pairs = {(0, 1): 1 << 3, (0, 2): 1 << 4, (1, 2): 1 << 5}
+    cubes = {**pairs, (0, 5): 1 << 6, (1, 4): 1 << 6, (2, 3): 1 << 6}
+    flip = {
+        (6 - j, 6 - i): int(f"{v:07b}"[::-1], 2) for (i, j), v in cubes.items()
+    }
+    kept = sum_from_constants(6, pairs)
+    return kept, [sum_from_constants(7, cubes), sum_from_constants(7, flip)]
+
+
+def test_triple_products_match_translation_membership():
+    """The filter's verdict equals the membership test's on every
+    enumerated sum, kept or not, and on sums whose triple products do
+    and do not vanish."""
+    verdicts = []
+    for width in range(1, MAX_BRICK_WIDTH + 1):
+        for hs in sums(width):
+            verdict = triple_products_vanish(hs)
+            assert verdict == reference_translation_filter(hs)
+            verdicts.append(verdict)
+        assert translation_compatible_sums(width) == tuple(
+            hs for hs in sums(width) if reference_translation_filter(hs)
+        )
+    # at widths up to 4 no sum is filtered out
+    assert verdicts == [True] * (1 + 1 + 8 + 106)
+    kept, dropped = free_algebra_sums()
+    assert all(check_ring_axioms(hs).ok for hs in [kept, *dropped])
+    assert triple_products_vanish(kept) and reference_translation_filter(kept)
+    for hs in dropped:
+        assert not triple_products_vanish(hs)
+        assert not reference_translation_filter(hs)
+
+
+def reference_mismatch(hs, f, matrix, t, points):
+    """The first of the points where coords(f(v)) is not coords(v)*M + t,
+    read off one doubling table of c*M + t."""
+    image = matrix.affine_table(t)
+    coords = hs._by_element
+    for v in points:
+        if coords[f(v)] != image[coords[v]]:
+            return v
+    return None
+
+
+def test_spot_check_matches_doubling_table():
+    """On seeded random M, t and maps f that are v*M + t in coordinates
+    except at a few corrupted points, the per-point spot check finds the
+    same first mismatch as the doubling table; and agl_membership, which
+    keeps the table, agrees with the spot check over all points."""
+    rng = random.Random(1616)
+    pool = toy_search_sums()[::7] + sums(3) + sums(4)[::9]
+    found, verdicts = 0, set()
+    for k in range(600):
+        hs = pool[k % len(pool)]
+        n = 1 << hs.width
+        matrix = BinMatrix([rng.randrange(n) for _ in range(hs.width)])
+        # every other M invertible, so that f is often a permutation
+        while k % 2 and not matrix.is_invertible():
+            matrix = BinMatrix([rng.randrange(n) for _ in range(hs.width)])
+        t = rng.randrange(n)
+        table = hs.affine_function(matrix, t)
+        for _ in range(rng.randrange(3)):
+            if k % 4 == 1:  # a swap keeps a permutation one
+                a, b = rng.sample(range(n), 2)
+                table[a], table[b] = table[b], table[a]
+            else:
+                table[rng.randrange(n)] = rng.randrange(n)
+        f = table.__getitem__
+        for points in (range(n), rng.sample(range(n), 3)):
+            first = hs.mismatch(f, matrix, t, points)
+            assert first == reference_mismatch(hs, f, matrix, t, points)
+            found += first is not None
+        if sorted(table) == list(range(n)):
+            verdict = agl_membership(table, hs)
+            assert verdict == (hs.mismatch(f, *hs.read_affine(f), range(n)) is None)
+            verdicts.add(verdict)
+    # both outcomes occur, for the spot check and for membership
+    assert 0 < found < 1200 and verdicts == {True, False}
