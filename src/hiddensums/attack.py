@@ -249,7 +249,7 @@ class DeductionReport:
 
 
 def verify_global_deduction(
-    repr_: AffineRepr, enc_oracle: Oracle, transcript: AttackTranscript | None = None
+    repr_: AffineRepr, enc_oracle: Oracle, transcript: AttackTranscript
 ) -> DeductionReport:
     """Compare the reconstruction against the oracle on every block.
 
@@ -262,6 +262,6 @@ def verify_global_deduction(
     return DeductionReport(
         verified_blocks=len(outputs),
         mismatches=mismatches,
-        enc_queries=transcript.encryption_count if transcript else enc_oracle.query_count,
-        dec_queries=transcript.decryption_count if transcript else 0,
+        enc_queries=transcript.encryption_count,
+        dec_queries=transcript.decryption_count,
     )

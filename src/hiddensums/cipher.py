@@ -270,8 +270,8 @@ def toy_state_sum() -> HiddenSum:
 
 
 def toy_coordinate_basis() -> tuple[int, ...]:
-    """Unit vectors; they generate the bundled state sum freely."""
-    return tuple(1 << i for i in range(6))
+    """The bundled state sum's own basis, the unit vectors."""
+    return toy_state_sum().basis
 
 
 def toy_brick_coords(x: int) -> int:

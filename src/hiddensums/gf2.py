@@ -13,9 +13,8 @@ x^3 + x + 1.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def dot(a: int, b: int) -> int:
@@ -36,14 +35,6 @@ def vec_from_str(s: str) -> int:
             v |= 1 << i
         elif c != "0":
             raise ValueError(f"invalid bit character {c!r}")
-    return v
-
-
-def vec_from_tuple(bits: Iterable[int]) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if b:
-            v |= 1 << i
     return v
 
 
@@ -89,9 +80,6 @@ class BinMatrix:
             raise ValueError("matrix text is not square")
         return cls(rows)
 
-    def to_text(self) -> str:
-        return "\n".join(vec_to_str(r, self.size) for r in self.rows)
-
     def apply(self, x: int) -> int:
         """Row vector times matrix: XOR of the rows selected by x's bits."""
         if x < 0 or x >> self.size:
@@ -116,12 +104,6 @@ class BinMatrix:
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
         return BinMatrix([other.apply(r) for r in self.rows])
-
-    def transpose(self) -> BinMatrix:
-        n = self.size
-        return BinMatrix(
-            [vec_from_tuple((self.rows[i] >> j) & 1 for i in range(n)) for j in range(n)]
-        )
 
     def _eliminate(self) -> tuple[int, list[int]]:
         """Gauss-Jordan on [self | I]; returns (rank, reduced augmented rows)."""
@@ -245,14 +227,6 @@ class Subspace:
     def __contains__(self, v: int) -> bool:
         return not span_reduce(self.basis, v)
 
-    def elements(self) -> Iterator[int]:
-        for picks in itertools.product((0, 1), repeat=self.dim):
-            v = 0
-            for take, b in zip(picks, self.basis):
-                if take:
-                    v ^= b
-            yield v
-
     @classmethod
     def _from_echelon(cls, basis: tuple[int, ...], width: int) -> Subspace:
         """A subspace whose reduced echelon basis is already known."""
@@ -323,10 +297,6 @@ class AffineSubspace:
 
     def __contains__(self, v: int) -> bool:
         return (v ^ self.base) in self.space
-
-    def elements(self) -> Iterator[int]:
-        for w in self.space.elements():
-            yield w ^ self.base
 
     def __eq__(self, other: object) -> bool:
         return (

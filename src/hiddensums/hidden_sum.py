@@ -57,10 +57,6 @@ class AffineMap:
     def identity(cls, width: int) -> AffineMap:
         return cls(BinMatrix.identity(width), 0)
 
-    @classmethod
-    def translation_by(cls, width: int, t: int) -> AffineMap:
-        return cls(BinMatrix.identity(width), t)
-
     @property
     def width(self) -> int:
         return self.matrix.size
@@ -74,10 +70,6 @@ class AffineMap:
             self.matrix @ other.matrix,
             other.matrix.apply(self.translation) ^ other.translation,
         )
-
-    def inverse(self) -> AffineMap:
-        minv = self.matrix.inverse()
-        return AffineMap(minv, minv.apply(self.translation))
 
     def is_involution(self) -> bool:
         """M*M = I and t*M = t, the conditions for self.then(self) to be
@@ -169,12 +161,6 @@ class RegularGroup:
                 f"orbit of 0 has {len(by_image)} points, expected {cap}"
             )
         return cls(width, generators, [by_image[v] for v in range(cap)])
-
-    @classmethod
-    def translations(cls, width: int) -> RegularGroup:
-        """The ordinary translation group, whose induced sum is XOR."""
-        gens = [AffineMap.translation_by(width, 1 << i) for i in range(width)]
-        return cls.build(gens)
 
     def encode(self) -> tuple:
         return tuple(e.encode() for e in self.elements)
@@ -304,13 +290,16 @@ class CoordinateMap(HiddenSum):
     """The hidden sum hs, with its coordinates taken in another basis.
 
     The op is hs's; coords and element change with the basis, which must
-    generate the sum freely (BasisError otherwise).  hs.in_basis(basis)
-    builds one per basis and keeps it on hs.
+    be ints of the space that generate the sum freely (BasisError
+    otherwise).  hs.in_basis(basis) builds one per basis and keeps it on hs.
     """
 
     def __init__(self, hs: HiddenSum, basis: Sequence[int]):
         if len(basis) != hs.width:
             raise BasisError(f"need exactly {hs.width} basis vectors")
+        for b in basis:
+            if not isinstance(b, int) or b < 0 or b >> hs.width:
+                raise BasisError(f"basis vector {b!r} is not in the {hs.width}-bit space")
         # x # b is an XOR in the sum's own coordinates, read back through them
         coords, element = hs._by_element, hs._by_coeff
         by_coeff = [0]
@@ -461,7 +450,7 @@ MAX_BRICK_WIDTH = 4
 MAX_VERIFY_WIDTH = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     """All regular groups of affine involutions on (F_2)^width.
 
@@ -481,10 +470,11 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     sending 0 to y is x |-> x(I + delta_y) + y, where row i of delta_y is
     e_i*y.  Generators are chosen greedily, each the smallest element (by
     AffineMap.encode) not yet generated.  Returned in a canonical order
-    and cached.
+    and cached by value and type, so 3.0 or True never reads the entry of
+    3 or 1.
     """
-    if width < 1:
-        raise ValueError(f"brick width {width} is not positive")
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise ValueError(f"brick width {width!r} is not a positive int")
     if width > MAX_BRICK_WIDTH:
         raise ValueError(
             f"regular-group enumeration is exhaustive only up to width {MAX_BRICK_WIDTH}"
@@ -597,7 +587,7 @@ def triple_products_vanish(hs: HiddenSum) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def translation_compatible_sums(width: int) -> tuple[HiddenSum, ...]:
     """Hidden sums on one brick for which all XOR translations are affine,
     by triple_products_vanish.  At widths up to 4 every enumerated sum has
@@ -623,8 +613,8 @@ def find_hidden_sums(
     if not brick_widths:
         raise ValueError("need at least one brick")
     for w in brick_widths:
-        if not 1 <= w <= MAX_BRICK_WIDTH:
-            raise ValueError(f"brick width {w} is outside 1..{MAX_BRICK_WIDTH}")
+        if isinstance(w, bool) or not isinstance(w, int) or not 1 <= w <= MAX_BRICK_WIDTH:
+            raise ValueError(f"brick width {w!r} is outside 1..{MAX_BRICK_WIDTH}")
     total = sum(brick_widths)
     n = 1 << total
     for table in round_generators:

@@ -324,14 +324,14 @@ def check_attack() -> str:
 
 def check_search_falsification() -> str:
     toy = cipher.builtin_toy_spec()
-    found = hidden_sum.find_hidden_sums([toy.core_table()], [3, 3])
+    found = hidden_sum.find_hidden_sums([toy.core_table()], [b.m for b in toy.bricks])
     _require(bool(found), "search found no hidden sum for the bundled cipher")
     _require(
         any(s == cipher.toy_state_sum() for s in found),
         "bundled hidden sum missing from the search results",
     )
     swapped = cipher.inverse_brick_spec()
-    found_inv = hidden_sum.find_hidden_sums([swapped.core_table()], [3, 3])
+    found_inv = hidden_sum.find_hidden_sums([swapped.core_table()], [b.m for b in swapped.bricks])
     _require(
         not found_inv,
         f"inversion-brick cipher admits {len(found_inv)} hidden sums, expected none",

@@ -55,9 +55,6 @@ class VBF:
         # direction a -> (|Im D_a f|, affine hull of Im D_a f) under XOR
         self._derivatives: dict[int, tuple[int, AffineSubspace]] = {}
 
-    def __call__(self, x: int) -> int:
-        return self.table[x]
-
     @property
     def is_permutation(self) -> bool:
         if self._is_permutation is None:
@@ -365,15 +362,6 @@ def ea_transform(f: VBF, outer, inner, added) -> VBF:
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
-
-
-def dump_sbox(f: VBF) -> str:
-    """Text form: header 'm=<int> n=<int>', then 2^m hex outputs, input
-    index ascending."""
-    digits = max(1, (f.n + 3) // 4)
-    lines = [f"m={f.m} n={f.n}"]
-    lines += [format(y, f"0{digits}x") for y in f.table]
-    return "\n".join(lines) + "\n"
 
 
 def load_sbox(text: str) -> VBF:

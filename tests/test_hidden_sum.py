@@ -53,6 +53,11 @@ def toy_generators():
     return parse_group_spec(TOY_GROUP_SPEC)
 
 
+def xor_group(width):
+    """The XOR translations, whose induced sum is XOR itself."""
+    return RegularGroup.build([AffineMap(BinMatrix.identity(width), 1 << i) for i in range(width)])
+
+
 class TestAffineMap:
     def test_apply_and_compose(self):
         g = AffineMap(BinMatrix([0b001, 0b010, 0b110]), 0b100)
@@ -62,22 +67,15 @@ class TestAffineMap:
         x = 0b011
         assert g.then(g).apply(x) == g.apply(g.apply(x))
 
-    def test_inverse(self):
-        g = AffineMap(BinMatrix([0b011, 0b010, 0b100]), 0b101)
-        gi = g.inverse()
-        for x in range(8):
-            assert gi.apply(g.apply(x)) == x
-            assert g.apply(gi.apply(x)) == x
-
     def test_translation_fixture(self):
-        t = AffineMap.translation_by(4, 0b1001)
+        t = AffineMap(BinMatrix.identity(4), 0b1001)
         assert t.apply(0) == 0b1001
         assert t.is_involution()
 
 
 class TestBuildGroup:
     def test_translation_group_is_xor(self):
-        group = RegularGroup.translations(3)
+        group = xor_group(3)
         hs = HiddenSum(group)
         for x in range(8):
             for y in range(8):
@@ -205,7 +203,7 @@ class TestKappa:
                 assert hs.op(x, y) == kappa(hs, y).apply(x) ^ y
 
     def test_homomorphism_translation_group(self):
-        assert check_kappa_homomorphism(HiddenSum(RegularGroup.translations(3)))
+        assert check_kappa_homomorphism(HiddenSum(xor_group(3)))
 
     def test_homomorphism_toy(self):
         assert check_kappa_homomorphism(toy_brick_sum())
@@ -232,13 +230,13 @@ class TestKappa:
 
 class TestU:
     def test_translation_group_full_space(self):
-        u = compute_U(HiddenSum(RegularGroup.translations(3)))
+        u = compute_U(HiddenSum(xor_group(3)))
         assert len(u) == 8
 
     def test_toy_agreement_subspace(self):
         u = compute_U(toy_brick_sum())
         assert 0b010 in u
-        assert sorted(u.elements()) == [0, 0b010]
+        assert [v for v in range(8) if v in u] == [0, 0b010]
         assert len(u) >= 2
 
 
@@ -258,7 +256,7 @@ class TestRing:
         assert report.nilpotency_index == 3
 
     def test_translation_ring_is_trivial(self):
-        report = check_ring_axioms(HiddenSum(RegularGroup.translations(3)))
+        report = check_ring_axioms(HiddenSum(xor_group(3)))
         assert report.ok
         assert report.nilpotency_index == 2
 
@@ -300,7 +298,7 @@ class TestMembership:
 
 class TestProductSum:
     def test_two_translation_groups(self):
-        xor3 = HiddenSum(RegularGroup.translations(3))
+        xor3 = HiddenSum(xor_group(3))
         prod = product_sum([xor3, xor3])
         assert prod.width == 6
         for x in range(64):
@@ -388,6 +386,12 @@ class TestCoordinates:
         with pytest.raises(BasisError):
             CoordinateMap(toy_brick_sum(), (1, 2))
 
+    @pytest.mark.parametrize("bad", [-32, 64, 32.0])
+    def test_vector_outside_the_space_rejected(self, bad):
+        # negative indexing would read -32 as 32 and keep it in the basis
+        with pytest.raises(BasisError, match=f"basis vector {bad!r} is not in the 6-bit space"):
+            CoordinateMap(toy_state_sum(), (1, 2, 4, 8, 16, bad))
+
 
 def fresh_brick_sum() -> HiddenSum:
     """The bundled brick sum as a new object, so that its memo starts empty."""
@@ -419,7 +423,7 @@ class TestInBasis:
         assert hs.in_basis((1, 2, 4)) is cm
         assert hs.in_basis((4, 2, 1)) is other
 
-    @pytest.mark.parametrize("basis", [(1, 2, 3), (1, 2), (1, 2, 4, 0)])
+    @pytest.mark.parametrize("basis", [(1, 2, 3), (1, 2), (1, 2, 4, 0), (1, 2, -4)])
     def test_bad_basis_raises_every_call_and_is_never_kept(self, basis):
         hs = fresh_brick_sum()
         for _ in range(3):
@@ -439,11 +443,19 @@ class TestEnumeration:
 
     def test_translation_group_included(self):
         groups = enumerate_regular_groups(3)
-        assert any(g == RegularGroup.translations(3) for g in groups)
+        assert any(g == xor_group(3) for g in groups)
 
     def test_toy_group_included(self):
         groups = enumerate_regular_groups(3)
         assert any(HiddenSum(g) == toy_brick_sum() for g in groups)
+
+    @pytest.mark.parametrize("width", [3.0, True, "3"])
+    def test_width_not_an_int_refused(self, width):
+        # even once the int of the same value is cached
+        for search in (enumerate_regular_groups, translation_compatible_sums):
+            search(int(width))
+            with pytest.raises(ValueError, match=f"brick width {width!r} is not a positive int"):
+                search(width)
 
     def test_all_groups_verify(self):
         for g in enumerate_regular_groups(3):
@@ -531,7 +543,10 @@ class TestSearch:
         with pytest.raises(ValueError):
             find_hidden_sums([[0] * 64], [3, 3])
 
-    @pytest.mark.parametrize("widths, bad", [([3, -3, 6], -3), ([3, 0, 3], 0), ([1, 5], 5)])
+    @pytest.mark.parametrize(
+        "widths, bad",
+        [([3, -3, 6], -3), ([3, 0, 3], 0), ([1, 5], 5), ([3.0, 3.0], 3.0), ([True, 2, 3], True)],
+    )
     def test_brick_width_outside_range_refused(self, widths, bad):
         # each list adds up to 6 bits, so the bijective table fits it
         with pytest.raises(ValueError, match=f"brick width {bad} is outside 1..4"):

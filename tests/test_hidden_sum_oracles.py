@@ -235,6 +235,11 @@ def reference_product_group(parts):
     return RegularGroup(total, generators, elements)
 
 
+def xor_group(width):
+    """The XOR translations, whose induced sum is XOR itself."""
+    return RegularGroup.build([AffineMap(BinMatrix.identity(width), 1 << i) for i in range(width)])
+
+
 def op_rows(hs):
     """Row y holds x # y for every x, read through hs.op."""
     n = 1 << hs.width
@@ -453,7 +458,7 @@ def oracle_groups():
     a redundant generator."""
     for width in range(1, MAX_BRICK_WIDTH + 1):
         yield from enumerate_regular_groups(width)
-    yield RegularGroup.translations(3)
+    yield xor_group(3)
     gens = parse_group_spec(TOY_GROUP_SPEC)
     yield RegularGroup.build(gens[:2] + [gens[0].then(gens[1])] + gens[2:])
 
@@ -521,7 +526,7 @@ def test_twelve_bit_identity_in_milliseconds():
     """hash and == read d^2 values, not the 4^d op table."""
     brick = toy_brick_sum()
     a, b = product_sum([brick] * 4), product_sum([brick] * 4)
-    c = product_sum([brick] * 3 + [HiddenSum(RegularGroup.translations(3))])
+    c = product_sum([brick] * 3 + [HiddenSum(xor_group(3))])
     seconds = []
     for _ in range(3):
         start = time.perf_counter()

@@ -22,7 +22,6 @@ from hiddensums.vbf import (
     derivative_hull,
     derivative_image,
     diff_uniformity,
-    dump_sbox,
     ea_transform,
     is_anti_crooked,
     is_apn,
@@ -270,7 +269,7 @@ class TestCosets:
     def test_hull_of_subspace_is_itself(self):
         points = {0b000, 0b011, 0b101, 0b110}
         hull = affine_hull(points, 3)
-        assert sorted(hull.elements()) == sorted(points)
+        assert {v for v in range(8) if v in hull} == points
 
 
 class TestCrookedness:
@@ -418,10 +417,6 @@ class TestEaTransform:
 
 
 class TestSboxFiles:
-    def test_round_trip(self):
-        f = brick()
-        assert load_sbox(dump_sbox(f)) == f
-
     def test_header_parsed(self):
         text = "m=2 n=3\n0\n7\n3\n5\n"
         f = load_sbox(text)
