@@ -25,34 +25,98 @@ from .vbf import VBF
 
 KeySchedule = Callable[[int, int], int]
 
+MAX_ROUNDS = 1000
 
-def rotating_key_schedule(width: int) -> KeySchedule:
+
+class WidthKeySchedule:
+    """A built-in key schedule on width-bit keys.  Besides ks(k, h) it gives
+    a key's whole round-key sequence in one call, round_keys(k, rounds).
+    Both refuse a key outside 0..2^width - 1."""
+
+    def __init__(self, width: int):
+        if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+            raise ValueError(f"key schedule width {width!r} is not a positive int")
+        self.width = width
+
+    def _check_key(self, k: int) -> int:
+        """2^width, once k is known to be a key of that width."""
+        n = 1 << self.width
+        if not 0 <= k < n:
+            raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
+        return n
+
+
+class RotatingKeySchedule(WidthKeySchedule):
+    """Round key = session key rotated left by the round index, so the
+    sequence repeats after width rounds."""
+
+    def __init__(self, width: int):
+        super().__init__(width)
+        self._shifts = range(width - 1, -1, -1)
+
+    def __call__(self, k: int, h: int) -> int:
+        n = self._check_key(k)
+        w = self.width
+        r = h % w
+        return ((k << r) | (k >> (w - r))) & (n - 1) if r else k
+
+    def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
+        n = self._check_key(k)
+        w = self.width
+        # k rotated left by h is bits w - h .. 2w - h - 1 of k | k << w;
+        # only the rotations the rounds reach are made, then tiled
+        both = k | (k << w)
+        cycle = tuple([(both >> s) & (n - 1) for s in self._shifts[:rounds]])
+        if rounds <= w:
+            return cycle
+        q, r = divmod(rounds, w)
+        return cycle * q + cycle[:r]
+
+
+class PermutedKeySchedule(WidthKeySchedule):
+    """Round key = seeded random permutation of the key space, one
+    permutation per round index.  The permutations of rounds 1..MAX_ROUNDS
+    are drawn on first use and kept; other indices are drawn per call."""
+
+    def __init__(self, width: int, seed: int):
+        super().__init__(width)
+        self.seed = seed
+        # perm_1, perm_2, ... laid end to end, so perm_h[k] is at
+        # (h - 1) * 2^width + k and a key's round keys are one strided slice
+        self._drawn: list[int] = []
+
+    def _permutation(self, h: int) -> list[int]:
+        rng = random.Random(self.seed * 1_000_003 + h)
+        p = list(range(1 << self.width))
+        rng.shuffle(p)
+        return p
+
+    def _draw(self, rounds: int) -> list[int]:
+        drawn, n = self._drawn, 1 << self.width
+        for h in range(len(drawn) // n + 1, rounds + 1):
+            drawn += self._permutation(h)
+        return drawn
+
+    def __call__(self, k: int, h: int) -> int:
+        n = self._check_key(k)
+        if not 1 <= h <= MAX_ROUNDS:
+            return self._permutation(h)[k]
+        return self._draw(h)[(h - 1) * n + k]
+
+    def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
+        n = self._check_key(k)
+        return tuple(self._draw(rounds)[k : rounds * n : n])
+
+
+def rotating_key_schedule(width: int) -> RotatingKeySchedule:
     """Round key = session key rotated left by the round index."""
-
-    def schedule(k: int, h: int) -> int:
-        r = h % width
-        mask = (1 << width) - 1
-        return ((k << r) | (k >> (width - r))) & mask if r else k
-
-    return schedule
+    return RotatingKeySchedule(width)
 
 
-def permuted_key_schedule(width: int, seed: int) -> KeySchedule:
+def permuted_key_schedule(width: int, seed: int) -> PermutedKeySchedule:
     """Round key = seeded random permutation of the key space, one
     permutation per round index."""
-    n = 1 << width
-
-    @lru_cache(maxsize=None)
-    def perm(h: int) -> tuple[int, ...]:
-        rng = random.Random(seed * 1_000_003 + h)
-        p = list(range(n))
-        rng.shuffle(p)
-        return tuple(p)
-
-    def schedule(k: int, h: int) -> int:
-        return perm(h)[k]
-
-    return schedule
+    return PermutedKeySchedule(width, seed)
 
 
 def block_outside_state(x: int, d: int) -> ValueError:
@@ -73,12 +137,17 @@ class CipherSpec:
     key's round keys once and reuses them for every block of that key.
     Session keys, round keys and blocks outside 0..2^d - 1 are refused
     with ValueError.
+    A schedule with a round_keys(k, rounds) method gives the whole sequence
+    in one call; a bare callable is called once per round.
     For d <= 8 the spec also holds the key's whole encryption function as
     a byte table, built by translating the identity through one fused
     round table per round, and its decryption table, inverted from it on
-    first use.  Wider states run the rounds block by block.  Either way
-    only the last key's round keys and tables are held, so memory does
-    not grow with the number of keys used.
+    first use.  When the round keys repeat every d rounds, as the
+    rotation's do, one period's table is raised to the power rounds // d
+    by repeated squaring, so a table costs O(d + log rounds)
+    translations.  Wider states run the rounds block by block.  Either
+    way only the last key's round keys and tables are held, so memory
+    does not grow with the number of keys used.
     """
 
     def __init__(
@@ -105,8 +174,12 @@ class CipherSpec:
             raise ValueError(f"mixing matrix must be {d}x{d}")
         if not mixing.is_invertible():
             raise ValueError("mixing matrix must be invertible")
-        if rounds < 1 or rounds > 1000:
-            raise ValueError("round count must be in 1..1000")
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or not 1 <= rounds <= MAX_ROUNDS:
+            raise ValueError(f"round count must be in 1..{MAX_ROUNDS}, got {rounds!r}")
+        if isinstance(key_schedule, WidthKeySchedule) and key_schedule.width != d:
+            raise ValueError(
+                f"key schedule width {key_schedule.width} differs from the state width {d}"
+            )
         self.bricks = tuple(bricks)
         self.m = m
         self.n = len(bricks)
@@ -114,9 +187,9 @@ class CipherSpec:
         self.mixing = mixing
         self.rounds = rounds
         self.key_schedule = key_schedule or rotating_key_schedule(d)
-        self._round_keys: tuple[int | None, tuple[int, ...]] = (None, ())
-        # (key, encryption table, decryption table or None), for d <= 8
-        self._tables: tuple[int | None, bytes, bytes | None] = (None, b"", None)
+        # (key, round keys, encryption table, decryption table or None) of
+        # the last key; the tables are bytes for d <= 8 and empty otherwise
+        self._memo: tuple[int | None, tuple[int, ...], bytes, bytes | None] = (None, (), b"", None)
         self._fused: list[bytes] | None = None
         # The brick layer, built brick by brick: the entries for x < 2^(i*m)
         # are extended by brick i acting on the next m bits of x.
@@ -140,51 +213,82 @@ class CipherSpec:
 
     def round_keys(self, k: int) -> tuple[int, ...]:
         """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked."""
-        cached_k, keys = self._round_keys
-        if cached_k != k:
-            n = 1 << self.d
-            if not 0 <= k < n:
-                # a schedule would wrap or shift such a key onto another one
-                raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
-            ks = self.key_schedule
-            keys = tuple(ks(k, h) for h in range(1, self.rounds + 1))
-            if min(keys) < 0 or max(keys) >= n:
-                h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
-                raise ValueError(
-                    f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"
-                )
-            self._round_keys = (k, keys)
-        return keys
+        return self._entry(k)[1]
 
-    def _encryption_table(self, k: int) -> bytes:
+    def _entry(self, k: int) -> tuple[int, tuple[int, ...], bytes, bytes | None]:
+        """The memo for k, made in place of the last key's if k is new."""
+        memo = self._memo
+        if memo[0] != k:
+            keys, p = self._schedule(k)
+            enc = self._encryption_table(keys, p) if self.d <= BYTE_STATE_BITS else b""
+            memo = self._memo = (k, keys, enc, None)
+        return memo
+
+    def _schedule(self, k: int) -> tuple[tuple[int, ...], int]:
+        """k's round keys, every one range-checked, and d if they repeat
+        every d rounds, else 0."""
+        n, d, rounds = 1 << self.d, self.d, self.rounds
+        if not 0 <= k < n:
+            # a schedule would wrap or shift such a key onto another one
+            raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
+        ks = self.key_schedule
+        sequence = getattr(ks, "round_keys", None)
+        if sequence is not None:
+            keys = tuple(sequence(k, rounds))
+        else:
+            keys = tuple(ks(k, h) for h in range(1, rounds + 1))
+        p = d if d < rounds and keys[d] == keys[0] and keys[d:] == keys[:-d] else 0
+        # a periodic sequence is in range exactly when its first cycle is
+        cycle = keys[:p] if p else keys
+        if min(cycle) < 0 or max(cycle) >= n:
+            h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
+            raise ValueError(
+                f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"
+            )
+        return keys, p
+
+    def _encryption_table(self, keys: tuple[int, ...], p: int) -> bytes:
         """E_k as bytes, for d <= 8: each round translates the table through
-        that round's fused table core[x] ^ rk."""
-        cached_k, enc, _ = self._tables
-        if cached_k != k:
-            fused = self._fused
-            if fused is None:
-                core, pad = self._round, bytes(256 - len(self._round))
-                fused = [bytes([y ^ rk for y in core]) + pad for rk in range(len(core))]
-                self._fused = fused
-            enc = IDENTITY[: 1 << self.d]
-            for rk in self.round_keys(k):
-                enc = enc.translate(fused[rk])
-            self._tables = (k, enc, None)
+        that round's fused table core[x] ^ rk.  When the keys repeat every
+        p > 0 rounds, E_k is the table of the first rounds mod p round keys
+        after P^(rounds // p), where P is one period's table."""
+        fused = self._fused
+        if fused is None:
+            core, pad = self._round, bytes(256 - len(self._round))
+            fused = [bytes([y ^ rk for y in core]) + pad for rk in range(len(core))]
+            self._fused = fused
+        enc = IDENTITY[: 1 << self.d]
+        if p:
+            # P as a whole 256-entry translate table: the fused pads send
+            # the bytes past 2^d to 0, which no state reaches
+            power = IDENTITY
+            for rk in keys[:p]:
+                power = power.translate(fused[rk])
+            q, r = divmod(self.rounds, p)
+            while True:
+                if q & 1:
+                    enc = enc.translate(power)
+                q >>= 1
+                if not q:
+                    break
+                power = power.translate(power)
+            keys = keys[:r]
+        for rk in keys:
+            enc = enc.translate(fused[rk])
         return enc
 
     def _decryption_table(self, k: int) -> bytes:
-        enc = self._encryption_table(k)
-        _, _, dec = self._tables
+        k, keys, enc, dec = self._entry(k)
         if dec is None:
             dec = bytes.maketrans(enc, IDENTITY[: len(enc)])[: len(enc)]
-            self._tables = (k, enc, dec)
+            self._memo = (k, keys, enc, dec)
         return dec
 
     def encrypt(self, k: int, x: int) -> int:
         if self.d <= BYTE_STATE_BITS:
-            cached_k, table, _ = self._tables
+            cached_k, _, table, _ = self._memo
             if cached_k != k:
-                table = self._encryption_table(k)
+                table = self._entry(k)[2]
             if x >= 0:
                 try:
                     return table[x]
@@ -200,7 +304,7 @@ class CipherSpec:
 
     def decrypt(self, k: int, y: int) -> int:
         if self.d <= BYTE_STATE_BITS:
-            cached_k, _, table = self._tables
+            cached_k, _, _, table = self._memo
             if cached_k != k or table is None:
                 table = self._decryption_table(k)
             if y >= 0:
@@ -222,7 +326,7 @@ class CipherSpec:
 
     def encrypt_table(self, k: int) -> list[int]:
         if self.d <= BYTE_STATE_BITS:
-            return list(self._encryption_table(k))
+            return list(self._entry(k)[2])
         return [self.encrypt(k, x) for x in range(1 << self.d)]
 
 

@@ -1,7 +1,9 @@
 """Cipher engine and bundled instance tests."""
 
+import hashlib
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +57,21 @@ class TestKeySchedules:
         with pytest.raises(ValueError):
             builtin_toy_spec(key_schedule=lambda k, h: 0)
 
+    @pytest.mark.parametrize("width", [0, -1, True, 2.0, "6", None])
+    def test_width_not_a_positive_int_refused(self, width):
+        message = rf"key schedule width {re.escape(repr(width))} is not a positive int"
+        for make in (rotating_key_schedule, lambda w: permuted_key_schedule(w, 1)):
+            with pytest.raises(ValueError, match=message):
+                make(width)
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    @pytest.mark.parametrize("key", [-1, 64])
+    def test_key_outside_the_key_space_refused(self, schedule, key):
+        ks = SCHEDULES[schedule]()
+        for call in (lambda: ks.round_keys(key, 7), lambda: ks(key, 3)):
+            with pytest.raises(ValueError, match=rf"session key {key} is outside the key space 0\.\.63"):
+                call()
+
 
 class TestSpecValidation:
     def test_brick_must_fix_zero(self):
@@ -84,6 +101,21 @@ class TestSpecValidation:
             CipherSpec([b, b], toy_mixing(), 0)
         with pytest.raises(ValueError):
             CipherSpec([b, b], toy_mixing(), 1001)
+
+    @pytest.mark.parametrize("rounds", [True, False, 2.0, 2.5, "2", None])
+    def test_round_count_not_an_int_refused(self, rounds):
+        with pytest.raises(ValueError, match=r"round count must be in 1\.\.1000"):
+            builtin_toy_spec(rounds)
+
+    @pytest.mark.parametrize(
+        "schedule", [lambda: rotating_key_schedule(7), lambda: permuted_key_schedule(5, 1)]
+    )
+    def test_builtin_schedule_of_another_width_refused(self, schedule):
+        ks = schedule()
+        with pytest.raises(
+            ValueError, match=rf"key schedule width {ks.width} differs from the state width 6"
+        ):
+            builtin_toy_spec(20, ks)
 
 
 def brick_layer(bricks, x: int) -> int:
@@ -301,6 +333,147 @@ class TestRoundKeys:
         builtin_toy_spec(1000, counting)
         # round 1 of a permuted schedule is already surjective
         assert calls == [(k, 1) for k in range(64)]
+
+
+def reference_rotation(width: int, k: int, h: int) -> int:
+    """The rotating schedule as one formula per round."""
+    r = h % width
+    return ((k << r) | (k >> (width - r))) & ((1 << width) - 1) if r else k
+
+
+@lru_cache(maxsize=None)
+def reference_permutation(seed: int, h: int) -> tuple[int, ...]:
+    """Round h's permutation of the 6-bit key space, drawn as the permuted
+    schedule draws it."""
+    rng = random.Random(seed * 1_000_003 + h)
+    p = list(range(64))
+    rng.shuffle(p)
+    return tuple(p)
+
+
+REFERENCE_SCHEDULES = {
+    "rotating": lambda k, h: reference_rotation(6, k, h),
+    "permuted": lambda k, h: reference_permutation(99, h)[k],
+}
+
+SEQUENCE_ROUNDS = [1, 2, 5, 6, 7, 12, 13, 1000]
+
+
+class TestRoundKeySequences:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("rounds", SEQUENCE_ROUNDS)
+    def test_one_call_equals_per_round_calls(self, rounds, schedule):
+        ks, reference = SCHEDULES[schedule](), REFERENCE_SCHEDULES[schedule]
+        for k in range(64):
+            keys = ks.round_keys(k, rounds)
+            assert type(keys) is tuple
+            assert list(keys) == [ks(k, h) for h in range(1, rounds + 1)]
+            assert list(keys) == [reference(k, h) for h in range(1, rounds + 1)]
+
+    def test_permuted_draw_order_does_not_matter(self):
+        # a long sequence first, a late round first, or round by round
+        by_sequence, by_late_round = permuted_key_schedule(6, 99), permuted_key_schedule(6, 99)
+        assert by_late_round(5, 1000) == reference_permutation(99, 1000)[5]
+        for k in (0, 5, 63):
+            assert list(by_sequence.round_keys(k, 1000)) == [
+                by_late_round(k, h) for h in range(1, 1001)
+            ]
+
+    def test_permuted_rounds_outside_the_spec_range_still_drawn(self):
+        ks = permuted_key_schedule(6, 99)
+        for h in (0, -3, 1001, 5000):
+            assert [ks(k, h) for k in range(64)] == list(reference_permutation(99, h))
+
+
+def loop_encryption_table(spec: CipherSpec, k: int) -> bytes:
+    """E_k round by round: the identity translated through each round's
+    fused table core[x] ^ ks(k, h), one translation per round."""
+    n = 1 << spec.d
+    core, pad = spec.core_table(), bytes(256 - n)
+    fused = [bytes([y ^ rk for y in core]) + pad for rk in range(n)]
+    enc = bytes(range(n))
+    for h in range(1, spec.rounds + 1):
+        enc = enc.translate(fused[spec.key_schedule(k, h)])
+    return enc
+
+
+SQUARING_ROUNDS = [1, 5, 6, 7, 12, 13, 17, 100, 1000]
+
+# bare callables whose round keys repeat with another period than d = 6,
+# or not at all, next to the rotation itself
+PERIODIC_SCHEDULES = {
+    "rotation": lambda: lambda k, h: reference_rotation(6, k, h),
+    "period 3": lambda: lambda k, h: reference_rotation(6, k, 2 * h),
+    "period 4": lambda: lambda k, h: reference_rotation(6, k, h % 4),
+    "period 12": lambda: lambda k, h: reference_rotation(6, k, h) ^ (h % 12 // 6),
+    "aperiodic": lambda: permuted_key_schedule(6, 99).__call__,
+}
+
+
+class TestSquaredTables:
+    @pytest.mark.parametrize("rounds", SQUARING_ROUNDS)
+    def test_rotation_table_equals_round_by_round(self, rounds):
+        spec = builtin_toy_spec(rounds)
+        for k in range(64):
+            assert bytes(spec.encrypt_table(k)) == loop_encryption_table(spec, k)
+
+    @pytest.mark.parametrize(
+        "schedule, period",
+        [("rotation", 6), ("period 3", 6), ("period 4", 0), ("period 12", 0), ("aperiodic", 0)],
+    )
+    @pytest.mark.parametrize("rounds", [13, 1000])
+    def test_period_is_d_only_when_the_keys_repeat_with_it(self, rounds, schedule, period):
+        spec = builtin_toy_spec(rounds, PERIODIC_SCHEDULES[schedule]())
+        # keys whose rotations are all distinct (0 repeats every round)
+        assert [spec._schedule(k)[1] for k in (1, 5)] == [period] * 2
+
+    @pytest.mark.parametrize("schedule", sorted(PERIODIC_SCHEDULES))
+    @pytest.mark.parametrize("rounds", [7, 13, 1000])
+    def test_any_schedule_gives_the_exact_table(self, rounds, schedule):
+        spec = builtin_toy_spec(rounds, PERIODIC_SCHEDULES[schedule]())
+        for k in range(64):
+            assert bytes(spec.encrypt_table(k)) == loop_encryption_table(spec, k)
+            assert spec.decrypt(k, spec.encrypt(k, 5)) == 5
+
+    def test_range_check_on_a_periodic_sequence(self):
+        # in range for one cycle, so the whole periodic sequence is
+        spec = builtin_toy_spec(1000, lambda k, h: k + 64 * (h % 3 == 2))
+        with pytest.raises(ValueError, match="round key 69 in round 2"):
+            spec.encrypt(5, 0)
+
+    def test_range_check_when_the_period_breaks_late(self):
+        # periodic with 6 up to round 900, so every round is checked
+        spec = builtin_toy_spec(1000, lambda k, h: k + 64 if h == 900 else k)
+        with pytest.raises(ValueError, match="round key 69 in round 900"):
+            spec.encrypt(5, 0)
+
+
+# sha256 of the 64 encryption tables, key 0 first, as the round-by-round
+# engine gave them
+GOLDEN_TABLE_DIGESTS = {
+    ("rotating", 1): "cdad5660973bde3cf63850bbf421884c2ad2557e9e11cc6cb11f7f538073973c",
+    ("rotating", 20): "36cb32fc3b10a67c9eefac8c9a76865208eab34631448722e95df68c888e70d2",
+    ("rotating", 1000): "a1bd9eed4d14bffe1ca8a5fc71e79f97e3bc0ae8e67706732cc5738b7e02e04c",
+    ("permuted 99", 1): "0d8fb2072ece1af16cc7e34950e6de93cd82a96430558b55ae81c35454147506",
+    ("permuted 99", 20): "5c62fe627a629af9c70b1205a3e848d2f93bb8613ba67a7e5804958a9134576f",
+    ("permuted 99", 1000): "ef8465ce366a0ade355dc72b4a38546260b5ba39182a259b7392747c570ca5b6",
+    ("permuted 3", 1): "6bd5c282c76a7d63518b70c0b3627f694a16703263ac1726368efc47b22b2a02",
+    ("permuted 3", 20): "2feecf2f52627a64da8d1f218db03a1e798aa27da260f37e83e3c488bd6aceb2",
+    ("permuted 3", 1000): "502c0d525212f6350048d165dbb5c36d019991eecb09a7da633dcaf3f6c6c79d",
+}
+
+GOLDEN_SCHEDULES = {
+    "rotating": lambda: None,
+    "permuted 99": lambda: permuted_key_schedule(6, 99),
+    "permuted 3": lambda: permuted_key_schedule(6, 3),
+}
+
+
+@pytest.mark.parametrize("schedule, rounds", sorted(GOLDEN_TABLE_DIGESTS))
+def test_golden_encryption_tables(schedule, rounds):
+    spec = builtin_toy_spec(rounds, GOLDEN_SCHEDULES[schedule]())
+    tables = b"".join(bytes(spec.encrypt_table(k)) for k in range(64))
+    assert hashlib.sha256(tables).hexdigest() == GOLDEN_TABLE_DIGESTS[schedule, rounds]
 
 
 def session_key_calls(spec: CipherSpec, k: int) -> tuple:
