@@ -240,7 +240,14 @@ class CipherSpec:
         p = d if d < rounds and keys[d] == keys[0] and keys[d:] == keys[:-d] else 0
         # a periodic sequence is in range exactly when its first cycle is
         cycle = keys[:p] if p else keys
-        if min(cycle) < 0 or max(cycle) >= n:
+        # for d <= 8 the keys are packed as bytes and the in-range ones
+        # deleted in C; min/max decide the rest, and the keys bytes refuses
+        # (a float, or one outside 0..255), as they always have
+        try:
+            in_range = d <= BYTE_STATE_BITS and not bytes(cycle).translate(None, IDENTITY[:n])
+        except (TypeError, ValueError):
+            in_range = False
+        if not in_range and (min(cycle) < 0 or max(cycle) >= n):
             h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
             raise ValueError(
                 f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"

@@ -12,6 +12,11 @@ the field's ascending encoding (gf2), so a field element is its own
 coordinate vector, and from_power returns one shared object per exponent
 and field.
 
+Under XOR, a function with m, n <= 8 takes D_a f at all 2^m points as
+one bytes object with C-level steps (one translate per direction), which
+derivative images and the differential spectrum share; wider functions
+visit the points one by one.
+
 Under XOR each function keeps, per direction a, the size of Im D_a f and
 its affine hull, built once from one image that is then dropped.  The APN
 tests read the sizes, the component space reads the hull, and the image
@@ -21,6 +26,7 @@ smallest coset that contains it.  Other sums rebuild the image each time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -30,6 +36,14 @@ from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, span_basis
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
 
+# bytes.translate maps every byte through a 256-entry table, so a function
+# with m, n <= 8 has its derivatives taken as whole bytes objects.
+BYTE_BITS = 8
+# per m <= 8: the points 0, ..., 2^m - 1 as one big-endian int of 2^m bytes,
+# and the int with a 1 in each of those bytes, so IDENT ^ a * ONES lists x + a
+_IDENT = [int.from_bytes(bytes(range(1 << m)), "big") for m in range(BYTE_BITS + 1)]
+_ONES = [int.from_bytes(bytes([1]) * (1 << m), "big") for m in range(BYTE_BITS + 1)]
+
 CROOKED = "crooked"
 ANTI_CROOKED = "anti_crooked"
 
@@ -37,23 +51,27 @@ ANTI_CROOKED = "anti_crooked"
 class VBF:
     """A vectorial Boolean function as a lookup table over all 2^m inputs."""
 
-    __slots__ = ("m", "n", "table", "_is_permutation", "_derivatives")
+    __slots__ = ("m", "n", "table", "_is_permutation", "_derivatives", "_bytes")
 
     def __init__(self, m: int, n: int, table: Sequence[int]):
         if m > TABLE_LIMIT_BITS:
             raise ValueError(f"input width {m} exceeds table limit {TABLE_LIMIT_BITS}")
         if len(table) != 1 << m:
             raise ValueError(f"table must have exactly {1 << m} entries")
+        table = tuple(table)
         mask = (1 << n) - 1
-        for y in table:
-            if y < 0 or y > mask:
-                raise ValueError(f"table value 0b{y:b} does not fit in width {n}")
+        if min(table) < 0 or max(table) > mask:
+            y = next(y for y in table if y < 0 or y > mask)
+            raise ValueError(f"table value 0b{y:b} does not fit in width {n}")
         self.m = m
         self.n = n
-        self.table: tuple[int, ...] = tuple(table)
+        self.table: tuple[int, ...] = table
         self._is_permutation: bool | None = None
         # direction a -> (|Im D_a f|, affine hull of Im D_a f) under XOR
         self._derivatives: dict[int, tuple[int, AffineSubspace]] = {}
+        # (table padded to a 256-byte translate table, table packed as one
+        # big-endian int), made on first use when m, n <= 8
+        self._bytes: tuple[bytes, int] | None = None
 
     @property
     def is_permutation(self) -> bool:
@@ -131,16 +149,35 @@ class VBF:
         return f"VBF(m={self.m}, n={self.n})"
 
 
+def _derivative_bytes(f: VBF, a: int) -> bytes:
+    """D_a f(x) for x = 0, ..., 2^m - 1 as one bytes object, for m, n <= 8:
+    the points x + a are translated through the table to f(x + a), and one
+    int XOR with the packed table adds f(x)."""
+    if f._bytes is None:
+        packed = bytes(f.table)
+        f._bytes = (packed + bytes(256 - len(packed)), int.from_bytes(packed, "big"))
+    translate, packed = f._bytes
+    size = 1 << f.m
+    shifted = (_IDENT[f.m] ^ a * _ONES[f.m]).to_bytes(size, "big").translate(translate)
+    return (int.from_bytes(shifted, "big") ^ packed).to_bytes(size, "big")
+
+
 def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
     """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR).
 
-    The direction must satisfy 0 < a < 2^m.  Under XOR, D_a f(x) =
-    D_a f(x + a), so only one point of each pair {x, x + a} is visited: the
-    one whose bit at a's leading position is clear."""
+    The direction must be an int with 0 < a < 2^m.  Under XOR, a function
+    with m, n <= 8 takes all 2^m values at once as bytes (see
+    _derivative_bytes); a wider one visits only one point of each pair
+    {x, x + a}, the one whose bit at a's leading position is clear, since
+    D_a f(x) = D_a f(x + a)."""
+    if isinstance(a, bool) or not isinstance(a, int):
+        raise ValueError(f"derivative direction must be an int, got {a!r}")
     if not 0 < a < 1 << f.m:
         raise ValueError(f"derivative direction must be in 1..{(1 << f.m) - 1}, got {a}")
     table = f.table
     if sum_op is None:
+        if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
+            return frozenset(_derivative_bytes(f, a))
         top = 1 << a.bit_length() >> 1
         image = {
             table[x ^ a] ^ table[x]
@@ -166,21 +203,25 @@ class DiffSpectrum:
 
 
 def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
-    """Exact differential uniformity over all nonzero a and all b."""
+    """Exact differential uniformity over all nonzero a and all b.  The
+    witness is the first direction attaining delta with its smallest b; a
+    direction's smallest b is sought only when its top count beats delta."""
     delta = 0
     witness = (0, 0)
     all_counts: dict[int, dict[int, int]] = {}
+    table = f.table
+    small = f.m <= BYTE_BITS and f.n <= BYTE_BITS
     for a in range(1, 1 << f.m):
-        counts: dict[int, int] = {}
-        for x in range(1 << f.m):
-            b = f.table[x ^ a] ^ f.table[x]
-            counts[b] = counts.get(b, 0) + 1
-        best_b = max(counts, key=lambda b: (counts[b], -b))
-        if counts[best_b] > delta:
-            delta = counts[best_b]
-            witness = (a, best_b)
+        if small:
+            counts = Counter(_derivative_bytes(f, a))
+        else:
+            counts = Counter([table[x ^ a] ^ table[x] for x in range(1 << f.m)])
+        top = max(counts.values())
+        if top > delta:
+            delta = top
+            witness = (a, min(b for b, c in counts.items() if c == top))
         if keep_counts:
-            all_counts[a] = counts
+            all_counts[a] = dict(counts)
     return DiffSpectrum(delta, witness, all_counts if keep_counts else None)
 
 
@@ -188,7 +229,8 @@ def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
     """(|Im D_a f|, affine hull of Im D_a f) under XOR, kept on f per
     direction: the image is built once and only these two are stored."""
     shape = f._derivatives.get(a)
-    if shape is None:
+    # a float or bool equal to a stored direction would hit its entry
+    if shape is None or type(a) is not int:
         image = derivative_image(f, a)
         shape = f._derivatives[a] = (len(image), affine_hull(image, f.n))
     return shape
@@ -348,15 +390,17 @@ def n_hat(f: VBF) -> int:
 
 def ea_transform(f: VBF, outer, inner, added) -> VBF:
     """g1(f(g2(x))) + g3(x) for affine g1 (invertible, on outputs), g2
-    (invertible, on inputs) and arbitrary affine g3."""
+    (invertible, on inputs) and arbitrary affine g3, read off the three
+    maps' tables."""
+    for g, what, width in ((outer, "outer", f.n), (inner, "inner", f.m), (added, "added", f.m)):
+        if g.width != width:
+            raise ValueError(f"{what} affine map has width {g.width}, the function needs {width}")
     for g, what in ((outer, "outer"), (inner, "inner")):
         if not g.matrix.is_invertible():
             raise ValueError(f"{what} affine map must be invertible")
-    table = [
-        outer.apply(f.table[inner.apply(x)]) ^ added.apply(x)
-        for x in range(1 << f.m)
-    ]
-    return VBF(f.m, f.n, table)
+    g1, g2, g3 = (g.matrix.affine_table(g.translation) for g in (outer, inner, added))
+    table = f.table
+    return VBF(f.m, f.n, [g1[table[y]] ^ z for y, z in zip(g2, g3)])
 
 
 # ---------------------------------------------------------------------------

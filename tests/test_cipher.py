@@ -511,6 +511,47 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="round key -1 in round 4"):
             spec.encrypt(0, 0)
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["aperiodic", "periodic"])
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (3.0, TypeError, "list indices must be integers"),
+            (2.5, TypeError, "list indices must be integers"),
+            (99.0, ValueError, r"round key 99\.0 in round 4, outside 0\.\.63"),
+            (-1.0, ValueError, r"round key -1\.0 in round 4, outside 0\.\.63"),
+            (-1, ValueError, r"round key -1 in round 4, outside 0\.\.63"),
+            (64, ValueError, r"round key 64 in round 4, outside 0\.\.63"),
+            (255, ValueError, r"round key 255 in round 4, outside 0\.\.63"),
+            (256, ValueError, r"round key 256 in round 4, outside 0\.\.63"),
+            (300, ValueError, r"round key 300 in round 4, outside 0\.\.63"),
+        ],
+    )
+    def test_round_key_check_outcome_per_value(self, value, error, message, periodic):
+        """Every odd round key ends as it did under the min/max check: a
+        float in range reaches the round tables and fails there, any value
+        outside 0..63 (in or beyond a byte) is named with its round.  With
+        period 6 the check reads only the first cycle of 12 rounds."""
+        if periodic:
+            spec = builtin_toy_spec(12, lambda k, h: value if h % 6 == 4 else k)
+        else:
+            spec = builtin_toy_spec(12, lambda k, h: value if h == 4 else k)
+        with pytest.raises(error, match=message):
+            spec.encrypt(5, 7)
+        with pytest.raises(error, match=message):
+            spec.round_keys(5)
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["aperiodic", "periodic"])
+    @pytest.mark.parametrize("value", [0, 63, True])
+    def test_round_key_check_accepts_range_ends(self, value, periodic):
+        if periodic:
+            spec = builtin_toy_spec(12, lambda k, h: value if h % 6 == 4 else k)
+        else:
+            spec = builtin_toy_spec(12, lambda k, h: value if h == 4 else k)
+        assert spec.round_keys(5)[3] is value
+        assert [spec.encrypt(5, x) for x in range(64)] == [
+            reference_encrypt(spec, 5, x) for x in range(64)
+        ]
+
     def test_refused_key_leaves_last_key_usable(self):
         spec = builtin_toy_spec(2, lambda k, h: k + 64 if (h, k) == (2, 9) else k)
         before = spec.encrypt_table(8)

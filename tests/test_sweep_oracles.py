@@ -1,7 +1,10 @@
 """Oracles for the fast paths of the property sweeps.
 
-The derivative image that visits one point of each pair {x, x + a} is
-compared with the scan over all 2^m points, the null-space orthogonal
+The derivative image, taken as one bytes object for m, n <= 8 and over
+one point of each pair {x, x + a} for wider functions, is compared with
+the scan over all 2^m points, the differential spectrum counted from the
+derivative bytes and the extended-affine transform read off the maps'
+tables with their former per-point loops, the null-space orthogonal
 complement and the component space built on the derivative hull with the
 scans over all 2^width vectors they replaced and with the span of the
 sorted image's differences to its minimum, each function's per-direction
@@ -56,10 +59,13 @@ from hiddensums.vbf import (
     derivative_image,
     derivative_is_coset,
     derivative_shape,
+    DiffSpectrum,
     diff_uniformity,
+    ea_transform,
     is_apn,
     is_coset,
 )
+from hiddensums.hidden_sum import AffineMap
 
 
 def reference_orthogonal_complement(s: Subspace) -> Subspace:
@@ -88,6 +94,38 @@ def reference_derivative_image(f: VBF, a: int) -> frozenset[int]:
         raise ValueError("derivative direction must be nonzero")
     table = f.table
     return frozenset(table[x ^ a] ^ table[x] for x in range(1 << f.m))
+
+
+def reference_diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
+    """Exact differential uniformity over all nonzero a and all b."""
+    delta = 0
+    witness = (0, 0)
+    all_counts: dict[int, dict[int, int]] = {}
+    for a in range(1, 1 << f.m):
+        counts: dict[int, int] = {}
+        for x in range(1 << f.m):
+            b = f.table[x ^ a] ^ f.table[x]
+            counts[b] = counts.get(b, 0) + 1
+        best_b = max(counts, key=lambda b: (counts[b], -b))
+        if counts[best_b] > delta:
+            delta = counts[best_b]
+            witness = (a, best_b)
+        if keep_counts:
+            all_counts[a] = counts
+    return DiffSpectrum(delta, witness, all_counts if keep_counts else None)
+
+
+def reference_ea_transform(f: VBF, outer, inner, added) -> VBF:
+    """g1(f(g2(x))) + g3(x) for affine g1 (invertible, on outputs), g2
+    (invertible, on inputs) and arbitrary affine g3."""
+    for g, what in ((outer, "outer"), (inner, "inner")):
+        if not g.matrix.is_invertible():
+            raise ValueError(f"{what} affine map must be invertible")
+    table = [
+        outer.apply(f.table[inner.apply(x)]) ^ added.apply(x)
+        for x in range(1 << f.m)
+    ]
+    return VBF(f.m, f.n, table)
 
 
 def reference_component_space_from_image(f: VBF, a: int) -> Subspace:
@@ -229,13 +267,95 @@ def test_derivative_image_matches_full_scan_on_all_3bit_permutations():
             assert derivative_image(f, a) == reference_derivative_image(f, a), (perm, a)
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (2, 5), (3, 1), (4, 2), (5, 3), (6, 8), (7, 4)])
+@pytest.mark.parametrize(
+    "m, n",
+    [(1, 1), (1, 3), (2, 1), (2, 5), (3, 1), (4, 2), (5, 3), (6, 8), (7, 4),
+     (8, 8), (8, 1), (1, 8), (9, 3), (3, 9)],
+)
 def test_derivative_image_matches_full_scan_off_square(m, n):
+    """Seeded tables on both sides of the byte kernel's m, n <= 8 limit."""
     rng = random.Random(100 * m + n)
-    for _ in range(20):
+    for _ in range(20 if m < 8 else 3):
         f = VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)])
         for a in range(1, 1 << m):
             assert derivative_image(f, a) == reference_derivative_image(f, a), (f.table, a)
+
+
+def assert_spectra_equal(got: DiffSpectrum, expected: DiffSpectrum) -> None:
+    assert got == expected
+    if expected.counts is not None:
+        assert list(got.counts) == list(expected.counts)
+        for a, counts in expected.counts.items():
+            assert type(got.counts[a]) is dict
+            assert list(got.counts[a].items()) == list(counts.items()), a
+
+
+def test_diff_uniformity_matches_pair_count_on_corpus():
+    functions = 0
+    for m in range(3, 7):
+        for label, f in pinned_corpus(m):
+            for keep in (False, True):
+                assert_spectra_equal(diff_uniformity(f, keep), reference_diff_uniformity(f, keep))
+            functions += 1
+    assert functions == 281
+
+
+def test_diff_uniformity_matches_pair_count_on_inversion_at_m8():
+    f = VBF.from_power(254, field_spec(8))
+    for keep in (False, True):
+        spectrum = diff_uniformity(f, keep)
+        assert_spectra_equal(spectrum, reference_diff_uniformity(f, keep))
+    assert (spectrum.delta, spectrum.witness) == (4, (1, 1))
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 2), (2, 4), (8, 8), (8, 3), (9, 9), (3, 9), (9, 2)])
+def test_diff_uniformity_matches_pair_count_on_seeded_tables(m, n):
+    """Both sides of the byte limit; low output widths give ties among the
+    top counts, so the smallest-b rule is exercised."""
+    rng = random.Random(7 * m + n)
+    for _ in range(6 if m < 8 else 1):
+        f = VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)])
+        for keep in (False, True):
+            assert_spectra_equal(diff_uniformity(f, keep), reference_diff_uniformity(f, keep))
+
+
+def seeded_affine_map(width: int, rng: random.Random, invertible: bool) -> AffineMap:
+    while True:
+        matrix = BinMatrix([rng.randrange(1 << width) for _ in range(width)])
+        if not invertible or matrix.is_invertible():
+            return AffineMap(matrix, rng.randrange(1 << width))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+def test_ea_transform_matches_per_point_maps(m):
+    """Seeded transforms of the corpus maps, the inversion and seeded
+    tables, and the transforms' spectra; the added map is often
+    singular."""
+    rng = random.Random(40 + m)
+    functions = [f for _, f in pinned_corpus(m)] if 3 <= m <= 6 else []
+    if m in FIELD_MODULI:
+        functions.append(VBF.from_power((1 << m) - 2, field_spec(m)))
+    functions.append(VBF(m, m, [rng.randrange(1 << m) for _ in range(1 << m)]))
+    for f in functions:
+        for _ in range(3):
+            maps = (seeded_affine_map(m, rng, True), seeded_affine_map(m, rng, True),
+                    seeded_affine_map(m, rng, rng.random() < 0.5))
+            g = ea_transform(f, *maps)
+            assert g == reference_ea_transform(f, *maps), (f.table, [h.encode() for h in maps])
+            assert_spectra_equal(diff_uniformity(g, True), reference_diff_uniformity(g, True))
+
+
+def test_ea_transform_matches_per_point_maps_off_square():
+    rng = random.Random(5)
+    for m, n in [(3, 2), (4, 1), (5, 3)]:
+        f = VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)])
+        # the added map is m wide, so its outputs must fit in n bits
+        zero_rows = BinMatrix([0] * m)
+        low = BinMatrix([1 << i if i < n else 0 for i in range(m)])
+        for _ in range(10):
+            maps = (seeded_affine_map(n, rng, True), seeded_affine_map(m, rng, True),
+                    AffineMap(rng.choice((zero_rows, low)), rng.randrange(1 << n)))
+            assert ea_transform(f, *maps) == reference_ea_transform(f, *maps)
 
 
 def fresh_shape(f: VBF, a: int) -> tuple[int, AffineSubspace, bool, Subspace]:

@@ -21,6 +21,7 @@ from hiddensums.vbf import (
     component_space,
     derivative_hull,
     derivative_image,
+    derivative_shape,
     diff_uniformity,
     ea_transform,
     is_anti_crooked,
@@ -132,6 +133,23 @@ class TestDerivativeImage:
         assert derivative_image(g, 1) == {1}
         with pytest.raises(ValueError, match="1..1"):
             derivative_image(g, 2)
+
+    @pytest.mark.parametrize("a", [True, False, 1.0, 3.0, 2.5, "1", None])
+    def test_direction_not_an_int_rejected(self, a):
+        f = brick()
+        with pytest.raises(ValueError, match="must be an int"):
+            derivative_image(f, a)
+        with pytest.raises(ValueError, match="must be an int"):
+            derivative_image(f, a, toy_brick_sum())
+        # with direction 1 (equal to True and 1.0) memoised or not
+        for memoised in (False, True):
+            if memoised:
+                derivative_shape(f, 1)
+            with pytest.raises(ValueError, match="must be an int"):
+                derivative_shape(f, a)
+            with pytest.raises(ValueError, match="must be an int"):
+                component_space(f, a)
+        assert all(type(key) is int for key in f._derivatives)
 
     def test_brick_dimension_one_directions(self):
         # derived exhaustively: exactly these directions give 2-point images
@@ -385,6 +403,27 @@ class TestEaTransform:
             ea_transform(f, singular, ident, zero)
         with pytest.raises(ValueError):
             ea_transform(f, ident, singular, zero)
+
+    @pytest.mark.parametrize("slot", ["outer", "inner", "added"])
+    def test_map_of_wrong_width_rejected(self, slot):
+        f = VBF.identity(3)
+        maps = {"outer": AffineMap.identity(3), "inner": AffineMap.identity(3),
+                "added": AffineMap.identity(3)}
+        maps[slot] = AffineMap(BinMatrix([8, 4, 2, 1]), 0)  # reversal of 4 bits
+        with pytest.raises(ValueError, match=f"{slot} affine map has width 4, the function needs 3"):
+            ea_transform(f, maps["outer"], maps["inner"], maps["added"])
+
+    def test_off_square_widths_checked_per_side(self):
+        f = VBF(3, 2, [x & 3 for x in range(8)])
+        i2, i3 = AffineMap.identity(2), AffineMap.identity(3)
+        assert ea_transform(f, i2, i3, AffineMap(BinMatrix([0, 0, 0]), 0)) == f
+        with pytest.raises(ValueError, match="outer affine map has width 3, the function needs 2"):
+            ea_transform(f, i3, i3, i3)
+        with pytest.raises(ValueError, match="inner affine map has width 2, the function needs 3"):
+            ea_transform(f, i2, i2, i3)
+        # added maps inputs to outputs, so it must be m wide (m x m matrix)
+        with pytest.raises(ValueError, match="added affine map has width 2, the function needs 3"):
+            ea_transform(f, i2, i3, i2)
 
     def test_transform_table(self):
         f = VBF.identity(3)
