@@ -15,7 +15,9 @@ on SPOT_CHECKS seeded blocks; verify_global_deduction compares it with the
 oracle on every block.  What does not depend on the key is built once:
 the sum's coordinate map per basis (HiddenSum.in_basis) and the
 spot-check blocks per seed.  An oracle output outside the state space
-fails the recovery with ConsistencyFailureError.
+fails the recovery with ConsistencyFailureError.  An oracle built from a
+CipherSpec answers verification with the key's whole codebook
+(CipherSpec.encrypt_table) in one call, still counted block by block.
 """
 
 from __future__ import annotations
@@ -48,13 +50,23 @@ class InverseMismatchError(AttackError):
 
 class Oracle:
     """Counts queries against a block function, attack and verification
-    traffic separately.  Counters only ever increase."""
+    traffic separately.  Counters only ever increase.
 
-    def __init__(self, func: Callable[[int], int], direction: str):
+    codebook, when given, returns the function at every block 0, 1, ...
+    in one call, which verification reads instead of asking block by
+    block."""
+
+    def __init__(
+        self,
+        func: Callable[[int], int],
+        direction: str,
+        codebook: Callable[[], Sequence[int]] | None = None,
+    ):
         if direction not in ("encrypt", "decrypt"):
             raise ValueError("direction must be 'encrypt' or 'decrypt'")
         self.func = func
         self.direction = direction
+        self.codebook = codebook
         self.query_count = 0
         self.verification_count = 0
         self.log: list[tuple[str, int, int]] = []
@@ -69,15 +81,22 @@ class Oracle:
         self.verification_count += 1
         return self.func(x)
 
-    def verification_outputs(self, blocks: Sequence[int]) -> list[int]:
-        """The function at each block, counted as len(blocks) verification
-        queries."""
-        self.verification_count += len(blocks)
-        return list(map(self.func, blocks))
+    def verification_outputs(self, n: int) -> Sequence[int]:
+        """The function at blocks 0, ..., n - 1, counted as n verification
+        queries: the codebook if it has exactly n blocks, else one call
+        per block."""
+        self.verification_count += n
+        if self.codebook is not None:
+            outputs = self.codebook()
+            if len(outputs) == n:
+                return outputs
+        return list(map(self.func, range(n)))
 
 
 def encryption_oracle(spec: CipherSpec, key: int) -> Oracle:
-    return Oracle(partial(spec.encrypt, key), "encrypt")
+    """E_k, block by block for the attack and as one encrypt_table(k) for
+    verification."""
+    return Oracle(partial(spec.encrypt, key), "encrypt", partial(spec.encrypt_table, key))
 
 
 def decryption_oracle(spec: CipherSpec, key: int) -> Oracle:
@@ -253,11 +272,14 @@ def verify_global_deduction(
 ) -> DeductionReport:
     """Compare the reconstruction against the oracle on every block.
 
-    The oracle answers all blocks in one batch of verification queries,
-    one per block; an answer outside the state space is a mismatch.  The
-    reported query totals are the attack-phase ones from the transcript.
+    The oracle answers all blocks in one batch, counted as one
+    verification query per block: a spec-backed oracle reads the key's
+    whole codebook with one encrypt_table call, an oracle over a bare
+    function asks block by block.  An answer outside the state space is
+    a mismatch.  The reported query totals are the attack-phase ones from
+    the transcript.
     """
-    outputs = enc_oracle.verification_outputs(range(1 << repr_.coord_map.width))
+    outputs = enc_oracle.verification_outputs(1 << repr_.coord_map.width)
     mismatches = sum(y != z for y, z in zip(repr_.forward_table(), outputs))
     return DeductionReport(
         verified_blocks=len(outputs),

@@ -21,7 +21,11 @@ Under XOR each function keeps, per direction a, the size of Im D_a f and
 its affine hull, built once from one image that is then dropped.  The APN
 tests read the sizes, the component space reads the hull, and the image
 is a coset exactly when its size equals its hull's, since the hull is the
-smallest coset that contains it.  Other sums rebuild the image each time.
+smallest coset that contains it.  For m, n <= 8 the entry is read off the
+derivative's bytes translated by c = D_a f(0): the set of those bytes has
+the image's size and spans the hull's space, and the hull is c plus that
+space.  Wider functions build the image and its hull.  Other sums rebuild
+the image each time.
 """
 
 from __future__ import annotations
@@ -149,17 +153,24 @@ class VBF:
         return f"VBF(m={self.m}, n={self.n})"
 
 
-def _derivative_bytes(f: VBF, a: int) -> bytes:
-    """D_a f(x) for x = 0, ..., 2^m - 1 as one bytes object, for m, n <= 8:
-    the points x + a are translated through the table to f(x + a), and one
-    int XOR with the packed table adds f(x)."""
+def _derivative_bytes(f: VBF, a: int, c: int = 0) -> bytes:
+    """D_a f(x) + c for x = 0, ..., 2^m - 1 as one bytes object, for
+    m, n <= 8 and c < 2^n: the points x + a are translated through the
+    table to f(x + a), and one int XOR adds f(x) and c to every byte."""
     if f._bytes is None:
         packed = bytes(f.table)
         f._bytes = (packed + bytes(256 - len(packed)), int.from_bytes(packed, "big"))
     translate, packed = f._bytes
-    size = 1 << f.m
-    shifted = (_IDENT[f.m] ^ a * _ONES[f.m]).to_bytes(size, "big").translate(translate)
-    return (int.from_bytes(shifted, "big") ^ packed).to_bytes(size, "big")
+    size, ones = 1 << f.m, _ONES[f.m]
+    shifted = (_IDENT[f.m] ^ a * ones).to_bytes(size, "big").translate(translate)
+    return (int.from_bytes(shifted, "big") ^ packed ^ c * ones).to_bytes(size, "big")
+
+
+def _check_direction(f: VBF, a: int) -> None:
+    if isinstance(a, bool) or not isinstance(a, int):
+        raise ValueError(f"derivative direction must be an int, got {a!r}")
+    if not 0 < a < 1 << f.m:
+        raise ValueError(f"derivative direction must be in 1..{(1 << f.m) - 1}, got {a}")
 
 
 def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
@@ -170,10 +181,7 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
     _derivative_bytes); a wider one visits only one point of each pair
     {x, x + a}, the one whose bit at a's leading position is clear, since
     D_a f(x) = D_a f(x + a)."""
-    if isinstance(a, bool) or not isinstance(a, int):
-        raise ValueError(f"derivative direction must be an int, got {a!r}")
-    if not 0 < a < 1 << f.m:
-        raise ValueError(f"derivative direction must be in 1..{(1 << f.m) - 1}, got {a}")
+    _check_direction(f, a)
     table = f.table
     if sum_op is None:
         if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
@@ -227,12 +235,23 @@ def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
 
 def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
     """(|Im D_a f|, affine hull of Im D_a f) under XOR, kept on f per
-    direction: the image is built once and only these two are stored."""
+    direction: the image is built once and only these two are stored.
+
+    For m, n <= 8 the image is read as bytes translated by c = D_a f(0),
+    so that it contains 0: the set of those bytes has the image's size
+    and spans the hull's space, and the hull is c plus that space."""
     shape = f._derivatives.get(a)
     # a float or bool equal to a stored direction would hit its entry
     if shape is None or type(a) is not int:
-        image = derivative_image(f, a)
-        shape = f._derivatives[a] = (len(image), affine_hull(image, f.n))
+        if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
+            _check_direction(f, a)
+            c = f.table[a] ^ f.table[0]
+            points = set(_derivative_bytes(f, a, c))
+            shape = (len(points), AffineSubspace(c, Subspace(points, f.n)))
+        else:
+            image = derivative_image(f, a)
+            shape = (len(image), affine_hull(image, f.n))
+        f._derivatives[a] = shape
     return shape
 
 
@@ -391,7 +410,8 @@ def n_hat(f: VBF) -> int:
 def ea_transform(f: VBF, outer, inner, added) -> VBF:
     """g1(f(g2(x))) + g3(x) for affine g1 (invertible, on outputs), g2
     (invertible, on inputs) and arbitrary affine g3, read off the three
-    maps' tables."""
+    maps' tables.  g3 acts on the m input bits, so for m > n its outputs
+    must fit in n bits."""
     for g, what, width in ((outer, "outer", f.n), (inner, "inner", f.m), (added, "added", f.m)):
         if g.width != width:
             raise ValueError(f"{what} affine map has width {g.width}, the function needs {width}")
@@ -399,6 +419,8 @@ def ea_transform(f: VBF, outer, inner, added) -> VBF:
         if not g.matrix.is_invertible():
             raise ValueError(f"{what} affine map must be invertible")
     g1, g2, g3 = (g.matrix.affine_table(g.translation) for g in (outer, inner, added))
+    if f.m > f.n and max(g3) >> f.n:
+        raise ValueError(f"added affine map has outputs outside the function's {f.n} output bits")
     table = f.table
     return VBF(f.m, f.n, [g1[table[y]] ^ z for y, z in zip(g2, g3)])
 

@@ -1,6 +1,7 @@
 """Reconstruction attack tests: query accounting, correctness, failure modes."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ from hiddensums.attack import (
     verify_global_deduction,
 )
 from hiddensums.cipher import (
+    CipherSpec,
     builtin_toy_spec,
     permuted_key_schedule,
     rotating_key_schedule,
@@ -25,7 +27,8 @@ from hiddensums.cipher import (
     toy_state_sum,
 )
 from hiddensums.gf2 import BinMatrix
-from hiddensums.hidden_sum import BasisError
+from hiddensums.hidden_sum import AffineMap, BasisError, HiddenSum, RegularGroup
+from hiddensums.vbf import VBF
 
 
 def identity_oracle():
@@ -262,9 +265,7 @@ class TestGlobalDeduction:
         spec = builtin_toy_spec()
         oracle = encryption_oracle(spec, 9)
         repr_, transcript = reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
-        flipped = BinMatrix([repr_.matrix.rows[0] ^ 1] + list(repr_.matrix.rows[1:]))
-        bad = AffineRepr(flipped, repr_.t_coords, repr_.matrix_inv, repr_.coord_map)
-        report = verify_global_deduction(bad, oracle, transcript)
+        report = verify_global_deduction(corrupted(repr_), oracle, transcript)
         assert report.mismatches >= 1
         assert not report.ok
 
@@ -323,6 +324,102 @@ SCHEDULES = {
     "rotating": lambda: rotating_key_schedule(6),
     "permuted": lambda: permuted_key_schedule(6, 99),
 }
+
+
+def corrupted(repr_: AffineRepr) -> AffineRepr:
+    """The recovery with one bit of its matrix flipped."""
+    flipped = BinMatrix([repr_.matrix.rows[0] ^ 1] + list(repr_.matrix.rows[1:]))
+    return AffineRepr(flipped, repr_.t_coords, repr_.matrix_inv, repr_.coord_map)
+
+
+def assert_codebook_verifies_as_per_block(spec, key, state, basis):
+    """A spec-backed oracle and a bare per-block oracle over the same key
+    give equal recoveries, reports and counts, for the recovery and for
+    it corrupted."""
+    by_codebook = encryption_oracle(spec, key)
+    per_block = Oracle(partial(spec.encrypt, key), "encrypt")
+    assert by_codebook.codebook is not None and per_block.codebook is None
+    recoveries = [reconstruct_cp(o, state, basis) for o in (by_codebook, per_block)]
+    assert recoveries[0][0].forward_table() == recoveries[1][0].forward_table()
+    mismatches = []
+    for change in (lambda r: r, corrupted):
+        reports = [
+            verify_global_deduction(change(repr_), oracle, transcript)
+            for oracle, (repr_, transcript) in zip((by_codebook, per_block), recoveries)
+        ]
+        assert reports[0] == reports[1], (key, reports)
+        assert by_codebook.verification_count == per_block.verification_count
+        assert by_codebook.query_count == per_block.query_count == len(basis) + 1
+        mismatches.append(reports[0].mismatches)
+    return mismatches
+
+
+def nine_bit_xor_spec(rounds: int):
+    """Identity bricks under a seeded invertible 9x9 mixing: XOR-affine,
+    and too wide for byte tables, so encrypt_table runs block by block."""
+    rng = random.Random(9)
+    while True:
+        mixing = BinMatrix([rng.randrange(1 << 9) for _ in range(9)])
+        if mixing.is_invertible():
+            break
+    brick = VBF.identity(3)
+    return CipherSpec([brick, brick, brick], mixing, rounds)
+
+
+class TestCodebookVerification:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("rounds", [1, 20, 100])
+    def test_equal_to_per_block_every_key(self, rounds, schedule):
+        spec = builtin_toy_spec(rounds, SCHEDULES[schedule]())
+        for key in range(64):
+            ok, bad = assert_codebook_verifies_as_per_block(
+                spec, key, toy_state_sum(), toy_coordinate_basis()
+            )
+            assert ok == 0 and bad > 0
+
+    def test_equal_to_per_block_on_a_wide_state(self):
+        spec = nine_bit_xor_spec(5)
+        assert spec.d == 9
+        xor = HiddenSum(RegularGroup.build([AffineMap(BinMatrix.identity(9), 1 << i) for i in range(9)]))
+        basis = tuple(1 << i for i in range(9))
+        for key in (0, 300, 511):
+            ok, bad = assert_codebook_verifies_as_per_block(spec, key, xor, basis)
+            assert ok == 0 and bad > 0
+
+    def test_one_encrypt_table_call_per_verification(self):
+        spec = builtin_toy_spec(20)
+        calls = {"encrypt": 0, "encrypt_table": 0}
+
+        def counted(name):
+            method = getattr(spec, name)
+
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return call
+
+        spec.encrypt, spec.encrypt_table = counted("encrypt"), counted("encrypt_table")
+        oracle = encryption_oracle(spec, 5)
+        repr_, transcript = reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
+        assert calls == {"encrypt": 7 + SPOT_CHECKS, "encrypt_table": 0}
+        report = verify_global_deduction(repr_, oracle, transcript)
+        assert calls == {"encrypt": 7 + SPOT_CHECKS, "encrypt_table": 1}
+        assert report.ok and report.verified_blocks == 64
+        assert oracle.verification_count == SPOT_CHECKS + 64
+
+    def test_codebook_of_another_size_is_asked_block_by_block(self):
+        """A 6-bit recovery checked against a 9-bit spec reads blocks
+        0..63 one by one, as a bare oracle does."""
+        spec = nine_bit_xor_spec(1)
+        repr_, transcript = reconstruct_cp(
+            identity_oracle(), toy_state_sum(), toy_coordinate_basis()
+        )
+        reports = [
+            verify_global_deduction(repr_, oracle, transcript)
+            for oracle in (encryption_oracle(spec, 3), Oracle(partial(spec.encrypt, 3), "encrypt"))
+        ]
+        assert reports[0] == reports[1] and reports[0].verified_blocks == 64
 
 
 class TestLookupTables:

@@ -48,6 +48,7 @@ from hiddensums.gf2 import (
     Subspace,
     _poly_mod,
     dot,
+    gf_mul,
     gf_pow,
     span_basis,
 )
@@ -406,6 +407,27 @@ def test_derivative_memo_matches_fresh_scan_on_all_3bit_permutations():
         assert_memo_holds_no_images(f)
 
 
+def assert_memo_matches_fresh_scan(f: VBF) -> None:
+    for a in range(1, 1 << f.m):
+        assert memo_shape(f, a) == fresh_shape(f, a), (f.table, a)
+    assert len(f._derivatives) == (1 << f.m) - 1
+    assert_memo_holds_no_images(f)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_derivative_memo_matches_fresh_scan_on_inversion(m):
+    assert_memo_matches_fresh_scan(VBF.from_power((1 << m) - 2, field_spec(m)))
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (5, 8), (7, 7), (8, 3), (8, 8)])
+def test_derivative_memo_matches_fresh_scan_on_seeded_tables(m, n):
+    """Off-square and full-width tables at the byte limit; low output
+    widths make many images small cosets."""
+    rng = random.Random(11 * m + n)
+    for _ in range(4 if m < 7 else 1):
+        assert_memo_matches_fresh_scan(VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)]))
+
+
 def test_derivative_hull_memo_matches_fresh_computation():
     """Interleaved calls on functions that share directions, and on two
     equal tables held by different objects, each read their own entry."""
@@ -479,9 +501,37 @@ def test_complement_memo_per_basis_and_width(width):
 
 @pytest.mark.parametrize("m", sorted(FIELD_MODULI))
 def test_power_map_matches_horner(m):
+    """x^d by Horner's rule on the monomial, which is d products by x, at
+    every point and for every exponent up to 2^m + 1; each exponent reuses
+    the table of x^(d-1), so it costs one bitwise field product per point.
+    Independent of the exp/log tables that from_power reads."""
     fs = field_spec(m)
+    powers = [1] * (1 << m)  # x^0 = 1, also at x = 0
     for d in range((1 << m) + 2):
-        assert VBF.from_power(d, fs) == VBF.from_univariate([0] * d + [1], fs), d
+        assert VBF.from_power(d, fs).table == tuple(powers), d
+        powers = [gf_mul(p, x, fs) for x, p in enumerate(powers)]
+
+
+@pytest.mark.parametrize("m", sorted(FIELD_MODULI))
+def test_univariate_matches_sum_of_monomials_at_high_degree(m):
+    """Seeded dense polynomials of degree 2^m + 1, whose terms past x^(2^m - 1)
+    wrap around, against the sum of c_i * x^i at every point, the powers
+    taken by repeated products; and the top monomials against from_power."""
+    fs = field_spec(m)
+    rng = random.Random(m)
+    degree = (1 << m) + 1
+    for _ in range(2):
+        coeffs = [rng.randrange(1 << m) for _ in range(degree)] + [rng.randrange(1, 1 << m)]
+        expected = []
+        for x in range(1 << m):
+            acc, power = 0, 1
+            for c in coeffs:
+                acc ^= gf_mul(c, power, fs)
+                power = gf_mul(power, x, fs)
+            expected.append(acc)
+        assert VBF.from_univariate(coeffs, fs).table == tuple(expected)
+    for d in range(degree - 3, degree + 1):
+        assert VBF.from_univariate([0] * d + [1], fs) == VBF.from_power(d, fs), d
 
 
 def test_irreducibility_matches_trial_division():

@@ -425,6 +425,18 @@ class TestEaTransform:
         with pytest.raises(ValueError, match="added affine map has width 2, the function needs 3"):
             ea_transform(f, i2, i3, i2)
 
+    def test_added_map_leaving_the_output_bits_rejected(self):
+        f = VBF(3, 2, [x & 3 for x in range(8)])
+        i2, i3 = AffineMap.identity(2), AffineMap.identity(3)
+        for added in (i3, AffineMap(BinMatrix([0, 0, 0]), 4)):
+            with pytest.raises(ValueError, match="added affine map has outputs outside"):
+                ea_transform(f, i2, i3, added)
+        # outputs inside the 2 output bits are added as before
+        for added in (AffineMap(BinMatrix([0, 0, 0]), 3), AffineMap(BinMatrix([1, 2, 3]), 1)):
+            g = ea_transform(f, i2, i3, added)
+            assert max(added.apply(x) for x in range(8)) < 4
+            assert g.table == tuple(f.table[x] ^ added.apply(x) for x in range(8))
+
     def test_transform_table(self):
         f = VBF.identity(3)
         outer = AffineMap(BinMatrix([2, 1, 4]), 1)
