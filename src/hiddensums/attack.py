@@ -22,10 +22,9 @@ CipherSpec answers verification with the key's whole codebook
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from typing import Callable, Sequence
 
 from .cipher import CipherSpec, block_outside_state
 from .gf2 import BinMatrix, SingularMatrixError
@@ -103,11 +102,10 @@ def decryption_oracle(spec: CipherSpec, key: int) -> Oracle:
     return Oracle(partial(spec.decrypt, key), "decrypt")
 
 
-@dataclass(frozen=True)
-class AttackTranscript:
-    queries: tuple[tuple[str, int, int], ...]
-    encryption_count: int
-    decryption_count: int
+class AttackTranscript(namedtuple("AttackTranscript", "queries encryption_count decryption_count")):
+    """The attack's (direction, input, output) queries and the count per oracle."""
+
+    __slots__ = ()
 
 
 class AffineRepr:
@@ -169,6 +167,7 @@ class AffineRepr:
 def spot_check_blocks(seed: int, n: int) -> tuple[int, ...]:
     """The blocks a recovery with this seed spot-checks in a space of n
     blocks, drawn once per (seed, n)."""
+    import random  # here, so that importing the package leaves it out
     return tuple(random.Random(seed).sample(range(n), min(SPOT_CHECKS, n)))
 
 
@@ -255,12 +254,12 @@ def reconstruct_cpcc(
     return repr_, transcript
 
 
-@dataclass(frozen=True)
-class DeductionReport:
-    verified_blocks: int
-    mismatches: int
-    enc_queries: int
-    dec_queries: int
+class DeductionReport(
+    namedtuple("DeductionReport", "verified_blocks mismatches enc_queries dec_queries")
+):
+    """Blocks compared, how many disagreed, and the attack's query counts."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

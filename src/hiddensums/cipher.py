@@ -15,9 +15,8 @@ reconstruction attack exploits.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .gf2 import BinMatrix, FieldSpec
 from .hidden_sum import HiddenSum, RegularGroup, parse_group_spec, product_sum
@@ -86,6 +85,7 @@ class PermutedKeySchedule(WidthKeySchedule):
         self._drawn: list[int] = []
 
     def _permutation(self, h: int) -> list[int]:
+        import random  # here, so that importing the package leaves it out
         rng = random.Random(self.seed * 1_000_003 + h)
         p = list(range(1 << self.width))
         rng.shuffle(p)

@@ -13,8 +13,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import attack as attack_mod
 from . import cipher, hidden_sum, reproduce, vbf
@@ -279,7 +278,7 @@ def cmd_reproduce(args) -> int:
             raise InputError(f"bad criteria list {args.criteria!r}") from exc
     try:
         if _want_json(args):
-            rows = [asdict(result) for result in reproduce.results(criteria)]
+            rows = [result._asdict() for result in reproduce.results(criteria)]
             ok = all(row["verdict"] == "PASS" for row in rows)
             _emit(args, {"passed": ok, "criteria": rows}, [])
         else:

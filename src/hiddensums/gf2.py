@@ -13,8 +13,8 @@ x^3 + x + 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 
 def dot(a: int, b: int) -> int:

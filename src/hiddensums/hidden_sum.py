@@ -13,9 +13,9 @@ round functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .gf2 import BinMatrix, Subspace, vec_from_str, vec_to_str
 
@@ -317,10 +317,10 @@ def kappa(hs: HiddenSum, y: int) -> BinMatrix:
     return BinMatrix([hs.op(1 << i, y) ^ y for i in range(hs.width)])
 
 
-@dataclass(frozen=True)
-class KappaCheck:
-    ok: bool
-    witness: tuple[int, int] | None = None
+class KappaCheck(namedtuple("KappaCheck", "ok witness", defaults=(None,))):
+    """True exactly when ok is; witness is the first pair (x, y) that fails."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -358,13 +358,12 @@ def ring_product(hs: HiddenSum, x: int, y: int) -> int:
     return x ^ y ^ hs.op(x, y)
 
 
-@dataclass(frozen=True)
-class RingReport:
-    commutative: bool
-    associative: bool
-    distributive: bool
-    nilpotent: bool
-    nilpotency_index: int | None
+class RingReport(
+    namedtuple("RingReport", "commutative associative distributive nilpotent nilpotency_index")
+):
+    """One flag per ring axiom, and the nilpotency index (None if not nilpotent)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,9 +12,9 @@ detail and elapsed time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from time import perf_counter
-from typing import Callable, Iterator, Sequence
 
 from . import attack, cipher, corpus, hidden_sum, vbf
 from .gf2 import AffineSubspace, BinMatrix
@@ -357,16 +357,11 @@ CRITERIA: tuple[tuple[int, str, Callable[[], str]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(namedtuple("CriterionResult", "criterion title verdict detail elapsed_s")):
     """One check's outcome: verdict PASS or FAIL, its detail line, and its
     wall time in seconds."""
 
-    criterion: int
-    title: str
-    verdict: str
-    detail: str
-    elapsed_s: float
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{self.verdict} [{self.criterion:2d}] {self.title}: {self.detail}"

@@ -30,10 +30,9 @@ the image each time.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, span_basis
 
@@ -200,14 +199,11 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
     return frozenset(image)
 
 
-@dataclass(frozen=True)
-class DiffSpectrum:
+class DiffSpectrum(namedtuple("DiffSpectrum", "delta witness counts", defaults=(None,))):
     """Maximum differential count delta, one witness pair attaining it, and
     (optionally) the full count table as {a: {b: count}}."""
 
-    delta: int
-    witness: tuple[int, int]
-    counts: dict[int, dict[int, int]] | None = None
+    __slots__ = ()
 
 
 def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
@@ -317,16 +313,14 @@ def affine_hull(points: Iterable[int], width: int) -> AffineSubspace:
     return AffineSubspace(base, Subspace([p ^ base for p in pts], width))
 
 
-@dataclass(frozen=True)
-class ACVerdict:
-    """Outcome of an anti-crookedness test.
+class ACVerdict(namedtuple("ACVerdict", "value witness", defaults=(None,))):
+    """Outcome of an anti-crookedness test, true exactly when value is.
 
     When the function fails, witness names a direction whose derivative
     image is a coset.
     """
 
-    value: bool
-    witness: int | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.value
@@ -430,25 +424,37 @@ def ea_transform(f: VBF, outer, inner, added) -> VBF:
 # ---------------------------------------------------------------------------
 
 
+def _read_int(token: str, base: int) -> int:
+    """int(token, base) for an optional "-" and ASCII digits only: int()
+    alone also takes "+", "0x", "_" and non-ASCII digits."""
+    if not token.isascii() or token.removeprefix("-").lower().strip("0123456789abcdef"[:base]):
+        raise ValueError(f"{token!r} is not a base-{base} number")
+    return int(token, base)
+
+
 def load_sbox(text: str) -> VBF:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    """A header "m=<m> n=<n>" in decimal, then one hex entry per line;
+    blank lines are skipped, and errors name the line of the text."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty s-box file")
-    header = lines[0].split()
+    lineno, header = lines[0]
     try:
-        m_token, n_token = header
-        m = int(m_token.removeprefix("m="))
-        n = int(n_token.removeprefix("n="))
+        m_token, n_token = header.split()
+        m = _read_int(m_token.removeprefix("m="), 10)
+        n = _read_int(n_token.removeprefix("n="), 10)
     except ValueError as exc:
-        raise ValueError(f"line 1: bad s-box header {lines[0]!r}") from exc
+        raise ValueError(f"line {lineno}: bad s-box header {header!r}") from exc
     if m < 1:
-        raise ValueError(f"line 1: input width m={m} must be positive")
+        raise ValueError(f"line {lineno}: input width m={m} must be positive")
     if n < 1:
-        raise ValueError(f"line 1: output width n={n} must be positive")
+        raise ValueError(f"line {lineno}: output width n={n} must be positive")
     table = []
-    for lineno, tok in enumerate(lines[1:], start=2):
+    for lineno, tok in lines[1:]:
         try:
-            table.append(int(tok, 16))
+            table.append(_read_int(tok, 16))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {tok!r} is not a hex value") from exc
+            raise ValueError(f"line {lineno}: {tok!r} is not a hex value (digits 0-9, a-f)") from exc
+        if tok.startswith("-"):
+            raise ValueError(f"line {lineno}: table value {tok!r} is negative")
     return VBF(m, n, table)

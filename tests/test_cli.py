@@ -208,6 +208,27 @@ class TestAnalyze:
         assert out == ""
         assert "bad s-box file: line 1: bad s-box header 'm=3 n=3 junk'" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m=3 n=3\n0\n+1\n" + "0\n" * 6, "line 3: '+1' is not a hex value"),
+            ("m=3 n=3\n0\n0x2\n" + "0\n" * 6, "line 3: '0x2' is not a hex value"),
+            ("m=3 n=3\n0\n1_1\n" + "0\n" * 6, "line 3: '1_1' is not a hex value"),
+            ("m=3 n=3\n0\n\u0661\n" + "0\n" * 6, "line 3: '\u0661' is not a hex value"),
+            ("m=3 n=3\n0\n-1\n" + "0\n" * 6, "line 3: table value '-1' is negative"),
+            ("m=+3 n=3\n" + "0\n" * 8, "line 1: bad s-box header 'm=+3 n=3'"),
+            ("m=3 n=\u0663\n" + "0\n" * 8, "line 1: bad s-box header"),
+        ],
+        ids=["sign", "prefix", "underscore", "indic", "negative", "signed-m", "indic-n"],
+    )
+    def test_entry_or_count_not_in_ascii_digits_is_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "box.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"bad s-box file: {message}" in err
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_output_width_below_one_is_input_error(self, tmp_path, capsys, n):
         path = tmp_path / "box.txt"

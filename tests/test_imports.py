@@ -5,9 +5,16 @@ counts as used when the module reads it anywhere as a bare name; an
 attribute chain such as os.path.join reads the name os.  A defined
 function, class or method counts as used when the package or the
 benchmark under perfbench/ reads its name outside its own definition.
+
+The core modules also stay cheap to import: a fresh interpreter that
+imports them and builds the bundled cipher loads none of the heavier
+standard-library modules named in HEAVY.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -126,3 +133,29 @@ def test_unread_definitions_reported():
         "m.py: Box.grow",
         "m.py: unused",
     ]
+
+
+CORE = ("gf2", "vbf", "hidden_sum", "cipher", "attack")
+HEAVY = ("dataclasses", "typing", "inspect", "random", "re")
+
+
+def test_core_import_loads_no_heavy_module():
+    """A fresh python -S with the package on its path imports the core and
+    builds what the benchmark's set-up builds; the failure names each
+    module of HEAVY that came in."""
+    code = "\n".join(
+        [
+            "import sys",
+            *(f"import hiddensums.{name}" for name in CORE),
+            "from hiddensums import cipher, hidden_sum",
+            "cipher.builtin_toy_spec()",
+            "hidden_sum.CoordinateMap(cipher.toy_state_sum(), cipher.toy_coordinate_basis())",
+            f"print(*[name for name in {HEAVY!r} if name in sys.modules])",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hiddensums.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"importing the core loaded {proc.stdout.strip()}"

@@ -6,6 +6,7 @@ pair counting) the test recomputes it inline.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -482,3 +483,31 @@ class TestSboxFiles:
     def test_header_of_other_than_two_tokens_rejected(self, header):
         with pytest.raises(ValueError, match="line 1: bad s-box header"):
             load_sbox(header + "\n" + "0\n" * 8)
+
+    @pytest.mark.parametrize("entry", ["+1", "0x2", "0X2", "1_1", "\u0661", "\uff21", "1 1", "-", "1.0"])
+    def test_entry_of_other_than_ascii_hex_digits_rejected(self, entry):
+        # int(entry, 16) reads the first five as 1, 2, 2, 17 and 1
+        with pytest.raises(ValueError, match=re.escape(f"line 3: {entry!r} is not a hex value")):
+            load_sbox(f"m=2 n=2\n0\n{entry}\n2\n3\n")
+
+    @pytest.mark.parametrize(
+        "header", ["m=+2 n=2", "m=2 n=+2", "m=\u0662 n=2", "m=2_0 n=2", "m= n=2", "m=0x2 n=2"]
+    )
+    def test_header_count_of_other_than_ascii_decimal_digits_rejected(self, header):
+        with pytest.raises(ValueError, match="line 1: bad s-box header"):
+            load_sbox(header + "\n" + "0\n" * 4)
+
+    @pytest.mark.parametrize("entry", ["-1", "-0", "-a"])
+    def test_negative_entry_named_as_negative(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"line 4: table value {entry!r} is negative")):
+            load_sbox(f"m=2 n=2\n0\n1\n{entry}\n3\n")
+
+    def test_errors_name_the_line_of_the_text(self):
+        with pytest.raises(ValueError, match="line 2: bad s-box header"):
+            load_sbox("\nm=2 n=x\n0\n1\n2\n3\n")
+        with pytest.raises(ValueError, match="line 6: 'zz' is not a hex value"):
+            load_sbox("m=2 n=2\n0\n\n1\n2\nzz\n")
+
+    def test_hex_digits_of_either_case_accepted(self):
+        f = load_sbox("m=2 n=4\n0\nA\nf\n0F\n")
+        assert f.table == (0, 10, 15, 15)
