@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .cipher import CipherSpec, block_outside_state
@@ -102,10 +103,12 @@ def decryption_oracle(spec: CipherSpec, key: int) -> Oracle:
     return Oracle(partial(spec.decrypt, key), "decrypt")
 
 
-class AttackTranscript(namedtuple("AttackTranscript", "queries encryption_count decryption_count")):
-    """The attack's (direction, input, output) queries and the count per oracle."""
-
-    __slots__ = ()
+@dataclass(frozen=True)
+class AttackTranscript:
+    # A dataclass, not a named tuple: perfbench/selftest.py edits one with dataclasses.replace.
+    queries: tuple[tuple[str, int, int], ...]
+    encryption_count: int
+    decryption_count: int
 
 
 class AffineRepr:

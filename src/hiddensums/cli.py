@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from collections.abc import Sequence
 
@@ -166,10 +165,13 @@ def cmd_hidden_search(args) -> int:
 
 
 def _parse_block(text: str, width: int) -> int:
-    """Hex digits only: no sign, prefix, underscore or blank."""
-    if not re.fullmatch(r"[0-9a-fA-F]+", text):
+    """ASCII hex digits only (vbf.read_digits): no sign, prefix, underscore or blank."""
+    try:
+        v = vbf.read_digits(text, 16)
+    except ValueError:
+        v = None
+    if v is None or text.startswith("-"):
         raise InputError(f"block {text!r} must be a non-negative hex number (digits 0-9, a-f)")
-    v = int(text, 16)
     if v >> width:
         raise InputError(f"block {text!r} exceeds {width} bits")
     return v

@@ -424,7 +424,7 @@ def ea_transform(f: VBF, outer, inner, added) -> VBF:
 # ---------------------------------------------------------------------------
 
 
-def _read_int(token: str, base: int) -> int:
+def read_digits(token: str, base: int) -> int:
     """int(token, base) for an optional "-" and ASCII digits only: int()
     alone also takes "+", "0x", "_" and non-ASCII digits."""
     if not token.isascii() or token.removeprefix("-").lower().strip("0123456789abcdef"[:base]):
@@ -441,8 +441,8 @@ def load_sbox(text: str) -> VBF:
     lineno, header = lines[0]
     try:
         m_token, n_token = header.split()
-        m = _read_int(m_token.removeprefix("m="), 10)
-        n = _read_int(n_token.removeprefix("n="), 10)
+        m = read_digits(m_token.removeprefix("m="), 10)
+        n = read_digits(n_token.removeprefix("n="), 10)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: bad s-box header {header!r}") from exc
     if m < 1:
@@ -452,7 +452,7 @@ def load_sbox(text: str) -> VBF:
     table = []
     for lineno, tok in lines[1:]:
         try:
-            table.append(_read_int(tok, 16))
+            table.append(read_digits(tok, 16))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {tok!r} is not a hex value (digits 0-9, a-f)") from exc
         if tok.startswith("-"):

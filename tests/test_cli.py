@@ -529,6 +529,14 @@ class TestEncryptDecrypt:
         assert out == ""
         assert f"block {block!r} must be a non-negative hex number" in err
 
+    @pytest.mark.parametrize("block", ["-0", "\u0661", "\uff11"])
+    def test_minus_zero_and_non_ascii_digits_refused(self, capsys, block):
+        """The digits an s-box entry takes (vbf.read_digits), and no sign."""
+        code, out, err = run(capsys, "encrypt", "--key", "10", "--pt", block)
+        assert code == 2
+        assert out == ""
+        assert f"block {block!r} must be a non-negative hex number" in err
+
     def test_hex_digits_of_either_case_accepted(self, capsys):
         assert run(capsys, "encrypt", "--key", "10", "--pt", "2a")[:2] == (0, "37\n")
         assert run(capsys, "encrypt", "--key", "10", "--pt", "2A")[:2] == (0, "37\n")

