@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from .gf2 import BinMatrix, FieldSpec
-from .hidden_sum import HiddenSum, RegularGroup, parse_group_spec, product_sum
+from .hidden_sum import HiddenSum, parse_group_spec, product_sum
 from .vbf import VBF
 
 KeySchedule = Callable[[int, int], int]
@@ -371,7 +371,7 @@ def toy_mixing() -> BinMatrix:
 
 @lru_cache(maxsize=None)
 def toy_brick_sum() -> HiddenSum:
-    return HiddenSum(RegularGroup.build(parse_group_spec(TOY_GROUP_SPEC)))
+    return HiddenSum(parse_group_spec(TOY_GROUP_SPEC))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from . import attack as attack_mod
 from . import cipher, hidden_sum, reproduce, vbf
-from .gf2 import FieldSpec, vec_to_str
+from .gf2 import FieldSpec, read_digits, vec_to_str
 
 
 class InputError(Exception):
@@ -165,9 +165,9 @@ def cmd_hidden_search(args) -> int:
 
 
 def _parse_block(text: str, width: int) -> int:
-    """ASCII hex digits only (vbf.read_digits): no sign, prefix, underscore or blank."""
+    """ASCII hex digits only (gf2.read_digits): no sign, prefix, underscore or blank."""
     try:
-        v = vbf.read_digits(text, 16)
+        v = read_digits(text, 16)
     except ValueError:
         v = None
     if v is None or text.startswith("-"):

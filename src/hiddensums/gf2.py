@@ -38,6 +38,14 @@ def vec_from_str(s: str) -> int:
     return v
 
 
+def read_digits(token: str, base: int) -> int:
+    """int(token, base) for an optional "-" and ASCII digits only: int()
+    alone also takes "+", "0x", "_" and non-ASCII digits."""
+    if not token.isascii() or token.removeprefix("-").lower().strip("0123456789abcdef"[:base]):
+        raise ValueError(f"{token!r} is not a base-{base} number")
+    return int(token, base)
+
+
 class SingularMatrixError(ValueError):
     """Raised when an inverse of a singular matrix is requested."""
 

@@ -2,12 +2,13 @@
 
 An abelian group of affine permutations that acts regularly on the space
 induces a second sum on it: x # y is "translate x by the element that
-moves 0 to y".  This module builds such groups from generators, exposes
-the induced sum together with its linear parts, the subspace where it
-agrees with XOR, and the associated nilpotent ring product, and decides
-membership of arbitrary permutations in the affine group of the new sum.
-A bounded search enumerates all such sums compatible with a given set of
-round functions.
+moves 0 to y".  A regular abelian group is fixed by its generators, so
+this module builds the sum from them alone and never closes the group.
+It exposes the induced sum together with its linear parts, the subspace
+where it agrees with XOR, and the associated nilpotent ring product, and
+decides membership of arbitrary permutations in the affine group of the
+new sum.  A bounded search enumerates all such sums compatible with a
+given set of round functions.
 """
 
 from __future__ import annotations
@@ -17,20 +18,10 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 
-from .gf2 import BinMatrix, Subspace, vec_from_str, vec_to_str
-
-
-class NotAbelianError(ValueError):
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"generators do not commute: {pair[0]!r} vs {pair[1]!r}")
+from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
 
 
 class NotRegularError(ValueError):
-    pass
-
-
-class ClosureOverflowError(ValueError):
     pass
 
 
@@ -95,81 +86,13 @@ def xor_translation_table(width: int, t: int) -> list[int]:
     return [x ^ t for x in range(1 << width)]
 
 
-class RegularGroup:
-    """An abelian group of affine maps acting regularly on (F_2)^width.
-
-    elements[v] is the unique group element sending 0 to v.  The plain
-    constructor trusts its input; RegularGroup.build closes a generator
-    set and verifies everything.
-    """
-
-    __slots__ = ("width", "generators", "elements")
-
-    def __init__(
-        self,
-        width: int,
-        generators: Sequence[AffineMap],
-        elements: Sequence[AffineMap],
-    ):
-        if len(elements) != 1 << width:
-            raise NotRegularError(
-                f"need {1 << width} elements, got {len(elements)}"
-            )
-        self.width = width
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-
-    @classmethod
-    def build(cls, generators: Sequence[AffineMap]) -> RegularGroup:
-        """Close the generators under composition and verify the result is
-        abelian and regular."""
-        if not generators:
-            raise ValueError("need at least one generator")
-        width = generators[0].width
-        if any(g.width != width for g in generators):
-            raise ValueError("generators have mixed widths")
-        for g, h in itertools.combinations(generators, 2):
-            if g.then(h) != h.then(g):
-                raise NotAbelianError((g, h))
-        cap = 1 << width
-        seen = {AffineMap.identity(width)}
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for gen in generators:
-                    h = g.then(gen)
-                    if h not in seen:
-                        seen.add(h)
-                        if len(seen) > cap:
-                            raise ClosureOverflowError(
-                                f"closure exceeds {cap} elements; "
-                                "generators cannot lie in a regular group"
-                            )
-                        fresh.append(h)
-            frontier = fresh
-        by_image: dict[int, AffineMap] = {}
-        for g in seen:
-            v = g.translation  # g(0)
-            if v in by_image:
-                raise NotRegularError(
-                    f"two elements send 0 to {v}; the action is not free"
-                )
-            by_image[v] = g
-        if len(by_image) != cap:
-            raise NotRegularError(
-                f"orbit of 0 has {len(by_image)} points, expected {cap}"
-            )
-        return cls(width, generators, [by_image[v] for v in range(cap)])
-
-    def encode(self) -> tuple:
-        return tuple(e.encode() for e in self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RegularGroup) and self.encode() == other.encode()
-
-    def __hash__(self) -> int:
-        return hash(self.encode())
+def _common_width(generators: Sequence[AffineMap]) -> int:
+    if not generators:
+        raise ValueError("need at least one generator")
+    width = generators[0].width
+    if any(g.width != width for g in generators):
+        raise ValueError("generators have mixed widths")
+    return width
 
 
 class HiddenSum:
@@ -186,11 +109,16 @@ class HiddenSum:
 
     __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased")
 
-    def __init__(self, group: RegularGroup):
+    def __init__(self, generators: Sequence[AffineMap]):
+        """The sum of the group the affine generators span.  That they
+        commute is trusted, not checked (hidden_sum_report checks it):
+        closing or pairing them would cost more than the sum itself.
+        ValueError if there are none or their widths are mixed."""
+        width = _common_width(generators)
         # commuting involutions generate an elementary abelian group;
         # keep each generator whose translation is not yet reached
         by_coeff, basis = [0], []
-        for g in group.generators:
+        for g in generators:
             if not g.is_involution():
                 raise NotElementaryAbelianError(
                     f"generator moving 0 to {g.translation} is not an involution"
@@ -198,7 +126,7 @@ class HiddenSum:
             if g.translation not in by_coeff:
                 basis.append(g.translation)
                 by_coeff += [g.apply(x) for x in by_coeff]
-        if len(basis) != group.width:
+        if len(basis) != width:
             raise NotRegularError("generators do not generate the group")
         self._adopt(by_coeff, basis, NotRegularError("the action is not free"))
 
@@ -445,12 +373,14 @@ def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
 # ---------------------------------------------------------------------------
 
 MAX_BRICK_WIDTH = 4
+# translation_compatible_sums keeps every sum by a lemma that holds below width 7
+assert MAX_BRICK_WIDTH <= 6
 # the ring axioms are checked on all 8^width triples
 MAX_VERIFY_WIDTH = 8
 
 
 @lru_cache(maxsize=None, typed=True)
-def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
+def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     """All regular groups of affine involutions on (F_2)^width.
 
     These groups correspond one to one with the commutative, associative
@@ -467,10 +397,11 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
     and (i, j, j) demand; of the rest, the triples that contain both i
     and j, which reject most candidates, are tested first.  The element
     sending 0 to y is x |-> x(I + delta_y) + y, where row i of delta_y is
-    e_i*y.  Generators are chosen greedily, each the smallest element (by
-    AffineMap.encode) not yet generated.  Returned in a canonical order
-    and cached by value and type, so 3.0 or True never reads the entry of
-    3 or 1.
+    e_i*y.  Each group is returned as its generators, chosen greedily,
+    each the smallest element (by matrix rows, then translation) not yet
+    generated; only these are built as AffineMaps.  The groups come in a
+    canonical order, that of their element rows, and are cached by value
+    and type, so 3.0 or True never reads the entry of 3 or 1.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"brick width {width!r} is not a positive int")
@@ -554,47 +485,38 @@ def enumerate_regular_groups(width: int) -> tuple[RegularGroup, ...]:
 
     groups = []
     for _ in complete(0):
-        elements = [
-            AffineMap(BinMatrix([(1 << i) ^ col[i][y] for i in range(width)]), y)
-            for y in range(n)
-        ]
+        # row i of the element sending 0 to y is e_i + e_i*y
+        rows = [tuple((1 << i) ^ col[i][y] for i in range(width)) for y in range(n)]
         span, generators = {0}, []
-        for g in sorted(elements, key=AffineMap.encode):
-            if g.translation not in span:
+        for y in sorted(range(n), key=rows.__getitem__):
+            if y not in span:
+                g = AffineMap(BinMatrix(rows[y]), y)
                 generators.append(g)
                 span |= {g.apply(x) for x in span}
-        groups.append(RegularGroup(width, generators, elements))
-    return tuple(sorted(groups, key=RegularGroup.encode))
-
-
-def triple_products_vanish(hs: HiddenSum) -> bool:
-    """Whether every XOR translation is affine for the sum, read off its
-    ring as x*y*a = 0 for all x, y and a.
-
-    Proof: translation by a is affine exactly when
-    g(x) = (x + a) # a = x + x*a (using a*a = 0) is additive for #, and
-    expanding with x # y = x + y + x*y in the commutative, associative
-    ring of characteristic 2 gives g(x # y) = g(x) # g(y) + x*y*a.  The
-    triple product is trilinear, so basis triples e_i*e_j*e_k decide it;
-    as e_i*e_i = 0 and the product commutes, the pairs i < j suffice.
-    """
-    units = [1 << i for i in range(hs.width)]
-    return not any(
-        ring_product(hs, ring_product(hs, a, b), c)
-        for a, b in itertools.combinations(units, 2)
-        for c in units
-    )
+        groups.append((rows, tuple(generators)))
+    groups.sort(key=lambda group: group[0])
+    return tuple(generators for _, generators in groups)
 
 
 @lru_cache(maxsize=None, typed=True)
 def translation_compatible_sums(width: int) -> tuple[HiddenSum, ...]:
-    """Hidden sums on one brick for which all XOR translations are affine,
-    by triple_products_vanish.  At widths up to 4 every enumerated sum has
-    vanishing triple products, so all pass; wider bricks can fail, which
-    is why the filter stays.
+    """Hidden sums on one brick for which all XOR translations are affine:
+    every enumerated sum, since MAX_BRICK_WIDTH <= 6.
+
+    Translation by a is affine exactly when g(x) = (x + a) # a = x + x*a
+    (using a*a = 0) is additive for #, and expanding with
+    x # y = x + y + x*y in the commutative, associative ring of
+    characteristic 2 gives g(x # y) = g(x) # g(y) + x*y*a.  So all
+    translations are affine exactly when every triple product x*y*a is 0.
+
+    No sum of width below 7 has a triple product a*b*c that is not 0, as
+    then a, b, c, ab, ac, bc and abc would be linearly independent.  Take
+    a relation among them: every product with a repeated factor is 0
+    (x*x = 0), so multiplying it by bc, ac and ab leaves the coefficients
+    of a, b and c times abc, and then multiplying by c, b and a leaves
+    those of ab, ac and bc times abc.  All six are 0, and so is the last.
     """
-    sums = (HiddenSum(group) for group in enumerate_regular_groups(width))
-    return tuple(hs for hs in sums if triple_products_vanish(hs))
+    return tuple(HiddenSum(g) for g in enumerate_regular_groups(width))
 
 
 def find_hidden_sums(
@@ -603,19 +525,17 @@ def find_hidden_sums(
     """All brick-parallel hidden sums for which the given round functions
     and every XOR translation are affine.
 
-    Per-brick candidates come from the exhaustive enumeration above,
-    pre-filtered by translation membership brick by brick (translations
-    act brickwise, so this is equivalent to the full-width test).  The
-    supplied generators are then tested at full width, and survivors get
-    a final full-width translation re-check.
+    Per-brick candidates come from translation_compatible_sums, so every
+    XOR translation, which acts on one brick at a time, is affine for
+    each of their products; only the supplied generators are tested, at
+    full width.
     """
     if not brick_widths:
         raise ValueError("need at least one brick")
     for w in brick_widths:
         if isinstance(w, bool) or not isinstance(w, int) or not 1 <= w <= MAX_BRICK_WIDTH:
             raise ValueError(f"brick width {w!r} is outside 1..{MAX_BRICK_WIDTH}")
-    total = sum(brick_widths)
-    n = 1 << total
+    n = 1 << sum(brick_widths)
     for table in round_generators:
         if len(table) != n or len(set(table)) != n:
             raise ValueError("round generators must be bijective tables on the space")
@@ -623,14 +543,8 @@ def find_hidden_sums(
     results = []
     for combo in itertools.product(*per_brick):
         hs = product_sum(list(combo))
-        if not all(agl_membership(t, hs) for t in round_generators):
-            continue
-        if not all(
-            agl_membership(xor_translation_table(total, 1 << i), hs)
-            for i in range(total)
-        ):
-            continue
-        results.append(hs)
+        if all(agl_membership(t, hs) for t in round_generators):
+            results.append(hs)
     results.sort(key=HiddenSum._key)
     return results
 
@@ -645,7 +559,7 @@ def parse_group_spec(text: str) -> list[AffineMap]:
     'matrix-rows-concatenated|translation' line per generator."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     try:
-        width = int(lines[0])
+        width = read_digits(lines[0], 10)
     except (IndexError, ValueError) as exc:
         raise ValueError("first line must be the width") from exc
     if width < 1:
@@ -677,8 +591,13 @@ def dump_group_spec(generators: Sequence[AffineMap]) -> str:
 
 
 def hidden_sum_report(generators: Sequence[AffineMap]) -> dict:
-    """Build and fully verify a hidden sum, reporting each check."""
-    width = generators[0].width
+    """Build and fully verify a hidden sum, reporting each check.
+
+    The group the generators span is abelian when they commute pairwise,
+    and then regular exactly when the orbit of 0 is the whole space (a
+    transitive abelian group acts freely), so it is never closed.
+    """
+    width = _common_width(generators)
     if width > MAX_VERIFY_WIDTH:
         raise ValueError(f"width {width} exceeds {MAX_VERIFY_WIDTH}, the verification limit")
     report: dict = {
@@ -690,19 +609,21 @@ def hidden_sum_report(generators: Sequence[AffineMap]) -> dict:
         "ring_axioms": None,
         "nilpotency_index": None,
     }
-    try:
-        group = RegularGroup.build(generators)
-    except NotAbelianError:
+    if any(g.then(h) != h.then(g) for g, h in itertools.combinations(generators, 2)):
         report["abelian"] = False
         report["regular"] = None
         report["elementary_abelian"] = None
         return report
-    except (NotRegularError, ClosureOverflowError):
+    orbit, frontier = {0}, [0]
+    while frontier:
+        frontier = {g.apply(x) for x in frontier for g in generators} - orbit
+        orbit |= frontier
+    if len(orbit) != 1 << width:
         report["regular"] = False
         report["elementary_abelian"] = None
         return report
     try:
-        hs = HiddenSum(group)
+        hs = HiddenSum(generators)
     except NotElementaryAbelianError:
         report["elementary_abelian"] = False
         return report

@@ -34,7 +34,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, span_basis
+from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, read_digits, span_basis
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
@@ -424,17 +424,10 @@ def ea_transform(f: VBF, outer, inner, added) -> VBF:
 # ---------------------------------------------------------------------------
 
 
-def read_digits(token: str, base: int) -> int:
-    """int(token, base) for an optional "-" and ASCII digits only: int()
-    alone also takes "+", "0x", "_" and non-ASCII digits."""
-    if not token.isascii() or token.removeprefix("-").lower().strip("0123456789abcdef"[:base]):
-        raise ValueError(f"{token!r} is not a base-{base} number")
-    return int(token, base)
-
-
 def load_sbox(text: str) -> VBF:
     """A header "m=<m> n=<n>" in decimal, then one hex entry per line;
-    blank lines are skipped, and errors name the line of the text."""
+    blank lines are skipped, and errors name the line of the text, or the
+    expected and actual number of entries."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty s-box file")
@@ -447,6 +440,8 @@ def load_sbox(text: str) -> VBF:
         raise ValueError(f"line {lineno}: bad s-box header {header!r}") from exc
     if m < 1:
         raise ValueError(f"line {lineno}: input width m={m} must be positive")
+    if m > TABLE_LIMIT_BITS:  # before the entry count reads 1 << m
+        raise ValueError(f"line {lineno}: input width m={m} exceeds table limit {TABLE_LIMIT_BITS}")
     if n < 1:
         raise ValueError(f"line {lineno}: output width n={n} must be positive")
     table = []
@@ -457,4 +452,8 @@ def load_sbox(text: str) -> VBF:
             raise ValueError(f"line {lineno}: {tok!r} is not a hex value (digits 0-9, a-f)") from exc
         if tok.startswith("-"):
             raise ValueError(f"line {lineno}: table value {tok!r} is negative")
+        if table[-1] >> n:
+            raise ValueError(f"line {lineno}: table value {tok!r} does not fit in n={n} bits")
+    if len(table) != 1 << m:
+        raise ValueError(f"expected {1 << m} table entries for m={m}, got {len(table)}")
     return VBF(m, n, table)

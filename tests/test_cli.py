@@ -238,6 +238,120 @@ class TestAnalyze:
         assert out == ""
         assert f"bad s-box file: line 1: output width n={n} must be positive" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m=2 n=2\n0\n1\n2\n7\n", "line 5: table value '7' does not fit in n=2 bits"),
+            ("m=2 n=2\n0\n\n10\n2\n3\n", "line 4: table value '10' does not fit in n=2 bits"),
+            ("m=2 n=2\n0\n1\n2\n", "expected 4 table entries for m=2, got 3"),
+            ("m=2 n=2\n0\n1\n2\n3\n0\n", "expected 4 table entries for m=2, got 5"),
+            ("m=2 n=2\n", "expected 4 table entries for m=2, got 0"),
+            ("m=17 n=2\n0\n", "line 1: input width m=17 exceeds table limit 16"),
+        ],
+        ids=["wide", "wide-after-blank", "short", "long", "empty", "too-many-inputs"],
+    )
+    def test_entry_too_wide_or_count_wrong_is_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "box.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"bad s-box file: {message}" in err
+
+
+# spec text (None for --builtin) and the outcome it reports
+HIDDEN_VERIFY_CASES = {
+    "builtin": (None, "verified"),
+    "redundant": ("3\n100010011|100\n100010001|010\n100010011|110\n110010001|001\n", "verified"),
+    "non-commuting": ("3\n100010011|100\n010100001|010\n", "not abelian"),
+    "single": ("3\n100010011|100\n", "not regular"),
+    "order-four": ("2\n1101|10\n", "not elementary abelian"),
+}
+
+HIDDEN_VERIFY_TEXT = {
+    "verified": (
+        0,
+        "abelian           : True\n"
+        "regular           : True\n"
+        "elementary_abelian: True\n"
+        "kappa_homomorphism: True\n"
+        "U_basis           : ['010']\n"
+        "ring_axioms       : True\n"
+        "nilpotency_index  : 3\n",
+    ),
+    "not abelian": (
+        1,
+        "abelian           : False\n"
+        "regular           : None\n"
+        "elementary_abelian: None\n"
+        "kappa_homomorphism: None\n"
+        "U_basis           : None\n"
+        "ring_axioms       : None\n"
+        "nilpotency_index  : None\n",
+    ),
+    "not regular": (
+        1,
+        "abelian           : True\n"
+        "regular           : False\n"
+        "elementary_abelian: None\n"
+        "kappa_homomorphism: None\n"
+        "U_basis           : None\n"
+        "ring_axioms       : None\n"
+        "nilpotency_index  : None\n",
+    ),
+    "not elementary abelian": (
+        1,
+        "abelian           : True\n"
+        "regular           : True\n"
+        "elementary_abelian: False\n"
+        "kappa_homomorphism: None\n"
+        "U_basis           : None\n"
+        "ring_axioms       : None\n"
+        "nilpotency_index  : None\n",
+    ),
+}
+
+HIDDEN_VERIFY_JSON = {
+    "verified": "{\n"
+    '  "U_basis": [\n'
+    '    "010"\n'
+    "  ],\n"
+    '  "abelian": true,\n'
+    '  "elementary_abelian": true,\n'
+    '  "kappa_homomorphism": true,\n'
+    '  "nilpotency_index": 3,\n'
+    '  "regular": true,\n'
+    '  "ring_axioms": true\n'
+    "}\n",
+    "not abelian": "{\n"
+    '  "U_basis": null,\n'
+    '  "abelian": false,\n'
+    '  "elementary_abelian": null,\n'
+    '  "kappa_homomorphism": null,\n'
+    '  "nilpotency_index": null,\n'
+    '  "regular": null,\n'
+    '  "ring_axioms": null\n'
+    "}\n",
+    "not regular": "{\n"
+    '  "U_basis": null,\n'
+    '  "abelian": true,\n'
+    '  "elementary_abelian": null,\n'
+    '  "kappa_homomorphism": null,\n'
+    '  "nilpotency_index": null,\n'
+    '  "regular": false,\n'
+    '  "ring_axioms": null\n'
+    "}\n",
+    "not elementary abelian": "{\n"
+    '  "U_basis": null,\n'
+    '  "abelian": true,\n'
+    '  "elementary_abelian": false,\n'
+    '  "kappa_homomorphism": null,\n'
+    '  "nilpotency_index": null,\n'
+    '  "regular": true,\n'
+    '  "ring_axioms": null\n'
+    "}\n",
+}
+
 
 class TestHiddenVerify:
     def test_builtin(self, capsys):
@@ -289,6 +403,34 @@ class TestHiddenVerify:
         assert code == 2
         assert out == ""
         assert f"width {width} exceeds {MAX_VERIFY_WIDTH}" in err
+
+
+    @pytest.mark.parametrize("name", sorted(HIDDEN_VERIFY_CASES))
+    def test_output_pinned(self, tmp_path, capsys, name):
+        """The text and JSON reports of a passing spec and of each way a
+        spec fails, so that how the verdicts are reached cannot change
+        what hidden-verify prints."""
+        spec, outcome = HIDDEN_VERIFY_CASES[name]
+        if spec is None:
+            source = ["--builtin"]
+        else:
+            path = tmp_path / "group.txt"
+            path.write_text(spec)
+            source = [str(path)]
+        code, text = HIDDEN_VERIFY_TEXT[outcome]
+        assert run(capsys, "hidden-verify", *source) == (code, text, "")
+        assert run(capsys, "hidden-verify", *source, "--json") == (
+            code, HIDDEN_VERIFY_JSON[outcome], "",
+        )
+
+    @pytest.mark.parametrize("width", ["+3", "\u0663"])
+    def test_width_not_in_ascii_digits_exits_two(self, tmp_path, capsys, width):
+        path = tmp_path / "group.txt"
+        path.write_text(f"{width}\n100010011|100\n", encoding="utf-8")
+        code, out, err = run(capsys, "hidden-verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "bad group spec: first line must be the width" in err
 
 
 class TestHiddenSearch:
@@ -531,7 +673,7 @@ class TestEncryptDecrypt:
 
     @pytest.mark.parametrize("block", ["-0", "\u0661", "\uff11"])
     def test_minus_zero_and_non_ascii_digits_refused(self, capsys, block):
-        """The digits an s-box entry takes (vbf.read_digits), and no sign."""
+        """The digits an s-box entry takes (gf2.read_digits), and no sign."""
         code, out, err = run(capsys, "encrypt", "--key", "10", "--pt", block)
         assert code == 2
         assert out == ""

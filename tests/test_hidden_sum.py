@@ -24,13 +24,10 @@ from hiddensums.gf2 import BinMatrix
 from hiddensums.hidden_sum import (
     AffineMap,
     BasisError,
-    ClosureOverflowError,
     CoordinateMap,
     HiddenSum,
-    NotAbelianError,
     NotElementaryAbelianError,
     NotRegularError,
-    RegularGroup,
     agl_membership,
     check_kappa_homomorphism,
     check_ring_axioms,
@@ -53,9 +50,22 @@ def toy_generators():
     return parse_group_spec(TOY_GROUP_SPEC)
 
 
-def xor_group(width):
-    """The XOR translations, whose induced sum is XOR itself."""
-    return RegularGroup.build([AffineMap(BinMatrix.identity(width), 1 << i) for i in range(width)])
+def xor_sum(width):
+    """The sum of the XOR translations: XOR itself."""
+    return HiddenSum([AffineMap(BinMatrix.identity(width), 1 << i) for i in range(width)])
+
+
+def composed_elements(generators):
+    """The element with coefficients c for each c: the generators c
+    selects, composed."""
+    elements = []
+    for c in range(1 << len(generators)):
+        e = AffineMap.identity(generators[0].width)
+        for i, g in enumerate(generators):
+            if c >> i & 1:
+                e = e.then(g)
+        elements.append(e)
+    return elements
 
 
 class TestAffineMap:
@@ -75,45 +85,55 @@ class TestAffineMap:
 
 class TestBuildGroup:
     def test_translation_group_is_xor(self):
-        group = xor_group(3)
-        hs = HiddenSum(group)
+        hs = xor_sum(3)
         for x in range(8):
             for y in range(8):
                 assert hs.op(x, y) == x ^ y
 
     def test_build_is_deterministic(self):
-        assert RegularGroup.build(toy_generators()) == RegularGroup.build(toy_generators())
+        first, second = HiddenSum(toy_generators()), HiddenSum(toy_generators())
+        assert first == second and first.basis == second.basis
+        assert first._by_coeff == second._by_coeff
 
     def test_toy_generators_build_order_eight(self):
-        group = RegularGroup.build(toy_generators())
-        assert len(group.elements) == 8
-        assert all(e.then(e) == AffineMap.identity(3) for e in group.elements)
-        for v in range(8):
-            assert group.elements[v].apply(0) == v
+        elements = composed_elements(toy_generators())
+        assert sorted(e.apply(0) for e in elements) == list(range(8))
+        assert all(e.then(e) == AffineMap.identity(3) for e in elements)
+        hs = HiddenSum(toy_generators())
+        for c, e in enumerate(elements):
+            assert e.apply(0) == hs.element(c)
 
     def test_single_generator_not_regular(self):
         with pytest.raises(NotRegularError):
-            RegularGroup.build([toy_generators()[0]])
+            HiddenSum([toy_generators()[0]])
+        assert hidden_sum_report([toy_generators()[0]])["regular"] is False
 
     def test_non_commuting_generators(self):
         # tau_1 and a matrix map that moves its fixed space do not commute
         g = toy_generators()[0]
         h = AffineMap(BinMatrix([0b010, 0b001, 0b100]), 0b010)
         assert g.then(h) != h.then(g)
-        with pytest.raises(NotAbelianError) as err:
-            RegularGroup.build([g, h])
-        assert set(err.value.pair) == {g, h}
+        report = hidden_sum_report([g, h])
+        assert (report["abelian"], report["regular"], report["elementary_abelian"]) == (
+            False, None, None,
+        )
 
     def test_closure_overflow(self):
-        # four independent commuting involutions: closure has 16 > 2^3 maps
+        # four independent commuting involutions: their group has 16 > 2^3
+        # maps, and the orbit of 0 stays in the span of e1 and e2
         gens = [
             AffineMap(BinMatrix([1, 2, 5]), 1),
             AffineMap(BinMatrix([1, 2, 4]), 1),
             AffineMap(BinMatrix([1, 2, 4]), 2),
             AffineMap(BinMatrix([1, 2, 6]), 1),
         ]
-        with pytest.raises(ClosureOverflowError):
-            RegularGroup.build(gens)
+        assert len(set(composed_elements(gens))) == 16
+        with pytest.raises(NotRegularError):
+            HiddenSum(gens)
+        report = hidden_sum_report(gens)
+        assert (report["abelian"], report["regular"], report["elementary_abelian"]) == (
+            True, False, None,
+        )
 
     def test_order_four_elements_rejected_by_hidden_sum(self):
         # sigma_y(x) = x + y + x*y over the ring spanned by t, t^2, t^3
@@ -135,10 +155,26 @@ class TestBuildGroup:
             rows = [(1 << i) ^ ring_mul(1 << i, y) for i in range(3)]
             return AffineMap(BinMatrix(rows), y)
 
-        group = RegularGroup.build([sigma(0b001), sigma(0b100)])
-        assert len(group.elements) == 8
+        gens = [sigma(0b001), sigma(0b100)]
         with pytest.raises(NotElementaryAbelianError):
-            HiddenSum(group)
+            HiddenSum(gens)
+        report = hidden_sum_report(gens)
+        assert (report["abelian"], report["regular"], report["elementary_abelian"]) == (
+            True, True, False,
+        )
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([], "need at least one generator"),
+            ([AffineMap.identity(3), AffineMap.identity(2)], "mixed widths"),
+        ],
+        ids=["none", "mixed"],
+    )
+    def test_no_or_mixed_generators_refused(self, gens, message):
+        for build in (HiddenSum, hidden_sum_report):
+            with pytest.raises(ValueError, match=message):
+                build(gens)
 
 
 class TestHiddenOp:
@@ -187,7 +223,7 @@ class TestKappa:
         hs = toy_brick_sum()
         assert hs.basis == tuple(g.translation for g in toy_generators())
         assert hs.generators() == tuple(toy_generators())
-        assert RegularGroup.build(hs.generators()) == RegularGroup.build(toy_generators())
+        assert HiddenSum(hs.generators()).basis == hs.basis
 
     def test_kappa_at_units(self):
         hs = toy_brick_sum()
@@ -203,14 +239,14 @@ class TestKappa:
                 assert hs.op(x, y) == kappa(hs, y).apply(x) ^ y
 
     def test_homomorphism_translation_group(self):
-        assert check_kappa_homomorphism(HiddenSum(xor_group(3)))
+        assert check_kappa_homomorphism(xor_sum(3))
 
     def test_homomorphism_toy(self):
         assert check_kappa_homomorphism(toy_brick_sum())
 
     def test_corrupted_table_detected_with_witness(self):
-        base = RegularGroup.build(toy_generators())
-        elements = list(base.elements)
+        hs = toy_brick_sum()
+        elements = [AffineMap(kappa(hs, y), y) for y in range(8)]
         tau1_matrix = toy_generators()[0].matrix
         # give the pure translation by e2 a wrong (but involutive) matrix
         elements[0b010] = AffineMap(tau1_matrix, 0b010)
@@ -230,7 +266,7 @@ class TestKappa:
 
 class TestU:
     def test_translation_group_full_space(self):
-        u = compute_U(HiddenSum(xor_group(3)))
+        u = compute_U(xor_sum(3))
         assert len(u) == 8
 
     def test_toy_agreement_subspace(self):
@@ -256,7 +292,7 @@ class TestRing:
         assert report.nilpotency_index == 3
 
     def test_translation_ring_is_trivial(self):
-        report = check_ring_axioms(HiddenSum(xor_group(3)))
+        report = check_ring_axioms(xor_sum(3))
         assert report.ok
         assert report.nilpotency_index == 2
 
@@ -298,7 +334,7 @@ class TestMembership:
 
 class TestProductSum:
     def test_two_translation_groups(self):
-        xor3 = HiddenSum(xor_group(3))
+        xor3 = xor_sum(3)
         prod = product_sum([xor3, xor3])
         assert prod.width == 6
         for x in range(64):
@@ -395,7 +431,7 @@ class TestCoordinates:
 
 def fresh_brick_sum() -> HiddenSum:
     """The bundled brick sum as a new object, so that its memo starts empty."""
-    return HiddenSum(RegularGroup.build(toy_generators()))
+    return HiddenSum(toy_generators())
 
 
 def coordinate_table(cm: HiddenSum) -> list[int]:
@@ -443,7 +479,7 @@ class TestEnumeration:
 
     def test_translation_group_included(self):
         groups = enumerate_regular_groups(3)
-        assert any(g == xor_group(3) for g in groups)
+        assert any(HiddenSum(g) == xor_sum(3) for g in groups)
 
     def test_toy_group_included(self):
         groups = enumerate_regular_groups(3)
@@ -459,9 +495,9 @@ class TestEnumeration:
 
     def test_all_groups_verify(self):
         for g in enumerate_regular_groups(3):
-            rebuilt = RegularGroup.build(list(g.generators))
-            assert rebuilt == g
-            HiddenSum(g)  # must not raise
+            report = hidden_sum_report(g)
+            assert all(v is True for k, v in report.items() if k not in ("U_basis", "nilpotency_index"))
+            assert HiddenSum(g).basis == tuple(h.translation for h in g)
 
     def test_all_enumerated_sums_satisfy_the_algebra(self):
         for g in enumerate_regular_groups(3):
@@ -479,7 +515,7 @@ class TestEnumeration:
         groups = enumerate_regular_groups(4)
         assert len(groups) == 106
         for g in groups:
-            assert RegularGroup.build(list(g.generators)) == g
+            assert all(a.then(b) == b.then(a) for a in g for b in g)
             HiddenSum(g)  # all involution groups, must construct
 
     @pytest.mark.parametrize("width", [3, 4])
@@ -565,6 +601,12 @@ class TestGroupSpecFiles:
     def test_bad_width_line(self):
         with pytest.raises(ValueError):
             parse_group_spec("abc\n100010001|010")
+
+    @pytest.mark.parametrize("width", ["+3", "\u0663", "3_0"])
+    def test_width_in_ascii_digits_only(self, width):
+        # int() takes all three, and reads U+0663 (Arabic-Indic three) as 3
+        with pytest.raises(ValueError, match="first line must be the width"):
+            parse_group_spec(f"{width}\n100010011|100\n")
 
     def test_missing_separator(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,13 @@ from the embedded affine maps, the coordinate affinity test with the
 pair scan, the doubling coordinate tables with the bit loop, the sum
 built from generators alone with the group's own elements, equality
 and order by structure constants with those of the op tables, the
-triple-product translation filter with membership of the translations,
-and the per-point spot check with the doubling table.  The
-references are the former library code, kept here as unchanged as the
-current API allows.
+lemma that every sum below width 7 keeps all XOR translations with the
+triple-product filter and membership of the translations, the report's
+verdicts and the sum built from bare generators with the closure of the
+group they generate, the search without its translation checks with the
+search that ran them, and the per-point spot check with the doubling
+table.  The references are the former library code, kept here as
+unchanged as the current API allows.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from hiddensums.cipher import (
     inverse_brick_spec,
     toy_brick_sum,
     toy_coordinate_basis,
+    toy_state_sum,
 )
 from hiddensums.gf2 import BinMatrix
 from hiddensums.hidden_sum import (
@@ -34,18 +38,160 @@ from hiddensums.hidden_sum import (
     BasisError,
     CoordinateMap,
     HiddenSum,
-    RegularGroup,
+    NotElementaryAbelianError,
+    NotRegularError,
     agl_membership,
+    check_kappa_homomorphism,
+    check_ring_axioms,
+    compute_U,
     enumerate_regular_groups,
     find_hidden_sums,
+    hidden_sum_report,
     kappa,
     parse_group_spec,
-    check_ring_axioms,
     product_sum,
+    ring_product,
     translation_compatible_sums,
-    triple_products_vanish,
     xor_translation_table,
 )
+from hiddensums.gf2 import vec_to_str
+
+
+class NotAbelianError(ValueError):
+    pass
+
+
+class ClosureOverflowError(ValueError):
+    pass
+
+
+class RegularGroup:
+    """An abelian group of affine maps acting regularly on (F_2)^width.
+
+    elements[v] is the unique group element sending 0 to v.  The plain
+    constructor trusts its input; RegularGroup.build closes a generator
+    set and verifies everything.
+    """
+
+    __slots__ = ("width", "generators", "elements")
+
+    def __init__(self, width, generators, elements):
+        if len(elements) != 1 << width:
+            raise NotRegularError(
+                f"need {1 << width} elements, got {len(elements)}"
+            )
+        self.width = width
+        self.generators = tuple(generators)
+        self.elements = tuple(elements)
+
+    @classmethod
+    def build(cls, generators):
+        """Close the generators under composition and verify the result is
+        abelian and regular."""
+        if not generators:
+            raise ValueError("need at least one generator")
+        width = generators[0].width
+        if any(g.width != width for g in generators):
+            raise ValueError("generators have mixed widths")
+        for g, h in itertools.combinations(generators, 2):
+            if g.then(h) != h.then(g):
+                raise NotAbelianError((g, h))
+        cap = 1 << width
+        seen = {AffineMap.identity(width)}
+        frontier = list(seen)
+        while frontier:
+            fresh = []
+            for g in frontier:
+                for gen in generators:
+                    h = g.then(gen)
+                    if h not in seen:
+                        seen.add(h)
+                        if len(seen) > cap:
+                            raise ClosureOverflowError(
+                                f"closure exceeds {cap} elements; "
+                                "generators cannot lie in a regular group"
+                            )
+                        fresh.append(h)
+            frontier = fresh
+        by_image = {}
+        for g in seen:
+            v = g.translation  # g(0)
+            if v in by_image:
+                raise NotRegularError(
+                    f"two elements send 0 to {v}; the action is not free"
+                )
+            by_image[v] = g
+        if len(by_image) != cap:
+            raise NotRegularError(
+                f"orbit of 0 has {len(by_image)} points, expected {cap}"
+            )
+        return cls(width, generators, [by_image[v] for v in range(cap)])
+
+    def encode(self):
+        return tuple(e.encode() for e in self.elements)
+
+    def __eq__(self, other):
+        return isinstance(other, RegularGroup) and self.encode() == other.encode()
+
+    def __hash__(self):
+        return hash(self.encode())
+
+
+def reference_hidden_sum(group):
+    """The sum of a closed group, from its generators."""
+    # commuting involutions generate an elementary abelian group;
+    # keep each generator whose translation is not yet reached
+    by_coeff, basis = [0], []
+    for g in group.generators:
+        if not g.is_involution():
+            raise NotElementaryAbelianError(
+                f"generator moving 0 to {g.translation} is not an involution"
+            )
+        if g.translation not in by_coeff:
+            basis.append(g.translation)
+            by_coeff += [g.apply(x) for x in by_coeff]
+    if len(basis) != group.width:
+        raise NotRegularError("generators do not generate the group")
+    return HiddenSum.__new__(HiddenSum)._adopt(
+        by_coeff, basis, NotRegularError("the action is not free")
+    )
+
+
+def reference_hidden_sum_report(generators):
+    """Build and fully verify a hidden sum, reporting each check; the
+    group is closed first.  Also returns the sum, or None."""
+    report = {
+        "abelian": True,
+        "regular": True,
+        "elementary_abelian": True,
+        "kappa_homomorphism": None,
+        "U_basis": None,
+        "ring_axioms": None,
+        "nilpotency_index": None,
+    }
+    try:
+        group = RegularGroup.build(generators)
+    except NotAbelianError:
+        report["abelian"] = False
+        report["regular"] = None
+        report["elementary_abelian"] = None
+        return report, None
+    except (NotRegularError, ClosureOverflowError):
+        report["regular"] = False
+        report["elementary_abelian"] = None
+        return report, None
+    try:
+        hs = reference_hidden_sum(group)
+    except NotElementaryAbelianError:
+        report["elementary_abelian"] = False
+        return report, None
+    report["kappa_homomorphism"] = bool(check_kappa_homomorphism(hs))
+    u = compute_U(hs)
+    report["U_basis"] = [vec_to_str(b, hs.width) for b in u.basis]
+    ring = check_ring_axioms(hs)
+    report["ring_axioms"] = ring.ok
+    report["nilpotency_index"] = ring.nilpotency_index
+    return report, hs
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +386,11 @@ def xor_group(width):
     return RegularGroup.build([AffineMap(BinMatrix.identity(width), 1 << i) for i in range(width)])
 
 
+def group_of(generators):
+    """The closed group of an enumerated generator tuple."""
+    return RegularGroup.build(list(generators))
+
+
 def op_rows(hs):
     """Row y holds x # y for every x, read through hs.op."""
     n = 1 << hs.width
@@ -295,21 +446,22 @@ def test_enumeration_matches_generator_chains(width, count):
     slow = reference_enumerate_regular_groups(width)
     assert len(fast) == len(slow) == count
     for f, s in zip(fast, slow):
-        assert f.encode() == s.encode()
-        assert [g.encode() for g in f.generators] == [g.encode() for g in s.generators]
+        assert group_of(f).encode() == s.encode()
+        assert [g.encode() for g in f] == [g.encode() for g in s.generators]
 
 
 @pytest.mark.parametrize("width, count", [(1, 1), (2, 1), (3, 8), (4, 106)])
 def test_column_tables_match_bit_sums(width, count):
-    """The products read back from the groups (row i of the element
-    sending 0 to y is e_i + e_i*y) are those the bit sums find."""
+    """The products read back from the sums (row i of the linear part of
+    the element sending 0 to y is e_i + e_i*y) are those the bit sums
+    find."""
     slow = list(reference_structure_constants(width))
     fast = {
         tuple(
-            tuple(row ^ (1 << i) for i, row in enumerate(g.elements[y].matrix.rows))
+            tuple(row ^ (1 << i) for i, row in enumerate(kappa(hs, y).rows))
             for y in range(1 << width)
         )
-        for g in enumerate_regular_groups(width)
+        for hs in sums(width)
     }
     assert len(slow) == len(set(slow)) == len(fast) == count
     assert set(slow) == fast
@@ -317,8 +469,8 @@ def test_column_tables_match_bit_sums(width, count):
 
 def test_involution_test_matches_composition():
     for width in range(1, MAX_BRICK_WIDTH + 1):
-        for group in enumerate_regular_groups(width):
-            for g in group.elements:
+        for generators in enumerate_regular_groups(width):
+            for g in group_of(generators).elements:
                 assert g.is_involution() and reference_is_involution(g)
     # random matrices, mostly singular or not involutory, and involutory
     # matrices of group elements with random translations, which t*M = t
@@ -331,7 +483,7 @@ def test_involution_test_matches_composition():
         if rng.random() < 0.5:
             matrix = BinMatrix([rng.randrange(n) for _ in range(width)])
         else:
-            matrix = rng.choice(rng.choice(enumerate_regular_groups(width)).elements).matrix
+            matrix = kappa(rng.choice(sums(width)), rng.randrange(n))
         g = AffineMap(matrix, rng.randrange(n))
         verdict = g.is_involution()
         assert verdict == reference_is_involution(g)
@@ -355,7 +507,7 @@ def test_product_sum_matches_embedded_group():
     for parts in brick_combinations():
         fast = product_sum(list(parts))
         group = reference_product_group(list(parts))
-        slow = HiddenSum(group)
+        slow = reference_hidden_sum(group)
         n = 1 << fast.width
         assert fast.width == slow.width
         assert op_rows(fast) == op_rows(slow)
@@ -446,7 +598,7 @@ def test_coordinate_tables_match_bit_loop():
 def test_redundant_generator_yields_free_basis():
     gens = parse_group_spec(TOY_GROUP_SPEC)
     redundant = gens[:2] + [gens[0].then(gens[1])] + gens[2:]
-    hs = HiddenSum(RegularGroup.build(redundant))
+    hs = HiddenSum(redundant)
     assert len(hs.basis) == hs.width == 3
     assert hs.basis == tuple(g.translation for g in gens)
     assert op_rows(hs) == op_rows(toy_brick_sum())
@@ -457,7 +609,7 @@ def oracle_groups():
     """Every enumerated group, the XOR group, and the toy group built with
     a redundant generator."""
     for width in range(1, MAX_BRICK_WIDTH + 1):
-        yield from enumerate_regular_groups(width)
+        yield from map(group_of, enumerate_regular_groups(width))
     yield xor_group(3)
     gens = parse_group_spec(TOY_GROUP_SPEC)
     yield RegularGroup.build(gens[:2] + [gens[0].then(gens[1])] + gens[2:])
@@ -468,7 +620,7 @@ def test_generator_doubling_matches_group_elements():
     group's elements: x # y is the element sending 0 to y, applied to x."""
     tested = 0
     for group in oracle_groups():
-        hs = HiddenSum(group)
+        hs = HiddenSum(group.generators)
         n = 1 << group.width
         assert hs.width == group.width
         assert hs._by_coeff == reference_coordinate_table(hs, hs.basis)
@@ -484,7 +636,7 @@ def identity_pool():
     """The sums of oracle_groups, the 64 toy products, and re-based
     copies: each sum in its reversed own basis, the toy products also in
     the unit vectors wherever those generate them freely."""
-    built = [HiddenSum(g) for g in oracle_groups()] + toy_search_sums()
+    built = [HiddenSum(g.generators) for g in oracle_groups()] + toy_search_sums()
     rebased = [CoordinateMap(hs, hs.basis[::-1]) for hs in built]
     for hs in toy_search_sums():
         try:
@@ -526,7 +678,7 @@ def test_twelve_bit_identity_in_milliseconds():
     """hash and == read d^2 values, not the 4^d op table."""
     brick = toy_brick_sum()
     a, b = product_sum([brick] * 4), product_sum([brick] * 4)
-    c = product_sum([brick] * 3 + [HiddenSum(xor_group(3))])
+    c = product_sum([brick] * 3 + [HiddenSum(xor_group(3).generators)])
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
@@ -534,6 +686,20 @@ def test_twelve_bit_identity_in_milliseconds():
         seconds.append(time.perf_counter() - start)
     assert same and a != c
     assert min(seconds) < 0.01
+
+
+def triple_products_vanish(hs) -> bool:
+    """Whether every XOR translation is affine for the sum, read off its
+    ring as x*y*a = 0 for all x, y and a (see translation_compatible_sums).
+    The triple product is trilinear, so basis triples e_i*e_j*e_k decide
+    it; as e_i*e_i = 0 and the product commutes, the pairs i < j suffice.
+    """
+    units = [1 << i for i in range(hs.width)]
+    return not any(
+        ring_product(hs, ring_product(hs, a, b), c)
+        for a, b in itertools.combinations(units, 2)
+        for c in units
+    )
 
 
 def reference_translation_filter(hs) -> bool:
@@ -557,12 +723,12 @@ def sum_from_constants(width, constants):
                 out ^= constants.get((min(i, k), max(i, k)), 0)
         return out
 
-    elements = [
-        AffineMap(BinMatrix([(1 << i) ^ times(y, i) for i in range(width)]), y)
-        for y in range(1 << width)
-    ]
-    generators = [elements[1 << i] for i in range(width)]
-    return HiddenSum(RegularGroup(width, generators, elements))
+    return HiddenSum(
+        [
+            AffineMap(BinMatrix([(1 << i) ^ times(y, i) for i in range(width)]), y)
+            for y in (1 << j for j in range(width))
+        ]
+    )
 
 
 def free_algebra_sums():
@@ -580,8 +746,10 @@ def free_algebra_sums():
 
 def test_triple_products_match_translation_membership():
     """The filter's verdict equals the membership test's on every
-    enumerated sum, kept or not, and on sums whose triple products do
-    and do not vanish."""
+    enumerated sum, and on sums whose triple products do and do not
+    vanish; every sum up to MAX_BRICK_WIDTH keeps all translations, as
+    the lemma of translation_compatible_sums says, and width 7 is the
+    first where one does not."""
     verdicts = []
     for width in range(1, MAX_BRICK_WIDTH + 1):
         for hs in sums(width):
@@ -591,7 +759,6 @@ def test_triple_products_match_translation_membership():
         assert translation_compatible_sums(width) == tuple(
             hs for hs in sums(width) if reference_translation_filter(hs)
         )
-    # at widths up to 4 no sum is filtered out
     assert verdicts == [True] * (1 + 1 + 8 + 106)
     kept, dropped = free_algebra_sums()
     assert all(check_ring_axioms(hs).ok for hs in [kept, *dropped])
@@ -599,6 +766,120 @@ def test_triple_products_match_translation_membership():
     for hs in dropped:
         assert not triple_products_vanish(hs)
         assert not reference_translation_filter(hs)
+
+
+def random_affine_map(rng, width):
+    n = 1 << width
+    return AffineMap(BinMatrix([rng.randrange(n) for _ in range(width)]), rng.randrange(n))
+
+
+def generator_corpus(seed):
+    """(label, generators) at widths 1-4, of four kinds: enumerated
+    generators shuffled with redundant elements added, random subsets of
+    a group's elements, random affine maps (singular ones included), and
+    a regular group of order-4 elements."""
+    rng = random.Random(seed)
+    for width in range(1, MAX_BRICK_WIDTH + 1):
+        n = 1 << width
+        groups = enumerate_regular_groups(width)
+        for _ in range(60):
+            gens = list(rng.choice(groups))
+            for _ in range(rng.randrange(3)):
+                picked = [g for g in gens if rng.random() < 0.5] or gens[:1]
+                product = picked[0]
+                for g in picked[1:]:
+                    product = product.then(g)
+                gens.append(product)
+            rng.shuffle(gens)
+            yield "enumerated", gens
+        for _ in range(60):
+            elements = group_of(rng.choice(groups)).elements
+            yield "subset", rng.sample(elements, rng.randrange(1, n + 1))
+        for _ in range(60):
+            yield "random", [random_affine_map(rng, width) for _ in range(rng.randrange(1, width + 2))]
+    yield "order four", parse_group_spec("2\n1101|10\n")
+
+
+def test_generator_sum_matches_reference_closure():
+    """The report's verdicts, reached without closing the group, and the
+    sum built from bare generators, equal those of the closed group."""
+    outcomes = {}
+    for seed in (2301, 2302):
+        for kind, gens in generator_corpus(seed):
+            report = hidden_sum_report(gens)
+            expected, slow = reference_hidden_sum_report(gens)
+            assert report == expected, (kind, gens)
+            if slow is None:
+                verdict = next(key for key, value in report.items() if value is not True)
+                if verdict != "abelian":  # the constructor trusts commutation
+                    with pytest.raises((NotRegularError, NotElementaryAbelianError)):
+                        HiddenSum(gens)
+            else:
+                verdict = "sum"
+                fast = HiddenSum(gens)
+                assert fast._key() == slow._key() and fast.basis == slow.basis
+                assert fast._by_coeff == slow._by_coeff
+            outcomes[kind, verdict] = outcomes.get((kind, verdict), 0) + 1
+    # each verdict is reached, each kind builds sums, and random maps fail
+    # each way
+    assert {verdict for _, verdict in outcomes} == {"abelian", "regular", "elementary_abelian", "sum"}
+    assert {kind for kind, verdict in outcomes if verdict == "sum"} == {"enumerated", "subset", "random"}
+    assert {verdict for kind, verdict in outcomes if kind == "random"} >= {"abelian", "regular"}
+    assert outcomes["enumerated", "sum"] == 2 * 4 * 60
+    assert outcomes["order four", "elementary_abelian"] == 2
+
+
+def reference_find_hidden_sums(round_generators, brick_widths):
+    """The search with its translation checks: per-brick candidates kept
+    only if their triple products vanish, and each survivor re-checked
+    against the XOR translations at full width."""
+    total = sum(brick_widths)
+    per_brick = [
+        tuple(hs for hs in sums(w) if triple_products_vanish(hs)) for w in brick_widths
+    ]
+    results = []
+    for combo in itertools.product(*per_brick):
+        hs = product_sum(list(combo))
+        if not all(agl_membership(t, hs) for t in round_generators):
+            continue
+        if not all(
+            agl_membership(xor_translation_table(total, 1 << i), hs)
+            for i in range(total)
+        ):
+            continue
+        results.append(hs)
+    results.sort(key=HiddenSum._key)
+    return results
+
+
+def search_cases():
+    """(id, round tables, brick widths, sums the search finds)."""
+    yield "builtin", [builtin_toy_spec().core_table()], [3, 3], 1
+    yield "inversion", [inverse_brick_spec().core_table()], [3, 3], 0
+    yield "identity-3-3", [list(range(64))], [3, 3], 64
+    yield "identity-4", [list(range(16))], [4], 106
+    yield "identity-1-2-3", [list(range(64))], [1, 2, 3], 8
+    for widths in ([3, 3], [4], [1, 2, 3]):
+        total = sum(widths)
+        yield f"permutations-{total}", seeded_permutations(total, 2, total), widths, 0
+    # the bundled sum's own translations, which several sums share
+    state = toy_state_sum()
+    yield "hidden-translations", hidden_translations(state)[:2], [3, 3], None
+
+
+@pytest.mark.parametrize(
+    "tables, widths, count",
+    [case[1:] for case in search_cases()],
+    ids=[case[0] for case in search_cases()],
+)
+def test_search_matches_search_with_translation_checks(tables, widths, count):
+    fast = find_hidden_sums(tables, widths)
+    slow = reference_find_hidden_sums(tables, widths)
+    assert [hs._key() for hs in fast] == [hs._key() for hs in slow]
+    assert [hs.basis for hs in fast] == [hs.basis for hs in slow]
+    assert [hs.generators() for hs in fast] == [hs.generators() for hs in slow]
+    if count is not None:
+        assert len(fast) == count
 
 
 def reference_mismatch(hs, f, matrix, t, points):

@@ -6,6 +6,9 @@ attribute chain such as os.path.join reads the name os.  A defined
 function, class or method counts as used when the package or the
 benchmark under perfbench/ reads its name outside its own definition.
 
+Every target the benchmark's tracer names (perfbench/tracer.py TARGETS)
+is still defined in the package.
+
 The core modules also stay cheap to import: a fresh interpreter that
 imports the ones the benchmark's set-up uses and builds the bundled
 cipher loads none of the heavier standard-library modules named in
@@ -13,6 +16,7 @@ HEAVY, and importing attack too loads none of ATTACK_HEAVY.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -24,7 +28,8 @@ import pytest
 import hiddensums
 
 MODULES = sorted(Path(hiddensums.__file__).parent.glob("*.py"))
-BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK = sorted(BENCHMARK_DIR.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -174,3 +179,31 @@ def test_core_import_loads_no_heavy_module():
 def test_attack_import_loads_no_typing_or_random():
     loaded = heavy_modules_loaded((*CORE, "attack"), ATTACK_HEAVY)
     assert loaded == [], f"importing attack loaded {' '.join(loaded)}"
+
+
+def traced_targets() -> list[tuple[str, str | None, str]]:
+    """(layer, owner, attribute) of each entry of TARGETS in
+    perfbench/tracer.py, read from its source without importing it."""
+    tree = ast.parse((BENCHMARK_DIR / "tracer.py").read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    return [tuple(ast.literal_eval(field) for field in entry.elts[:3]) for entry in table.elts]
+
+
+def test_every_traced_target_is_defined():
+    """Each function, class or method the benchmark traces is still
+    defined where the tracer looks for it, so deleting one fails here and
+    not only in the benchmark's self-test."""
+    targets = traced_targets()
+    assert len(targets) == len(set(targets)) > 0
+    missing = []
+    for layer, owner, attr in targets:
+        home = vars(importlib.import_module(f"hiddensums.{layer}"))
+        if owner is not None:
+            home = vars(home[owner]) if isinstance(home.get(owner), type) else {}
+        if attr not in home:
+            missing.append(".".join(filter(None, (layer, owner, attr))))
+    assert missing == []
