@@ -581,25 +581,34 @@ def parse_group_spec(text: str) -> list[AffineMap]:
     return gens
 
 
+def _spec_line(g: AffineMap) -> str:
+    mat = "".join(vec_to_str(r, g.width) for r in g.matrix.rows)
+    return f"{mat}|{vec_to_str(g.translation, g.width)}"
+
+
 def dump_group_spec(generators: Sequence[AffineMap]) -> str:
-    width = generators[0].width
-    lines = [str(width)]
-    for g in generators:
-        mat = "".join(vec_to_str(r, width) for r in g.matrix.rows)
-        lines.append(f"{mat}|{vec_to_str(g.translation, width)}")
+    lines = [str(generators[0].width)] + [_spec_line(g) for g in generators]
     return "\n".join(lines) + "\n"
 
 
 def hidden_sum_report(generators: Sequence[AffineMap]) -> dict:
     """Build and fully verify a hidden sum, reporting each check.
 
-    The group the generators span is abelian when they commute pairwise,
-    and then regular exactly when the orbit of 0 is the whole space (a
-    transitive abelian group acts freely), so it is never closed.
+    Every generator must be in AGL(d, 2), so one with a singular matrix is
+    refused (ValueError) before any check.  The group the generators span
+    is abelian when they commute pairwise, and then regular exactly when
+    the orbit of 0 is the whole space (a transitive abelian group acts
+    freely), so it is never closed.
     """
     width = _common_width(generators)
     if width > MAX_VERIFY_WIDTH:
         raise ValueError(f"width {width} exceeds {MAX_VERIFY_WIDTH}, the verification limit")
+    for i, g in enumerate(generators, start=1):
+        if not g.matrix.is_invertible():
+            raise ValueError(
+                f"generator {i} ({_spec_line(g)}) has a singular matrix, "
+                f"so it is not in AGL({width}, 2)"
+            )
     report: dict = {
         "abelian": True,
         "regular": True,

@@ -15,16 +15,19 @@ and field.
 Under XOR, a function with m, n <= 8 takes D_a f at all 2^m points as
 one bytes object with C-level steps (one translate per direction), which
 derivative images and the differential spectrum share; wider functions
-visit the points one by one.
+visit the points one by one.  Its distinct values come from two more
+translates: deleting the derivative's bytes from the bytes 0, ..., 2^n - 1
+leaves the values it misses, and deleting those leaves the values it
+takes, in ascending order.
 
 Under XOR each function keeps, per direction a, the size of Im D_a f and
 its affine hull, built once from one image that is then dropped.  The APN
 tests read the sizes, the component space reads the hull, and the image
 is a coset exactly when its size equals its hull's, since the hull is the
 smallest coset that contains it.  For m, n <= 8 the entry is read off the
-derivative's bytes translated by c = D_a f(0): the set of those bytes has
-the image's size and spans the hull's space, and the hull is c plus that
-space.  Wider functions build the image and its hull.  Other sums rebuild
+distinct values of the derivative translated by c = D_a f(0): their count
+is the image's size, they span the hull's space, and the hull is c plus
+that space.  Wider functions build the image and its hull.  Other sums rebuild
 the image each time.
 """
 
@@ -42,10 +45,12 @@ TABLE_LIMIT_BITS = 16
 # bytes.translate maps every byte through a 256-entry table, so a function
 # with m, n <= 8 has its derivatives taken as whole bytes objects.
 BYTE_BITS = 8
-# per m <= 8: the points 0, ..., 2^m - 1 as one big-endian int of 2^m bytes,
-# and the int with a 1 in each of those bytes, so IDENT ^ a * ONES lists x + a
-_IDENT = [int.from_bytes(bytes(range(1 << m)), "big") for m in range(BYTE_BITS + 1)]
-_ONES = [int.from_bytes(bytes([1]) * (1 << m), "big") for m in range(BYTE_BITS + 1)]
+# per width k <= 8: the bytes 0, ..., 2^k - 1 (every value of k bits), the
+# same as one big-endian int, and the int with a 1 in each of those bytes,
+# so IDENT ^ a * ONES lists x + a
+_VALUES = [bytes(range(1 << k)) for k in range(BYTE_BITS + 1)]
+_IDENT = [int.from_bytes(values, "big") for values in _VALUES]
+_ONES = [int.from_bytes(bytes([1]) * (1 << k), "big") for k in range(BYTE_BITS + 1)]
 
 CROOKED = "crooked"
 ANTI_CROOKED = "anti_crooked"
@@ -165,6 +170,15 @@ def _derivative_bytes(f: VBF, a: int, c: int = 0) -> bytes:
     return (int.from_bytes(shifted, "big") ^ packed ^ c * ones).to_bytes(size, "big")
 
 
+def _derivative_values(f: VBF, a: int, c: int = 0) -> bytes:
+    """The distinct values of D_a f(x) + c in ascending order, for m, n <= 8
+    and c < 2^n: deleting the derivative's bytes from 0, ..., 2^n - 1
+    leaves the values it misses, and deleting those leaves the values it
+    takes (two bytes.translate calls)."""
+    values = _VALUES[f.n]
+    return values.translate(None, values.translate(None, _derivative_bytes(f, a, c)))
+
+
 def _check_direction(f: VBF, a: int) -> None:
     if isinstance(a, bool) or not isinstance(a, int):
         raise ValueError(f"derivative direction must be an int, got {a!r}")
@@ -176,15 +190,15 @@ def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
     """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR).
 
     The direction must be an int with 0 < a < 2^m.  Under XOR, a function
-    with m, n <= 8 takes all 2^m values at once as bytes (see
-    _derivative_bytes); a wider one visits only one point of each pair
-    {x, x + a}, the one whose bit at a's leading position is clear, since
-    D_a f(x) = D_a f(x + a)."""
+    with m, n <= 8 takes all 2^m values at once as bytes and keeps their
+    distinct values (see _derivative_values); a wider one visits only one
+    point of each pair {x, x + a}, the one whose bit at a's leading
+    position is clear, since D_a f(x) = D_a f(x + a)."""
     _check_direction(f, a)
     table = f.table
     if sum_op is None:
         if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
-            return frozenset(_derivative_bytes(f, a))
+            return frozenset(_derivative_values(f, a))
         top = 1 << a.bit_length() >> 1
         image = {
             table[x ^ a] ^ table[x]
@@ -233,16 +247,17 @@ def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
     """(|Im D_a f|, affine hull of Im D_a f) under XOR, kept on f per
     direction: the image is built once and only these two are stored.
 
-    For m, n <= 8 the image is read as bytes translated by c = D_a f(0),
-    so that it contains 0: the set of those bytes has the image's size
-    and spans the hull's space, and the hull is c plus that space."""
+    For m, n <= 8 the image is read as the distinct values of the
+    derivative translated by c = D_a f(0), so that it contains 0, taken by
+    two translates (_derivative_values): their count is the image's size,
+    they span the hull's space, and the hull is c plus that space."""
     shape = f._derivatives.get(a)
     # a float or bool equal to a stored direction would hit its entry
     if shape is None or type(a) is not int:
         if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
             _check_direction(f, a)
             c = f.table[a] ^ f.table[0]
-            points = set(_derivative_bytes(f, a, c))
+            points = _derivative_values(f, a, c)
             shape = (len(points), AffineSubspace(c, Subspace(points, f.n)))
         else:
             image = derivative_image(f, a)

@@ -390,6 +390,23 @@ class TestHiddenVerify:
         assert out == ""
         assert "width must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("1\n0|1\n", "generator 1 (0|1)"),  # the constant map x -> 1
+            ("2\n1001|01\n1100|10\n", "generator 2 (1100|10)"),
+        ],
+        ids=["constant", "one-singular"],
+    )
+    def test_singular_generator_exits_two(self, tmp_path, capsys, text, named):
+        path = tmp_path / "group.txt"
+        path.write_text(text)
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "hidden-verify", str(path), *extra)
+            assert code == 2
+            assert out == ""
+            assert f"bad group spec: {named} has a singular matrix" in err
+
     @pytest.mark.parametrize("width", [MAX_VERIFY_WIDTH + 1, 20])
     def test_too_wide_exits_two(self, tmp_path, capsys, width):
         # the translation group: its closure alone has 2^width elements

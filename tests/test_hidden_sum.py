@@ -176,6 +176,21 @@ class TestBuildGroup:
             with pytest.raises(ValueError, match=message):
                 build(gens)
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("1\n0|1\n", r"generator 1 \(0\|1\)"),  # the constant map x -> 1
+            ("2\n1001|01\n1100|10\n", r"generator 2 \(1100\|10\)"),
+        ],
+        ids=["constant", "one-singular"],
+    )
+    def test_singular_generator_refused_by_report(self, spec, named):
+        """A map with a singular matrix is not in AGL(d, 2), so the report
+        refuses it before asking whether the generators commute."""
+        gens = parse_group_spec(spec)
+        with pytest.raises(ValueError, match=named + " has a singular matrix.*AGL"):
+            hidden_sum_report(gens)
+
 
 class TestHiddenOp:
     def test_zero_is_identity(self):

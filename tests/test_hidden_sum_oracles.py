@@ -159,7 +159,11 @@ def reference_hidden_sum(group):
 
 def reference_hidden_sum_report(generators):
     """Build and fully verify a hidden sum, reporting each check; the
-    group is closed first.  Also returns the sum, or None."""
+    group is closed first.  Also returns the sum, or None.  A generator
+    that is not a permutation of the space is refused with ValueError."""
+    for g in generators:
+        if len({g.apply(x) for x in range(1 << g.width)}) != 1 << g.width:
+            raise ValueError("generator is not a permutation")
     report = {
         "abelian": True,
         "regular": True,
@@ -802,12 +806,19 @@ def generator_corpus(seed):
 
 def test_generator_sum_matches_reference_closure():
     """The report's verdicts, reached without closing the group, and the
-    sum built from bare generators, equal those of the closed group."""
+    sum built from bare generators, equal those of the closed group; both
+    refuse the same generator sets as not in AGL(d, 2)."""
     outcomes = {}
     for seed in (2301, 2302):
         for kind, gens in generator_corpus(seed):
+            try:
+                expected, slow = reference_hidden_sum_report(gens)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular matrix"):
+                    hidden_sum_report(gens)
+                outcomes[kind, "singular"] = outcomes.get((kind, "singular"), 0) + 1
+                continue
             report = hidden_sum_report(gens)
-            expected, slow = reference_hidden_sum_report(gens)
             assert report == expected, (kind, gens)
             if slow is None:
                 verdict = next(key for key, value in report.items() if value is not True)
@@ -822,9 +833,13 @@ def test_generator_sum_matches_reference_closure():
             outcomes[kind, verdict] = outcomes.get((kind, verdict), 0) + 1
     # each verdict is reached, each kind builds sums, and random maps fail
     # each way
-    assert {verdict for _, verdict in outcomes} == {"abelian", "regular", "elementary_abelian", "sum"}
+    assert {verdict for _, verdict in outcomes} == {
+        "singular", "abelian", "regular", "elementary_abelian", "sum",
+    }
     assert {kind for kind, verdict in outcomes if verdict == "sum"} == {"enumerated", "subset", "random"}
-    assert {verdict for kind, verdict in outcomes if kind == "random"} >= {"abelian", "regular"}
+    assert {verdict for kind, verdict in outcomes if kind == "random"} >= {
+        "singular", "abelian", "regular",
+    }
     assert outcomes["enumerated", "sum"] == 2 * 4 * 60
     assert outcomes["order four", "elementary_abelian"] == 2
 

@@ -2,7 +2,8 @@
 
 The derivative image, taken as one bytes object for m, n <= 8 and over
 one point of each pair {x, x + a} for wider functions, is compared with
-the scan over all 2^m points, the differential spectrum counted from the
+the scan over all 2^m points (and its distinct values, taken by two
+translates, with the sorted scan), the differential spectrum counted from the
 derivative bytes and the extended-affine transform read off the maps'
 tables with their former per-point loops, the null-space orthogonal
 complement and the component space built on the derivative hull with the
@@ -61,6 +62,7 @@ from hiddensums.vbf import (
     derivative_is_coset,
     derivative_shape,
     DiffSpectrum,
+    _derivative_values,
     diff_uniformity,
     ea_transform,
     is_apn,
@@ -426,6 +428,56 @@ def test_derivative_memo_matches_fresh_scan_on_seeded_tables(m, n):
     rng = random.Random(11 * m + n)
     for _ in range(4 if m < 7 else 1):
         assert_memo_matches_fresh_scan(VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)]))
+
+
+def edge_tables():
+    """(label, m, n, table) at the edges of the distinct-value step: a
+    constant, tables that hit every n-bit value or all but 2^n - 1, ones
+    whose derivative in direction 2^n hits every value or all but 2^n - 1,
+    m = 1, and the off-square widths (8, 2) and (2, 8)."""
+    rng = random.Random(2401)
+    yield "constant", 4, 4, [5] * 16
+    yield "constant", 8, 8, [0xA7] * 256
+    for n in (1, 4, 8):
+        top = (1 << n) - 1
+        perm = rng.sample(range(top + 1), top + 1)
+        yield "table hits all", n, n, perm
+        yield "table misses only top", n, n, [y if y != top else top ^ 1 for y in perm]
+        if n < 8:
+            # f(x + 2^n) + f(x) = x, or 0 at x = 2^n - 1
+            yield "derivative hits all", n + 1, n, perm + [y ^ x for x, y in enumerate(perm)]
+            yield "derivative misses only top", n + 1, n, perm + [
+                y ^ x if x != top else y for x, y in enumerate(perm)
+            ]
+        yield "m = 1", 1, n, [0, top]
+        yield "m = 1", 1, n, [rng.randrange(top + 1) for _ in range(2)]
+    for m, n in ((8, 2), (2, 8)):
+        for _ in range(2):
+            yield "off square", m, n, [rng.randrange(1 << n) for _ in range(1 << m)]
+
+
+@pytest.mark.parametrize("label, m, n, table", list(edge_tables()))
+def test_distinct_values_match_full_scan_on_edge_tables(label, m, n, table):
+    """The two-translate distinct values are the scanned image in
+    ascending order, and the memo and derivative_image built on them match
+    a fresh scan, wherever the values absent from a derivative are none,
+    one, or all but one."""
+    f = VBF(m, n, table)
+    images = {a: reference_derivative_image(f, a) for a in range(1, 1 << m)}
+    for a, image in images.items():
+        assert _derivative_values(f, a) == bytes(sorted(image)), (label, a)
+        assert derivative_image(f, a) == image, (label, a)
+        assert memo_shape(f, a) == fresh_shape(f, a), (label, a)
+    assert len(f._derivatives) == (1 << m) - 1
+    assert_memo_holds_no_images(f)
+    every = frozenset(range(1 << n))
+    if label == "constant":
+        assert set(images.values()) == {frozenset({0})}
+    elif label.startswith("table"):
+        assert every - set(table) == (set() if label.endswith("all") else {(1 << n) - 1})
+    elif label.startswith("derivative"):
+        missed = every - images[1 << n]
+        assert missed == (set() if label.endswith("all") else {(1 << n) - 1})
 
 
 def test_derivative_hull_memo_matches_fresh_computation():
