@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from .gf2 import BinMatrix, FieldSpec
+from .gf2 import BinMatrix, FieldSpec, read_digits
 from .hidden_sum import HiddenSum, parse_group_spec, product_sum
 from .vbf import VBF
 
@@ -406,11 +406,11 @@ def builtin_toy_spec(rounds: int = 20, key_schedule: KeySchedule | None = None) 
     return CipherSpec([brick, brick], toy_mixing(), rounds, key_schedule)
 
 
-def inverse_brick_spec(rounds: int = 20, key_schedule: KeySchedule | None = None) -> CipherSpec:
+def inverse_brick_spec() -> CipherSpec:
     """Same cipher with both bricks replaced by the patched field inversion
     (an anti-crooked permutation); no hidden sum survives this choice."""
     brick = VBF.from_power((1 << TOY_FIELD.m) - 2, TOY_FIELD)
-    return CipherSpec([brick, brick], toy_mixing(), rounds, key_schedule)
+    return CipherSpec([brick, brick], toy_mixing(), 20)
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +418,19 @@ def inverse_brick_spec(rounds: int = 20, key_schedule: KeySchedule | None = None
 # ---------------------------------------------------------------------------
 
 
-def config_int(value, field: str) -> int:
-    """An integer field of a JSON config: an integer or a decimal string.
-    Booleans and fractional numbers are refused rather than rounded."""
+def config_int(value, field: str, base: int = 10) -> int:
+    """An integer field of a JSON config: an integer, or a string in the
+    base read by gf2.read_digits.  Booleans and fractions are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"field {field!r} has the wrong type: {value!r} is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
-    try:
+    if isinstance(value, str):
+        try:
+            return read_digits(value, base)
+        except ValueError:
+            pass
+    elif isinstance(value, int) or value.is_integer():
         return int(value)
-    except ValueError:
-        raise ValueError(f"field {field!r} must be an integer, got {value!r}") from None
+    raise ValueError(f"field {field!r} must be an integer, got {value!r}")
 
 
 def load_cipher_config(config: dict, base_dir: str = ".") -> CipherSpec:

@@ -38,13 +38,19 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _parse_modulus(value) -> int:
-    """Moduli in configs are binary literal strings like '1011'; plain ints
-    are accepted too, booleans are not."""
-    if isinstance(value, bool):
-        raise ValueError(f"field 'modulus' has the wrong type: {value!r} is not a modulus")
-    if isinstance(value, int):
-        return value
-    return int(str(value).removeprefix("0b"), 2)
+    """Moduli in configs are binary strings like '1011', '0b' allowed, or
+    integers; either is read by cipher.config_int."""
+    if isinstance(value, str):
+        value = value.removeprefix("0b")
+    return cipher.config_int(value, "modulus", 2)
+
+
+def _decimal(text: str) -> int:
+    """An integer flag, read by gf2.read_digits."""
+    try:
+        return read_digits(text, 10)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def _load_function(args) -> tuple[str, vbf.VBF]:
@@ -273,11 +279,11 @@ def cmd_attack(args) -> int:
 
 def cmd_reproduce(args) -> int:
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
-            criteria = [int(tok) for tok in args.criteria.split(",")]
+            criteria = [read_digits(tok, 10) for tok in args.criteria.split(",")]
         except ValueError as exc:
-            raise InputError(f"bad criteria list {args.criteria!r}") from exc
+            raise InputError(f"bad --criteria list {args.criteria!r}: {exc}") from exc
     try:
         if _want_json(args):
             rows = [result._asdict() for result in reproduce.results(criteria)]
@@ -318,21 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} one block with the builtin cipher")
         p.add_argument("--key", required=True, help="hex block")
         p.add_argument("--pt" if name == "encrypt" else "--ct", required=True, help="hex block")
-        p.add_argument("--rounds", type=int, help="default 20; not with --cipher")
+        p.add_argument("--rounds", type=_decimal, help="default 20; not with --cipher")
         p.add_argument(
             "--schedule", choices=["rotate", "permute"], help="default rotate; not with --cipher"
         )
-        p.add_argument("--seed", type=int, help="default 0; not with --cipher")
+        p.add_argument("--seed", type=_decimal, help="default 0; not with --cipher")
         p.add_argument("--cipher", help="JSON cipher config document")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("attack", help="reconstruct the builtin cipher from 7 queries")
     p.add_argument("--mode", choices=["cp", "cpcc"], default="cp")
-    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--rounds", type=_decimal, default=20)
     p.add_argument("--key", default="random", help="hex block or 'random'")
     p.add_argument("--schedule", choices=["rotate", "permute"], default="rotate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_attack)
 

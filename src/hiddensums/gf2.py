@@ -39,9 +39,10 @@ def vec_from_str(s: str) -> int:
 
 
 def read_digits(token: str, base: int) -> int:
-    """int(token, base) for an optional "-" and ASCII digits only: int()
-    alone also takes "+", "0x", "_" and non-ASCII digits."""
-    if not token.isascii() or token.removeprefix("-").lower().strip("0123456789abcdef"[:base]):
+    """int(token, base) for an optional "-" and at least one ASCII digit:
+    int() alone also takes "+", "0x", "_" and non-ASCII digits."""
+    digits = token.removeprefix("-")
+    if not token.isascii() or not digits or digits.lower().strip("0123456789abcdef"[:base]):
         raise ValueError(f"{token!r} is not a base-{base} number")
     return int(token, base)
 

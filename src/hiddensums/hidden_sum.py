@@ -101,10 +101,10 @@ class HiddenSum:
     A sum is its coordinate tables plus a basis: _by_coeff[c] combines
     the basis vectors selected by c, _by_element inverts it, and x # y is
     the element whose coordinates are the XOR of theirs (an isomorphism).
-    A map is affine for the sum exactly when it is XOR-affine in
-    coordinates, which read_affine and mismatch test.  Scope is limited
-    to sums where every element is an involution, so -x = x;
-    construction fails loudly on anything else.
+    A map is affine for the sum exactly when its conjugate, the map in
+    coordinates, is XOR-affine, which read_affine and mismatch also test.
+    Scope is limited to sums where every element is an involution, so
+    -x = x; construction fails loudly on anything else.
     """
 
     __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased")
@@ -166,6 +166,15 @@ class HiddenSum:
 
     def element(self, coeffs: int) -> int:
         return self._by_coeff[coeffs]
+
+    def conjugate(self, table: Sequence[int]) -> list[int]:
+        """C o g o C^-1 for the map g with the given table, C = coords: entry
+        c is coords(g(element(c))).  The sum is XOR in coordinates, so g is
+        affine for it exactly when the conjugate G is XOR-affine, Im D_a g
+        (D_a g(x) = g(x # a) # g(x)) is element(Im D_{C(a)} G), and a set is
+        a coset of the sum exactly when its coordinates are an XOR coset."""
+        coords = self._by_element
+        return [coords[table[x]] for x in self._by_coeff]
 
     def read_affine(self, f: Callable[[int], int]) -> tuple[BinMatrix, int]:
         """M and t of f in coordinates, from f(0) and then f(b_i): the only
@@ -340,15 +349,15 @@ def check_uV_subgroup(hs: HiddenSum, u: int) -> bool:
 
 
 def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
-    """Whether the permutation is affine for the hidden sum: in the sum's
-    coordinates it must be v |-> v*M + t at all 2^d points, read off one
-    table of c*M + t built by doubling."""
+    """Whether the permutation is affine for the hidden sum: its conjugate
+    must be the XOR-affine table c*M + t whose t and rows M are read off
+    the conjugate at 0 and at the unit vectors."""
     n = 1 << hs.width
     if len(g_table) != n or set(g_table) != set(range(n)):
         raise ValueError("membership test requires a bijective table on the space")
-    matrix, t = hs.read_affine(g_table.__getitem__)
-    image, coords = matrix.affine_table(t), hs._by_element
-    return all(coords[y] == image[c] for c, y in zip(coords, g_table))
+    conj = hs.conjugate(g_table)
+    t = conj[0]
+    return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:

@@ -5,30 +5,30 @@ every test below exact: differential uniformity, APN and weakly-APN,
 derivative images and their coset structure (crooked / anti-crooked),
 component spaces, and extended-affine transforms.
 
-Derivatives can be taken with respect to the standard XOR sum (the
-default) or any hidden sum (hidden_sum.HiddenSum); a derivative image is
-the frozenset of its values.  Maps built from GF(2^m) are tabulated in
-the field's ascending encoding (gf2), so a field element is its own
-coordinate vector, and from_power returns one shared object per exponent
-and field.
+Every sum here is XOR, and a derivative image is the frozenset of its
+values.  A question about a hidden sum # is asked of the map's conjugate
+in the sum's coordinates (hidden_sum.HiddenSum.conjugate), where # is
+XOR, so this module knows nothing of hidden sums.  Maps built from
+GF(2^m) are tabulated in the field's ascending encoding (gf2), so a field
+element is its own coordinate vector, and from_power returns one shared
+object per exponent and field.
 
-Under XOR, a function with m, n <= 8 takes D_a f at all 2^m points as
-one bytes object with C-level steps (one translate per direction), which
+A function with m, n <= 8 takes D_a f at all 2^m points as one bytes
+object with C-level steps (one translate per direction), which
 derivative images and the differential spectrum share; wider functions
 visit the points one by one.  Its distinct values come from two more
 translates: deleting the derivative's bytes from the bytes 0, ..., 2^n - 1
 leaves the values it misses, and deleting those leaves the values it
 takes, in ascending order.
 
-Under XOR each function keeps, per direction a, the size of Im D_a f and
-its affine hull, built once from one image that is then dropped.  The APN
-tests read the sizes, the component space reads the hull, and the image
-is a coset exactly when its size equals its hull's, since the hull is the
-smallest coset that contains it.  For m, n <= 8 the entry is read off the
-distinct values of the derivative translated by c = D_a f(0): their count
-is the image's size, they span the hull's space, and the hull is c plus
-that space.  Wider functions build the image and its hull.  Other sums rebuild
-the image each time.
+Each function keeps, per direction a, the size of Im D_a f and its affine
+hull, built once from one image that is then dropped.  The APN tests read
+the sizes, the component space reads the hull, and the image is a coset
+exactly when its size equals its hull's, since the hull is the smallest
+coset that contains it.  For m, n <= 8 the entry is read off the distinct
+values of the derivative translated by c = D_a f(0): their count is the
+image's size, they span the hull's space, and the hull is c plus that
+space.  Wider functions build the image and its hull.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class VBF:
         self.n = n
         self.table: tuple[int, ...] = table
         self._is_permutation: bool | None = None
-        # direction a -> (|Im D_a f|, affine hull of Im D_a f) under XOR
+        # direction a -> (|Im D_a f|, affine hull of Im D_a f)
         self._derivatives: dict[int, tuple[int, AffineSubspace]] = {}
         # (table padded to a 256-byte translate table, table packed as one
         # big-endian int), made on first use when m, n <= 8
@@ -186,31 +186,24 @@ def _check_direction(f: VBF, a: int) -> None:
         raise ValueError(f"derivative direction must be in 1..{(1 << f.m) - 1}, got {a}")
 
 
-def derivative_image(f: VBF, a: int, sum_op=None) -> frozenset[int]:
-    """Im of x |-> f(x # a) "minus" f(x) under the given sum (default XOR).
+def derivative_image(f: VBF, a: int) -> frozenset[int]:
+    """Im D_a f, the values of x |-> f(x + a) + f(x).
 
-    The direction must be an int with 0 < a < 2^m.  Under XOR, a function
-    with m, n <= 8 takes all 2^m values at once as bytes and keeps their
+    The direction must be an int with 0 < a < 2^m.  A function with
+    m, n <= 8 takes all 2^m values at once as bytes and keeps their
     distinct values (see _derivative_values); a wider one visits only one
     point of each pair {x, x + a}, the one whose bit at a's leading
     position is clear, since D_a f(x) = D_a f(x + a)."""
     _check_direction(f, a)
+    if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
+        return frozenset(_derivative_values(f, a))
     table = f.table
-    if sum_op is None:
-        if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
-            return frozenset(_derivative_values(f, a))
-        top = 1 << a.bit_length() >> 1
-        image = {
-            table[x ^ a] ^ table[x]
-            for lo in range(0, 1 << f.m, top << 1)
-            for x in range(lo, lo + top)
-        }
-    else:
-        if f.m != f.n:
-            raise ValueError("custom sums require m = n")
-        op = sum_op.op  # every element is its own negative
-        image = {op(table[op(x, a)], table[x]) for x in range(1 << f.m)}
-    return frozenset(image)
+    top = 1 << a.bit_length() >> 1
+    return frozenset(
+        table[x ^ a] ^ table[x]
+        for lo in range(0, 1 << f.m, top << 1)
+        for x in range(lo, lo + top)
+    )
 
 
 class DiffSpectrum(namedtuple("DiffSpectrum", "delta witness counts", defaults=(None,))):
@@ -244,7 +237,7 @@ def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
 
 
 def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
-    """(|Im D_a f|, affine hull of Im D_a f) under XOR, kept on f per
+    """(|Im D_a f|, affine hull of Im D_a f), kept on f per
     direction: the image is built once and only these two are stored.
 
     For m, n <= 8 the image is read as the distinct values of the
@@ -295,15 +288,13 @@ def is_weakly_apn(f: VBF) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_coset(points: Iterable[int], sum_op=None) -> bool:
-    """Whether a finite point set is a coset of a subgroup under the sum.
+def is_coset(points: Iterable[int]) -> bool:
+    """Whether a finite point set is an XOR coset of a subspace.
 
-    The set is translated so that its lexicographically smallest element
-    moves to the identity; a coset is exactly a translate that contains 0
-    and is closed under the sum.  A subgroup of an elementary abelian
-    2-group has 2^k points, so a set of any other size is rejected first.
-    For XOR the closure test reduces to a rank computation; other sums are
-    checked pairwise.
+    The set is translated so that its smallest element moves to 0; a coset
+    is exactly a translate that contains 0 and is closed under XOR, which
+    holds when its 2^k points span a space of dimension k.  A set of any
+    other size is rejected first.
     """
     pts = set(points)
     if not pts:
@@ -311,11 +302,7 @@ def is_coset(points: Iterable[int], sum_op=None) -> bool:
     if len(pts) & (len(pts) - 1):
         return False
     base = min(pts)
-    if sum_op is None:
-        shifted = [p ^ base for p in pts]
-        return len(pts) == 1 << len(span_basis(shifted))
-    shifted = {sum_op.op(p, base) for p in pts}
-    return all(sum_op.op(u, v) in shifted for u in shifted for v in shifted)
+    return len(pts) == 1 << len(span_basis([p ^ base for p in pts]))
 
 
 def affine_hull(points: Iterable[int], width: int) -> AffineSubspace:
@@ -341,12 +328,6 @@ class ACVerdict(namedtuple("ACVerdict", "value witness", defaults=(None,))):
         return self.value
 
 
-def _image_is_coset(f: VBF, a: int, sum_op) -> bool:
-    if sum_op is None:
-        return derivative_is_coset(f, a)
-    return is_coset(derivative_image(f, a, sum_op), sum_op)
-
-
 def _require_vbf_permutation(f: VBF) -> None:
     if f.m != f.n:
         raise ValueError("crookedness tests require m = n")
@@ -354,28 +335,28 @@ def _require_vbf_permutation(f: VBF) -> None:
         raise ValueError("crookedness tests require a permutation")
 
 
-def is_coset_free(f: VBF, sum_op=None) -> ACVerdict:
+def is_coset_free(f: VBF) -> ACVerdict:
     """True iff no nonzero direction's derivative image is a coset.
 
     Defined for any function; the anti-crooked label additionally demands
     a permutation (see is_anti_crooked).
     """
     for a in range(1, 1 << f.m):
-        if _image_is_coset(f, a, sum_op):
+        if derivative_is_coset(f, a):
             return ACVerdict(False, a)
     return ACVerdict(True, None)
 
 
-def is_anti_crooked(f: VBF, sum_op=None) -> ACVerdict:
+def is_anti_crooked(f: VBF) -> ACVerdict:
     """Anti-crooked: a permutation none of whose derivative images is a coset."""
     _require_vbf_permutation(f)
-    return is_coset_free(f, sum_op)
+    return is_coset_free(f)
 
 
-def is_crooked(f: VBF, sum_op=None) -> bool:
+def is_crooked(f: VBF) -> bool:
     """True iff every nonzero direction's derivative image is a coset."""
     _require_vbf_permutation(f)
-    return all(_image_is_coset(f, a, sum_op) for a in range(1, 1 << f.m))
+    return all(derivative_is_coset(f, a) for a in range(1, 1 << f.m))
 
 
 def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:
@@ -393,7 +374,7 @@ def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:
 
 
 def derivative_hull(f: VBF, a: int) -> AffineSubspace:
-    """The affine hull of Im D_a f under XOR, read from f's memo."""
+    """The affine hull of Im D_a f, read from f's memo."""
     return derivative_shape(f, a)[1]
 
 

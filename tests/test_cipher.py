@@ -639,7 +639,7 @@ class TestWideState:
 
 ROUND_TABLE_SPECS = {
     "bundled": lambda: builtin_toy_spec(1),
-    "inversion": lambda: inverse_brick_spec(1),
+    "inversion": inverse_brick_spec,
     "nine_bit": lambda: nine_bit_spec(1),
 }
 

@@ -166,6 +166,12 @@ class TestAnalyze:
             ({"field": {"m": 3, "modulus": "1011"}, "kind": "univariate", "coeffs": [0, True]}, "coeffs"),
             # a string must not be read as one coefficient per digit
             ({"field": {"m": 3, "modulus": "1011"}, "kind": "univariate", "coeffs": "0227427"}, "coeffs"),
+            # strings take the digits of gf2.read_digits, not all of int()'s
+            ({"field": {"m": 3, "modulus": "1011"}, "kind": "power", "exponent": "3_0"}, "exponent"),
+            ({"field": {"m": "\u0663", "modulus": "1011"}, "kind": "power", "exponent": 3}, "m"),
+            ({"field": {"m": 3, "modulus": "+1011"}, "kind": "power", "exponent": 3}, "modulus"),
+            ({"field": {"m": 3, "modulus": "0b1_011"}, "kind": "power", "exponent": 3}, "modulus"),
+            ({"field": {"m": 3, "modulus": "0b\u0661011"}, "kind": "power", "exponent": 3}, "modulus"),
         ],
     )
     def test_non_integer_function_field_is_input_error(self, tmp_path, capsys, config, field):
@@ -175,6 +181,15 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert repr(field) in err
+
+    @pytest.mark.parametrize("modulus", ["1011011", "0b1011011", 91, 91.0])
+    def test_modulus_forms_accepted(self, tmp_path, capsys, modulus):
+        """A binary string, '0b' allowed, or an integer, read like m."""
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps({"field": {"m": 6, "modulus": modulus}, "kind": "power", "exponent": 5}))
+        code, out, _ = run(capsys, "analyze", str(cfg))
+        assert code == 0
+        assert out.startswith("function       : x^5  (6 -> 6 bits)")
 
     def test_integral_function_fields_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "power.json"
@@ -633,6 +648,11 @@ class TestEncryptDecrypt:
             ({"mixing": [1, 2, 4, 8, 16, "65/2"]}, "mixing"),
             ({"mixing": [True, 2, 4, 8, 16, 32]}, "mixing"),
             ({"mixing": [1, 2, 4, 8, 16, [32]]}, "mixing"),
+            # strings take the digits of gf2.read_digits, not all of int()'s
+            ({"rounds": "5_0"}, "rounds"),
+            ({"rounds": "\u0663"}, "rounds"),
+            ({"rounds": " 5"}, "rounds"),
+            ({"schedule": {"kind": "permute", "seed": "+3"}}, "seed"),
         ],
     )
     def test_non_integer_cipher_field_is_input_error(self, tmp_path, capsys, fields, field):
@@ -663,6 +683,18 @@ class TestEncryptDecrypt:
         assert code == 2
         assert out == ""
         assert "1..1000" in err
+
+    @pytest.mark.parametrize("flag", ["--rounds", "--seed"])
+    @pytest.mark.parametrize("value", ["5_0", "+5", "\u0663", " 5"])
+    @pytest.mark.parametrize("command", ["encrypt", "attack"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, command, flag, value):
+        argv = [command, "--key", "00", *(["--pt", "00"] if command == "encrypt" else [])]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: {value!r} is not a base-10 number" in err
 
     def test_block_too_wide(self, capsys):
         code, _, err = run(capsys, "encrypt", "--key", "40", "--pt", "00")
@@ -749,6 +781,15 @@ class TestReproduceCommand:
     def test_bad_list(self, capsys):
         code, _, err = run(capsys, "reproduce", "--criteria", "one,two")
         assert code == 2
+
+    @pytest.mark.parametrize("criteria", ["1_0", "1,+2", "\u0661", " 1", "1,", ""])
+    def test_criteria_take_ascii_digits_only(self, capsys, criteria):
+        """Each token is read by gf2.read_digits: "1_0" once ran criterion
+        10, and an empty list the whole battery."""
+        code, out, err = run(capsys, "reproduce", "--criteria", criteria)
+        assert code == 2
+        assert out == ""
+        assert "--criteria" in err
 
     def test_unknown_criterion_is_input_error(self, capsys):
         code, out, err = run(capsys, "reproduce", "--criteria", "1,99")

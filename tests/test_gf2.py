@@ -17,6 +17,7 @@ from hiddensums.gf2 import (
     dot,
     gf_mul,
     gf_pow,
+    read_digits,
     span_basis,
     vec_from_str,
     vec_to_str,
@@ -235,3 +236,16 @@ class TestFieldArithmetic:
         # every nonzero element has order dividing 7 (so 2^3 - 1)
         for a in range(1, 8):
             assert gf_pow(a, 7, F8) == 1
+
+
+@pytest.mark.parametrize("token", ["", "-", "+1", "1_0", " 1", "0x1", "\u0661", "12a"])
+def test_read_digits_refuses_all_but_sign_and_ascii_digits(token):
+    """The empty string and a lone sign too, which int() would have refused
+    with its own message."""
+    with pytest.raises(ValueError, match=r"is not a base-10 number"):
+        read_digits(token, 10)
+
+
+def test_read_digits_reads_sign_and_digits():
+    assert [read_digits(t, 10) for t in ("0", "-0", "49", "-1000")] == [0, 0, 49, -1000]
+    assert (read_digits("-1000", 2), read_digits("Ff", 16)) == (-8, 255)

@@ -11,9 +11,10 @@ lemma that every sum below width 7 keeps all XOR translations with the
 triple-product filter and membership of the translations, the report's
 verdicts and the sum built from bare generators with the closure of the
 group they generate, the search without its translation checks with the
-search that ran them, and the per-point spot check with the doubling
-table.  The references are the former library code, kept here as
-unchanged as the current API allows.
+search that ran them, the per-point spot check with the doubling
+table, and membership through the conjugate with the compare of the
+map's own points against that table.  The references are the former
+library code, kept here as unchanged as the current API allows.
 """
 
 import itertools
@@ -547,6 +548,33 @@ def seeded_permutations(width, count, seed):
 def hidden_translations(hs):
     """x |-> x # b for each basis vector b: affine for the sum by design."""
     return [[hs.op(x, b) for x in range(1 << hs.width)] for b in hs.basis]
+
+
+def reference_inline_membership(g_table, hs) -> bool:
+    """M and t read off g at 0 and the basis, then the 2^d points compared
+    in coordinates with one table of c*M + t built by doubling."""
+    n = 1 << hs.width
+    if len(g_table) != n or set(g_table) != set(range(n)):
+        raise ValueError("membership test requires a bijective table on the space")
+    matrix, t = hs.read_affine(g_table.__getitem__)
+    image, coords = matrix.affine_table(t), hs._by_element
+    return all(coords[y] == image[c] for c, y in zip(coords, g_table))
+
+
+def test_membership_through_conjugate_matches_inline_compare():
+    """All 5,040 permutations of 3 bits that fix 0, on each of the 8
+    width-3 sums.  g fixes 0 exactly when its conjugate does, so each sum
+    accepts the conjugates of GL(3, 2): 168 of them."""
+    sums = translation_compatible_sums(3)
+    assert len(sums) == 8
+    for hs in sums:
+        accepted = 0
+        for rest in itertools.permutations(range(1, 8)):
+            table = (0, *rest)
+            verdict = agl_membership(table, hs)
+            assert verdict == reference_inline_membership(table, hs), table
+            accepted += verdict
+        assert accepted == 168
 
 
 def test_membership_matches_pair_scan_on_toy_search_sums():

@@ -6,6 +6,11 @@ attribute chain such as os.path.join reads the name os.  A defined
 function, class or method counts as used when the package or the
 benchmark under perfbench/ reads its name outside its own definition.
 
+Every parameter with a default is set by some call in the package or
+the benchmark, by position, by keyword or by unpacking; calls are matched
+to definitions by name, as reads are.  vbf imports no package module but
+gf2, so it knows nothing of hidden sums.
+
 Every target the benchmark's tracer names (perfbench/tracer.py TARGETS)
 is still defined in the package.
 
@@ -139,6 +144,133 @@ def test_unread_definitions_reported():
         "m.py: Box.grow",
         "m.py: unused",
     ]
+
+
+def defaulted_parameters(node: ast.AST, prefix: str = "", owner: str | None = None):
+    """(qualified name, name a call uses, parameter, index among the
+    positional arguments of a call or None if keyword-only) of every
+    parameter with a default.  A call of a method or a constructor does
+    not pass self, so their indices start after it; __init__ is called by
+    its class's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = [*args.posonlyargs, *args.args]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            skip = 0 if owner is None or static else 1
+            called = owner if child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield prefix + child.name, called, arg.arg, i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield prefix + child.name, called, arg.arg, None
+            yield from defaulted_parameters(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from defaulted_parameters(child, f"{prefix}{child.name}.", child.name)
+        else:
+            yield from defaulted_parameters(child, prefix, owner)
+
+
+def unset_defaults(defining: dict[str, str], reading: tuple[str, ...] = ()) -> list[str]:
+    """The parameters with defaults, in the sources of defining (label ->
+    source), that no call in those sources or in reading sets: no keyword
+    of that name or ** unpacking, and, for a positional parameter, no call
+    with * unpacking or with enough positional arguments to reach it."""
+    trees = {label: ast.parse(source) for label, source in defining.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *map(ast.parse, reading)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, param: str, index: int | None) -> bool:
+        if any(k.arg in (None, param) for k in call.keywords):
+            return True
+        if index is None:
+            return False
+        return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+    return [
+        f"{label}: {qualname}({param})"
+        for label, tree in trees.items()
+        for qualname, called, param, index in defaulted_parameters(tree)
+        if not any(sets(call, param, index) for call in calls.get(called, ()))
+    ]
+
+
+def test_every_default_is_set_by_the_program():
+    """Defaulted parameters nobody in src/ or perfbench/ sets; a call is
+    matched by name only, so any call of that name counts."""
+    defining = {path.name: path.read_text() for path in MODULES}
+    reading = tuple(path.read_text() for path in BENCHMARK)
+    assert unset_defaults(defining, reading) == []
+
+
+def test_unset_defaults_reported():
+    module = (
+        "class Box:\n"
+        "    def __init__(self, size=1, *, kind=None): pass\n"
+        "    def grow(self, by=1, twice=False): return by\n"
+        "    @staticmethod\n"
+        "    def make(size=2): return Box(size)\n"
+        "def helper(a, b=0, c=0, *, d=None): return a\n"
+        "def spread(x=0, y=0): return x\n"
+        "def mapped(x=0): return x\n"
+    )
+    other = (
+        "from m import Box, helper, spread\n"
+        "Box(kind=3).grow(2)\n"
+        "helper(1, 2)\n"
+        "helper(1, **{})\n"
+        "spread(*[1, 2])\n"
+        "Box.make()\n"
+    )
+    assert unset_defaults({"m.py": module}, (other,)) == [
+        "m.py: Box.grow(twice)",
+        "m.py: Box.make(size)",
+        "m.py: mapped(x)",
+    ]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules the source imports, relatively or by the
+    package's name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("hiddensums.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "hiddensums":
+                    continue
+                module = module.removeprefix("hiddensums").lstrip(".")
+            names = [module] if module else [alias.name for alias in node.names]
+            found.update(name.split(".")[0] for name in names)
+    return found
+
+
+def test_vbf_imports_only_gf2():
+    """Hidden-sum questions reach vbf as conjugates, never as sums."""
+    assert package_imports((Path(hiddensums.__file__).parent / "vbf.py").read_text()) == {"gf2"}
+    sample = (
+        "import os.path\n"
+        "from collections import Counter\n"
+        "from . import cipher, vbf\n"
+        "from .gf2 import dot\n"
+        "import hiddensums.hidden_sum\n"
+        "from hiddensums import attack\n"
+        "from hiddensums.corpus import field_spec\n"
+        "def f():\n"
+        "    from .reproduce import run\n"
+    )
+    assert package_imports(sample) == {
+        "cipher", "vbf", "gf2", "hidden_sum", "attack", "corpus", "reproduce"
+    }
 
 
 CORE = ("gf2", "vbf", "hidden_sum", "cipher")

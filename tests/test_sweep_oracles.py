@@ -16,6 +16,9 @@ exp/log power maps with Horner tabulation of x^d and with square-and-
 multiply at every point, Ben-Or's irreducibility test with trial division,
 the APN test from image sizes with the full difference table, the coset
 test that rejects sizes other than 2^k with the span and closure tests,
+every question about a hidden sum asked of the map's conjugate in the
+sum's coordinates with the per-point derivative under the sum and the
+pairwise closure,
 the pivot-table span kernel with the insertion-sort kernel, and the
 Gauss-Jordan elimination behind rank and inverse with the former one
 that searched for pivots with a generator.  The references are the
@@ -65,10 +68,13 @@ from hiddensums.vbf import (
     _derivative_values,
     diff_uniformity,
     ea_transform,
+    is_anti_crooked,
     is_apn,
     is_coset,
+    is_coset_free,
+    is_crooked,
 )
-from hiddensums.hidden_sum import AffineMap
+from hiddensums.hidden_sum import AffineMap, translation_compatible_sums
 
 
 def reference_orthogonal_complement(s: Subspace) -> Subspace:
@@ -169,6 +175,15 @@ def reference_is_coset(points, sum_op=None) -> bool:
         return len(pts) == 1 << len(reference_span_basis(shifted))
     shifted = {sum_op.op(p, base) for p in pts}
     return all(sum_op.op(u, v) in shifted for u in shifted for v in shifted)
+
+
+def reference_sum_derivative_image(f: VBF, a: int, hs) -> frozenset[int]:
+    """Im of x |-> f(x # a) # f(x) under the hidden sum, one point at a
+    time (every element is its own negative)."""
+    if f.m != f.n:
+        raise ValueError("custom sums require m = n")
+    op, table = hs.op, f.table
+    return frozenset(op(table[op(x, a)], table[x]) for x in range(1 << f.m))
 
 
 def reference_span_basis(vectors) -> tuple[int, ...]:
@@ -650,12 +665,15 @@ def test_is_apn_matches_difference_table_on_power_maps(m):
 )
 def test_is_coset_matches_reference_on_every_subset(width, sum_op, cosets):
     """Every non-empty subset; the coset count is the number of subgroups
-    of each order 2^k times their 2^(width - k) cosets."""
+    of each order 2^k times their 2^(width - k) cosets.  A set is a coset
+    of a hidden sum exactly when its coordinates are an XOR coset."""
+    coords = sum_op.coords if sum_op else int
     found = 0
     for mask in range(1, 1 << (1 << width)):
         points = [x for x in range(1 << width) if mask >> x & 1]
-        assert is_coset(points, sum_op) == reference_is_coset(points, sum_op), points
-        found += is_coset(points, sum_op)
+        verdict = is_coset(map(coords, points))
+        assert verdict == reference_is_coset(points, sum_op), points
+        found += verdict
     assert found == cosets
 
 
@@ -771,3 +789,72 @@ def test_table_limit_checked_before_exp_log():
     with pytest.raises(ValueError, match="table limit"):
         VBF.from_power(3, fs)
     assert fs._exp_log is None
+
+
+def assert_conjugate_matches_sum_paths(f: VBF, hs) -> tuple[int, bool]:
+    """Ask every question about f under the sum of its conjugate G: Im D_a f
+    under the sum is element(Im D_{C(a)} G), its coset verdict is G's, and
+    so are the coset-free, crooked and anti-crooked values.  G's coset
+    witness is the first coordinate direction, read back through element.
+    Returns the number of coset directions and whether f is crooked."""
+    g = VBF(f.m, f.n, hs.conjugate(f.table))
+    assert g.is_permutation == f.is_permutation
+    cosets = []
+    for c in range(1, 1 << f.m):
+        image = reference_sum_derivative_image(f, hs.element(c), hs)
+        assert {hs.element(v) for v in derivative_image(g, c)} == image, c
+        verdict = reference_is_coset(image, hs)
+        assert derivative_is_coset(g, c) == is_coset(derivative_image(g, c)) == verdict, c
+        cosets.append(verdict)
+    first = next((hs.element(c) for c, v in enumerate(cosets, 1) if v), None)
+    free = is_coset_free(g)
+    witness = None if free.witness is None else hs.element(free.witness)
+    assert (free.value, witness) == (first is None, first)
+    if not f.is_permutation:
+        return sum(cosets), False
+    assert is_anti_crooked(g) == free
+    assert is_crooked(g) == all(cosets)
+    return sum(cosets), all(cosets)
+
+
+def conjugate_cases(width: int, count: int, seed: int) -> list[VBF]:
+    """Seeded permutations of the width and one seeded table that is not
+    a permutation."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        table = list(range(1 << width))
+        rng.shuffle(table)
+        cases.append(VBF(width, width, table))
+    table = [rng.randrange(1 << width) for _ in range(1 << width)]
+    table[1] = table[0]
+    return cases + [VBF(width, width, table)]
+
+
+def test_conjugate_matches_sum_paths_on_width_3_sums():
+    """All 8 width-3 sums against the brick, the patched inversion x^6, the
+    identity and seeded tables, at every direction."""
+    fs = FieldSpec(3, 0b1011)
+    named = [VBF.from_univariate((0, 2, 2, 7, 4, 2, 7), fs), VBF.from_power(6, fs), VBF.identity(3)]
+    cases = named + conjugate_cases(3, 20, 25)
+    sums = translation_compatible_sums(3)
+    assert len(sums) == 8
+    outcomes = [assert_conjugate_matches_sum_paths(f, hs) for hs in sums for f in cases]
+    cosets = [n for n, _ in outcomes]
+    # both verdicts are reached: coset-free pairs, and crooked ones (the
+    # brick under its own sum and the identity under every sum)
+    assert 0 in cosets and sum(crooked for _, crooked in outcomes) >= 9
+    assert assert_conjugate_matches_sum_paths(named[0], toy_brick_sum()) == (7, True)
+
+
+def test_conjugate_matches_sum_paths_on_width_4_sums():
+    """Seeded 4-bit permutations (and one table that is not one) on each of
+    the 106 width-4 sums, at every direction."""
+    sums = translation_compatible_sums(4)
+    assert len(sums) == 106
+    outcomes = [
+        assert_conjugate_matches_sum_paths(f, hs)
+        for i, hs in enumerate(sums)
+        for f in conjugate_cases(4, 2, 400 + i)
+    ]
+    assert {n for n, _ in outcomes} >= {0, 1, 2}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hiddensums.cipher import toy_brick_sum
 from hiddensums.gf2 import BinMatrix, FieldSpec, gf_mul, gf_pow
-from hiddensums.hidden_sum import AffineMap
+from hiddensums.hidden_sum import AffineMap, HiddenSum, translation_compatible_sums
 from hiddensums.vbf import (
     ANTI_CROOKED,
     CROOKED,
@@ -45,6 +45,11 @@ BRICK_COEFFS = (0, 2, 2, 7, 4, 2, 7)
 
 def brick() -> VBF:
     return VBF.from_univariate(BRICK_COEFFS, F8)
+
+
+def brick_in_sum_coordinates() -> VBF:
+    """The brick conjugated into the coordinates of its own hidden sum."""
+    return VBF(3, 3, toy_brick_sum().conjugate(brick().table))
 
 
 class TestConstruction:
@@ -119,17 +124,16 @@ class TestDerivativeImage:
 
     @pytest.mark.parametrize("a", [-1, -3, -8, 0, 8, 9, 1 << 20])
     def test_direction_out_of_range_rejected(self, a):
-        for fn in (derivative_image, component_space, derivative_hull):
-            with pytest.raises(ValueError, match="1..7"):
-                fn(brick(), a)
-        with pytest.raises(ValueError, match="1..7"):
-            derivative_image(brick(), a, toy_brick_sum())
+        for f in (brick(), brick_in_sum_coordinates()):
+            for fn in (derivative_image, component_space, derivative_hull):
+                with pytest.raises(ValueError, match="1..7"):
+                    fn(f, a)
 
     def test_direction_range_ends_accepted(self):
         f = VBF(3, 2, [x & 3 for x in range(8)])
         assert derivative_image(f, 1) == {1}
         assert derivative_image(f, 7) == {3}
-        assert len(derivative_image(brick(), 7, toy_brick_sum())) >= 1
+        assert len(derivative_image(brick_in_sum_coordinates(), 7)) >= 1
         g = VBF(1, 1, [0, 1])
         assert derivative_image(g, 1) == {1}
         with pytest.raises(ValueError, match="1..1"):
@@ -141,7 +145,7 @@ class TestDerivativeImage:
         with pytest.raises(ValueError, match="must be an int"):
             derivative_image(f, a)
         with pytest.raises(ValueError, match="must be an int"):
-            derivative_image(f, a, toy_brick_sum())
+            derivative_image(brick_in_sum_coordinates(), a)
         # with direction 1 (equal to True and 1.0) memoised or not
         for memoised in (False, True):
             if memoised:
@@ -220,6 +224,39 @@ class TestDiffUniformity:
                 assert len(derivative_image(f, a)) >= 8 // delta
 
 
+class TestHiddenSumDifferentialUniformity:
+    """delta_o, the differential uniformity of a map for a hidden sum
+    (Calderini & Sala, "On differential uniformity of maps that may hide an
+    algebraic trapdoor"), read as diff_uniformity of its conjugate in the
+    sum's coordinates, over all 8 width-3 sums."""
+
+    XOR3 = HiddenSum([AffineMap(BinMatrix.identity(3), 1 << i) for i in range(3)])
+
+    @staticmethod
+    def profile(f: VBF) -> dict:
+        """Per sum: (delta_o, number of directions whose derivative is
+        constant)."""
+        out = {}
+        for hs in translation_compatible_sums(3):
+            spectrum = diff_uniformity(VBF(3, 3, hs.conjugate(f.table)), keep_counts=True)
+            constant = sum(len(row) == 1 for row in spectrum.counts.values())
+            out[hs] = (spectrum.delta, constant)
+        assert len(out) == 8
+        return out
+
+    def test_brick_is_affine_for_its_own_sum_only(self):
+        own = toy_brick_sum()
+        profile = self.profile(brick())
+        assert profile.pop(own) == (8, 7)
+        assert set(profile.values()) == {(4, 0)}
+
+    def test_patched_inversion(self):
+        profile = self.profile(VBF.from_power(6, F8))
+        assert profile[self.XOR3] == (2, 0)
+        # delta 8 with one constant direction for 3 sums, 2 for the other 4
+        assert sorted(profile.values()) == [(2, 0)] * 5 + [(8, 1)] * 3
+
+
 class TestWeaklyApn:
     def test_apn_implies_weakly(self):
         f = VBF.from_power(3, F8)
@@ -259,17 +296,9 @@ class TestCosets:
             is_coset(set())
 
     def test_xor_shortcut_matches_pairwise_closure(self):
-        # the rank test must agree with the literal closure criterion; any
-        # sum passed as sum_op exercises the pairwise branch
-        class PlainXor:
-            @staticmethod
-            def op(x, y):
-                return x ^ y
-
-            @staticmethod
-            def neg(x):
-                return x
-
+        # the rank test must agree with the literal closure criterion, and
+        # on a set's coordinates with the closure under a hidden sum
+        hs = translation_compatible_sums(4)[-1]
         rng = random.Random(11)
         for _ in range(200):
             size = rng.randint(1, 8)
@@ -277,7 +306,9 @@ class TestCosets:
             shifted = {p ^ min(points) for p in points}
             pairwise = all(u ^ v in shifted for u in shifted for v in shifted)
             assert is_coset(points) == pairwise
-            assert is_coset(points, PlainXor()) == pairwise
+            shifted = {hs.op(p, min(points)) for p in points}
+            pairwise = all(hs.op(u, v) in shifted for u in shifted for v in shifted)
+            assert is_coset(map(hs.coords, points)) == pairwise
 
     def test_affine_hull_minimal(self):
         points = {0b0011, 0b0101, 0b1001}
