@@ -7,8 +7,10 @@ this module builds the sum from them alone and never closes the group.
 It exposes the induced sum together with its linear parts, the subspace
 where it agrees with XOR, and the associated nilpotent ring product, and
 decides membership of arbitrary permutations in the affine group of the
-new sum.  A bounded search enumerates all such sums compatible with a
-given set of round functions.
+new sum.  The sums on one brick of up to MAX_BRICK_WIDTH bits are built
+as the orbits of a few representative products under GL(width, 2), and a
+search over their brick-parallel products finds all sums compatible with
+a given set of round functions.
 """
 
 from __future__ import annotations
@@ -348,14 +350,21 @@ def check_uV_subgroup(hs: HiddenSum, u: int) -> bool:
     )
 
 
+_NOT_BIJECTIVE = "membership test requires a bijective table on the space"
+
+
 def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     """Whether the permutation is affine for the hidden sum: its conjugate
     must be the XOR-affine table c*M + t whose t and rows M are read off
     the conjugate at 0 and at the unit vectors."""
     n = 1 << hs.width
     if len(g_table) != n or set(g_table) != set(range(n)):
-        raise ValueError("membership test requires a bijective table on the space")
-    conj = hs.conjugate(g_table)
+        raise ValueError(_NOT_BIJECTIVE)
+    try:
+        conj = hs.conjugate(g_table)
+    except TypeError:
+        # entries such as 3.0 pass the set compare but index no list
+        raise ValueError(_NOT_BIJECTIVE) from None
     t = conj[0]
     return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
 
@@ -387,6 +396,60 @@ assert MAX_BRICK_WIDTH <= 6
 # the ring axioms are checked on all 8^width triples
 MAX_VERIFY_WIDTH = 8
 
+# One product from each GL(width, 2)-orbit, as its nonzero constants
+# {(i, j): e_i*e_j}, i < j: XOR, and from width 3 on e_1*e_2 = e_width.
+ORBIT_REPRESENTATIVES = {1: ({},), 2: ({},), 3: ({}, {(0, 1): 0b100}), 4: ({}, {(0, 1): 0b1000})}
+
+
+def gl_generators(width: int) -> tuple[tuple[list[int], list[int]], ...]:
+    """Generators of GL(width, 2) as the images of the unit vectors under A
+    and, written out, under A^-1: swap e_1 and e_2, shift e_i to e_(i+1)
+    cyclically, and the transvection e_1 -> e_1 + e_2 (at width 1, where
+    there is no e_2, all three are the identity)."""
+    units = [1 << i for i in range(width)]
+    swap = units[1::-1] + units[2:]
+    shift, unshift = units[1:] + units[:1], units[-1:] + units[:-1]
+    transvection = [sum(units[:2])] + units[1:]
+    return (swap, swap), (shift, unshift), (transvection, transvection)
+
+
+def sum_orbits(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The orbit under GL(width, 2) of each of ORBIT_REPRESENTATIVES[width],
+    each product as its constants e_i*e_j for the pairs i < j in the order
+    of combinations.
+
+    A acts by x *' y = A^-1(Ax * Ay), again a commutative, associative
+    product with x*x = 0, and each orbit is closed breadth first under
+    gl_generators.  A move reads e_i *' e_j off the old constants, as
+    Ae_i * Ae_j is the sum of e_a*e_b over the bits a of Ae_i and b of
+    Ae_j, a != b: one or two terms, since only e_1 goes to two bits."""
+    pairs = list(itertools.combinations(range(width), 2))
+    position = {}
+    for p, (i, j) in enumerate(pairs):
+        position[i, j] = position[j, i] = p
+    moves = []
+    for images, inverse_images in gl_generators(width):
+        inverse = [0]
+        for r in inverse_images:
+            inverse += [y ^ r for y in inverse]
+        bits = [[k for k in range(width) if v >> k & 1] for v in images]
+        terms = [[position[a, b] for a in bits[i] for b in bits[j] if a != b] for i, j in pairs]
+        # one-term sums are padded with the slot past the constants, 0 below
+        moves.append((inverse, [(t + [len(pairs)])[:2] for t in terms]))
+    orbits = []
+    for representative in ORBIT_REPRESENTATIVES[width]:
+        orbit = [tuple(representative.get(pair, 0) for pair in pairs)]
+        seen = set(orbit)
+        for constants in orbit:  # new products join the list behind the loop
+            padded = constants + (0,)
+            for inverse, terms in moves:
+                new = tuple([inverse[padded[a] ^ padded[b]] for a, b in terms])
+                if new not in seen:
+                    seen.add(new)
+                    orbit.append(new)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
 
 @lru_cache(maxsize=None, typed=True)
 def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
@@ -396,21 +459,15 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     products on (F_2)^width with x*x = 0, through x # y = x + y + x*y
     (Caranti, Dalla Volta & Sala, "Abelian regular subgroups of the affine
     group and radical rings"; Calderini & Sala, "Elementary abelian regular
-    subgroups as hidden sums for cryptographic trapdoors").  The products
-    are found by backtracking over the structure constants e_i*e_j, i < j,
-    pruned as soon as a basis triple breaks associativity.  Column tables
-    hold u*e_k for every u, kept current one XOR per entry as constants
-    are set, so a triple's terms (e_a*e_b)*e_c are single lookups.  Before
-    any entry is filled, a value v for e_i*e_j is dropped if the tables
-    already decide that v*e_i or v*e_j is not 0, as the triples (i, i, j)
-    and (i, j, j) demand; of the rest, the triples that contain both i
-    and j, which reject most candidates, are tested first.  The element
-    sending 0 to y is x |-> x(I + delta_y) + y, where row i of delta_y is
-    e_i*y.  Each group is returned as its generators, chosen greedily,
-    each the smallest element (by matrix rows, then translation) not yet
-    generated; only these are built as AffineMaps.  The groups come in a
-    canonical order, that of their element rows, and are cached by value
-    and type, so 3.0 or True never reads the entry of 3 or 1.
+    subgroups as hidden sums for cryptographic trapdoors"), and the
+    products are those of sum_orbits.  The list is complete: the tests
+    compare it at every width with a backtracking over the structure
+    constants and with a search over generator chains of affine
+    involutions.  Each group is returned as its generators, chosen
+    greedily, each the smallest element (by matrix rows, then translation)
+    not yet generated.  The groups come in a canonical order, that of their
+    element rows, and are cached by value and type, so 3.0 or True never
+    reads the entry of 3 or 1.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"brick width {width!r} is not a positive int")
@@ -418,91 +475,33 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
         raise ValueError(
             f"regular-group enumeration is exhaustive only up to width {MAX_BRICK_WIDTH}"
         )
-    n = 1 << width
-    mul = [[0 if i == j else None for j in range(width)] for i in range(width)]
-    # col[k][u] = u*e_k, or None while some e_l*e_k with bit l in u is unset
-    col = [[0 if u in (0, 1 << k) else None for u in range(n)] for k in range(width)]
-
-    def checks(i: int, j: int) -> list[list[tuple]]:
-        """The basis triples a <= b <= c that setting e_i*e_j can break,
-        those holding both i and j first.  Each is kept as its distinct
-        terms (e_x*e_y)*e_z, read as col[z][mul[x][y]]; a triple with one
-        distinct term cannot fail and is left out."""
-        both, either = [], []
-        for a, b, c in itertools.combinations_with_replacement(range(width), 3):
-            if i in (a, b, c) or j in (a, b, c):
-                terms = sorted({(a, b, c), (b, c, a), (a, c, b)})
-                if len(terms) > 1:
-                    refs = [(mul[x], y, col[z]) for x, y, z in terms]
-                    (both if i in (a, b, c) and j in (a, b, c) else either).append(refs)
-        return both + either
-
-    steps = [(i, j, checks(i, j)) for i, j in itertools.combinations(range(width), 2)]
-
-    def fillable(column: list, bit: int) -> list[tuple[int, int]]:
-        """(u, entry of u + bit) for each u holding the bit whose entry
-        without it is known: setting the constant fills exactly these."""
-        return [(u, w) for u in range(n) if u & bit and (w := column[u ^ bit]) is not None]
-
-    def associative(triples) -> bool:
-        # all determined terms of each triple must agree
-        for terms in triples:
-            seen = None
-            for row, b, column in terms:
-                u = row[b]
-                if u is not None:
-                    t = column[u]
-                    if t is not None:
-                        if seen is None:
-                            seen = t
-                        elif t != seen:
-                            return False
-        return True
-
-    def complete(s: int):
-        """Yield each time mul holds a complete product, from pair s on."""
-        if s == len(steps):
-            yield
-            return
-        i, j, triples = steps[s]
-        row_i, row_j, col_i, col_j = mul[i], mul[j], col[i], col[j]
-        bit_i, bit_j = 1 << i, 1 << j
-        # u*e_j for u holding bit i is (u + e_i)*e_j + v, and the same with
-        # i and j swapped; the entries without that bit do not change here
-        fill_j, fill_i = fillable(col_j, bit_i), fillable(col_i, bit_j)
-        # v*e_i = v*e_j = 0, the triples (i, i, j) and (i, j, j): v*e_i is
-        # (v + e_j)*e_i + v once set if v holds bit j, and col_i[v] if not
-        candidates = [
-            v
-            for v in range(n)
-            if (col_i[v ^ bit_j] in (None, v) if v & bit_j else col_i[v] in (None, 0))
-            and (col_j[v ^ bit_i] in (None, v) if v & bit_i else col_j[v] in (None, 0))
-        ]
-        for v in candidates:
-            row_i[j] = row_j[i] = v
-            for u, w in fill_j:
-                col_j[u] = w ^ v
-            for u, w in fill_i:
-                col_i[u] = w ^ v
-            if associative(triples):
-                yield from complete(s + 1)
-        row_i[j] = row_j[i] = None
-        for u, _ in fill_j:
-            col_j[u] = None
-        for u, _ in fill_i:
-            col_i[u] = None
-
+    mask = (1 << width) - 1
+    # an element's rows packed in one int, row 0 highest, so that the ints
+    # compare as the tuples of rows do; columns[k] places each e_i*e_k
+    shifts = [width * (width - 1 - i) for i in range(width)]
+    identity = sum(1 << i << s for i, s in enumerate(shifts))
+    columns = [[] for _ in shifts]
+    for p, (i, j) in enumerate(itertools.combinations(range(width), 2)):
+        columns[i].append((p, shifts[j]))
+        columns[j].append((p, shifts[i]))
     groups = []
-    for _ in complete(0):
-        # row i of the element sending 0 to y is e_i + e_i*y
-        rows = [tuple((1 << i) ^ col[i][y] for i in range(width)) for y in range(n)]
-        span, generators = {0}, []
-        for y in sorted(range(n), key=rows.__getitem__):
-            if y not in span:
-                g = AffineMap(BinMatrix(rows[y]), y)
-                generators.append(g)
-                span |= {g.apply(x) for x in span}
-        groups.append((rows, tuple(generators)))
+    for orbit in sum_orbits(width):
+        for constants in orbit:
+            # the element sending 0 to y is x |-> x(I + delta_y) + y, row i
+            # of delta_y being e_i*y: adding e_k to y adds e_i*e_k to row i
+            elements = [identity]
+            for column in columns:
+                delta = 0
+                for p, s in column:
+                    delta ^= constants[p] << s
+                elements += [e ^ delta for e in elements]
+            span, generators = {0}, []
+            for y in sorted(range(len(elements)), key=elements.__getitem__):
+                if y not in span:
+                    g = AffineMap(BinMatrix([elements[y] >> s & mask for s in shifts]), y)
+                    generators.append(g)
+                    span |= {g.apply(x) for x in span}
+            groups.append((elements, tuple(generators)))
     groups.sort(key=lambda group: group[0])
     return tuple(generators for _, generators in groups)
 

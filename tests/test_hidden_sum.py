@@ -6,6 +6,7 @@ product e1*e3 = e2, nilpotency index 3) were computed exhaustively and
 frozen here.
 """
 
+import hashlib
 import time
 import tracemalloc
 
@@ -36,11 +37,13 @@ from hiddensums.hidden_sum import (
     dump_group_spec,
     enumerate_regular_groups,
     find_hidden_sums,
+    gl_generators,
     hidden_sum_report,
     kappa,
     parse_group_spec,
     product_sum,
     ring_product,
+    sum_orbits,
     translation_compatible_sums,
     xor_translation_table,
 )
@@ -346,6 +349,14 @@ class TestMembership:
         with pytest.raises(ValueError):
             agl_membership(list(range(1, 65)), toy_state_sum())
 
+    def test_float_entries_rejected(self):
+        # 3.0 == 3, so the table passes the bijectivity compare
+        table = [float(x) for x in range(8)]
+        with pytest.raises(ValueError, match="bijective table"):
+            agl_membership(table, toy_brick_sum())
+        with pytest.raises(ValueError, match="bijective table"):
+            find_hidden_sums([table], [3])
+
 
 class TestProductSum:
     def test_two_translation_groups(self):
@@ -564,6 +575,62 @@ class TestEnumeration:
     def test_width_one(self):
         groups = enumerate_regular_groups(1)
         assert len(groups) == 1
+
+
+def product_constants(hs):
+    """e_i*e_j = e_i + e_j + (e_i # e_j) for the pairs i < j in the order
+    of combinations, as sum_orbits gives a product."""
+    units = [1 << i for i in range(hs.width)]
+    return tuple(a ^ b ^ hs.op(a, b) for i, a in enumerate(units) for b in units[i + 1 :])
+
+
+def closure_order(width):
+    """The order of the group the matrices of gl_generators generate,
+    closed breadth first; each matrix is its tuple of rows."""
+    tables = [BinMatrix(images).affine_table() for images, _ in gl_generators(width)]
+    identity = tuple(1 << i for i in range(width))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = {tuple(t[r] for r in m) for m in frontier for t in tables} - seen
+        seen |= frontier
+    return len(seen)
+
+
+class TestOrbits:
+    def test_orbit_sizes_frozen(self):
+        sizes = {w: [len(orbit) for orbit in sum_orbits(w)] for w in range(1, 5)}
+        assert sizes == {1: [1], 2: [1], 3: [1, 7], 4: [1, 105]}
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_orbits_partition_the_enumerated_sums(self, width):
+        orbits = sum_orbits(width)
+        assert sum(len(orbit) for orbit in orbits) == len(enumerate_regular_groups(width))
+        for g in enumerate_regular_groups(width):
+            constants = product_constants(HiddenSum(g))
+            assert sum(orbit.count(constants) for orbit in orbits) == 1
+
+    @pytest.mark.parametrize("width, order", [(1, 1), (2, 6), (3, 168), (4, 20160)])
+    def test_generators_generate_gl(self, width, order):
+        assert closure_order(width) == order
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_written_inverses_invert(self, width):
+        for images, inverse_images in gl_generators(width):
+            product = BinMatrix(images) @ BinMatrix(inverse_images)
+            assert product == BinMatrix.identity(width)
+
+    def test_enumeration_output_frozen(self):
+        # sha256 of the concatenated group specs in canonical order, taken
+        # from the structure-constant backtracking the orbits replaced
+        digests = {
+            1: "ad8e0fcfd7d4f22b12189b097c2f1762ad27b7916c6ce558178994cb7f391f3c",
+            2: "36e39cb08fa61360fd04141116579cca18f4d3a05a49e40ea5ec0e390133912e",
+            3: "cb9a0e7c51522b6565cb312f706bd235b1429d0a2654eb03d8f3019e1c9f56cb",
+            4: "7d883f8afb80ff1c293fc8d73ee46e1710b3c31aa7332e23e01f60f7677eee64",
+        }
+        for width, digest in digests.items():
+            text = "".join(dump_group_spec(g) for g in enumerate_regular_groups(width))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSearch:

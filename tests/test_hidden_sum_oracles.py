@@ -1,19 +1,20 @@
 """Oracles for the fast hidden-sum paths.
 
-The structure-constant enumerator is compared with the generator-chain
-search it replaced, its column tables with the bit sums they replaced,
-the direct involution test with composition, the brickwise product tables with the product built
-from the embedded affine maps, the coordinate affinity test with the
-pair scan, the doubling coordinate tables with the bit loop, the sum
-built from generators alone with the group's own elements, equality
-and order by structure constants with those of the op tables, the
-lemma that every sum below width 7 keeps all XOR translations with the
-triple-product filter and membership of the translations, the report's
-verdicts and the sum built from bare generators with the closure of the
-group they generate, the search without its translation checks with the
-search that ran them, the per-point spot check with the doubling
-table, and membership through the conjugate with the compare of the
-map's own points against that table.  The references are the former
+The orbit enumerator is compared with the structure-constant
+backtracking it replaced and with the generator-chain search before
+that, its products with the bit sums of a plain backtracking, the direct
+involution test with composition, the brickwise product tables with the
+product built from the embedded affine maps, the coordinate affinity
+test with the pair scan, the doubling coordinate tables with the bit
+loop, the sum built from generators alone with the group's own elements,
+equality and order by structure constants with those of the op tables,
+the lemma that every sum below width 7 keeps all XOR translations with
+the triple-product filter and membership of the translations, the
+report's verdicts and the sum built from bare generators with the
+closure of the group they generate, the search without its translation
+checks with the search that ran them, the per-point spot check with the
+doubling table, and membership through the conjugate with the compare of
+the map's own points against that table.  The references are the former
 library code, kept here as unchanged as the current API allows.
 """
 
@@ -346,6 +347,111 @@ def reference_structure_constants(width: int):
         yield tuple(tuple(times(y, i) for i in range(width)) for y in range(n))
 
 
+@lru_cache(maxsize=None)
+def reference_backtracking_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
+    """The regular groups as the former enumerate_regular_groups found them,
+    in its canonical order.
+
+    The products are found by backtracking over the structure constants
+    e_i*e_j, i < j, pruned as soon as a basis triple breaks associativity.
+    Column tables hold u*e_k for every u, kept current one XOR per entry
+    as constants are set, so a triple's terms (e_a*e_b)*e_c are single
+    lookups.  Before any entry is filled, a value v for e_i*e_j is dropped
+    if the tables already decide that v*e_i or v*e_j is not 0, as the
+    triples (i, i, j) and (i, j, j) demand; of the rest, the triples that
+    contain both i and j, which reject most candidates, are tested first.
+    Each group is returned as its generators, chosen greedily, each the
+    smallest element (by matrix rows, then translation) not yet generated.
+    """
+    n = 1 << width
+    mul = [[0 if i == j else None for j in range(width)] for i in range(width)]
+    # col[k][u] = u*e_k, or None while some e_l*e_k with bit l in u is unset
+    col = [[0 if u in (0, 1 << k) else None for u in range(n)] for k in range(width)]
+
+    def checks(i: int, j: int) -> list[list[tuple]]:
+        """The basis triples a <= b <= c that setting e_i*e_j can break,
+        those holding both i and j first.  Each is kept as its distinct
+        terms (e_x*e_y)*e_z, read as col[z][mul[x][y]]; a triple with one
+        distinct term cannot fail and is left out."""
+        both, either = [], []
+        for a, b, c in itertools.combinations_with_replacement(range(width), 3):
+            if i in (a, b, c) or j in (a, b, c):
+                terms = sorted({(a, b, c), (b, c, a), (a, c, b)})
+                if len(terms) > 1:
+                    refs = [(mul[x], y, col[z]) for x, y, z in terms]
+                    (both if i in (a, b, c) and j in (a, b, c) else either).append(refs)
+        return both + either
+
+    steps = [(i, j, checks(i, j)) for i, j in itertools.combinations(range(width), 2)]
+
+    def fillable(column: list, bit: int) -> list[tuple[int, int]]:
+        """(u, entry of u + bit) for each u holding the bit whose entry
+        without it is known: setting the constant fills exactly these."""
+        return [(u, w) for u in range(n) if u & bit and (w := column[u ^ bit]) is not None]
+
+    def associative(triples) -> bool:
+        # all determined terms of each triple must agree
+        for terms in triples:
+            seen = None
+            for row, b, column in terms:
+                u = row[b]
+                if u is not None:
+                    t = column[u]
+                    if t is not None:
+                        if seen is None:
+                            seen = t
+                        elif t != seen:
+                            return False
+        return True
+
+    def complete(s: int):
+        """Yield each time mul holds a complete product, from pair s on."""
+        if s == len(steps):
+            yield
+            return
+        i, j, triples = steps[s]
+        row_i, row_j, col_i, col_j = mul[i], mul[j], col[i], col[j]
+        bit_i, bit_j = 1 << i, 1 << j
+        # u*e_j for u holding bit i is (u + e_i)*e_j + v, and the same with
+        # i and j swapped; the entries without that bit do not change here
+        fill_j, fill_i = fillable(col_j, bit_i), fillable(col_i, bit_j)
+        # v*e_i = v*e_j = 0, the triples (i, i, j) and (i, j, j): v*e_i is
+        # (v + e_j)*e_i + v once set if v holds bit j, and col_i[v] if not
+        candidates = [
+            v
+            for v in range(n)
+            if (col_i[v ^ bit_j] in (None, v) if v & bit_j else col_i[v] in (None, 0))
+            and (col_j[v ^ bit_i] in (None, v) if v & bit_i else col_j[v] in (None, 0))
+        ]
+        for v in candidates:
+            row_i[j] = row_j[i] = v
+            for u, w in fill_j:
+                col_j[u] = w ^ v
+            for u, w in fill_i:
+                col_i[u] = w ^ v
+            if associative(triples):
+                yield from complete(s + 1)
+        row_i[j] = row_j[i] = None
+        for u, _ in fill_j:
+            col_j[u] = None
+        for u, _ in fill_i:
+            col_i[u] = None
+
+    groups = []
+    for _ in complete(0):
+        # row i of the element sending 0 to y is e_i + e_i*y
+        rows = [tuple((1 << i) ^ col[i][y] for i in range(width)) for y in range(n)]
+        span, generators = {0}, []
+        for y in sorted(range(n), key=rows.__getitem__):
+            if y not in span:
+                g = AffineMap(BinMatrix(rows[y]), y)
+                generators.append(g)
+                span |= {g.apply(x) for x in span}
+        groups.append((rows, tuple(generators)))
+    groups.sort(key=lambda group: group[0])
+    return tuple(generators for _, generators in groups)
+
+
 def reference_is_involution(g: AffineMap) -> bool:
     return g.then(g) == AffineMap.identity(g.width)
 
@@ -453,6 +559,17 @@ def test_enumeration_matches_generator_chains(width, count):
     for f, s in zip(fast, slow):
         assert group_of(f).encode() == s.encode()
         assert [g.encode() for g in f] == [g.encode() for g in s.generators]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_orbits_match_backtracking(width):
+    """The groups built from the orbits are the backtracking's, generator
+    for generator and in the same order."""
+    orbits = enumerate_regular_groups(width)
+    backtracking = reference_backtracking_groups(width)
+    assert [[g.encode() for g in gens] for gens in orbits] == [
+        [g.encode() for g in gens] for gens in backtracking
+    ]
 
 
 @pytest.mark.parametrize("width, count", [(1, 1), (2, 1), (3, 8), (4, 106)])
