@@ -7,7 +7,12 @@ this module builds the sum from them alone and never closes the group.
 It exposes the induced sum together with its linear parts, the subspace
 where it agrees with XOR, and the associated nilpotent ring product, and
 decides membership of arbitrary permutations in the affine group of the
-new sum.  The sums on one brick of up to MAX_BRICK_WIDTH bits are built
+new sum.  Each generator is read as one table, which both shows that it
+is an involution and doubles the sum's coordinate table.  Membership is
+asked of the map's conjugate in the sum's coordinates; for sums of up to
+BYTE_SUM_BITS bits that conjugate is two bytes.translate calls, and its
+XOR-affinity is read off one int by swapping halves of its bytes.  The
+sums on one brick of up to MAX_BRICK_WIDTH bits are built
 as the orbits of a few representative products under GL(width, 2), and a
 search over their brick-parallel products finds all sums compatible with
 a given set of round functions.
@@ -19,6 +24,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
+from operator import index
 
 from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
 
@@ -64,13 +70,6 @@ class AffineMap:
             other.matrix.apply(self.translation) ^ other.translation,
         )
 
-    def is_involution(self) -> bool:
-        """M*M = I and t*M = t, the conditions for self.then(self) to be
-        the identity."""
-        m, t = self.matrix, self.translation
-        square = [m.apply(r) for r in m.rows]
-        return m.apply(t) == t and square == [1 << i for i in range(self.width)]
-
     def encode(self) -> tuple:
         return (self.matrix.rows, self.translation)
 
@@ -97,6 +96,29 @@ def _common_width(generators: Sequence[AffineMap]) -> int:
     return width
 
 
+# bytes.translate maps every byte through a 256-entry table, so a sum of
+# at most 8 bits takes a conjugate as two translates and tests it for
+# XOR-affinity on one int (agl_membership).
+BYTE_SUM_BITS = 8
+# per width d <= 8: the bytes 0, ..., 2^d - 1, the big-endian int with a 1
+# in each of 2^d bytes, and per bit i < d - 1, (8 * 2^i, the big-endian
+# mask of the bytes whose index has bit i set)
+_VALUES = [bytes(range(1 << d)) for d in range(BYTE_SUM_BITS + 1)]
+_ONES = [int.from_bytes(b"\x01" * (1 << d), "big") for d in range(BYTE_SUM_BITS + 1)]
+_HALVES = [
+    [
+        (8 << i, int.from_bytes((bytes(1 << i) + b"\xff" * (1 << i)) * (1 << (d - i - 1)), "big"))
+        for i in range(d - 1)
+    ]
+    for d in range(BYTE_SUM_BITS + 1)
+]
+
+
+def _off_the_space(n: int) -> ValueError:
+    """The error for a table that does not map the n points into themselves."""
+    return ValueError(f"conjugate requires a table of {n} values in 0..{n - 1}")
+
+
 class HiddenSum:
     """The group operation on (F_2)^d induced by a regular group action.
 
@@ -106,10 +128,14 @@ class HiddenSum:
     A map is affine for the sum exactly when its conjugate, the map in
     coordinates, is XOR-affine, which read_affine and mismatch also test.
     Scope is limited to sums where every element is an involution, so
-    -x = x; construction fails loudly on anything else.
+    -x = x; construction fails loudly on anything else: each generator's
+    table, x*M + t at every x, must send each of its entries back to its
+    index.  The coordinate table doubles through those same tables.  Up to
+    BYTE_SUM_BITS bits, the first conjugate also keeps the coordinate
+    tables as bytes.
     """
 
-    __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased")
+    __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased", "_bytes")
 
     def __init__(self, generators: Sequence[AffineMap]):
         """The sum of the group the affine generators span.  That they
@@ -117,17 +143,19 @@ class HiddenSum:
         closing or pairing them would cost more than the sum itself.
         ValueError if there are none or their widths are mixed."""
         width = _common_width(generators)
+        identity = list(range(1 << width))
         # commuting involutions generate an elementary abelian group;
         # keep each generator whose translation is not yet reached
         by_coeff, basis = [0], []
         for g in generators:
-            if not g.is_involution():
+            table = g.matrix.affine_table(g.translation)
+            if [table[y] for y in table] != identity:
                 raise NotElementaryAbelianError(
                     f"generator moving 0 to {g.translation} is not an involution"
                 )
             if g.translation not in by_coeff:
                 basis.append(g.translation)
-                by_coeff += [g.apply(x) for x in by_coeff]
+                by_coeff += [table[x] for x in by_coeff]
         if len(basis) != width:
             raise NotRegularError("generators do not generate the group")
         self._adopt(by_coeff, basis, NotRegularError("the action is not free"))
@@ -147,6 +175,9 @@ class HiddenSum:
         self._by_coeff = by_coeff
         self._by_element = by_element
         self._rebased: dict[tuple[int, ...], CoordinateMap] = {}
+        # (by_coeff as bytes, by_element padded to a 256-byte translate
+        # table), made on the first conjugate when width <= 8
+        self._bytes: tuple[bytes, bytes] | None = None
         return self
 
     def in_basis(self, basis: Sequence[int]) -> CoordinateMap:
@@ -169,14 +200,39 @@ class HiddenSum:
     def element(self, coeffs: int) -> int:
         return self._by_coeff[coeffs]
 
-    def conjugate(self, table: Sequence[int]) -> list[int]:
+    def conjugate(self, table: Sequence[int]) -> Sequence[int]:
         """C o g o C^-1 for the map g with the given table, C = coords: entry
         c is coords(g(element(c))).  The sum is XOR in coordinates, so g is
         affine for it exactly when the conjugate G is XOR-affine, Im D_a g
         (D_a g(x) = g(x # a) # g(x)) is element(Im D_{C(a)} G), and a set is
-        a coset of the sum exactly when its coordinates are an XOR coset."""
+        a coset of the sum exactly when its coordinates are an XOR coset.
+
+        ValueError unless the table has 2^d int entries in 0..2^d - 1.  Up to
+        BYTE_SUM_BITS bits G is bytes: the element table translated through
+        g and then through coords, the pads of both never read."""
+        n = len(self._by_coeff)
+        if len(table) != n:
+            raise _off_the_space(n)
+        if self.width <= BYTE_SUM_BITS:
+            try:
+                # bytes() of any other buffer would copy its raw memory
+                g = bytes(table if isinstance(table, (list, tuple)) else iter(table))
+            except (TypeError, ValueError):  # a float, or an entry outside 0..255
+                g = None
+            if g is None or g.translate(None, _VALUES[self.width]):
+                raise _off_the_space(n)
+            if self._bytes is None:
+                self._bytes = (bytes(self._by_coeff), bytes(self._by_element).ljust(256, b"\0"))
+            element, coords = self._bytes
+            return element.translate(g.ljust(256, b"\0")).translate(coords)
         coords = self._by_element
-        return [coords[table[x]] for x in self._by_coeff]
+        try:
+            conj = [coords[table[x]] for x in self._by_coeff]
+        except (TypeError, IndexError):  # a float, or an entry past the space
+            conj = None
+        if conj is None or min(table) < 0:
+            raise _off_the_space(n)
+        return conj
 
     def read_affine(self, f: Callable[[int], int]) -> tuple[BinMatrix, int]:
         """M and t of f in coordinates, from f(0) and then f(b_i): the only
@@ -354,19 +410,36 @@ _NOT_BIJECTIVE = "membership test requires a bijective table on the space"
 
 
 def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
-    """Whether the permutation is affine for the hidden sum: its conjugate
-    must be the XOR-affine table c*M + t whose t and rows M are read off
-    the conjugate at 0 and at the unit vectors."""
-    n = 1 << hs.width
-    if len(g_table) != n or set(g_table) != set(range(n)):
-        raise ValueError(_NOT_BIJECTIVE)
+    """Whether the permutation is affine for the hidden sum: whether its
+    conjugate G is XOR-affine, that is, G(c + e_i) + G(c) is the same for
+    every c at each unit vector e_i.
+
+    Up to BYTE_SUM_BITS bits G is packed in one big-endian int v, G(c) in
+    byte c.  For h = 2^i, the bytes whose index has bit i set move h places
+    towards byte 0 and the others h places away, which swaps the halves of
+    every run of 2h bytes and puts G(c + e_i) in byte c; XORed with v, every
+    byte must then read G(e_i) + G(0).  The last unit vector needs no test:
+    if the others pass, G is affine on both halves of the space with one
+    linear part, so G(c + e_(d-1)) + G(c) is the same for every c.  Wider
+    sums compare G with the table of c*M + t whose t and rows M are read
+    off G at 0 and at the unit vectors."""
     try:
         conj = hs.conjugate(g_table)
-    except TypeError:
-        # entries such as 3.0 pass the set compare but index no list
+    except ValueError:
         raise ValueError(_NOT_BIJECTIVE) from None
-    t = conj[0]
-    return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
+    if hs.width > BYTE_SUM_BITS:
+        if len(set(conj)) != len(conj):
+            raise ValueError(_NOT_BIJECTIVE)
+        t = conj[0]
+        return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
+    # the conjugate of a permutation takes every value
+    if _VALUES[hs.width].translate(None, conj):
+        raise ValueError(_NOT_BIJECTIVE)
+    v, t, ones = int.from_bytes(conj, "big"), conj[0], _ONES[hs.width]
+    for shift, mask in _HALVES[hs.width]:
+        if ((v & mask) << shift | (v >> shift) & mask) ^ v != (conj[shift >> 3] ^ t) * ones:
+            return False
+    return True
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
@@ -543,9 +616,14 @@ def find_hidden_sums(
     for w in brick_widths:
         if isinstance(w, bool) or not isinstance(w, int) or not 1 <= w <= MAX_BRICK_WIDTH:
             raise ValueError(f"brick width {w!r} is outside 1..{MAX_BRICK_WIDTH}")
-    n = 1 << sum(brick_widths)
+    space = set(range(1 << sum(brick_widths)))
     for table in round_generators:
-        if len(table) != n or len(set(table)) != n:
+        try:
+            # index() refuses floats such as 3.0, which would equal 3 in the set
+            bijective = len(table) == len(space) and set(map(index, table)) == space
+        except TypeError:
+            bijective = False
+        if not bijective:
             raise ValueError("round generators must be bijective tables on the space")
     per_brick = [translation_compatible_sums(w) for w in brick_widths]
     results = []

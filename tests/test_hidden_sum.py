@@ -11,6 +11,7 @@ import time
 import tracemalloc
 
 import pytest
+from test_hidden_sum_oracles import reference_is_involution
 
 from hiddensums.cipher import (
     TOY_GROUP_SPEC,
@@ -83,7 +84,7 @@ class TestAffineMap:
     def test_translation_fixture(self):
         t = AffineMap(BinMatrix.identity(4), 0b1001)
         assert t.apply(0) == 0b1001
-        assert t.is_involution()
+        assert reference_is_involution(t)
 
 
 class TestBuildGroup:
@@ -660,6 +661,22 @@ class TestSearch:
     def test_non_bijective_generator_rejected(self):
         with pytest.raises(ValueError):
             find_hidden_sums([[0] * 64], [3, 3])
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            list(range(1, 65)),
+            [x - 1 for x in range(64)],
+            [float(x) for x in range(64)],
+            list(range(63)),
+            [0, 0] + list(range(2, 64)),
+        ],
+        ids=["shifted-up", "shifted-down", "floats", "short", "duplicate"],
+    )
+    def test_generator_off_the_space_refused_up_front(self, table):
+        # each is refused before any membership test, with the search's message
+        with pytest.raises(ValueError, match="^round generators must be bijective tables on the space$"):
+            find_hidden_sums([builtin_toy_spec().core_table(), table], [3, 3])
 
     @pytest.mark.parametrize(
         "widths, bad",

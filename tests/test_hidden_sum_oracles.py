@@ -2,18 +2,19 @@
 
 The orbit enumerator is compared with the structure-constant
 backtracking it replaced and with the generator-chain search before
-that, its products with the bit sums of a plain backtracking, the direct
-involution test with composition, the brickwise product tables with the
-product built from the embedded affine maps, the coordinate affinity
-test with the pair scan, the doubling coordinate tables with the bit
-loop, the sum built from generators alone with the group's own elements,
-equality and order by structure constants with those of the op tables,
-the lemma that every sum below width 7 keeps all XOR translations with
-the triple-product filter and membership of the translations, the
-report's verdicts and the sum built from bare generators with the
-closure of the group they generate, the search without its translation
-checks with the search that ran them, the per-point spot check with the
-doubling table, and membership through the conjugate with the compare of
+that, its products with the bit sums of a plain backtracking, the sum
+builder's involution test with composition, the brickwise product tables
+with the product built from the embedded affine maps, the coordinate
+affinity test with the pair scan, the doubling coordinate tables with
+the bit loop, the sum built from generators alone with the group's own
+elements, equality and order by structure constants with those of the op
+tables, the lemma that every sum below width 7 keeps all XOR
+translations with the triple-product filter and membership of the
+translations, the report's verdicts and the sum built from bare
+generators with the closure of the group they generate, the search
+without its translation checks with the search that ran them, the
+per-point spot check with the doubling table, and membership through the
+conjugate (by half-swaps of its bytes up to 8 bits) with the compare of
 the map's own points against that table.  The references are the former
 library code, kept here as unchanged as the current API allows.
 """
@@ -21,6 +22,7 @@ library code, kept here as unchanged as the current API allows.
 import itertools
 import random
 import time
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -57,6 +59,7 @@ from hiddensums.hidden_sum import (
     xor_translation_table,
 )
 from hiddensums.gf2 import vec_to_str
+from hiddensums.vbf import VBF
 
 
 class NotAbelianError(ValueError):
@@ -145,7 +148,7 @@ def reference_hidden_sum(group):
     # keep each generator whose translation is not yet reached
     by_coeff, basis = [0], []
     for g in group.generators:
-        if not g.is_involution():
+        if not reference_is_involution(g):
             raise NotElementaryAbelianError(
                 f"generator moving 0 to {g.translation} is not an involution"
             )
@@ -589,11 +592,24 @@ def test_column_tables_match_bit_sums(width, count):
     assert set(slow) == fast
 
 
+def builds_as_involution(g: AffineMap) -> bool:
+    """Whether HiddenSum takes g for an involution: only
+    NotElementaryAbelianError says it does not, and a lone generator that
+    passes may still leave the sum short of a basis."""
+    try:
+        HiddenSum([g])
+    except NotElementaryAbelianError:
+        return False
+    except NotRegularError:
+        pass
+    return True
+
+
 def test_involution_test_matches_composition():
     for width in range(1, MAX_BRICK_WIDTH + 1):
         for generators in enumerate_regular_groups(width):
             for g in group_of(generators).elements:
-                assert g.is_involution() and reference_is_involution(g)
+                assert builds_as_involution(g) and reference_is_involution(g)
     # random matrices, mostly singular or not involutory, and involutory
     # matrices of group elements with random translations, which t*M = t
     # tells apart
@@ -607,7 +623,7 @@ def test_involution_test_matches_composition():
         else:
             matrix = kappa(rng.choice(sums(width)), rng.randrange(n))
         g = AffineMap(matrix, rng.randrange(n))
-        verdict = g.is_involution()
+        verdict = builds_as_involution(g)
         assert verdict == reference_is_involution(g)
         involutory = matrix @ matrix == BinMatrix.identity(width)
         seen.add((verdict, involutory, matrix.is_invertible()))
@@ -724,6 +740,103 @@ def test_membership_matches_pair_scan_on_brick_sums(width):
         for table in members + perms:
             assert agl_membership(table, hs) == reference_agl_membership(table, sigma)
         assert all(agl_membership(table, hs) for table in members)
+
+
+def seeded_product_sums(bricks, count, seed):
+    """count product sums on the bricks, each part drawn with the seed from
+    translation_compatible_sums of its width."""
+    rng = random.Random(seed)
+    return [
+        product_sum([rng.choice(translation_compatible_sums(w)) for w in bricks])
+        for _ in range(count)
+    ]
+
+
+def random_invertible(width, rng):
+    while True:
+        matrix = BinMatrix([rng.randrange(1 << width) for _ in range(width)])
+        if matrix.is_invertible():
+            return matrix
+
+
+@pytest.mark.parametrize("bricks", [[4, 4], [3, 3, 3], [3] * 4], ids=["d8", "d9", "d12"])
+def test_membership_matches_inline_compare_at_the_byte_line(bricks):
+    """On either side of BYTE_SUM_BITS, for three seeded sums: seeded
+    permutations, the XOR and hidden translations, and affine functions
+    of the sum, each also with two points swapped, which no affine map of
+    8 or more points survives."""
+    d = sum(bricks)
+    n = 1 << d
+    rng = random.Random(d)
+    accepted = rejected = 0
+    for hs in seeded_product_sums(bricks, 3, d):
+        affine = [hs.affine_function(random_invertible(d, rng), rng.randrange(n)) for _ in range(3)]
+        swapped = []
+        for table in affine:
+            a, b = rng.sample(range(n), 2)
+            table = list(table)
+            table[a], table[b] = table[b], table[a]
+            swapped.append(table)
+        members = [xor_translation_table(d, 1 << i) for i in range(d)]
+        members += hidden_translations(hs) + affine
+        for table in members + swapped + seeded_permutations(d, 3, rng.randrange(1000)):
+            verdict = agl_membership(table, hs)
+            assert verdict == reference_inline_membership(table, hs)
+            accepted += verdict
+            rejected += not verdict
+    assert (accepted, rejected) == (3 * (2 * d + 3), 3 * 6)
+
+
+@pytest.mark.parametrize("bricks", [[3], [3, 4], [4, 4], [3, 3, 3]], ids=["d3", "d7", "d8", "d9"])
+def test_membership_refusals_match_across_the_byte_line(bricks):
+    """Floats, negative entries, entries past the space (those below 256
+    would read a 256-byte pad), duplicates and wrong lengths: the same
+    ValueError on both sides of BYTE_SUM_BITS, as list and as tuple."""
+    (hs,) = seeded_product_sums(bricks, 1, 7)
+    n = 1 << hs.width
+    identity = list(range(n))
+
+    def patched(x, value):
+        table = list(identity)
+        table[x] = value
+        return table
+
+    bad = [
+        [float(x) for x in identity],
+        patched(0, -1),
+        patched(n - 1, -n),
+        patched(n - 1, n),
+        patched(0, 256),
+        patched(1, 0),
+        identity[:-1],
+        identity + [0],
+    ]
+    bad += [patched(x, 255) for x in (0, n - 1) if n <= 255]
+    for table in bad:
+        for form in (table, tuple(table)):
+            with pytest.raises(ValueError, match="^membership test requires a bijective table on the space$"):
+                agl_membership(form, hs)
+
+
+@pytest.mark.parametrize("bricks", [[3], [4], [4, 4], [3, 3, 3]], ids=["d3", "d4", "d8", "d9"])
+def test_conjugate_matches_coordinate_lookup(bricks):
+    """conjugate is coords(g(element(c))) entry by entry on either side of
+    BYTE_SUM_BITS, for permutations and for a map that is not one, given
+    as a list, a tuple or an array of 16-bit items; VBF takes it as the vbf
+    tests do.  A table that does not map the space into itself is refused."""
+    for hs in seeded_product_sums(bricks, 2, 3):
+        d = hs.width
+        n = 1 << d
+        rng = random.Random(n)
+        tables = seeded_permutations(d, 2, n) + [[rng.randrange(n) for _ in range(n)]]
+        for table in tables:
+            expected = [hs.coords(table[hs.element(c)]) for c in range(n)]
+            for form in (table, tuple(table), array("H", table)):
+                assert list(hs.conjugate(form)) == expected
+            assert VBF(d, d, hs.conjugate(table)).table == tuple(expected)
+        for table in ([n] * n, [-1] + list(range(1, n)), list(range(n - 1)), [0.0] * n):
+            with pytest.raises(ValueError, match="conjugate requires"):
+                hs.conjugate(table)
 
 
 def test_coordinate_tables_match_bit_loop():
