@@ -4,7 +4,7 @@ The engine is generic: n parallel S-box bricks that fix 0, an invertible
 mixing matrix, round keys XORed in after the mixing layer, and a
 pluggable key schedule that must be surjective in at least one round.
 A spec keeps the keyless round (bricks, then mixing) as one table per
-direction.
+direction, and runs states of up to gf2.BYTE_BITS = 8 bits as bytes.
 
 The bundled 6-bit instance uses two identical 3-bit bricks given by a
 polynomial over GF(2^3), tabulated in the field's ascending encoding, and
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from .gf2 import BinMatrix, FieldSpec, read_digits
+from .gf2 import BYTE_BITS, BYTE_VALUES, BinMatrix, FieldSpec, read_digits, table_bytes
 from .hidden_sum import HiddenSum, parse_group_spec, product_sum
 from .vbf import VBF
 
@@ -124,12 +124,6 @@ def block_outside_state(x: int, d: int) -> ValueError:
     return ValueError(f"block {x} is outside the state space 0..{(1 << d) - 1}")
 
 
-# bytes.translate maps every byte through a 256-entry table, so a state of
-# at most 8 bits can be carried through the rounds as one bytes object.
-BYTE_STATE_BITS = 8
-IDENTITY = bytes(range(256))
-
-
 class CipherSpec:
     """Bricks, mixing layer, round count and key schedule of one cipher.
 
@@ -220,7 +214,7 @@ class CipherSpec:
         memo = self._memo
         if memo[0] != k:
             keys, p = self._schedule(k)
-            enc = self._encryption_table(keys, p) if self.d <= BYTE_STATE_BITS else b""
+            enc = self._encryption_table(keys, p) if self.d <= BYTE_BITS else b""
             memo = self._memo = (k, keys, enc, None)
         return memo
 
@@ -240,13 +234,9 @@ class CipherSpec:
         p = d if d < rounds and keys[d] == keys[0] and keys[d:] == keys[:-d] else 0
         # a periodic sequence is in range exactly when its first cycle is
         cycle = keys[:p] if p else keys
-        # for d <= 8 the keys are packed as bytes and the in-range ones
-        # deleted in C; min/max decide the rest, and the keys bytes refuses
-        # (a float, or one outside 0..255), as they always have
-        try:
-            in_range = d <= BYTE_STATE_BITS and not bytes(cycle).translate(None, IDENTITY[:n])
-        except (TypeError, ValueError):
-            in_range = False
+        # for d <= 8 table_bytes checks the keys in C; min/max decide wider
+        # states and the keys it refuses (a float, or one outside 0..255)
+        in_range = d <= BYTE_BITS and table_bytes(cycle, d) is not None
         if not in_range and (min(cycle) < 0 or max(cycle) >= n):
             h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
             raise ValueError(
@@ -264,11 +254,11 @@ class CipherSpec:
             core, pad = self._round, bytes(256 - len(self._round))
             fused = [bytes([y ^ rk for y in core]) + pad for rk in range(len(core))]
             self._fused = fused
-        enc = IDENTITY[: 1 << self.d]
+        enc = BYTE_VALUES[self.d]
         if p:
             # P as a whole 256-entry translate table: the fused pads send
             # the bytes past 2^d to 0, which no state reaches
-            power = IDENTITY
+            power = BYTE_VALUES[BYTE_BITS]
             for rk in keys[:p]:
                 power = power.translate(fused[rk])
             q, r = divmod(self.rounds, p)
@@ -287,12 +277,12 @@ class CipherSpec:
     def _decryption_table(self, k: int) -> bytes:
         k, keys, enc, dec = self._entry(k)
         if dec is None:
-            dec = bytes.maketrans(enc, IDENTITY[: len(enc)])[: len(enc)]
+            dec = bytes.maketrans(enc, BYTE_VALUES[self.d])[: len(enc)]
             self._memo = (k, keys, enc, dec)
         return dec
 
     def encrypt(self, k: int, x: int) -> int:
-        if self.d <= BYTE_STATE_BITS:
+        if self.d <= BYTE_BITS:
             cached_k, _, table, _ = self._memo
             if cached_k != k:
                 table = self._entry(k)[2]
@@ -310,7 +300,7 @@ class CipherSpec:
         return x
 
     def decrypt(self, k: int, y: int) -> int:
-        if self.d <= BYTE_STATE_BITS:
+        if self.d <= BYTE_BITS:
             cached_k, _, _, table = self._memo
             if cached_k != k or table is None:
                 table = self._decryption_table(k)
@@ -332,7 +322,7 @@ class CipherSpec:
         return list(self._round)
 
     def encrypt_table(self, k: int) -> list[int]:
-        if self.d <= BYTE_STATE_BITS:
+        if self.d <= BYTE_BITS:
             return list(self._entry(k)[2])
         return [self.encrypt(k, x) for x in range(1 << self.d)]
 

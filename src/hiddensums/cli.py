@@ -66,6 +66,7 @@ def _load_function(args) -> tuple[str, vbf.VBF]:
         try:
             cfg = json.loads(text)
             m = cipher.config_int(cfg["field"]["m"], "m")
+            vbf.check_table_width(m)  # before the modulus test, which is slow at large m
             fs = FieldSpec(m, _parse_modulus(cfg["field"]["modulus"]))
             if cfg["kind"] == "power":
                 d = cipher.config_int(cfg["exponent"], "exponent")

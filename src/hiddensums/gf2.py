@@ -9,6 +9,9 @@ Field elements of GF(2^m) are ints with the "ascending" encoding: bit i
 is the coefficient of a^i, where a is a root of the modulus polynomial.
 The modulus is an int too (bit i = coefficient of x^i), e.g. 0b1011 is
 x^3 + x + 1.
+
+The byte-table format that vbf, hidden_sum and cipher share lives here:
+the BYTE_BITS = 8 limit, its tables, and table_bytes, the checked step.
 """
 
 from __future__ import annotations
@@ -45,6 +48,26 @@ def read_digits(token: str, base: int) -> int:
     if not token.isascii() or not digits or digits.lower().strip("0123456789abcdef"[:base]):
         raise ValueError(f"{token!r} is not a base-{base} number")
     return int(token, base)
+
+
+# bytes.translate maps every byte through a 256-entry table, so a table of
+# k <= 8 bit values is one bytes object that C-level steps carry whole.
+BYTE_BITS = 8
+# per width k <= 8: the bytes 0, ..., 2^k - 1 (every value of k bits), and
+# the big-endian int with a 1 in each of those 2^k bytes
+BYTE_VALUES = [bytes(range(1 << k)) for k in range(BYTE_BITS + 1)]
+BYTE_ONES = [int.from_bytes(b"\x01" * (1 << k), "big") for k in range(BYTE_BITS + 1)]
+
+
+def table_bytes(table: Sequence[int], k: int) -> bytes | None:
+    """The table as bytes if every entry is an int in 0..2^k - 1, for
+    0 <= k <= 8, else None: one bytes() and one translate deletion."""
+    try:
+        # bytes() of any other buffer would copy its raw memory
+        packed = bytes(table if isinstance(table, (list, tuple)) else iter(table))
+    except (TypeError, ValueError):  # a float, or an entry outside 0..255
+        return None
+    return None if packed.translate(None, BYTE_VALUES[k]) else packed
 
 
 class SingularMatrixError(ValueError):

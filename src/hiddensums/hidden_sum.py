@@ -10,12 +10,12 @@ decides membership of arbitrary permutations in the affine group of the
 new sum.  Each generator is read as one table, which both shows that it
 is an involution and doubles the sum's coordinate table.  Membership is
 asked of the map's conjugate in the sum's coordinates; for sums of up to
-BYTE_SUM_BITS bits that conjugate is two bytes.translate calls, and its
-XOR-affinity is read off one int by swapping halves of its bytes.  The
-sums on one brick of up to MAX_BRICK_WIDTH bits are built
-as the orbits of a few representative products under GL(width, 2), and a
-search over their brick-parallel products finds all sums compatible with
-a given set of round functions.
+gf2.BYTE_BITS = 8 bits, gf2.table_bytes checks the map's table, the
+conjugate is two bytes.translate calls, and its XOR-affinity is read off
+one int by swapping halves of its bytes.  The sums on one brick of up to
+MAX_BRICK_WIDTH bits are built as the orbits of a few representative
+products under GL(width, 2), and a search over their brick-parallel
+products finds all sums compatible with a given set of round functions.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import index
 
+from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, table_bytes
 from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
 
 
@@ -96,21 +97,15 @@ def _common_width(generators: Sequence[AffineMap]) -> int:
     return width
 
 
-# bytes.translate maps every byte through a 256-entry table, so a sum of
-# at most 8 bits takes a conjugate as two translates and tests it for
-# XOR-affinity on one int (agl_membership).
-BYTE_SUM_BITS = 8
-# per width d <= 8: the bytes 0, ..., 2^d - 1, the big-endian int with a 1
-# in each of 2^d bytes, and per bit i < d - 1, (8 * 2^i, the big-endian
-# mask of the bytes whose index has bit i set)
-_VALUES = [bytes(range(1 << d)) for d in range(BYTE_SUM_BITS + 1)]
-_ONES = [int.from_bytes(b"\x01" * (1 << d), "big") for d in range(BYTE_SUM_BITS + 1)]
+# per width d <= BYTE_BITS and bit i < d - 1, (8 * 2^i, the big-endian mask
+# of the bytes whose index has bit i set), by which agl_membership tests a
+# conjugate for XOR-affinity on one int
 _HALVES = [
     [
         (8 << i, int.from_bytes((bytes(1 << i) + b"\xff" * (1 << i)) * (1 << (d - i - 1)), "big"))
         for i in range(d - 1)
     ]
-    for d in range(BYTE_SUM_BITS + 1)
+    for d in range(BYTE_BITS + 1)
 ]
 
 
@@ -131,8 +126,7 @@ class HiddenSum:
     -x = x; construction fails loudly on anything else: each generator's
     table, x*M + t at every x, must send each of its entries back to its
     index.  The coordinate table doubles through those same tables.  Up to
-    BYTE_SUM_BITS bits, the first conjugate also keeps the coordinate
-    tables as bytes.
+    BYTE_BITS bits, the first conjugate keeps the coordinate tables as bytes.
     """
 
     __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased", "_bytes")
@@ -208,18 +202,14 @@ class HiddenSum:
         a coset of the sum exactly when its coordinates are an XOR coset.
 
         ValueError unless the table has 2^d int entries in 0..2^d - 1.  Up to
-        BYTE_SUM_BITS bits G is bytes: the element table translated through
+        BYTE_BITS bits G is bytes: the element table translated through
         g and then through coords, the pads of both never read."""
         n = len(self._by_coeff)
         if len(table) != n:
             raise _off_the_space(n)
-        if self.width <= BYTE_SUM_BITS:
-            try:
-                # bytes() of any other buffer would copy its raw memory
-                g = bytes(table if isinstance(table, (list, tuple)) else iter(table))
-            except (TypeError, ValueError):  # a float, or an entry outside 0..255
-                g = None
-            if g is None or g.translate(None, _VALUES[self.width]):
+        if self.width <= BYTE_BITS:
+            g = table_bytes(table, self.width)
+            if g is None:
                 raise _off_the_space(n)
             if self._bytes is None:
                 self._bytes = (bytes(self._by_coeff), bytes(self._by_element).ljust(256, b"\0"))
@@ -414,7 +404,7 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     conjugate G is XOR-affine, that is, G(c + e_i) + G(c) is the same for
     every c at each unit vector e_i.
 
-    Up to BYTE_SUM_BITS bits G is packed in one big-endian int v, G(c) in
+    Up to BYTE_BITS bits G is packed in one big-endian int v, G(c) in
     byte c.  For h = 2^i, the bytes whose index has bit i set move h places
     towards byte 0 and the others h places away, which swaps the halves of
     every run of 2h bytes and puts G(c + e_i) in byte c; XORed with v, every
@@ -427,15 +417,15 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
         conj = hs.conjugate(g_table)
     except ValueError:
         raise ValueError(_NOT_BIJECTIVE) from None
-    if hs.width > BYTE_SUM_BITS:
+    if hs.width > BYTE_BITS:
         if len(set(conj)) != len(conj):
             raise ValueError(_NOT_BIJECTIVE)
         t = conj[0]
         return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
     # the conjugate of a permutation takes every value
-    if _VALUES[hs.width].translate(None, conj):
+    if BYTE_VALUES[hs.width].translate(None, conj):
         raise ValueError(_NOT_BIJECTIVE)
-    v, t, ones = int.from_bytes(conj, "big"), conj[0], _ONES[hs.width]
+    v, t, ones = int.from_bytes(conj, "big"), conj[0], BYTE_ONES[hs.width]
     for shift, mask in _HALVES[hs.width]:
         if ((v & mask) << shift | (v >> shift) & mask) ^ v != (conj[shift >> 3] ^ t) * ones:
             return False

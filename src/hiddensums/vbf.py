@@ -13,22 +13,20 @@ GF(2^m) are tabulated in the field's ascending encoding (gf2), so a field
 element is its own coordinate vector, and from_power returns one shared
 object per exponent and field.
 
-A function with m, n <= 8 takes D_a f at all 2^m points as one bytes
-object with C-level steps (one translate per direction), which
-derivative images and the differential spectrum share; wider functions
-visit the points one by one.  Its distinct values come from two more
-translates: deleting the derivative's bytes from the bytes 0, ..., 2^n - 1
-leaves the values it misses, and deleting those leaves the values it
-takes, in ascending order.
+Table entries must be ints (bools pass) of n bits; a float or any other
+entry is refused with ValueError.  A function with m, n <= gf2.BYTE_BITS
+= 8 is checked by gf2.table_bytes and kept as bytes: D_a f at all 2^m
+points is one translate, and its distinct values two more, in ascending
+order.  Wider functions are scanned point by point.  Only the derivative
+kernels, _derivative and _derivative_values, tell the two apart.
 
 Each function keeps, per direction a, the size of Im D_a f and its affine
 hull, built once from one image that is then dropped.  The APN tests read
 the sizes, the component space reads the hull, and the image is a coset
 exactly when its size equals its hull's, since the hull is the smallest
-coset that contains it.  For m, n <= 8 the entry is read off the distinct
-values of the derivative translated by c = D_a f(0): their count is the
-image's size, they span the hull's space, and the hull is c plus that
-space.  Wider functions build the image and its hull.
+coset that contains it.  The entry is read off the distinct values of the
+derivative translated by c = D_a f(0): their count is the image's size,
+they span the hull's space, and the hull is c plus that space.
 """
 
 from __future__ import annotations
@@ -36,24 +34,26 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from operator import index
 
+from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, table_bytes
 from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, read_digits, span_basis
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
 
-# bytes.translate maps every byte through a 256-entry table, so a function
-# with m, n <= 8 has its derivatives taken as whole bytes objects.
-BYTE_BITS = 8
-# per width k <= 8: the bytes 0, ..., 2^k - 1 (every value of k bits), the
-# same as one big-endian int, and the int with a 1 in each of those bytes,
-# so IDENT ^ a * ONES lists x + a
-_VALUES = [bytes(range(1 << k)) for k in range(BYTE_BITS + 1)]
-_IDENT = [int.from_bytes(values, "big") for values in _VALUES]
-_ONES = [int.from_bytes(bytes([1]) * (1 << k), "big") for k in range(BYTE_BITS + 1)]
+# per width k <= 8: the bytes 0, ..., 2^k - 1 as one big-endian int, so
+# IDENT ^ a * BYTE_ONES lists x + a
+_IDENT = [int.from_bytes(values, "big") for values in BYTE_VALUES]
 
 CROOKED = "crooked"
 ANTI_CROOKED = "anti_crooked"
+
+
+def check_table_width(m: int) -> None:
+    """ValueError if a table over 2^m inputs would pass the table limit."""
+    if m > TABLE_LIMIT_BITS:
+        raise ValueError(f"input width {m} exceeds table limit {TABLE_LIMIT_BITS}")
 
 
 class VBF:
@@ -62,24 +62,30 @@ class VBF:
     __slots__ = ("m", "n", "table", "_is_permutation", "_derivatives", "_bytes")
 
     def __init__(self, m: int, n: int, table: Sequence[int]):
-        if m > TABLE_LIMIT_BITS:
-            raise ValueError(f"input width {m} exceeds table limit {TABLE_LIMIT_BITS}")
+        check_table_width(m)
         if len(table) != 1 << m:
             raise ValueError(f"table must have exactly {1 << m} entries")
         table = tuple(table)
-        mask = (1 << n) - 1
-        if min(table) < 0 or max(table) > mask:
-            y = next(y for y in table if y < 0 or y > mask)
-            raise ValueError(f"table value 0b{y:b} does not fit in width {n}")
+        packed = table_bytes(table, n) if m <= BYTE_BITS and 0 <= n <= BYTE_BITS else None
+        # (table padded to a 256-byte translate table, table packed as one
+        # big-endian int) when m, n <= 8, else None
+        self._bytes: tuple[bytes, int] | None = None
+        if packed is not None:
+            self._bytes = (packed.ljust(256, b"\0"), int.from_bytes(packed, "big"))
+        else:  # a wider table, or a refused one, entry by entry
+            for y in table:
+                try:
+                    v = index(y)
+                except TypeError:
+                    raise ValueError(f"table value {y!r} is not an int") from None
+                if v < 0 or v >> n:
+                    raise ValueError(f"table value 0b{v:b} does not fit in width {n}")
         self.m = m
         self.n = n
         self.table: tuple[int, ...] = table
         self._is_permutation: bool | None = None
         # direction a -> (|Im D_a f|, affine hull of Im D_a f)
         self._derivatives: dict[int, tuple[int, AffineSubspace]] = {}
-        # (table padded to a 256-byte translate table, table packed as one
-        # big-endian int), made on first use when m, n <= 8
-        self._bytes: tuple[bytes, int] | None = None
 
     @property
     def is_permutation(self) -> bool:
@@ -92,16 +98,6 @@ class VBF:
         return cls(m, m, list(range(1 << m)))
 
     @classmethod
-    def _tabulate(cls, fs: FieldSpec, values) -> VBF:
-        """Tabulate a map GF(2^m) -> GF(2^m), the table limit checked first.
-
-        values() returns the map's values at 0, 1, ..., 2^m - 1 in the
-        ascending field encoding."""
-        if fs.m > TABLE_LIMIT_BITS:
-            raise ValueError(f"input width {fs.m} exceeds table limit {TABLE_LIMIT_BITS}")
-        return cls(fs.m, fs.m, values())
-
-    @classmethod
     @lru_cache(maxsize=256)
     def from_power(cls, d: int, fs: FieldSpec) -> VBF:
         """The power map x^d (d >= 0) on GF(2^m), read off the field's exp/log
@@ -111,13 +107,10 @@ class VBF:
         derivative memo."""
         if d < 0:
             raise ValueError("exponent must be non-negative")
-
-        def values() -> list[int]:
-            exp, log = fs.exp_log()
-            order = len(exp)
-            return [0**d] + [exp[log[x] * d % order] for x in range(1, 1 << fs.m)]
-
-        return cls._tabulate(fs, values)
+        check_table_width(fs.m)
+        exp, log = fs.exp_log()
+        order = len(exp)
+        return cls(fs.m, fs.m, [0**d] + [exp[log[x] * d % order] for x in range(1, 1 << fs.m)])
 
     @classmethod
     def from_univariate(cls, coeffs: Sequence[int], fs: FieldSpec) -> VBF:
@@ -125,6 +118,7 @@ class VBF:
         coeffs[i] is the coefficient of x^i."""
         if any(c < 0 or c >> fs.m for c in coeffs):
             raise ValueError("coefficients must be field elements")
+        check_table_width(fs.m)
 
         def horner(x: int) -> int:
             acc = 0
@@ -132,7 +126,7 @@ class VBF:
                 acc = gf_mul(acc, x, fs) ^ c
             return acc
 
-        return cls._tabulate(fs, lambda: [horner(x) for x in range(1 << fs.m)])
+        return cls(fs.m, fs.m, [horner(x) for x in range(1 << fs.m)])
 
     def inverse(self) -> VBF:
         if not self.is_permutation:
@@ -157,26 +151,47 @@ class VBF:
         return f"VBF(m={self.m}, n={self.n})"
 
 
-def _derivative_bytes(f: VBF, a: int, c: int = 0) -> bytes:
-    """D_a f(x) + c for x = 0, ..., 2^m - 1 as one bytes object, for
-    m, n <= 8 and c < 2^n: the points x + a are translated through the
+# Kept out of the kernels below: a comprehension there would make cells of
+# their arguments and slow every byte-sized call.
+def _scan(f: VBF, a: int, c: int) -> list[int]:
+    """D_a f(x) + c for x = 0, ..., 2^m - 1, point by point."""
+    table = f.table
+    return [table[x ^ a] ^ table[x] ^ c for x in range(1 << f.m)]
+
+
+def _scan_values(f: VBF, a: int, c: int) -> set[int]:
+    """The values of D_a f(x) + c at one point of each pair {x, x + a}, the
+    one whose bit at a's leading position is clear: D_a f(x) = D_a f(x + a)."""
+    table = f.table
+    top = 1 << a.bit_length() >> 1
+    return {
+        table[x ^ a] ^ table[x] ^ c
+        for lo in range(0, 1 << f.m, top << 1)
+        for x in range(lo, lo + top)
+    }
+
+
+def _derivative(f: VBF, a: int, c: int = 0) -> Sequence[int]:
+    """D_a f(x) + c for x = 0, ..., 2^m - 1, for c < 2^n.  For m, n <= 8
+    it is one bytes object: the points x + a are translated through the
     table to f(x + a), and one int XOR adds f(x) and c to every byte."""
     if f._bytes is None:
-        packed = bytes(f.table)
-        f._bytes = (packed + bytes(256 - len(packed)), int.from_bytes(packed, "big"))
+        return _scan(f, a, c)
     translate, packed = f._bytes
-    size, ones = 1 << f.m, _ONES[f.m]
+    size, ones = 1 << f.m, BYTE_ONES[f.m]
     shifted = (_IDENT[f.m] ^ a * ones).to_bytes(size, "big").translate(translate)
     return (int.from_bytes(shifted, "big") ^ packed ^ c * ones).to_bytes(size, "big")
 
 
-def _derivative_values(f: VBF, a: int, c: int = 0) -> bytes:
-    """The distinct values of D_a f(x) + c in ascending order, for m, n <= 8
-    and c < 2^n: deleting the derivative's bytes from 0, ..., 2^n - 1
-    leaves the values it misses, and deleting those leaves the values it
-    takes (two bytes.translate calls)."""
-    values = _VALUES[f.n]
-    return values.translate(None, values.translate(None, _derivative_bytes(f, a, c)))
+def _derivative_values(f: VBF, a: int, c: int = 0) -> bytes | set[int]:
+    """The distinct values of D_a f(x) + c, for c < 2^n.  For m, n <= 8
+    they are bytes in ascending order: deleting the derivative's bytes from
+    0, ..., 2^n - 1 leaves the values it misses, and deleting those leaves
+    the values it takes (two bytes.translate calls).  Wider ones: a set."""
+    if f._bytes is None:
+        return _scan_values(f, a, c)
+    values = BYTE_VALUES[f.n]
+    return values.translate(None, values.translate(None, _derivative(f, a, c)))
 
 
 def _check_direction(f: VBF, a: int) -> None:
@@ -189,21 +204,10 @@ def _check_direction(f: VBF, a: int) -> None:
 def derivative_image(f: VBF, a: int) -> frozenset[int]:
     """Im D_a f, the values of x |-> f(x + a) + f(x).
 
-    The direction must be an int with 0 < a < 2^m.  A function with
-    m, n <= 8 takes all 2^m values at once as bytes and keeps their
-    distinct values (see _derivative_values); a wider one visits only one
-    point of each pair {x, x + a}, the one whose bit at a's leading
-    position is clear, since D_a f(x) = D_a f(x + a)."""
+    The direction must be an int with 0 < a < 2^m; the values are those
+    of _derivative_values."""
     _check_direction(f, a)
-    if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
-        return frozenset(_derivative_values(f, a))
-    table = f.table
-    top = 1 << a.bit_length() >> 1
-    return frozenset(
-        table[x ^ a] ^ table[x]
-        for lo in range(0, 1 << f.m, top << 1)
-        for x in range(lo, lo + top)
-    )
+    return frozenset(_derivative_values(f, a))
 
 
 class DiffSpectrum(namedtuple("DiffSpectrum", "delta witness counts", defaults=(None,))):
@@ -220,13 +224,8 @@ def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
     delta = 0
     witness = (0, 0)
     all_counts: dict[int, dict[int, int]] = {}
-    table = f.table
-    small = f.m <= BYTE_BITS and f.n <= BYTE_BITS
     for a in range(1, 1 << f.m):
-        if small:
-            counts = Counter(_derivative_bytes(f, a))
-        else:
-            counts = Counter([table[x ^ a] ^ table[x] for x in range(1 << f.m)])
+        counts = Counter(_derivative(f, a))
         top = max(counts.values())
         if top > delta:
             delta = top
@@ -240,21 +239,17 @@ def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
     """(|Im D_a f|, affine hull of Im D_a f), kept on f per
     direction: the image is built once and only these two are stored.
 
-    For m, n <= 8 the image is read as the distinct values of the
-    derivative translated by c = D_a f(0), so that it contains 0, taken by
-    two translates (_derivative_values): their count is the image's size,
-    they span the hull's space, and the hull is c plus that space."""
+    The image is read as the distinct values of the derivative translated
+    by c = D_a f(0), so that it contains 0 (_derivative_values): their
+    count is the image's size, they span the hull's space, and the hull is
+    c plus that space."""
     shape = f._derivatives.get(a)
     # a float or bool equal to a stored direction would hit its entry
     if shape is None or type(a) is not int:
-        if f.m <= BYTE_BITS and f.n <= BYTE_BITS:
-            _check_direction(f, a)
-            c = f.table[a] ^ f.table[0]
-            points = _derivative_values(f, a, c)
-            shape = (len(points), AffineSubspace(c, Subspace(points, f.n)))
-        else:
-            image = derivative_image(f, a)
-            shape = (len(image), affine_hull(image, f.n))
+        _check_direction(f, a)
+        c = f.table[a] ^ f.table[0]
+        points = _derivative_values(f, a, c)
+        shape = (len(points), AffineSubspace(c, Subspace(points, f.n)))
         f._derivatives[a] = shape
     return shape
 

@@ -134,6 +134,21 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "table limit" in proc.stderr
 
+    def test_width_past_the_table_limit_refused_before_the_field(self, tmp_path, capsys, monkeypatch):
+        """x^9689 + x^84 + 1 is irreducible, and its Ben-Or test once ran for
+        half a minute before the table limit refused m = 9689."""
+
+        def no_field(m, modulus):
+            raise AssertionError(f"FieldSpec built for m = {m}")
+
+        monkeypatch.setattr("hiddensums.cli.FieldSpec", no_field)
+        modulus = bin((1 << 9689) | (1 << 84) | 1)
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"field": {"m": 9689, "modulus": modulus}, "kind": "power", "exponent": 3}))
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: bad function config: input width 9689 exceeds table limit 16\n"
+
     @pytest.mark.parametrize(
         "modulus, message",
         [

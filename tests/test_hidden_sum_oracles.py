@@ -761,7 +761,7 @@ def random_invertible(width, rng):
 
 @pytest.mark.parametrize("bricks", [[4, 4], [3, 3, 3], [3] * 4], ids=["d8", "d9", "d12"])
 def test_membership_matches_inline_compare_at_the_byte_line(bricks):
-    """On either side of BYTE_SUM_BITS, for three seeded sums: seeded
+    """On either side of gf2.BYTE_BITS, for three seeded sums: seeded
     permutations, the XOR and hidden translations, and affine functions
     of the sum, each also with two points swapped, which no affine map of
     8 or more points survives."""
@@ -791,7 +791,7 @@ def test_membership_matches_inline_compare_at_the_byte_line(bricks):
 def test_membership_refusals_match_across_the_byte_line(bricks):
     """Floats, negative entries, entries past the space (those below 256
     would read a 256-byte pad), duplicates and wrong lengths: the same
-    ValueError on both sides of BYTE_SUM_BITS, as list and as tuple."""
+    ValueError on both sides of gf2.BYTE_BITS, as list and as tuple."""
     (hs,) = seeded_product_sums(bricks, 1, 7)
     n = 1 << hs.width
     identity = list(range(n))
@@ -821,7 +821,7 @@ def test_membership_refusals_match_across_the_byte_line(bricks):
 @pytest.mark.parametrize("bricks", [[3], [4], [4, 4], [3, 3, 3]], ids=["d3", "d4", "d8", "d9"])
 def test_conjugate_matches_coordinate_lookup(bricks):
     """conjugate is coords(g(element(c))) entry by entry on either side of
-    BYTE_SUM_BITS, for permutations and for a map that is not one, given
+    gf2.BYTE_BITS, for permutations and for a map that is not one, given
     as a list, a tuple or an array of 16-bit items; VBF takes it as the vbf
     tests do.  A table that does not map the space into itself is refused."""
     for hs in seeded_product_sums(bricks, 2, 3):

@@ -273,6 +273,64 @@ def test_vbf_imports_only_gf2():
     }
 
 
+def byte_format_definitions(source: str) -> list[str]:
+    """The module-level names, with their lines, that define a byte limit
+    (a name containing BYTE, or one ending in BITS set to 8) or that are
+    set by a statement building a bytes(range(...)) table; definitions
+    inside functions and classes are not module level."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+        eight = isinstance(stmt.value, ast.Constant) and stmt.value.value == 8
+        table = any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "bytes"
+            and any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "range" for a in node.args)
+            for node in ast.walk(stmt)
+        )
+        found += [
+            f"{name} (line {stmt.lineno})"
+            for name in names
+            if "BYTE" in name or (eight and name.endswith("BITS")) or table
+        ]
+    return found
+
+
+def test_only_gf2_defines_the_byte_format():
+    """The 8-bit limit of the bytes.translate kernels and its value tables
+    live in gf2; vbf, hidden_sum and cipher import them."""
+    found = {path.name: byte_format_definitions(path.read_text()) for path in MODULES}
+    in_gf2 = found.pop("gf2.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert [entry.split()[0] for entry in in_gf2] == ["BYTE_BITS", "BYTE_VALUES", "BYTE_ONES"]
+
+
+def test_byte_format_definitions_reported():
+    module = (
+        "from .gf2 import BYTE_BITS\n"
+        "BYTE_STATE_BITS = 8\n"
+        "WIDTH_BITS = 8\n"
+        "TABLE_LIMIT_BITS = 16\n"
+        "IDENTITY = bytes(range(256))\n"
+        "_VALUES: list = [bytes(range(1 << k)) for k in range(BYTE_BITS + 1)]\n"
+        "_PAD = bytes(256)\n"
+        "_SUM = [x for x in range(8)]\n"
+        "def f():\n"
+        "    LOCAL_BYTES = bytes(range(4))\n"
+        "class C:\n"
+        "    BYTE_BITS = 8\n"
+    )
+    assert byte_format_definitions(module) == [
+        "BYTE_STATE_BITS (line 2)",
+        "WIDTH_BITS (line 3)",
+        "IDENTITY (line 5)",
+        "_VALUES (line 6)",
+    ]
+
+
 CORE = ("gf2", "vbf", "hidden_sum", "cipher")
 HEAVY = ("dataclasses", "typing", "inspect", "random", "re")
 # attack keeps AttackTranscript a frozen dataclass, which the benchmark's

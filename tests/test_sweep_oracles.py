@@ -436,10 +436,10 @@ def test_derivative_memo_matches_fresh_scan_on_inversion(m):
     assert_memo_matches_fresh_scan(VBF.from_power((1 << m) - 2, field_spec(m)))
 
 
-@pytest.mark.parametrize("m, n", [(4, 2), (5, 8), (7, 7), (8, 3), (8, 8)])
+@pytest.mark.parametrize("m, n", [(4, 2), (5, 8), (7, 7), (8, 3), (8, 8), (9, 3), (3, 9), (9, 9)])
 def test_derivative_memo_matches_fresh_scan_on_seeded_tables(m, n):
-    """Off-square and full-width tables at the byte limit; low output
-    widths make many images small cosets."""
+    """Off-square and full-width tables up to the byte limit, and past it
+    on either side; low output widths make many images small cosets."""
     rng = random.Random(11 * m + n)
     for _ in range(4 if m < 7 else 1):
         assert_memo_matches_fresh_scan(VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)]))

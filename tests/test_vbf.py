@@ -97,6 +97,48 @@ class TestConstruction:
         with pytest.raises(ValueError):
             VBF(2, 2, [0, 1, 2, 4])
 
+    @pytest.mark.parametrize("m, n", [(2, 2), (8, 8), (2, 9), (9, 2), (9, 9)])
+    @pytest.mark.parametrize("entry", [2.5, 1.0, 0.0, "1", None, 1j])
+    def test_non_int_entry_refused(self, m, n, entry):
+        """On either side of the byte limit, a float or any other entry
+        that is not an int is refused by name, even one equal to an int."""
+        table = [x & ((1 << n) - 1) for x in range(1 << m)]
+        table[-1] = entry
+        with pytest.raises(ValueError, match=re.escape(f"table value {entry!r} is not an int")):
+            VBF(m, n, table)
+
+    def test_non_int_entries_once_accepted_are_refused(self):
+        # both used to construct; the first then failed in its derivatives
+        # with a bare TypeError, the second passed as a permutation
+        with pytest.raises(ValueError, match=r"table value 2\.5 is not an int"):
+            VBF(2, 2, [0, 1, 2, 2.5])
+        with pytest.raises(ValueError, match=r"table value 1\.0 is not an int"):
+            VBF(2, 2, [0, 1.0, 2, 3])
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 9), (9, 1)])
+    def test_bool_entries_accepted(self, m, n):
+        table = [bool(x & 1) for x in range(1 << m)]
+        f = VBF(m, n, table)
+        assert f.table == tuple(x & 1 for x in range(1 << m))
+        assert diff_uniformity(f).delta == 1 << m
+        assert derivative_image(f, 1) == {1}
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 9), (9, 2)])
+    def test_first_bad_entry_named(self, m, n):
+        top = 1 << n
+        table = [0] * (1 << m)
+        table[1], table[2], table[3] = top, -1, 0.5
+        with pytest.raises(ValueError, match=f"table value 0b{top:b} does not fit in width {n}$"):
+            VBF(m, n, table)
+        table[1] = 0
+        with pytest.raises(ValueError, match=f"table value 0b-1 does not fit in width {n}$"):
+            VBF(m, n, table)
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (8, 8), (3, 8), (8, 1), (2, 9), (9, 2), (9, 9)])
+    def test_byte_form_kept_exactly_up_to_the_byte_limit(self, m, n):
+        f = VBF(m, n, [x * 5 & ((1 << n) - 1) for x in range(1 << m)])
+        assert (f._bytes is None) == (max(m, n) > 8)
+
     def test_inverse_round_trip(self):
         f = brick()
         assert f.inverse().inverse() == f
