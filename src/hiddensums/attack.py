@@ -282,7 +282,9 @@ def verify_global_deduction(
     the transcript.
     """
     outputs = enc_oracle.verification_outputs(1 << repr_.coord_map.width)
-    mismatches = sum(y != z for y, z in zip(repr_.forward_table(), outputs))
+    forward = repr_.forward_table()
+    # one list comparison in C when they agree, as they do for a sound attack
+    mismatches = 0 if forward == outputs else sum(y != z for y, z in zip(forward, outputs))
     return DeductionReport(
         verified_blocks=len(outputs),
         mismatches=mismatches,

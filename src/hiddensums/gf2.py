@@ -241,13 +241,18 @@ def span_reduce(basis: Sequence[int], v: int) -> int:
 
 
 class Subspace:
-    """A linear subspace of (F_2)^width, canonicalized by its echelon basis."""
+    """A linear subspace of (F_2)^width, canonicalized by its echelon basis.
 
-    __slots__ = ("basis", "width")
+    It keeps its orthogonal complement once asked for it, and the shared
+    complement keeps the first subspace that asked, so the round trip
+    V -> V^perp -> V (up to equality) is two attribute reads after the first."""
+
+    __slots__ = ("basis", "width", "_perp")
 
     def __init__(self, vectors: Iterable[int], width: int):
         self.basis = span_basis(vectors)
         self.width = width
+        self._perp: Subspace | None = None
 
     @property
     def dim(self) -> int:
@@ -265,12 +270,20 @@ class Subspace:
         s = cls.__new__(cls)
         s.basis = basis
         s.width = width
+        s._perp = None
         return s
 
     def orthogonal_complement(self) -> Subspace:
         """All v with dot(v, b) = 0 for every basis vector b; computed once
-        per (basis, width) and shared (see _orthogonal_complement)."""
-        return _orthogonal_complement(self.basis, self.width)
+        per (basis, width) and shared (see _orthogonal_complement).  It
+        points back here only if the basis fits in the width: the span of
+        wider vectors is not its complement's complement."""
+        perp = self._perp
+        if perp is None:
+            perp = self._perp = _orthogonal_complement(self.basis, self.width)
+            if perp._perp is None and not (self.basis and self.basis[0] >> self.width):
+                perp._perp = self
+        return perp
 
     def __eq__(self, other: object) -> bool:
         return (

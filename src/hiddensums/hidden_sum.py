@@ -114,6 +114,26 @@ def _off_the_space(n: int) -> ValueError:
     return ValueError(f"conjugate requires a table of {n} values in 0..{n - 1}")
 
 
+# Kept out of HiddenSum.conjugate and agl_membership: a comprehension there
+# would make cells of the names it reads and slow every byte-sized call.
+def _conjugate_scan(
+    table: Sequence[int], by_coeff: list[int], coords: list[int]
+) -> list[int] | None:
+    """coords(g(element(c))) for every c, or None if an entry is a float or
+    lies past the space (a negative one is left to the caller)."""
+    try:
+        return [coords[table[x]] for x in by_coeff]
+    except (TypeError, IndexError):
+        return None
+
+
+def _is_xor_affine(conj: Sequence[int], width: int) -> bool:
+    """Whether the table equals c*M + t, with t and the rows of M read off
+    it at 0 and at the unit vectors."""
+    t = conj[0]
+    return conj == BinMatrix([conj[1 << i] ^ t for i in range(width)]).affine_table(t)
+
+
 class HiddenSum:
     """The group operation on (F_2)^d induced by a regular group action.
 
@@ -215,11 +235,7 @@ class HiddenSum:
                 self._bytes = (bytes(self._by_coeff), bytes(self._by_element).ljust(256, b"\0"))
             element, coords = self._bytes
             return element.translate(g.ljust(256, b"\0")).translate(coords)
-        coords = self._by_element
-        try:
-            conj = [coords[table[x]] for x in self._by_coeff]
-        except (TypeError, IndexError):  # a float, or an entry past the space
-            conj = None
+        conj = _conjugate_scan(table, self._by_coeff, self._by_element)
         if conj is None or min(table) < 0:
             raise _off_the_space(n)
         return conj
@@ -420,8 +436,7 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     if hs.width > BYTE_BITS:
         if len(set(conj)) != len(conj):
             raise ValueError(_NOT_BIJECTIVE)
-        t = conj[0]
-        return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
+        return _is_xor_affine(conj, hs.width)
     # the conjugate of a permutation takes every value
     if BYTE_VALUES[hs.width].translate(None, conj):
         raise ValueError(_NOT_BIJECTIVE)

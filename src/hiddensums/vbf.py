@@ -26,7 +26,9 @@ the sizes, the component space reads the hull, and the image is a coset
 exactly when its size equals its hull's, since the hull is the smallest
 coset that contains it.  The entry is read off the distinct values of the
 derivative translated by c = D_a f(0): their count is the image's size,
-they span the hull's space, and the hull is c plus that space.
+they span the hull's space, and the hull is c plus that space.  Most
+images span all of (F_2)^n, and their hulls are one shared object per
+width n.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from operator import index
 
 from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, table_bytes
 from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, read_digits, span_basis
+from .gf2 import _orthogonal_complement
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
@@ -62,11 +65,15 @@ class VBF:
     __slots__ = ("m", "n", "table", "_is_permutation", "_derivatives", "_bytes")
 
     def __init__(self, m: int, n: int, table: Sequence[int]):
+        if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+            for width, name in ((m, "input width m"), (n, "output width n")):
+                if isinstance(width, bool) or not isinstance(width, int) or width < 0:
+                    raise ValueError(f"{name} must be a non-negative int, got {width!r}")
         check_table_width(m)
         if len(table) != 1 << m:
             raise ValueError(f"table must have exactly {1 << m} entries")
         table = tuple(table)
-        packed = table_bytes(table, n) if m <= BYTE_BITS and 0 <= n <= BYTE_BITS else None
+        packed = table_bytes(table, n) if m <= BYTE_BITS and n <= BYTE_BITS else None
         # (table padded to a 256-byte translate table, table packed as one
         # big-endian int) when m, n <= 8, else None
         self._bytes: tuple[bytes, int] | None = None
@@ -242,16 +249,30 @@ def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
     The image is read as the distinct values of the derivative translated
     by c = D_a f(0), so that it contains 0 (_derivative_values): their
     count is the image's size, they span the hull's space, and the hull is
-    c plus that space."""
+    c plus that space.  A hull that is all of (F_2)^n is one shared object
+    per width n, whose space keeps its complement {0} (gf2.Subspace)."""
     shape = f._derivatives.get(a)
     # a float or bool equal to a stored direction would hit its entry
     if shape is None or type(a) is not int:
         _check_direction(f, a)
         c = f.table[a] ^ f.table[0]
         points = _derivative_values(f, a, c)
-        shape = (len(points), AffineSubspace(c, Subspace(points, f.n)))
+        basis = span_basis(points)
+        if len(basis) == f.n:  # n independent n-bit values span (F_2)^n
+            hull = _whole_hull(f.n)
+        else:
+            hull = AffineSubspace(c, Subspace._from_echelon(basis, f.n))
+        shape = (len(points), hull)
         f._derivatives[a] = shape
     return shape
+
+
+@lru_cache(maxsize=None)
+def _whole_hull(n: int) -> AffineSubspace:
+    """(F_2)^n as a coset, one object per width, on the whole space that
+    gf2 shares as the complement of {0}: the hull of every derivative
+    image that spans n dimensions."""
+    return AffineSubspace(0, _orthogonal_complement((), n))
 
 
 def derivative_is_coset(f: VBF, a: int) -> bool:

@@ -299,6 +299,19 @@ class TestGlobalDeduction:
         assert report.mismatches == 1
         assert not report.ok
 
+    @pytest.mark.parametrize("sequence", [list, tuple, bytes])
+    @pytest.mark.parametrize("flip, expected", [(0, 0), (0b1, 64), (0b100000, 64)])
+    def test_mismatches_counted_whatever_the_codebook_sequence(self, sequence, flip, expected):
+        """A codebook need not be a list: an equal one of another type has
+        no mismatch, and a differing one is counted block by block."""
+        spec = builtin_toy_spec()
+        oracle = encryption_oracle(spec, 17)
+        repr_, transcript = reconstruct_cp(oracle, toy_state_sum(), toy_coordinate_basis())
+        table = spec.encrypt_table(17)
+        flipped = Oracle(oracle.func, "encrypt", lambda: sequence(y ^ flip for y in table))
+        report = verify_global_deduction(repr_, flipped, transcript)
+        assert (report.verified_blocks, report.mismatches) == (64, expected)
+
     @pytest.mark.parametrize("output", [64, -1, -64])
     def test_output_outside_the_state_is_a_mismatch(self, output):
         repr_, transcript = reconstruct_cp(

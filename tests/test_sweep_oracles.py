@@ -10,8 +10,9 @@ complement and the component space built on the derivative hull with the
 scans over all 2^width vectors they replaced and with the span of the
 sorted image's differences to its minimum, each function's per-direction
 memo of image size and hull (and the coset verdict and component space
-read from it) with the same four taken from a newly scanned image, the
-memoized complement with the scan, the
+read from it) with the same four taken from a newly scanned image, its
+hull with the span of that image (the width's one shared whole-space hull
+exactly when it has dimension n), the memoized complement with the scan, the
 exp/log power maps with Horner tabulation of x^d and with square-and-
 multiply at every point, Ben-Or's irreducibility test with trial division,
 the APN test from image sizes with the full difference table, the coset
@@ -50,6 +51,7 @@ from hiddensums.gf2 import (
     FieldSpec,
     SingularMatrixError,
     Subspace,
+    _orthogonal_complement,
     _poly_mod,
     dot,
     gf_mul,
@@ -66,6 +68,7 @@ from hiddensums.vbf import (
     derivative_shape,
     DiffSpectrum,
     _derivative_values,
+    _whole_hull,
     diff_uniformity,
     ea_transform,
     is_anti_crooked,
@@ -445,6 +448,55 @@ def test_derivative_memo_matches_fresh_scan_on_seeded_tables(m, n):
         assert_memo_matches_fresh_scan(VBF(m, n, [rng.randrange(1 << n) for _ in range(1 << m)]))
 
 
+def assert_hulls_match_fresh_span(f: VBF) -> int:
+    """On every direction: the memo's hull is c + the span of the scanned
+    image translated by c = D_a f(0), built fresh; it is the width's one
+    shared whole-space hull exactly when its dimension is n; its space and
+    the component space keep each other; and a repeated call returns the
+    same entry.  Returns how many hulls are the whole space."""
+    whole = _whole_hull(f.n)
+    shared = 0
+    for a in range(1, 1 << f.m):
+        c = f.table[a] ^ f.table[0]
+        image = reference_derivative_image(f, a)
+        size, hull = entry = derivative_shape(f, a)
+        assert size == len(image), (f.table, a)
+        assert hull == AffineSubspace(c, Subspace([v ^ c for v in image], f.n)), (f.table, a)
+        assert (hull is whole) == (hull.dim == f.n), (f.table, a)
+        shared += hull is whole
+        perp = component_space(f, a)
+        assert perp is hull.space.orthogonal_complement() and perp.dim == f.n - hull.dim
+        assert perp.orthogonal_complement() == hull.space
+        assert derivative_shape(f, a) is entry and f._derivatives[a] is entry
+        assert entry[1] is hull and component_space(f, a) is perp
+    assert whole == AffineSubspace(1, Subspace(range(1 << f.n), f.n))
+    assert whole.base == 0 and _whole_hull(f.n) is whole
+    return shared
+
+
+def test_hulls_match_fresh_span_on_corpus():
+    shared = total = 0
+    for m in range(3, 7):
+        for label, f in pinned_corpus(m):
+            shared += assert_hulls_match_fresh_span(f)
+            total += (1 << m) - 1
+    # both kinds of hull occur: the shared whole space and proper cosets
+    assert total == 9167 and 0 < shared < total
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_hulls_match_fresh_span_on_inversion(m):
+    assert_hulls_match_fresh_span(VBF.from_power((1 << m) - 2, field_spec(m)))
+
+
+def test_hulls_match_fresh_span_on_a_wide_permutation():
+    """Past the byte limit the values come from the half-pair scan."""
+    rng = random.Random(2909)
+    f = VBF(9, 9, rng.sample(range(1 << 9), 1 << 9))
+    assert f._bytes is None
+    assert_hulls_match_fresh_span(f)
+
+
 def edge_tables():
     """(label, m, n, table) at the edges of the distinct-value step: a
     constant, tables that hit every n-bit value or all but 2^n - 1, ones
@@ -554,16 +606,31 @@ def test_battery_power_maps_are_the_corpus_entries():
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_complement_memo_per_basis_and_width(width):
     """Each (basis, width) is computed once and then shared by every
-    subspace with that basis; the same basis in a wider space has its own
-    complement."""
+    subspace with that basis, spanned or built from its echelon basis; a
+    subspace keeps its complement, which keeps a subspace equal to it in
+    turn; the same basis in a wider space has its own complement."""
     for s in all_subspaces(width):
         perp = s.orthogonal_complement()
+        assert s.orthogonal_complement() is perp and s._perp is perp
         assert Subspace(s.basis, width).orthogonal_complement() is perp
+        assert Subspace._from_echelon(s.basis, width).orthogonal_complement() is perp
         assert perp == reference_orthogonal_complement(s)
-        assert perp.orthogonal_complement() == s
+        back = perp.orthogonal_complement()
+        assert back == s and back.orthogonal_complement() is perp
+        assert perp.orthogonal_complement() is back
         wider = Subspace(s.basis, width + 1).orthogonal_complement()
         assert wider.width == width + 1 and wider.dim == perp.dim + 1
         assert wider == reference_orthogonal_complement(Subspace(s.basis, width + 1))
+    # the whole space, spanned or as the shared complement of {0}
+    whole = _orthogonal_complement((), width)
+    assert Subspace([], width).orthogonal_complement() is whole
+    assert Subspace._from_echelon((), width).orthogonal_complement() is whole
+    assert whole == Subspace(range(1 << width), width) and whole.dim == width
+    zero = whole.orthogonal_complement()
+    assert whole.orthogonal_complement() is zero and zero.dim == 0
+    assert Subspace(range(1 << width), width).orthogonal_complement() == zero
+    assert zero.orthogonal_complement() == whole
+    assert zero.orthogonal_complement().orthogonal_complement() is zero
 
 
 @pytest.mark.parametrize("m", sorted(FIELD_MODULI))
@@ -715,6 +782,15 @@ def test_span_basis_of_out_of_width_vectors():
     vectors = [1, 2, 4, 3, 8, 1 << 9, 5, (1 << 9) | 1]
     assert span_basis(vectors) == reference_span_basis(vectors) == (1 << 9, 8, 4, 2, 1)
     assert Subspace([8, 1, 2], 3).orthogonal_complement() == Subspace([4], 3)
+
+
+def test_complement_of_an_out_of_width_span_is_not_pointed_back():
+    """The span of vectors wider than its width is not its complement's
+    complement, so that complement computes its own."""
+    s = Subspace([8, 1, 2], 3)
+    perp = s.orthogonal_complement()
+    assert perp == Subspace([4], 3)
+    assert perp.orthogonal_complement() == Subspace([1, 2], 3) != s
 
 
 def assert_elimination_matches_reference(rows) -> int:

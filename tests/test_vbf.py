@@ -134,6 +134,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"table value 0b-1 does not fit in width {n}$"):
             VBF(m, n, table)
 
+    @pytest.mark.parametrize(
+        "m, n, named, bad",
+        [
+            (2, True, "output width n", True),
+            (True, 2, "input width m", True),
+            (2, -1, "output width n", -1),
+            (-1, 2, "input width m", -1),
+            (2, 2.0, "output width n", 2.0),
+            (2.0, 2, "input width m", 2.0),
+        ],
+    )
+    def test_width_refused_by_name(self, m, n, named, bad):
+        """A width that is a bool, not an int, or negative is refused with
+        the width's name, not with a bare TypeError from a later shift."""
+        with pytest.raises(ValueError, match=f"^{named} must be a non-negative int, got {bad!r}$"):
+            VBF(m, n, [0] * 4)
+
+    def test_int_subclass_widths_accepted(self):
+        class Width(int):
+            pass
+
+        assert VBF(Width(2), Width(1), [0, 1, 1, 0]) == VBF(2, 1, [0, 1, 1, 0])
+
     @pytest.mark.parametrize("m, n", [(3, 3), (8, 8), (3, 8), (8, 1), (2, 9), (9, 2), (9, 9)])
     def test_byte_form_kept_exactly_up_to_the_byte_limit(self, m, n):
         f = VBF(m, n, [x * 5 & ((1 << n) - 1) for x in range(1 << m)])
