@@ -12,12 +12,13 @@ no knowledge of the key, whatever the round count or key schedule.
 Attack queries and verification queries are metered separately so the
 query-count claims stay auditable.  A reconstruction spot-checks its fit
 on SPOT_CHECKS seeded blocks; verify_global_deduction compares it with the
-oracle on every block.  What does not depend on the key is built once:
-the sum's coordinate map per basis (HiddenSum.in_basis) and the
-spot-check blocks per seed.  An oracle output outside the state space
-fails the recovery with ConsistencyFailureError.  An oracle built from a
-CipherSpec answers verification with the key's whole codebook
-(CipherSpec.encrypt_table) in one call, still counted block by block.
+oracle on every block.  In the sum's own basis the coordinates are the
+sum's own tables; another basis costs one CoordinateMap per recovery.
+The spot-check blocks are drawn once per seed.  An oracle output outside
+the state space fails the recovery with ConsistencyFailureError.  An
+oracle built from a CipherSpec answers verification with the key's whole
+codebook (CipherSpec.encrypt_table) in one call, still counted block by
+block.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class AffineRepr:
         matrix: BinMatrix,
         t_coords: int,
         matrix_inv: BinMatrix,
-        coord_map: CoordinateMap,
+        coord_map: HiddenSum,
     ):
         self.matrix = matrix
         self.t_coords = t_coords
@@ -199,10 +200,9 @@ def _reconstruct(
     """d+1 encryption queries give M and t; the inverse comes from Gaussian
     elimination or, given a decryption oracle, from d+1 decryption queries.
     The fit is then compared with the oracle on SPOT_CHECKS blocks drawn
-    with the seed, as verification queries.  The coordinate map and the
-    spot-check blocks depend on the sum, basis and seed only, and are
-    built once."""
-    cm = hs.in_basis(basis)
+    with the seed, as verification queries.  In the sum's own basis the
+    coordinates are read off hs itself."""
+    cm = hs if tuple(basis) == hs.basis else CoordinateMap(hs, basis)
     n = 1 << cm.width
     matrix, t = cm.read_affine(_in_state(enc_oracle.query, n))
     if dec_oracle is None:

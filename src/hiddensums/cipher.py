@@ -175,8 +175,6 @@ class CipherSpec:
                 f"key schedule width {key_schedule.width} differs from the state width {d}"
             )
         self.bricks = tuple(bricks)
-        self.m = m
-        self.n = len(bricks)
         self.d = d
         self.mixing = mixing
         self.rounds = rounds

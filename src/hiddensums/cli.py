@@ -246,13 +246,12 @@ def cmd_attack(args) -> int:
     else:
         key = _parse_block(args.key, spec.d)
     state = cipher.toy_state_sum()
-    basis = cipher.toy_coordinate_basis()
     enc = attack_mod.encryption_oracle(spec, key)
     if args.mode == "cpcc":
         dec = attack_mod.decryption_oracle(spec, key)
-        repr_, transcript = attack_mod.reconstruct_cpcc(enc, dec, state, basis, seed=args.seed)
+        repr_, transcript = attack_mod.reconstruct_cpcc(enc, dec, state, state.basis, seed=args.seed)
     else:
-        repr_, transcript = attack_mod.reconstruct_cp(enc, state, basis, seed=args.seed)
+        repr_, transcript = attack_mod.reconstruct_cp(enc, state, state.basis, seed=args.seed)
     report = attack_mod.verify_global_deduction(repr_, enc, transcript)
     payload = {
         "mode": args.mode,

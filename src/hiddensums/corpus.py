@@ -14,7 +14,7 @@ import math
 import random
 from functools import lru_cache
 
-from .cipher import TOY_SBOX_COEFFS, TOY_FIELD
+from .cipher import toy_brick
 from .gf2 import FieldSpec
 from .vbf import VBF
 
@@ -58,8 +58,9 @@ def pinned_corpus(m: int) -> tuple[tuple[str, VBF], ...]:
         (f"x^{d} over GF(2^{m})", VBF.from_power(d, fs))
         for d in power_permutation_exponents(m)
     ]
-    if m == TOY_FIELD.m:
-        entries.append(("cipher brick", VBF.from_univariate(TOY_SBOX_COEFFS, TOY_FIELD)))
+    brick = toy_brick()
+    if m == brick.m:
+        entries.append(("cipher brick", brick))
     for i in range(RANDOM_PERMS_PER_WIDTH):
         seed = RANDOM_SEED_BASE + 100 * m + i
         entries.append((f"random permutation #{i} (m={m})", random_permutation_fixing_zero(m, seed)))

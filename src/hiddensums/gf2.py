@@ -242,6 +242,7 @@ def span_reduce(basis: Sequence[int], v: int) -> int:
 
 class Subspace:
     """A linear subspace of (F_2)^width, canonicalized by its echelon basis.
+    Vectors wider than the width are refused with ValueError.
 
     It keeps its orthogonal complement once asked for it, and the shared
     complement keeps the first subspace that asked, so the round trip
@@ -251,6 +252,9 @@ class Subspace:
 
     def __init__(self, vectors: Iterable[int], width: int):
         self.basis = span_basis(vectors)
+        # the first echelon row has the span's longest leading bit
+        if self.basis and self.basis[0] >> width:
+            raise ValueError(f"vectors span more than the {width}-bit space")
         self.width = width
         self._perp: Subspace | None = None
 
@@ -275,13 +279,11 @@ class Subspace:
 
     def orthogonal_complement(self) -> Subspace:
         """All v with dot(v, b) = 0 for every basis vector b; computed once
-        per (basis, width) and shared (see _orthogonal_complement).  It
-        points back here only if the basis fits in the width: the span of
-        wider vectors is not its complement's complement."""
+        per (basis, width) and shared (see _orthogonal_complement)."""
         perp = self._perp
         if perp is None:
             perp = self._perp = _orthogonal_complement(self.basis, self.width)
-            if perp._perp is None and not (self.basis and self.basis[0] >> self.width):
+            if perp._perp is None:
                 perp._perp = self
         return perp
 

@@ -149,7 +149,7 @@ class HiddenSum:
     BYTE_BITS bits, the first conjugate keeps the coordinate tables as bytes.
     """
 
-    __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_rebased", "_bytes")
+    __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_bytes")
 
     def __init__(self, generators: Sequence[AffineMap]):
         """The sum of the group the affine generators span.  That they
@@ -172,38 +172,24 @@ class HiddenSum:
                 by_coeff += [table[x] for x in by_coeff]
         if len(basis) != width:
             raise NotRegularError("generators do not generate the group")
-        self._adopt(by_coeff, basis, NotRegularError("the action is not free"))
+        self._adopt(by_coeff, basis)
 
-    def _adopt(
-        self, by_coeff: list[int], basis: Sequence[int], error: ValueError
-    ) -> HiddenSum:
-        """Take by_coeff as the coordinate table of the basis; the error if
-        it is not a permutation of the space."""
+    def _adopt(self, by_coeff: list[int], basis: Sequence[int]) -> HiddenSum:
+        """Take by_coeff as the coordinate table of the basis;
+        NotRegularError if it is not a permutation of the space."""
         by_element = [-1] * len(by_coeff)
         for c, x in enumerate(by_coeff):
             by_element[x] = c
         if -1 in by_element:
-            raise error
+            raise NotRegularError("the action is not free")
         self.width = len(basis)
         self.basis = tuple(basis)
         self._by_coeff = by_coeff
         self._by_element = by_element
-        self._rebased: dict[tuple[int, ...], CoordinateMap] = {}
         # (by_coeff as bytes, by_element padded to a 256-byte translate
         # table), made on the first conjugate when width <= 8
         self._bytes: tuple[bytes, bytes] | None = None
         return self
-
-    def in_basis(self, basis: Sequence[int]) -> CoordinateMap:
-        """This sum with its coordinates taken in the basis, built on the
-        first call per basis and kept on the sum.  A basis that does not
-        generate the sum freely raises BasisError on every call and is
-        never kept."""
-        key = tuple(basis)
-        cm = self._rebased.get(key)
-        if cm is None:
-            cm = self._rebased[key] = CoordinateMap(self, key)
-        return cm
 
     def op(self, x: int, y: int) -> int:
         return self._by_coeff[self._by_element[x] ^ self._by_element[y]]
@@ -292,7 +278,8 @@ class CoordinateMap(HiddenSum):
 
     The op is hs's; coords and element change with the basis, which must
     be ints of the space that generate the sum freely (BasisError
-    otherwise).  hs.in_basis(basis) builds one per basis and keeps it on hs.
+    otherwise).  It is the sum of the elements moving 0 to the basis
+    vectors, as generators() gives them for hs's own basis.
     """
 
     def __init__(self, hs: HiddenSum, basis: Sequence[int]):
@@ -301,15 +288,10 @@ class CoordinateMap(HiddenSum):
         for b in basis:
             if not isinstance(b, int) or b < 0 or b >> hs.width:
                 raise BasisError(f"basis vector {b!r} is not in the {hs.width}-bit space")
-        # x # b is an XOR in the sum's own coordinates, read back through them
-        coords, element = hs._by_element, hs._by_coeff
-        by_coeff = [0]
-        for b in basis:
-            k = coords[b]
-            by_coeff += [element[coords[x] ^ k] for x in by_coeff]
-        self._adopt(
-            by_coeff, basis, BasisError("vectors do not freely generate the hidden sum")
-        )
+        try:
+            super().__init__([AffineMap(kappa(hs, b), b) for b in basis])
+        except NotRegularError:
+            raise BasisError("vectors do not freely generate the hidden sum") from None
 
 
 def kappa(hs: HiddenSum, y: int) -> BinMatrix:
@@ -459,9 +441,7 @@ def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
         by_coeff = [(h << off) | lo for h in p._by_coeff for lo in by_coeff]
         basis += [b << off for b in p.basis]
         off += p.width
-    return HiddenSum.__new__(HiddenSum)._adopt(
-        by_coeff, basis, NotRegularError("the action is not free")
-    )
+    return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -213,20 +213,24 @@ def check_ea_invariance() -> str:
     return f"{transforms} seeded EA transforms preserve the verdict on 8 references"
 
 
+def _brick_translations() -> dict[int, hidden_sum.AffineMap]:
+    """The elements of the bundled brick's group, composed from the
+    generators in TOY_GROUP_SPEC and keyed by the vector each moves 0 to."""
+    generators = hidden_sum.parse_group_spec(cipher.TOY_GROUP_SPEC)
+    elements = [hidden_sum.AffineMap.identity(3)]
+    for g in generators:
+        elements += [e.then(g) for e in elements]
+    return {e.translation: e for e in elements}
+
+
 def check_group_algebra() -> str:
     hs = cipher.toy_brick_sum()
-    generators, identity = hs.generators(), hidden_sum.AffineMap.identity(3)
-    # the element with coefficients c composes the generators that c selects
-    elements = []
-    for c in range(8):
-        e = identity
-        for i, g in enumerate(generators):
-            if c >> i & 1:
-                e = e.then(g)
-        elements.append(e)
-    by_image = {e.translation: e for e in elements}
+    identity = hidden_sum.AffineMap.identity(3)
+    by_image = _brick_translations()
     _require(len(by_image) == 8, "group order is not 8")
-    _require(all(e.then(e) == identity for e in elements), "an element is not an involution")
+    _require(
+        all(e.then(e) == identity for e in by_image.values()), "an element is not an involution"
+    )
     for y in range(8):
         for x in range(8):
             _require(
@@ -247,18 +251,21 @@ def check_group_algebra() -> str:
 
 def check_coordinate_isomorphism() -> str:
     brick_sum = cipher.toy_brick_sum()
-    cm3 = hidden_sum.CoordinateMap(brick_sum, (1, 2, 4))
     for x in range(8):
         _require(
-            cm3.coords(x) == cipher.toy_brick_coords(x),
+            brick_sum.coords(x) == cipher.toy_brick_coords(x),
             f"closed form differs from generic coordinates at {x}",
         )
+    # x # y from the group's own elements, not from the coordinate tables
+    by_image = _brick_translations()
+    brick_op = [[by_image[y].apply(x) for y in range(8)] for x in range(8)]
     state = cipher.toy_state_sum()
-    cm6 = hidden_sum.CoordinateMap(state, cipher.toy_coordinate_basis())
+    coords = state.coords
     for x in range(64):
+        low, high, cx = brick_op[x & 7], brick_op[x >> 3], coords(x)
         for y in range(64):
             _require(
-                cm6.coords(state.op(x, y)) == cm6.coords(x) ^ cm6.coords(y),
+                coords(low[y & 7] | high[y >> 3] << 3) == cx ^ coords(y),
                 f"coordinates not additive at ({x}, {y})",
             )
     return "closed form matches on 8 elements; coordinates additive on all 4096 pairs"
@@ -287,7 +294,6 @@ def check_round_functions_affine() -> str:
 
 def check_attack() -> str:
     state = cipher.toy_state_sum()
-    basis = cipher.toy_coordinate_basis()
     schedules: list[tuple[str, cipher.KeySchedule | None]] = [
         ("rotation", None),
         ("seeded permutation", cipher.permuted_key_schedule(6, 99)),
@@ -298,7 +304,7 @@ def check_attack() -> str:
             spec = cipher.builtin_toy_spec(rounds, schedule)
             for key in range(64):
                 oracle = attack.encryption_oracle(spec, key)
-                repr_, transcript = attack.reconstruct_cp(oracle, state, basis)
+                repr_, transcript = attack.reconstruct_cp(oracle, state, state.basis)
                 _require(
                     transcript.encryption_count == 7 and transcript.decryption_count == 0,
                     f"{name}, {rounds} rounds, key {key}: "
@@ -315,7 +321,7 @@ def check_attack() -> str:
         for key in range(64):
             enc = attack.encryption_oracle(spec, key)
             dec = attack.decryption_oracle(spec, key)
-            repr_, transcript = attack.reconstruct_cpcc(enc, dec, state, basis)
+            repr_, transcript = attack.reconstruct_cpcc(enc, dec, state, state.basis)
             _require(
                 transcript.encryption_count == 7 and transcript.decryption_count == 7,
                 f"cpcc key {key}: {transcript.encryption_count}+{transcript.decryption_count} queries",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hiddensums import corpus, reproduce, vbf
+from hiddensums import cipher, corpus, reproduce, vbf
 from hiddensums.attack import encryption_oracle, reconstruct_cp, verify_global_deduction
 from hiddensums.cipher import (
     builtin_toy_spec,
@@ -29,6 +29,7 @@ from hiddensums.cipher import (
     toy_state_sum,
 )
 from hiddensums.cli import main
+from hiddensums.hidden_sum import HiddenSum
 from hiddensums.vbf import diff_uniformity
 
 CHECKS = {num: (title, fn) for num, title, fn in reproduce.CRITERIA}
@@ -49,6 +50,24 @@ def test_battery_lines_match_golden():
     reproduce.run(out=lines.append)
     assert lines == GOLDEN_BATTERY.read_text().splitlines()
     assert len(lines) == len(CHECKS)
+
+
+def test_criterion_11_refuses_swapped_coordinates(monkeypatch):
+    """Two swapped coordinate entries still make tables additive for their
+    own op, but criterion 11 computes # from the group's elements."""
+    state = toy_state_sum()
+    by_coeff = [state.element(c) for c in range(64)]
+    by_coeff[5], by_coeff[6] = by_coeff[6], by_coeff[5]
+    swapped = HiddenSum.__new__(HiddenSum)._adopt(by_coeff, state.basis)
+    assert swapped != state
+    assert all(
+        swapped.coords(swapped.op(x, y)) == swapped.coords(x) ^ swapped.coords(y)
+        for x in range(64)
+        for y in range(64)
+    )
+    monkeypatch.setattr(cipher, "toy_state_sum", lambda: swapped)
+    with pytest.raises(reproduce.CheckFailure, match="coordinates not additive"):
+        reproduce.check_coordinate_isomorphism()
 
 
 def verdicts(f: vbf.VBF) -> tuple:

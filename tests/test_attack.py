@@ -240,6 +240,29 @@ class TestReconstructCpcc:
             reconstruct_cpcc(enc, dec, toy_state_sum(), toy_coordinate_basis())
 
 
+class TestBasisOfTheRecovery:
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    def test_own_basis_holds_the_sum_itself(self, mode):
+        spec = builtin_toy_spec()
+        repr_, _ = recover(mode, encryption_oracle(spec, 42), decryption_oracle(spec, 42))
+        assert repr_.coord_map is toy_state_sum()
+
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    def test_reversed_basis(self, mode):
+        spec, state = builtin_toy_spec(), toy_state_sum()
+        basis = state.basis[::-1]
+        enc, dec = encryption_oracle(spec, 42), decryption_oracle(spec, 42)
+        if mode == "cp":
+            repr_, transcript = reconstruct_cp(enc, state, basis)
+        else:
+            repr_, transcript = reconstruct_cpcc(enc, dec, state, basis)
+            assert [x for _, x, _ in dec.log] == [0, 32, 16, 8, 4, 2, 1]
+        assert [x for _, x, _ in enc.log] == [0, 32, 16, 8, 4, 2, 1]
+        assert repr_.coord_map.basis == basis
+        assert repr_.coord_map == state and repr_.coord_map is not state
+        assert verify_global_deduction(repr_, enc, transcript).mismatches == 0
+
+
 class TestGlobalDeduction:
     def test_zero_mismatches_for_real_cipher(self):
         spec = builtin_toy_spec()

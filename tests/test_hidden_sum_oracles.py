@@ -157,9 +157,7 @@ def reference_hidden_sum(group):
             by_coeff += [g.apply(x) for x in by_coeff]
     if len(basis) != group.width:
         raise NotRegularError("generators do not generate the group")
-    return HiddenSum.__new__(HiddenSum)._adopt(
-        by_coeff, basis, NotRegularError("the action is not free")
-    )
+    return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
 
 
 def reference_hidden_sum_report(generators):

@@ -38,7 +38,7 @@ from operator import xor
 import pytest
 
 import hiddensums
-from hiddensums.cipher import toy_brick_sum
+from hiddensums.cipher import toy_brick, toy_brick_sum
 from hiddensums.corpus import (
     FIELD_MODULI,
     field_spec,
@@ -581,6 +581,13 @@ def test_power_maps_are_shared_objects():
     assert VBF.from_power(7, FieldSpec(5, 0b101001)) is not f
 
 
+def test_corpus_brick_is_the_cipher_brick():
+    """The width-3 corpus holds the cipher's own brick object, so the two
+    share one derivative memo."""
+    assert dict(pinned_corpus(3))["cipher brick"] is toy_brick()
+    assert all(label != "cipher brick" for m in (4, 5, 6) for label, _ in pinned_corpus(m))
+
+
 def test_battery_power_maps_are_the_corpus_entries():
     """In a fresh interpreter, as the battery runs, criterion 6's power maps
     are the corpus entries that criteria 7 and 8 sweep.  (In this process
@@ -773,24 +780,32 @@ def test_span_basis_matches_insertion_sort(seed):
         expected = reference_span_basis(vectors)
         assert span_basis(vectors) == expected, (width, vectors)
         assert span_basis(iter(vectors)) == expected
-        assert Subspace(vectors, width).basis == expected
+        if max(vectors, default=0) >> width:
+            with pytest.raises(ValueError, match=f"more than the {width}-bit space"):
+                Subspace(vectors, width)
+        else:
+            assert Subspace(vectors, width).basis == expected
 
 
 def test_span_basis_of_out_of_width_vectors():
     """A span that fills bits 1..L is not taken for the whole space: a
-    longer vector is still reduced and added."""
+    longer vector is still reduced and added.  A Subspace refuses it."""
     vectors = [1, 2, 4, 3, 8, 1 << 9, 5, (1 << 9) | 1]
     assert span_basis(vectors) == reference_span_basis(vectors) == (1 << 9, 8, 4, 2, 1)
-    assert Subspace([8, 1, 2], 3).orthogonal_complement() == Subspace([4], 3)
+    with pytest.raises(ValueError, match="more than the 3-bit space"):
+        Subspace([8, 1, 2], 3)
 
 
 def test_complement_of_an_out_of_width_span_is_not_pointed_back():
-    """The span of vectors wider than its width is not its complement's
-    complement, so that complement computes its own."""
-    s = Subspace([8, 1, 2], 3)
+    """No span of vectors wider than its width is built, so every
+    complement points back to the subspace that first asked for it."""
+    for vectors in ([8, 1, 2], [1, 2, 8], [1 << 40]):
+        with pytest.raises(ValueError, match="more than the 3-bit space"):
+            Subspace(vectors, 3)
+    s = Subspace([4, 1, 2], 3)
     perp = s.orthogonal_complement()
-    assert perp == Subspace([4], 3)
-    assert perp.orthogonal_complement() == Subspace([1, 2], 3) != s
+    assert perp == Subspace([], 3)
+    assert perp.orthogonal_complement() == s
 
 
 def assert_elimination_matches_reference(rows) -> int:
