@@ -395,8 +395,10 @@ def builtin_toy_spec(rounds: int = 20, key_schedule: KeySchedule | None = None) 
 
 
 def inverse_brick_spec() -> CipherSpec:
-    """Same cipher with both bricks replaced by the patched field inversion
-    (an anti-crooked permutation); no hidden sum survives this choice."""
+    """Same cipher with both bricks replaced by the patched field inversion;
+    no hidden sum survives this choice.  At m = 3 that brick is x^6, which
+    is APN and crooked, not anti-crooked (is_anti_crooked returns witness
+    1): it is criterion 4's counterexample (README "Known red checks")."""
     brick = VBF.from_power((1 << TOY_FIELD.m) - 2, TOY_FIELD)
     return CipherSpec([brick, brick], toy_mixing(), 20)
 

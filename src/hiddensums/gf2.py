@@ -202,7 +202,9 @@ def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     Rows are kept by the bit length of their leading bit.  Once those
     lengths are 1, ..., L, the span holds every vector of at most L bits:
     such vectors are skipped, and if no longer one comes, the basis is the
-    unit vectors below 2^L.
+    unit vectors below 2^L.  A negative vector is refused with ValueError:
+    bit_length ignores the sign, so it would be stored as a row, or cycle
+    through the rows forever.  It is never skipped, as v >> L stays negative.
     """
     rows: dict[int, int] = {}  # bit length of the leading bit -> row
     top = 0  # the longest bit length in rows
@@ -210,6 +212,8 @@ def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     for v in vectors:
         if not v >> full:
             continue
+        if v < 0:
+            raise ValueError(f"vector {v} is negative")
         while v:
             length = v.bit_length()
             row = rows.get(length)

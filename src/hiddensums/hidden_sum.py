@@ -15,7 +15,8 @@ conjugate is two bytes.translate calls, and its XOR-affinity is read off
 one int by swapping halves of its bytes.  The sums on one brick of up to
 MAX_BRICK_WIDTH bits are built as the orbits of a few representative
 products under GL(width, 2), and a search over their brick-parallel
-products finds all sums compatible with a given set of round functions.
+products finds all sums compatible with a given set of round functions,
+after a test on each brick alone has pruned that brick's candidates.
 """
 
 from __future__ import annotations
@@ -97,16 +98,33 @@ def _common_width(generators: Sequence[AffineMap]) -> int:
     return width
 
 
-# per width d <= BYTE_BITS and bit i < d - 1, (8 * 2^i, the big-endian mask
-# of the bytes whose index has bit i set), by which agl_membership tests a
-# conjugate for XOR-affinity on one int
+# per width d <= BYTE_BITS and bit i < d, (8 * 2^i, the big-endian mask of
+# the bytes whose index has bit i set), by which _steady_steps tests a table
+# of 2^d bytes on one int
 _HALVES = [
     [
         (8 << i, int.from_bytes((bytes(1 << i) + b"\xff" * (1 << i)) * (1 << (d - i - 1)), "big"))
-        for i in range(d - 1)
+        for i in range(d)
     ]
     for d in range(BYTE_BITS + 1)
 ]
+
+
+def _steady_steps(table: bytes, width: int, halves: Sequence[tuple[int, int]]) -> bool:
+    """Whether table[c + 2^i] + table[c] is table[2^i] + table[0] for every
+    c of width bits, at each bit i whose (shift, mask) of _HALVES[width] is
+    in halves.
+
+    The table is packed in one big-endian int v, table[c] in byte c.  For
+    h = 2^i, the bytes whose index has bit i set move h places towards byte
+    0 and the others h places away, which swaps the halves of every run of
+    2h bytes and puts table[c + 2^i] in byte c; XORed with v, every byte
+    must then read table[2^i] + table[0]."""
+    v, t, ones = int.from_bytes(table, "big"), table[0], BYTE_ONES[width]
+    for shift, mask in halves:
+        if ((v & mask) << shift | (v >> shift) & mask) ^ v != (table[shift >> 3] ^ t) * ones:
+            return False
+    return True
 
 
 def _off_the_space(n: int) -> ValueError:
@@ -402,15 +420,12 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     conjugate G is XOR-affine, that is, G(c + e_i) + G(c) is the same for
     every c at each unit vector e_i.
 
-    Up to BYTE_BITS bits G is packed in one big-endian int v, G(c) in
-    byte c.  For h = 2^i, the bytes whose index has bit i set move h places
-    towards byte 0 and the others h places away, which swaps the halves of
-    every run of 2h bytes and puts G(c + e_i) in byte c; XORed with v, every
-    byte must then read G(e_i) + G(0).  The last unit vector needs no test:
-    if the others pass, G is affine on both halves of the space with one
-    linear part, so G(c + e_(d-1)) + G(c) is the same for every c.  Wider
-    sums compare G with the table of c*M + t whose t and rows M are read
-    off G at 0 and at the unit vectors."""
+    Up to BYTE_BITS bits G is bytes, tested by half-swaps of one int
+    (_steady_steps).  The last unit vector needs no test: if the others
+    pass, G is affine on both halves of the space with one linear part, so
+    G(c + e_(d-1)) + G(c) is the same for every c.  Wider sums compare G
+    with the table of c*M + t whose t and rows M are read off G at 0 and at
+    the unit vectors."""
     try:
         conj = hs.conjugate(g_table)
     except ValueError:
@@ -422,11 +437,7 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     # the conjugate of a permutation takes every value
     if BYTE_VALUES[hs.width].translate(None, conj):
         raise ValueError(_NOT_BIJECTIVE)
-    v, t, ones = int.from_bytes(conj, "big"), conj[0], BYTE_ONES[hs.width]
-    for shift, mask in _HALVES[hs.width]:
-        if ((v & mask) << shift | (v >> shift) & mask) ^ v != (conj[shift >> 3] ^ t) * ones:
-            return False
-    return True
+    return _steady_steps(conj, hs.width, _HALVES[hs.width][:-1])
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
@@ -585,16 +596,105 @@ def translation_compatible_sums(width: int) -> tuple[HiddenSum, ...]:
     return tuple(HiddenSum(g) for g in enumerate_regular_groups(width))
 
 
+@lru_cache(maxsize=None)
+def _brick_bytes(d: int, off: int, width: int) -> tuple[tuple[HiddenSum, bytes, bytes], ...]:
+    """For each sum s of translation_compatible_sums(width), on the brick at
+    bits off.. of a state of d <= BYTE_BITS bits: s, the table of the state
+    with s's element of the brick's bits put in their place and the other
+    bits kept, and the 256-byte translate table that reads s's coordinates
+    off the brick's bits of a state."""
+    low = (1 << width) - 1
+    keep = (1 << d) - 1 ^ low << off
+    points = range(1 << d)
+    bricks = []
+    for s in translation_compatible_sums(width):
+        element, coords = s._by_coeff, s._by_element
+        place = bytes([x & keep | element[x >> off & low] << off for x in points])
+        project = bytes([coords[x >> off & low] for x in points]).ljust(256, b"\0")
+        bricks.append((s, place, project))
+    return tuple(bricks)
+
+
+def _brick_scan(table: Sequence[int], d: int, off: int, s: HiddenSum) -> bool:
+    """The brick test of find_hidden_sums for the sum s on the brick at bits
+    off.. and one table on d bits, point by point: for each setting of the
+    other bits, T(c) over the brick's coordinates c must be T(0) plus the
+    linear map read off the first setting at the unit vectors."""
+    low, coords = (1 << s.width) - 1, s._by_element
+    placed = [e << off for e in s._by_coeff]
+    linear = None
+    for high in range(0, 1 << d, 1 << (off + s.width)):
+        for x in range(high, high + (1 << off)):
+            row = [coords[table[x | p] >> off & low] for p in placed]
+            if linear is None:
+                linear = BinMatrix([row[1 << k] ^ row[0] for k in range(s.width)])
+            if row != linear.affine_table(row[0]):
+                return False
+    return True
+
+
+def _brick_survivors(
+    tables: Sequence[Sequence[int]], brick_widths: Sequence[int]
+) -> list[list[HiddenSum]]:
+    """For each brick, the sums of translation_compatible_sums(width) that
+    pass find_hidden_sums' brick test for every table, in their order.  The
+    tables must be permutations of the space.  Up to BYTE_BITS bits each
+    T is two translates, tested at the brick's unit vectors by half-swaps
+    (_steady_steps); wider states are scanned point by point."""
+    d = sum(brick_widths)
+    packed = [table_bytes(t, d).ljust(256, b"\0") for t in tables] if d <= BYTE_BITS else None
+    survivors, off = [], 0
+    for w in brick_widths:
+        if packed is None:
+            kept = [
+                s
+                for s in translation_compatible_sums(w)
+                if all(_brick_scan(t, d, off, s) for t in tables)
+            ]
+        else:
+            halves = _HALVES[d][off : off + w]
+            kept = [
+                s
+                for s, place, project in _brick_bytes(d, off, w)
+                if all(
+                    _steady_steps(place.translate(rho).translate(project), d, halves)
+                    for rho in packed
+                )
+            ]
+        survivors.append(kept)
+        off += w
+    return survivors
+
+
 def find_hidden_sums(
     round_generators: Sequence[Sequence[int]], brick_widths: Sequence[int]
 ) -> list[HiddenSum]:
     """All brick-parallel hidden sums for which the given round functions
-    and every XOR translation are affine.
+    and every XOR translation are affine, ordered by _key.
 
     Per-brick candidates come from translation_compatible_sums, so every
     XOR translation, which acts on one brick at a time, is affine for
-    each of their products; only the supplied generators are tested, at
-    full width.
+    each of their products; only the supplied generators are tested.
+
+    Each brick's candidates are first pruned by a test on that brick
+    alone.  If a round table rho is affine for s = s_1 x ... x s_k, it is
+    c*M + t in coordinates, so with the input fixed on every brick but
+    brick i, brick i's output coordinates are affine in its input
+    coordinates with linear part M_ii.  That is, with E_i and C_i the
+    element and coordinate tables of s_i, the table
+    T_i(c_i, x_rest) = C_i(rho(E_i(c_i) || x_rest)_i) has
+    T_i(c + e_k, x_rest) + T_i(c, x_rest) = T_i(e_k, 0) + T_i(0, 0) for
+    every c, every x_rest and every unit vector e_k of brick i, which
+    depends on s_i alone.  The test is necessary, not sufficient: every
+    product of the survivors is still built and tested with agl_membership
+    at full width, so the results, their order and their bases (from the
+    same part objects) are those of the unpruned product.  On the bundled
+    cipher one candidate per brick survives, so one product sum is built
+    instead of 64.  On one planted round table (hs.affine_function of a
+    random invertible M, seed 12) the first search in an interpreter
+    returns exactly the planted sum in 1.5 ms at [3, 3, 3], 10-15 ms at
+    [4, 4] and about 10 ms at [3, 3, 3, 3], against 0.09, 0.5-0.6 and
+    5.3-5.6 s unpruned (Python 3.11, 2-core Xeon VM).
     """
     if not brick_widths:
         raise ValueError("need at least one brick")
@@ -610,9 +710,8 @@ def find_hidden_sums(
             bijective = False
         if not bijective:
             raise ValueError("round generators must be bijective tables on the space")
-    per_brick = [translation_compatible_sums(w) for w in brick_widths]
     results = []
-    for combo in itertools.product(*per_brick):
+    for combo in itertools.product(*_brick_survivors(round_generators, brick_widths)):
         hs = product_sum(list(combo))
         if all(agl_membership(t, hs) for t in round_generators):
             results.append(hs)

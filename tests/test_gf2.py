@@ -120,6 +120,18 @@ class TestSpans:
         assert span_basis([]) == ()
         assert span_basis([0]) == ()
 
+    # [3, -3] cycled through the row of 3 forever, and [1, 2, 4, -1]
+    # follows a full span, which skips every vector it already holds
+    @pytest.mark.parametrize(
+        "vectors", [[-1], [-2, 1], [-3], [-64], [3, -3], [1, 2, 4, -1]], ids=str
+    )
+    def test_negative_vector_refused(self, vectors):
+        negative = min(vectors)
+        with pytest.raises(ValueError, match=rf"vector {negative} is negative"):
+            span_basis(vectors)
+        with pytest.raises(ValueError, match=rf"vector {negative} is negative"):
+            Subspace(vectors, 3)
+
     def test_subspace_elements(self):
         s = Subspace([0b011, 0b101], 3)
         assert s.dim == 2

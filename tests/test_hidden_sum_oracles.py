@@ -12,8 +12,10 @@ tables, the lemma that every sum below width 7 keeps all XOR
 translations with the triple-product filter and membership of the
 translations, the report's verdicts and the sum built from bare
 generators with the closure of the group they generate, the search
-without its translation checks with the search that ran them, the
-per-point spot check with the doubling table, and membership through the
+without its translation checks (and with its brick pruning) with the
+unpruned search that ran them, the brick test's byte kernel and
+point-by-point scan with the lemma read off the tables point by point,
+the per-point spot check with the doubling table, and membership through the
 conjugate (by half-swaps of its bytes up to 8 bits) with the compare of
 the map's own points against that table.  The references are the former
 library code, kept here as unchanged as the current API allows.
@@ -44,6 +46,7 @@ from hiddensums.hidden_sum import (
     HiddenSum,
     NotElementaryAbelianError,
     NotRegularError,
+    _brick_survivors,
     agl_membership,
     check_kappa_homomorphism,
     check_ring_axioms,
@@ -1123,9 +1126,29 @@ def reference_find_hidden_sums(round_generators, brick_widths):
     return results
 
 
+def planted_tables(bricks, seed, count=1):
+    """A product sum drawn with the seed from translation_compatible_sums of
+    each brick width, and count round tables affine for it: the sum's
+    affine_function of a random invertible M and a random t."""
+    rng = random.Random(seed)
+    hs = product_sum([rng.choice(translation_compatible_sums(w)) for w in bricks])
+    n = 1 << hs.width
+    tables = [
+        hs.affine_function(random_invertible(hs.width, rng), rng.randrange(n))
+        for _ in range(count)
+    ]
+    return hs, tables
+
+
+# (brick widths, seed) of the planted search cases; at [3, 3, 3] (9 bits)
+# the brick test scans point by point, at the others it uses bytes
+PLANTED = [([2, 4], 24), ([4, 2], 42), ([1, 2, 3], 123), ([2, 2, 2], 222), ([3, 3, 3], 333)]
+
+
 def search_cases():
     """(id, round tables, brick widths, sums the search finds)."""
-    yield "builtin", [builtin_toy_spec().core_table()], [3, 3], 1
+    spec = builtin_toy_spec()
+    yield "builtin", [spec.core_table()], [3, 3], 1
     yield "inversion", [inverse_brick_spec().core_table()], [3, 3], 0
     yield "identity-3-3", [list(range(64))], [3, 3], 64
     yield "identity-4", [list(range(16))], [4], 106
@@ -1136,6 +1159,13 @@ def search_cases():
     # the bundled sum's own translations, which several sums share
     state = toy_state_sum()
     yield "hidden-translations", hidden_translations(state)[:2], [3, 3], None
+    # planted product sums, each the only sum its table keeps
+    for bricks, seed in PLANTED:
+        yield f"planted-{bricks}", planted_tables(bricks, seed)[1], bricks, 1
+    # two tables at once: each prunes the bricks, and both must be affine
+    yield "two-tables-builtin", [spec.core_table(), spec.encrypt_table(5)], [3, 3], 1
+    yield "two-tables-planted", planted_tables([2, 4], 31, 2)[1], [2, 4], 1
+    yield "builtin-and-inversion", [spec.core_table(), inverse_brick_spec().core_table()], [3, 3], 0
 
 
 @pytest.mark.parametrize(
@@ -1151,6 +1181,95 @@ def test_search_matches_search_with_translation_checks(tables, widths, count):
     assert [hs.generators() for hs in fast] == [hs.generators() for hs in slow]
     if count is not None:
         assert len(fast) == count
+
+
+@pytest.mark.parametrize("bricks, seed", PLANTED + [([3, 3, 3, 3], 12)], ids=str)
+def test_planted_sum_is_found(bricks, seed):
+    """The search returns the planted sum, and every sum it returns passes
+    agl_membership; at [3, 3, 3, 3] (12 bits) the unpruned product of 4,096
+    sums took seconds."""
+    hs, tables = planted_tables(bricks, seed)
+    found = find_hidden_sums(tables, bricks)
+    assert hs in found
+    assert all(agl_membership(t, s) for s in found for t in tables)
+
+
+def reference_brick_test(table, widths, i, s):
+    """find_hidden_sums' brick test for the sum s on brick i, from the
+    lemma: with T(c, rest) the coordinates under s of brick i of the table
+    at the state of s's element c on brick i and rest on the other bricks,
+    T(c + e_k, rest) + T(c, rest) = T(e_k, 0) + T(0, 0) everywhere."""
+    off, low = sum(widths[:i]), (1 << s.width) - 1
+
+    def T(c, rest):
+        return s.coords(table[rest | s.element(c) << off] >> off & low)
+
+    rests = [x for x in range(1 << sum(widths)) if not x >> off & low]
+    return all(
+        T(c ^ 1 << k, rest) ^ T(c, rest) == T(1 << k, 0) ^ T(0, 0)
+        for rest in rests
+        for c in range(1 << s.width)
+        for k in range(s.width)
+    )
+
+
+def brick_test_cases():
+    """(round table, brick widths): the bundled, inversion and identity
+    tables and seeded permutations at 6 bits, in every split into bricks
+    the search takes there, and planted tables on both sides of 8 bits,
+    also with two entries swapped where the last brick is all ones, which
+    only a test of every setting of the other bricks sees."""
+    six = [builtin_toy_spec().core_table(), inverse_brick_spec().core_table(), list(range(64))]
+    six += seeded_permutations(6, 3, 606)
+    for widths in ([3, 3], [2, 4], [4, 2], [1, 2, 3], [3, 2, 1]):
+        for table in six:
+            yield table, widths
+    for bricks, seed in [([4, 4], 44), ([3, 3, 3], 333), ([4, 3, 3], 433)]:
+        table = planted_tables(bricks, seed)[1][0]
+        yield table, bricks
+        top = (1 << sum(bricks)) - (1 << sum(bricks[:-1]))
+        swapped = list(table)
+        swapped[top], swapped[top + 1] = table[top + 1], table[top]
+        yield swapped, bricks
+    yield seeded_permutations(9, 1, 909)[0], [3, 3, 3]
+
+
+def test_brick_test_matches_lemma():
+    """The byte kernel and the point-by-point scan keep exactly the sums
+    that pass the lemma's test, read off the tables one point at a time."""
+    verdicts = set()
+    for table, widths in brick_test_cases():
+        survivors = _brick_survivors([table], widths)
+        for i, w in enumerate(widths):
+            for s in translation_compatible_sums(w):
+                verdict = s in survivors[i]
+                assert verdict == reference_brick_test(table, widths, i, s), (widths, i)
+                verdicts.add((sum(widths) > 8, verdict))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("widths", [[3, 3], [2, 4], [4, 2], [1, 2, 3]], ids=str)
+def test_rejected_bricks_never_pass_membership(widths):
+    """Exhaustive at 6 bits: no product containing a rejected candidate
+    passes agl_membership, and every brick of every sum the search finds
+    passes the brick test.  On the bundled cipher one candidate per brick
+    survives, so the search builds one product sum instead of 64."""
+    spec = builtin_toy_spec()
+    tables = [spec.core_table(), inverse_brick_spec().core_table(), list(range(64))]
+    tables += seeded_permutations(6, 3, 606)
+    rejected = 0
+    for table in tables:
+        survivors = _brick_survivors([table], widths)
+        kept = {product_sum(list(c))._key() for c in itertools.product(*survivors)}
+        for combo in itertools.product(*(translation_compatible_sums(w) for w in widths)):
+            passes = all(s in survivors[i] for i, s in enumerate(combo))
+            rejected += not passes
+            if agl_membership(table, product_sum(list(combo))):
+                assert passes, combo
+        assert all(hs._key() in kept for hs in find_hidden_sums([table], widths))
+    assert rejected
+    if widths == [3, 3]:
+        assert [len(s) for s in _brick_survivors([spec.core_table()], widths)] == [1, 1]
 
 
 def reference_mismatch(hs, f, matrix, t, points):
