@@ -194,7 +194,13 @@ class BinMatrix:
 # ---------------------------------------------------------------------------
 
 
-def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _unit_basis(length: int) -> tuple[int, ...]:
+    """The unit vectors below 2^length, longest first, one tuple per length."""
+    return tuple(1 << i for i in range(length - 1, -1, -1))
+
+
+def span_basis(vectors: Iterable[int], width: int | None = None) -> tuple[int, ...]:
     """Reduced row-echelon basis of the F_2-span of the given vectors.
 
     Basis rows are returned with strictly decreasing leading bits, and each
@@ -202,7 +208,10 @@ def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     Rows are kept by the bit length of their leading bit.  Once those
     lengths are 1, ..., L, the span holds every vector of at most L bits:
     such vectors are skipped, and if no longer one comes, the basis is the
-    unit vectors below 2^L.  A negative vector is refused with ValueError:
+    unit vectors below 2^L, one shared tuple per L.  Pass a width only if
+    every vector fits in it: at L = width that tuple is returned without
+    reading the rest, where a wider vector would go unseen (Subspace
+    passes none).  A negative vector is refused with ValueError:
     bit_length ignores the sign, so it would be stored as a row, or cycle
     through the rows forever.  It is never skipped, as v >> L stays negative.
     """
@@ -222,11 +231,13 @@ def span_basis(vectors: Iterable[int]) -> tuple[int, ...]:
                 if length > top:
                     top = length
                 if len(rows) == top:
+                    if top == width:
+                        return _unit_basis(top)
                     full = top
                 break
             v ^= row
     if full == top:
-        return tuple(1 << i for i in range(top - 1, -1, -1))
+        return _unit_basis(top)
     basis = [rows[length] for length in sorted(rows, reverse=True)]
     # back-substitute to reduced form
     for i in range(len(basis)):
@@ -312,7 +323,7 @@ def _orthogonal_complement(basis: tuple[int, ...], width: int) -> Subspace:
     that have bit j set.  The zero space and the whole space are each
     other's complement."""
     if not basis:
-        return Subspace._from_echelon(tuple(1 << j for j in reversed(range(width))), width)
+        return Subspace._from_echelon(_unit_basis(width), width)
     if len(basis) == width == basis[0].bit_length():
         return Subspace._from_echelon((), width)
     pivots = [1 << (b.bit_length() - 1) for b in basis]

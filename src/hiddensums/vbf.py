@@ -16,7 +16,8 @@ object per exponent and field.
 Table entries must be ints (bools pass) of n bits; a float or any other
 entry is refused with ValueError.  A function with m, n <= gf2.BYTE_BITS
 = 8 is checked by gf2.table_bytes and kept as bytes: D_a f at all 2^m
-points is one translate, and its distinct values two more, in ascending
+points is one translate of the points x + a (2^m bytes objects per m,
+built on first use), and its distinct values two more, in ascending
 order.  Wider functions are scanned point by point.  Only the derivative
 kernels, _derivative and _derivative_values, tell the two apart.
 
@@ -27,8 +28,8 @@ exactly when its size equals its hull's, since the hull is the smallest
 coset that contains it.  The entry is read off the distinct values of the
 derivative translated by c = D_a f(0): their count is the image's size,
 they span the hull's space, and the hull is c plus that space.  Most
-images span all of (F_2)^n, and their hulls are one shared object per
-width n.
+images span all of (F_2)^n: their span stops at the n-th independent
+value, and their hulls are one shared object per width n.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ from .gf2 import _orthogonal_complement
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
-
-# per width k <= 8: the bytes 0, ..., 2^k - 1 as one big-endian int, so
-# IDENT ^ a * BYTE_ONES lists x + a
-_IDENT = [int.from_bytes(values, "big") for values in BYTE_VALUES]
 
 CROOKED = "crooked"
 ANTI_CROOKED = "anti_crooked"
@@ -178,16 +175,23 @@ def _scan_values(f: VBF, a: int, c: int) -> set[int]:
     }
 
 
+@lru_cache(maxsize=None)
+def _shifted(m: int) -> list[bytes]:
+    """Per direction a < 2^m <= 256: the bytes x + a for x = 0, ..., 2^m - 1."""
+    ident, size = int.from_bytes(BYTE_VALUES[m], "big"), 1 << m
+    return [(ident ^ a * BYTE_ONES[m]).to_bytes(size, "big") for a in range(size)]
+
+
 def _derivative(f: VBF, a: int, c: int = 0) -> Sequence[int]:
-    """D_a f(x) + c for x = 0, ..., 2^m - 1, for c < 2^n.  For m, n <= 8
-    it is one bytes object: the points x + a are translated through the
-    table to f(x + a), and one int XOR adds f(x) and c to every byte."""
+    """D_a f(x) + c for x = 0, ..., 2^m - 1, for 0 <= a < 2^m and c < 2^n.
+    For m, n <= 8 it is one bytes object: the points x + a, read from
+    _shifted, are translated through the table to f(x + a), and one int
+    XOR adds f(x) and c to every byte."""
     if f._bytes is None:
         return _scan(f, a, c)
     translate, packed = f._bytes
-    size, ones = 1 << f.m, BYTE_ONES[f.m]
-    shifted = (_IDENT[f.m] ^ a * ones).to_bytes(size, "big").translate(translate)
-    return (int.from_bytes(shifted, "big") ^ packed ^ c * ones).to_bytes(size, "big")
+    shifted = _shifted(f.m)[a].translate(translate)
+    return (int.from_bytes(shifted, "big") ^ packed ^ c * BYTE_ONES[f.m]).to_bytes(1 << f.m, "big")
 
 
 def _derivative_values(f: VBF, a: int, c: int = 0) -> bytes | set[int]:
@@ -257,7 +261,7 @@ def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
         _check_direction(f, a)
         c = f.table[a] ^ f.table[0]
         points = _derivative_values(f, a, c)
-        basis = span_basis(points)
+        basis = span_basis(points, f.n)  # n-bit values: the table's, and c < 2^n
         if len(basis) == f.n:  # n independent n-bit values span (F_2)^n
             hull = _whole_hull(f.n)
         else:
@@ -404,7 +408,7 @@ def n_hat(f: VBF) -> int:
     """2^t - 1 where t is the largest component-space dimension over all
     nonzero directions; 0 means no derivative image lies in a proper
     affine subspace."""
-    t = max(component_space(f, a).dim for a in range(1, 1 << f.m))
+    t = max((component_space(f, a).dim for a in range(1, 1 << f.m)), default=0)
     return (1 << t) - 1
 
 

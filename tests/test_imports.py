@@ -371,6 +371,32 @@ def test_attack_import_loads_no_typing_or_random():
     assert loaded == [], f"importing attack loaded {' '.join(loaded)}"
 
 
+def test_import_fills_no_cache():
+    """A fresh python -S that imports hiddensums and every module of it
+    finds each module-level lru_cache empty: the tables built on first
+    use, such as gf2._unit_basis and vbf._shifted, cost no import time."""
+    code = "\n".join(
+        [
+            "import sys",
+            "import hiddensums",
+            *(f"import hiddensums.{path.stem}" for path in MODULES if path.stem != "__init__"),
+            "for module in [m for name, m in sys.modules.items() if name.startswith('hiddensums.')]:",
+            "    for name, value in vars(module).items():",
+            "        if hasattr(value, 'cache_info'):",
+            "            print(f'{module.__name__}.{name}', value.cache_info().currsize)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hiddensums.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sizes = dict(line.split() for line in proc.stdout.splitlines())
+    assert {"hiddensums.gf2._unit_basis", "hiddensums.vbf._shifted"} <= sizes.keys()
+    assert {name: size for name, size in sizes.items() if size != "0"} == {}
+
+
 def traced_targets() -> list[tuple[str, str | None, str]]:
     """(layer, owner, attribute) of each entry of TARGETS in
     perfbench/tracer.py, read from its source without importing it."""

@@ -785,6 +785,27 @@ def test_span_basis_matches_insertion_sort(seed):
                 Subspace(vectors, width)
         else:
             assert Subspace(vectors, width).basis == expected
+            # a width that every vector fits changes only where reading stops
+            assert span_basis(vectors, width) == span_basis(iter(vectors), width) == expected
+
+
+def unread_after(vectors):
+    """The vectors, then a failure if the span asks for one more."""
+    yield from vectors
+    raise AssertionError("span_basis read past a span that fills its width")
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_full_spans_share_one_tuple(length):
+    """Every span that fills bits 1..L is one tuple per L, with or without
+    a width; given the width L, it returns as soon as the span fills it."""
+    units = [1 << i for i in range(length)]
+    full = span_basis(units)
+    assert full == reference_span_basis(units) == tuple(reversed(units))
+    assert span_basis([(1 << length) - 1, *reversed(units), 1]) is full
+    assert span_basis(unread_after(units[::-1]), length) is full
+    assert span_basis(unread_after([v | 1 for v in units]), length) is full
+    assert Subspace(units, length).basis is full
 
 
 def test_span_basis_of_out_of_width_vectors():
@@ -794,6 +815,9 @@ def test_span_basis_of_out_of_width_vectors():
     assert span_basis(vectors) == reference_span_basis(vectors) == (1 << 9, 8, 4, 2, 1)
     with pytest.raises(ValueError, match="more than the 3-bit space"):
         Subspace([8, 1, 2], 3)
+    # a span that fills the width is not where Subspace stops reading
+    with pytest.raises(ValueError, match="more than the 3-bit space"):
+        Subspace([1, 2, 4, 8], 3)
 
 
 def test_complement_of_an_out_of_width_span_is_not_pointed_back():

@@ -470,7 +470,9 @@ class TestComponentSpace:
         assert n_hat(brick()) == 3
 
     def test_zero_nhat_implies_coset_free(self):
-        for f in (VBF.from_power(14, F16), VBF.from_power(38, F64)):
+        # at m = 0 there is no nonzero direction, so no image at all
+        powers = (VBF.from_power(14, F16), VBF.from_power(38, F64))
+        for f in (*powers, VBF(0, 3, [5]), VBF(0, 0, [0])):
             assert n_hat(f) == 0
             assert is_coset_free(f).value
 
