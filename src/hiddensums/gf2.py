@@ -82,18 +82,21 @@ class SingularMatrixError(ValueError):
 class BinMatrix:
     """A square matrix over F_2, stored as one int per row.
 
-    Invertibility and the inverse are computed on demand by Gaussian
-    elimination and cached; instances are immutable.
+    Rows must be ints (bools pass) of at most size bits, else ValueError.
+    The rank and the inverse are read off span_basis, gf2's one elimination
+    routine, on demand and cached; instances are immutable.
     """
 
     __slots__ = ("rows", "size", "_rank", "_inverse")
 
     def __init__(self, rows: Sequence[int]):
         size = len(rows)
-        mask = (1 << size) - 1
-        for r in rows:
-            if r < 0 or r > mask:
-                raise ValueError(f"row 0b{r:b} does not fit in width {size}")
+        try:
+            for r in rows:
+                if r >> size:  # negative, or wider than the size
+                    raise ValueError(f"row 0b{r:b} does not fit in width {size}")
+        except TypeError:  # a float, str, None, ...; bools pass
+            raise ValueError(f"row {r!r} is not an int") from None
         self.rows: tuple[int, ...] = tuple(rows)
         self.size = size
         self._rank: int | None = None
@@ -137,45 +140,24 @@ class BinMatrix:
             raise ValueError("matrix size mismatch")
         return BinMatrix([other.apply(r) for r in self.rows])
 
-    def _eliminate(self) -> tuple[int, list[int]]:
-        """Gauss-Jordan on [self | I]; returns (rank, reduced augmented rows)."""
-        n = self.size
-        aug = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        rank = 0
-        for col in range(n):
-            bit = 1 << col
-            for r in range(rank, n):
-                if aug[r] & bit:
-                    break
-            else:
-                continue
-            pivot = aug[r]
-            aug[r] = aug[rank]
-            # clearing the column also clears the pivot row, restored after
-            aug = [a ^ pivot if a & bit else a for a in aug]
-            aug[rank] = pivot
-            rank += 1
-        return rank, aug
-
     def rank(self) -> int:
         if self._rank is None:
-            self._rank, _ = self._eliminate()
+            self._rank = len(span_basis(self.rows, self.size))
         return self._rank
 
     def is_invertible(self) -> bool:
         return self.rank() == self.size
 
     def inverse(self) -> BinMatrix:
+        """M^-1 off the reduced echelon basis of the rows (M_i << n) | e_i:
+        M is invertible when all n pivots lie in the high half, and then
+        the row with pivot bit n + j is (e_j << n) | (row j of M^-1)."""
         if self._inverse is None:
-            rank, aug = self._eliminate()
-            self._rank = rank
-            if rank != self.size:
-                raise SingularMatrixError(rank, self.size)
             n = self.size
-            mask = (1 << n) - 1
-            # After Gauss-Jordan the left block is I, so row i of the right
-            # block is row i of the inverse.
-            self._inverse = BinMatrix([(aug[i] >> n) & mask for i in range(n)])
+            basis = span_basis([r << n | 1 << i for i, r in enumerate(self.rows)])
+            if n and not basis[-1] >> n:
+                raise SingularMatrixError(self.rank(), n)
+            self._inverse = BinMatrix([b & ((1 << n) - 1) for b in reversed(basis)])
             self._inverse._inverse = self
         return self._inverse
 

@@ -21,15 +21,15 @@ built on first use), and its distinct values two more, in ascending
 order.  Wider functions are scanned point by point.  Only the derivative
 kernels, _derivative and _derivative_values, tell the two apart.
 
-Each function keeps, per direction a, the size of Im D_a f and its affine
-hull, built once from one image that is then dropped.  The APN tests read
-the sizes, the component space reads the hull, and the image is a coset
-exactly when its size equals its hull's, since the hull is the smallest
-coset that contains it.  The entry is read off the distinct values of the
-derivative translated by c = D_a f(0): their count is the image's size,
-they span the hull's space, and the hull is c plus that space.  Most
-images span all of (F_2)^n: their span stops at the n-th independent
-value, and their hulls are one shared object per width n.
+Each function keeps, per direction a, the size of Im D_a f and, once it
+is read, the image's affine hull.  A direction is sized from the distinct
+values of the derivative translated by c = D_a f(0); they are kept until
+the hull is first read, then spanned (the hull is c plus their span) and
+dropped.  The APN tests read the sizes only, and the image is a coset
+when its size is 2^k and equals its hull's (the smallest coset that holds
+it), so no other size needs a span.  Most images span (F_2)^n: their
+span stops at the n-th independent value, and their hulls are one shared
+object per width n.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ class VBF:
         self.n = n
         self.table: tuple[int, ...] = table
         self._is_permutation: bool | None = None
-        # direction a -> (|Im D_a f|, affine hull of Im D_a f)
-        self._derivatives: dict[int, tuple[int, AffineSubspace]] = {}
+        # direction a -> (|Im D_a f|, affine hull of Im D_a f), or before the
+        # hull is read (|Im D_a f|, distinct values, c) (see _memo)
+        self._derivatives: dict[int, tuple] = {}
 
     @property
     def is_permutation(self) -> bool:
@@ -246,29 +247,42 @@ def diff_uniformity(f: VBF, keep_counts: bool = False) -> DiffSpectrum:
     return DiffSpectrum(delta, witness, all_counts if keep_counts else None)
 
 
-def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
-    """(|Im D_a f|, affine hull of Im D_a f), kept on f per
-    direction: the image is built once and only these two are stored.
-
-    The image is read as the distinct values of the derivative translated
-    by c = D_a f(0), so that it contains 0 (_derivative_values): their
-    count is the image's size, they span the hull's space, and the hull is
-    c plus that space.  A hull that is all of (F_2)^n is one shared object
-    per width n, whose space keeps its complement {0} (gf2.Subspace)."""
-    shape = f._derivatives.get(a)
+def _memo(f: VBF, a: int, check: bool = False) -> tuple:
+    """f's entry for direction a, made on a miss (checking a if asked; the
+    sweeps over 1..2^m - 1 need not): (size, distinct values, c) until the
+    hull is read.  Past the byte limit the hull is spanned at once, as a
+    set of values kept per direction would cost 2^(2m-1) ints."""
+    entry = f._derivatives.get(a)
     # a float or bool equal to a stored direction would hit its entry
-    if shape is None or type(a) is not int:
-        _check_direction(f, a)
+    if entry is None or type(a) is not int:
+        if check:
+            _check_direction(f, a)
         c = f.table[a] ^ f.table[0]
-        points = _derivative_values(f, a, c)
-        basis = span_basis(points, f.n)  # n-bit values: the table's, and c < 2^n
-        if len(basis) == f.n:  # n independent n-bit values span (F_2)^n
-            hull = _whole_hull(f.n)
-        else:
-            hull = AffineSubspace(c, Subspace._from_echelon(basis, f.n))
-        shape = (len(points), hull)
-        f._derivatives[a] = shape
-    return shape
+        values = _derivative_values(f, a, c)
+        entry = f._derivatives[a] = (len(values), values, c)
+        if f._bytes is None:
+            entry = _spanned(f, a, entry)
+    return entry
+
+
+def _spanned(f: VBF, a: int, entry: tuple) -> tuple[int, AffineSubspace]:
+    """The entry as (size, hull), its kept values spanned on first read."""
+    if len(entry) == 2:
+        return entry
+    size, values, c = entry
+    basis = span_basis(values, f.n)  # n-bit values: the table's, and c < 2^n
+    whole = len(basis) == f.n  # n independent n-bit values span (F_2)^n
+    hull = _whole_hull(f.n) if whole else AffineSubspace(c, Subspace._from_echelon(basis, f.n))
+    entry = f._derivatives[a] = (size, hull)
+    return entry
+
+
+def derivative_shape(f: VBF, a: int) -> tuple[int, AffineSubspace]:
+    """(|Im D_a f|, affine hull of Im D_a f), kept on f per direction.  The
+    hull is spanned on its first read, such as this one, from the values
+    kept since the direction was sized (_memo); a hull that is all of
+    (F_2)^n is one object per width n (_whole_hull)."""
+    return _spanned(f, a, _memo(f, a, True))
 
 
 @lru_cache(maxsize=None)
@@ -279,11 +293,15 @@ def _whole_hull(n: int) -> AffineSubspace:
     return AffineSubspace(0, _orthogonal_complement((), n))
 
 
+def _is_coset(f: VBF, a: int, entry: tuple) -> bool:
+    size = entry[0]  # a coset has 2^k points; only then is the hull read
+    return not size & (size - 1) and size == len(_spanned(f, a, entry)[1])
+
+
 def derivative_is_coset(f: VBF, a: int) -> bool:
     """Whether Im D_a f is an XOR coset: the hull is the smallest coset
     containing the image, so the image is one exactly when it fills it."""
-    size, hull = derivative_shape(f, a)
-    return size == len(hull)
+    return _is_coset(f, a, _memo(f, a, True))
 
 
 def is_apn(f: VBF) -> bool:
@@ -293,14 +311,14 @@ def is_apn(f: VBF) -> bool:
     if f.m != f.n:
         raise ValueError("APN is defined for m = n")
     half = 1 << f.m >> 1
-    return f.m > 0 and all(derivative_shape(f, a)[0] == half for a in range(1, 1 << f.m))
+    return f.m > 0 and all(_memo(f, a)[0] == half for a in range(1, 1 << f.m))
 
 
 def is_weakly_apn(f: VBF) -> bool:
     """Every nonzero direction's derivative image has more than 2^(m-2) points."""
     if f.m != f.n:
         raise ValueError("weak APN is defined for m = n")
-    return all(4 * derivative_shape(f, a)[0] > 1 << f.m for a in range(1, 1 << f.m))
+    return all(4 * _memo(f, a)[0] > 1 << f.m for a in range(1, 1 << f.m))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +380,7 @@ def is_coset_free(f: VBF) -> ACVerdict:
     a permutation (see is_anti_crooked).
     """
     for a in range(1, 1 << f.m):
-        if derivative_is_coset(f, a):
+        if _is_coset(f, a, _memo(f, a)):
             return ACVerdict(False, a)
     return ACVerdict(True, None)
 
@@ -376,7 +394,7 @@ def is_anti_crooked(f: VBF) -> ACVerdict:
 def is_crooked(f: VBF) -> bool:
     """True iff every nonzero direction's derivative image is a coset."""
     _require_vbf_permutation(f)
-    return all(derivative_is_coset(f, a) for a in range(1, 1 << f.m))
+    return all(_is_coset(f, a, _memo(f, a)) for a in range(1, 1 << f.m))
 
 
 def power_ac_dichotomy(d: int, fs: FieldSpec) -> str:

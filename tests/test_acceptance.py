@@ -16,6 +16,7 @@ weakened, so it fails, and criterion 15 (the battery exits clean)
 fails with it.  Widths 4 through 8 all hold.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from hiddensums.cipher import (
     toy_state_sum,
 )
 from hiddensums.cli import main
+from hiddensums.gf2 import AffineSubspace
 from hiddensums.hidden_sum import HiddenSum
 from hiddensums.vbf import diff_uniformity
 
@@ -68,6 +70,23 @@ def test_criterion_11_refuses_swapped_coordinates(monkeypatch):
     monkeypatch.setattr(cipher, "toy_state_sum", lambda: swapped)
     with pytest.raises(reproduce.CheckFailure, match="coordinates not additive"):
         reproduce.check_coordinate_isomorphism()
+
+
+def test_criterion_8_refuses_a_wrong_hull_base(monkeypatch):
+    """A memo entry whose coset has the right space but another base."""
+    label, f, a = next(
+        (label, f, a)
+        for label, f in corpus.pinned_corpus(3)
+        for a in range(1, 8)
+        if vbf.derivative_hull(f, a).dim < 3
+    )
+    size, hull = vbf.derivative_shape(f, a)
+    off = next(v for v in range(1, 8) if v not in hull.space)
+    wrong = AffineSubspace(hull.base ^ off, hull.space)
+    assert wrong.space == hull.space and wrong != hull
+    monkeypatch.setitem(f._derivatives, a, (size, wrong))
+    with pytest.raises(reproduce.CheckFailure, match=f"^{re.escape(label)}, direction {a}: "):
+        reproduce.check_affine_hull_proposition()
 
 
 def verdicts(f: vbf.VBF) -> tuple:

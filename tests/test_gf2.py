@@ -64,6 +64,16 @@ class TestBinMatrix:
         with pytest.raises(ValueError):
             TAU1_MATRIX.apply(0b1000)
 
+    @pytest.mark.parametrize("rows", [[1.0, 2], [1.5, 2], ["1", 2], [None, 1]])
+    def test_non_int_row_refused_at_construction(self, rows):
+        with pytest.raises(ValueError, match="is not an int"):
+            BinMatrix(rows)
+
+    def test_bool_rows_pass(self):
+        m = BinMatrix([True, 2])
+        assert m.rank() == 2 and m.apply(0b11) == 3 and m.inverse() == BinMatrix([1, 2])
+        assert BinMatrix([False, True]).rank() == 1
+
     def test_text_not_square(self):
         with pytest.raises(ValueError):
             BinMatrix.from_text("10\n01\n11")

@@ -10,7 +10,9 @@ complement and the component space built on the derivative hull with the
 scans over all 2^width vectors they replaced and with the span of the
 sorted image's differences to its minimum, each function's per-direction
 memo of image size and hull (and the coset verdict and component space
-read from it) with the same four taken from a newly scanned image, its
+read from it) with the same four taken from a newly scanned image, the
+verdicts that the memo decides from sizes before any hull is spanned
+with those read off freshly spanned hulls, its
 hull with the span of that image (the width's one shared whole-space hull
 exactly when it has dimension n), the memoized complement with the scan, the
 exp/log power maps with Horner tabulation of x^d and with square-and-
@@ -21,8 +23,8 @@ every question about a hidden sum asked of the map's conjugate in the
 sum's coordinates with the per-point derivative under the sum and the
 pairwise closure,
 the pivot-table span kernel with the insertion-sort kernel, and the
-Gauss-Jordan elimination behind rank and inverse with the former one
-that searched for pivots with a generator.  The references are the
+rank and inverse, read off that span kernel, with the former Gauss-Jordan
+elimination that searched for pivots with a generator.  The references are the
 former library code, kept here unchanged.
 """
 
@@ -38,6 +40,7 @@ from operator import xor
 import pytest
 
 import hiddensums
+from hiddensums import vbf
 from hiddensums.cipher import toy_brick, toy_brick_sum
 from hiddensums.corpus import (
     FIELD_MODULI,
@@ -76,8 +79,10 @@ from hiddensums.vbf import (
     is_coset,
     is_coset_free,
     is_crooked,
+    is_weakly_apn,
 )
 from hiddensums.hidden_sum import AffineMap, translation_compatible_sums
+from hiddensums.reproduce import _ea_references, _random_affine_map
 
 
 def reference_orthogonal_complement(s: Subspace) -> Subspace:
@@ -547,6 +552,93 @@ def test_distinct_values_match_full_scan_on_edge_tables(label, m, n, table):
         assert missed == (set() if label.endswith("all") else {(1 << n) - 1})
 
 
+def criterion_9_transforms() -> list[VBF]:
+    """Criterion 9's 200 EA transforms, rebuilt from its seeds."""
+    transforms = []
+    for m in range(3, 7):
+        refs = _ea_references(m)
+        rng = random.Random(1000 + m)
+        for _ in range(25):
+            maps = (_random_affine_map(m, rng), _random_affine_map(m, rng),
+                    _random_affine_map(m, rng, invertible=False))
+            transforms += [ea_transform(f, *maps) for f in refs]
+    return transforms
+
+
+SIZE_FIRST_CASES = {
+    "corpus": lambda: [f for m in range(3, 7) for _, f in pinned_corpus(m)],
+    "inversion": lambda: [VBF.from_power((1 << m) - 2, field_spec(m)) for m in range(3, 9)],
+    "criterion 9": criterion_9_transforms,
+}
+# (functions, directions, coset directions, coset-free, permutations,
+# crooked, APN, weakly APN), counted from fresh images and hulls
+SIZE_FIRST_COUNTS = {
+    "corpus": (281, 9167, 1689, 185, 281, 88, 41, 188),
+    "inversion": (6, 498, 7, 5, 6, 1, 3, 6),
+    "criterion 9": (200, 5800, 3075, 75, 11, 11, 75, 125),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZE_FIRST_CASES))
+def test_size_first_verdicts_match_fresh_hulls(case):
+    """Each verdict, each taken on a new object with an empty memo, equals
+    the one read from a freshly scanned image's size and hull, where a
+    size that is not a power of two decides without the hull."""
+    counts = [0] * 8
+    for f in SIZE_FIRST_CASES[case]():
+        def fresh():
+            return VBF(f.m, f.n, f.table)
+        directions = range(1, 1 << f.m)
+        sizes, cosets = [], []
+        for a in directions:
+            image = reference_derivative_image(f, a)
+            sizes.append(len(image))
+            cosets.append(len(image) == len(affine_hull(image, f.n)))
+        g = fresh()
+        assert [derivative_is_coset(g, a) for a in directions] == cosets, f.table
+        witness = next((a for a, coset in zip(directions, cosets) if coset), None)
+        assert is_coset_free(fresh()) == (witness is None, witness), f.table
+        apn = all(size == 1 << f.m >> 1 for size in sizes)
+        weak = all(4 * size > 1 << f.m for size in sizes)
+        assert (is_apn(fresh()), is_weakly_apn(fresh())) == (apn, weak), f.table
+        if f.is_permutation:
+            assert is_crooked(fresh()) == all(cosets), f.table
+        for i, n in enumerate((1, len(directions), sum(cosets), witness is None,
+                               f.is_permutation, f.is_permutation and all(cosets), apn, weak)):
+            counts[i] += n
+    assert tuple(counts) == SIZE_FIRST_COUNTS[case]
+
+
+def test_size_first_path_spans_only_hulls_that_are_read(monkeypatch):
+    """is_anti_crooked on the inversion at m = 8 decides all 255 sizes of
+    127 without a span; the APN tests never span; a hull is spanned on its
+    first read and not on later ones."""
+    spans = []
+
+    def counting_span_basis(vectors, width=None):
+        spans.append(width)
+        return span_basis(vectors, width)
+
+    monkeypatch.setattr(vbf, "span_basis", counting_span_basis)
+    f = VBF(8, 8, VBF.from_power(254, field_spec(8)).table)
+    assert is_anti_crooked(f) and spans == []
+    assert {f._derivatives[a][0] for a in range(1, 256)} == {127}
+    apn = weak = 0
+    for m in range(3, 7):
+        for _, g in pinned_corpus(m):
+            h = VBF(m, m, g.table)
+            apn += is_apn(h)
+            weak += is_weakly_apn(h)
+    assert (apn, weak, spans) == (41, 188, [])
+    hulls = [derivative_hull(f, a) for a in range(1, 256)]
+    assert len(spans) == 255
+    for a in range(1, 256):
+        assert derivative_shape(f, a)[1] is hulls[a - 1]
+        derivative_is_coset(f, a), component_space(f, a)
+    assert len(spans) == 255
+    assert_memo_holds_no_images(f)
+
+
 def test_derivative_hull_memo_matches_fresh_computation():
     """Interleaved calls on functions that share directions, and on two
     equal tables held by different objects, each read their own entry."""
@@ -833,11 +925,11 @@ def test_complement_of_an_out_of_width_span_is_not_pointed_back():
 
 
 def assert_elimination_matches_reference(rows) -> int:
-    """Rank, reduced rows, and the inverse or the singular rank, each read
-    from a new matrix so that nothing is cached; returns the rank."""
+    """Rank, and the inverse or the singular rank, each read from a new
+    matrix so that nothing is cached, against the reference's reduced
+    rows; returns the rank."""
     n = len(rows)
     rank, aug = reference_eliminate(BinMatrix(rows))
-    assert BinMatrix(rows)._eliminate() == (rank, aug), rows
     assert BinMatrix(rows).rank() == rank
     if rank == n:
         inverse = BinMatrix(rows).inverse()
@@ -858,8 +950,9 @@ def test_elimination_matches_reference_on_every_matrix(n):
     assert ranks == {3: [1, 49, 294, 168], 4: [1, 225, 7350, 37800, 20160]}[n]
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 12, 16])
 def test_elimination_matches_reference_on_random_matrices(n):
+    """Seeded matrices up to 16 x 16, the widest state a cipher allows."""
     rng = random.Random(n)
     singular = 0
     for _ in range(400):
@@ -868,6 +961,12 @@ def test_elimination_matches_reference_on_random_matrices(n):
             rows[rng.randrange(n)] = rows[rng.randrange(n)] ^ rows[rng.randrange(n)]
         singular += assert_elimination_matches_reference(rows) < n
     assert 50 < singular < 350
+
+
+def test_elimination_of_the_empty_matrix():
+    assert assert_elimination_matches_reference([]) == 0
+    empty = BinMatrix([])
+    assert empty.is_invertible() and empty.inverse() == empty and empty.inverse().rows == ()
 
 
 FIELDS = [FieldSpec(1, 0b10), FieldSpec(1, 0b11), FieldSpec(2, 0b111)] + [
