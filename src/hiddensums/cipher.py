@@ -57,7 +57,7 @@ class RotatingKeySchedule(WidthKeySchedule):
         n = self._check_key(k)
         w = self.width
         r = h % w
-        return ((k << r) | (k >> (w - r))) & (n - 1) if r else k
+        return ((k << r) | (k >> (w - r))) & (n - 1)
 
     def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
         n = self._check_key(k)
@@ -130,7 +130,8 @@ class CipherSpec:
     A key schedule must be a pure function of (k, h): the spec computes a
     key's round keys once and reuses them for every block of that key.
     Session keys, round keys and blocks outside 0..2^d - 1 are refused
-    with ValueError.
+    with ValueError, as are session and round keys that are not ints
+    (bools pass).
     A schedule with a round_keys(k, rounds) method gives the whole sequence
     in one call; a bare callable is called once per round.
     For d <= 8 the spec also holds the key's whole encryption function as
@@ -209,6 +210,8 @@ class CipherSpec:
 
     def _entry(self, k: int) -> tuple[int, tuple[int, ...], bytes, bytes | None]:
         """The memo for k, made in place of the last key's if k is new."""
+        if not isinstance(k, int):  # a float would read the memo of the int it equals
+            raise ValueError(f"session key {k!r} is not an int")
         memo = self._memo
         if memo[0] != k:
             keys, p = self._schedule(k)
@@ -217,8 +220,9 @@ class CipherSpec:
         return memo
 
     def _schedule(self, k: int) -> tuple[tuple[int, ...], int]:
-        """k's round keys, every one range-checked, and d if they repeat
-        every d rounds, else 0."""
+        """k's round keys, every one checked to be an int in 0..2^d - 1, and
+        for d <= 8 the period the tables use: d if they repeat every d
+        rounds, else 0."""
         n, d, rounds = 1 << self.d, self.d, self.rounds
         if not 0 <= k < n:
             # a schedule would wrap or shift such a key onto another one
@@ -229,18 +233,18 @@ class CipherSpec:
             keys = tuple(sequence(k, rounds))
         else:
             keys = tuple(ks(k, h) for h in range(1, rounds + 1))
-        p = d if d < rounds and keys[d] == keys[0] and keys[d:] == keys[:-d] else 0
-        # a periodic sequence is in range exactly when its first cycle is
-        cycle = keys[:p] if p else keys
-        # for d <= 8 table_bytes checks the keys in C; min/max decide wider
-        # states and the keys it refuses (a float, or one outside 0..255)
-        in_range = d <= BYTE_BITS and table_bytes(cycle, d) is not None
-        if not in_range and (min(cycle) < 0 or max(cycle) >= n):
-            h, rk = next((h, rk) for h, rk in enumerate(keys, 1) if not 0 <= rk < n)
-            raise ValueError(
-                f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"
-            )
-        return keys, p
+        # for d <= 8 table_bytes checks every key in C, and the period is
+        # read off its bytes, not off the keys, where 3.0 == 3; wider
+        # states, and the keys it refuses, are checked one by one
+        packed = table_bytes(keys, d) if d <= BYTE_BITS else None
+        if packed is None:
+            for h, rk in enumerate(keys, 1):
+                if not (isinstance(rk, int) and 0 <= rk < n):
+                    raise ValueError(
+                        f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"
+                    )
+            return keys, 0
+        return keys, d if d < rounds and packed[d:] == packed[:-d] else 0
 
     def _encryption_table(self, keys: tuple[int, ...], p: int) -> bytes:
         """E_k as bytes, for d <= 8: each round translates the table through
@@ -282,7 +286,7 @@ class CipherSpec:
     def encrypt(self, k: int, x: int) -> int:
         if self.d <= BYTE_BITS:
             cached_k, _, table, _ = self._memo
-            if cached_k != k:
+            if cached_k is not k:  # equal keys of d <= 8 bits are one int object
                 table = self._entry(k)[2]
             if x >= 0:
                 try:
@@ -300,7 +304,7 @@ class CipherSpec:
     def decrypt(self, k: int, y: int) -> int:
         if self.d <= BYTE_BITS:
             cached_k, _, _, table = self._memo
-            if cached_k != k or table is None:
+            if cached_k is not k or table is None:
                 table = self._decryption_table(k)
             if y >= 0:
                 try:

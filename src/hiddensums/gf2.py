@@ -84,10 +84,11 @@ class BinMatrix:
 
     Rows must be ints (bools pass) of at most size bits, else ValueError.
     The rank and the inverse are read off span_basis, gf2's one elimination
-    routine, on demand and cached; instances are immutable.
+    routine, on demand; the rank is kept, the inverse is not (each caller
+    inverts a matrix once).  Instances are immutable.
     """
 
-    __slots__ = ("rows", "size", "_rank", "_inverse")
+    __slots__ = ("rows", "size", "_rank")
 
     def __init__(self, rows: Sequence[int]):
         size = len(rows)
@@ -100,7 +101,6 @@ class BinMatrix:
         self.rows: tuple[int, ...] = tuple(rows)
         self.size = size
         self._rank: int | None = None
-        self._inverse: BinMatrix | None = None
 
     @classmethod
     def identity(cls, size: int) -> BinMatrix:
@@ -152,14 +152,11 @@ class BinMatrix:
         """M^-1 off the reduced echelon basis of the rows (M_i << n) | e_i:
         M is invertible when all n pivots lie in the high half, and then
         the row with pivot bit n + j is (e_j << n) | (row j of M^-1)."""
-        if self._inverse is None:
-            n = self.size
-            basis = span_basis([r << n | 1 << i for i, r in enumerate(self.rows)])
-            if n and not basis[-1] >> n:
-                raise SingularMatrixError(self.rank(), n)
-            self._inverse = BinMatrix([b & ((1 << n) - 1) for b in reversed(basis)])
-            self._inverse._inverse = self
-        return self._inverse
+        n = self.size
+        basis = span_basis([r << n | 1 << i for i, r in enumerate(self.rows)])
+        if n and not basis[-1] >> n:
+            raise SingularMatrixError(self.rank(), n)
+        return BinMatrix([b & ((1 << n) - 1) for b in reversed(basis)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BinMatrix) and self.rows == other.rows
@@ -302,12 +299,9 @@ class Subspace:
 def _orthogonal_complement(basis: tuple[int, ...], width: int) -> Subspace:
     """The complement read off a reduced echelon basis: one vector per
     non-pivot coordinate j, e_j plus the pivots (leading bits) of the rows
-    that have bit j set.  The zero space and the whole space are each
-    other's complement."""
-    if not basis:
-        return Subspace._from_echelon(_unit_basis(width), width)
-    if len(basis) == width == basis[0].bit_length():
-        return Subspace._from_echelon((), width)
+    that have bit j set.  The complement of the zero space is the unit
+    vectors and that of the whole space is empty, which span_basis returns
+    as the shared _unit_basis(width) and ()."""
     pivots = [1 << (b.bit_length() - 1) for b in basis]
     taken = sum(pivots)
     perp = [

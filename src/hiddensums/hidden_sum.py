@@ -420,12 +420,10 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     conjugate G is XOR-affine, that is, G(c + e_i) + G(c) is the same for
     every c at each unit vector e_i.
 
-    Up to BYTE_BITS bits G is bytes, tested by half-swaps of one int
-    (_steady_steps).  The last unit vector needs no test: if the others
-    pass, G is affine on both halves of the space with one linear part, so
-    G(c + e_(d-1)) + G(c) is the same for every c.  Wider sums compare G
-    with the table of c*M + t whose t and rows M are read off G at 0 and at
-    the unit vectors."""
+    Up to BYTE_BITS bits G is bytes, tested at every unit vector by
+    half-swaps of one int (_steady_steps), as the brick test is.  Wider
+    sums compare G with the table of c*M + t whose t and rows M are read
+    off G at 0 and at the unit vectors."""
     try:
         conj = hs.conjugate(g_table)
     except ValueError:
@@ -437,7 +435,7 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     # the conjugate of a permutation takes every value
     if BYTE_VALUES[hs.width].translate(None, conj):
         raise ValueError(_NOT_BIJECTIVE)
-    return _steady_steps(conj, hs.width, _HALVES[hs.width][:-1])
+    return _steady_steps(conj, hs.width, _HALVES[hs.width])
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:
@@ -520,7 +518,6 @@ def sum_orbits(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(orbits)
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     """All regular groups of affine involutions on (F_2)^width.
 
@@ -535,8 +532,8 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     involutions.  Each group is returned as its generators, chosen
     greedily, each the smallest element (by matrix rows, then translation)
     not yet generated.  The groups come in a canonical order, that of their
-    element rows, and are cached by value and type, so 3.0 or True never
-    reads the entry of 3 or 1.
+    element rows.  Nothing is cached here: the one caller,
+    translation_compatible_sums, keeps its sums per width.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"brick width {width!r} is not a positive int")
@@ -569,7 +566,7 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
                 if y not in span:
                     g = AffineMap(BinMatrix([elements[y] >> s & mask for s in shifts]), y)
                     generators.append(g)
-                    span |= {g.apply(x) for x in span}
+                    span |= {g.matrix.apply(x) ^ y for x in span}  # g(x), one call less
             groups.append((elements, tuple(generators)))
     groups.sort(key=lambda group: group[0])
     return tuple(generators for _, generators in groups)

@@ -16,6 +16,7 @@ from hiddensums.cipher import (
     CipherSpec,
     builtin_toy_spec,
     inverse_brick_spec,
+    load_cipher_config,
     permuted_key_schedule,
     rotating_key_schedule,
     toy_brick,
@@ -101,6 +102,33 @@ class TestSpecValidation:
             CipherSpec([b, b], toy_mixing(), 0)
         with pytest.raises(ValueError):
             CipherSpec([b, b], toy_mixing(), 1001)
+
+    def test_no_bricks_refused(self):
+        with pytest.raises(ValueError, match="^need at least one brick$"):
+            CipherSpec([], BinMatrix.identity(6), 4)
+
+    def test_mixed_brick_widths_refused(self):
+        with pytest.raises(ValueError, match="^bricks must all act on the same width$"):
+            CipherSpec([toy_brick(), VBF.identity(2)], BinMatrix.identity(5), 4)
+
+    def test_more_than_16_state_bits_refused(self):
+        with pytest.raises(
+            ValueError, match="^the lookup-table engine handles at most 16 state bits$"
+        ):
+            CipherSpec([toy_brick()] * 6, BinMatrix.identity(18), 4)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"schedule": "bogus"}, "^unknown schedule 'bogus'$"),
+            ({"bricks": []}, "^cipher config needs at least one brick$"),
+        ],
+    )
+    def test_config_refused(self, field, message):
+        config = {"bricks": ["builtin", "builtin"], "mixing": list(toy_mixing().rows)}
+        assert load_cipher_config(config).encrypt_table(3) == builtin_toy_spec().encrypt_table(3)
+        with pytest.raises(ValueError, match=message):
+            load_cipher_config({**config, **field})
 
     @pytest.mark.parametrize("rounds", [True, False, 2.0, 2.5, "2", None])
     def test_round_count_not_an_int_refused(self, rounds):
@@ -515,30 +543,36 @@ class TestOutOfRange:
     @pytest.mark.parametrize(
         "value, error, message",
         [
-            (3.0, TypeError, "list indices must be integers"),
-            (2.5, TypeError, "list indices must be integers"),
-            (99.0, ValueError, r"round key 99\.0 in round 4, outside 0\.\.63"),
-            (-1.0, ValueError, r"round key -1\.0 in round 4, outside 0\.\.63"),
-            (-1, ValueError, r"round key -1 in round 4, outside 0\.\.63"),
-            (64, ValueError, r"round key 64 in round 4, outside 0\.\.63"),
-            (255, ValueError, r"round key 255 in round 4, outside 0\.\.63"),
-            (256, ValueError, r"round key 256 in round 4, outside 0\.\.63"),
-            (300, ValueError, r"round key 300 in round 4, outside 0\.\.63"),
+            (3.0, ValueError, "round key 3.0 in round 4, outside 0..63"),
+            (2.5, ValueError, "round key 2.5 in round 4, outside 0..63"),
+            (99.0, ValueError, "round key 99.0 in round 4, outside 0..63"),
+            (-1.0, ValueError, "round key -1.0 in round 4, outside 0..63"),
+            (-1, ValueError, "round key -1 in round 4, outside 0..63"),
+            (64, ValueError, "round key 64 in round 4, outside 0..63"),
+            (255, ValueError, "round key 255 in round 4, outside 0..63"),
+            (256, ValueError, "round key 256 in round 4, outside 0..63"),
+            (300, ValueError, "round key 300 in round 4, outside 0..63"),
         ],
     )
     def test_round_key_check_outcome_per_value(self, value, error, message, periodic):
-        """Every odd round key ends as it did under the min/max check: a
-        float in range reaches the round tables and fails there, any value
-        outside 0..63 (in or beyond a byte) is named with its round.  With
-        period 6 the check reads only the first cycle of 12 rounds."""
+        """Every odd round key, a float equal to an int included, is named
+        with its first round, whether it lies in or beyond a byte, and
+        whether or not the keys repeat every 6 rounds."""
         if periodic:
             spec = builtin_toy_spec(12, lambda k, h: value if h % 6 == 4 else k)
         else:
             spec = builtin_toy_spec(12, lambda k, h: value if h == 4 else k)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             spec.encrypt(5, 7)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             spec.round_keys(5)
+
+    def test_float_in_a_later_cycle_refused(self):
+        # 3.0 == 3, so the keys compare equal to a sequence of period 6
+        spec = builtin_toy_spec(12, lambda k, h: 3.0 if h == 10 else 3 if h == 4 else k)
+        for call in session_key_calls(spec, 5):
+            with pytest.raises(ValueError, match=r"^key schedule gives round key 3\.0 in round 10, outside 0\.\.63$"):
+                call()
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["aperiodic", "periodic"])
     @pytest.mark.parametrize("value", [0, 63, True])
@@ -551,6 +585,29 @@ class TestOutOfRange:
         assert [spec.encrypt(5, x) for x in range(64)] == [
             reference_encrypt(spec, 5, x) for x in range(64)
         ]
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "after_key_3"])
+    def test_float_session_key_refused(self, fresh):
+        """3.0 equals the memo's key 3 but is no key: refused by every entry
+        point, fresh or right after key 3, and key 3 stays usable."""
+        spec = builtin_toy_spec(20)
+        before = builtin_toy_spec(20).encrypt_table(3)
+        if not fresh:
+            assert spec.encrypt(3, 1) == before[1]
+        for call in session_key_calls(spec, 3.0):
+            with pytest.raises(ValueError, match=r"^session key 3\.0 is not an int$"):
+                call()
+        assert spec.encrypt_table(3) == before
+        assert [spec.decrypt(3, y) for y in before] == list(range(64))
+
+    def test_bool_session_key_is_key_one(self):
+        spec = builtin_toy_spec(20)
+        table = builtin_toy_spec(20).encrypt_table(1)
+        assert spec.round_keys(True) == spec.round_keys(1)
+        assert spec.encrypt_table(True) == table
+        assert [spec.encrypt(True, x) for x in range(64)] == table
+        assert [spec.decrypt(True, y) for y in table] == list(range(64))
+        assert [spec.encrypt(1, x) for x in range(64)] == table
 
     def test_refused_key_leaves_last_key_usable(self):
         spec = builtin_toy_spec(2, lambda k, h: k + 64 if (h, k) == (2, 9) else k)
@@ -635,6 +692,28 @@ class TestWideState:
         for call in (spec.encrypt, spec.decrypt):
             with pytest.raises(ValueError, match="round key 515 in round 2"):
                 call(3, 5)
+
+    @pytest.mark.parametrize("value", [3.0, 2.5])
+    def test_float_round_key_refused(self, value):
+        brick = toy_brick()
+        spec = CipherSpec(
+            [brick] * 3, nine_bit_spec(1).mixing, 3, lambda k, h: value if h == 2 else k
+        )
+        for call in session_key_calls(spec, 5):
+            with pytest.raises(ValueError, match=rf"^key schedule gives round key {value} in round 2, outside 0\.\.511$"):
+                call()
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "after_key_3"])
+    def test_float_session_key_refused(self, fresh):
+        spec = nine_bit_spec(7)
+        before = spec.encrypt_table(3)
+        if fresh:
+            spec = CipherSpec(spec.bricks, spec.mixing, 7)
+        for call in session_key_calls(spec, 3.0):
+            with pytest.raises(ValueError, match=r"^session key 3\.0 is not an int$"):
+                call()
+        assert spec.encrypt_table(3) == before
+        assert [spec.encrypt(True, x) for x in range(512)] == spec.encrypt_table(1)
 
 
 ROUND_TABLE_SPECS = {

@@ -78,6 +78,14 @@ class TestBinMatrix:
         with pytest.raises(ValueError):
             BinMatrix.from_text("10\n01\n11")
 
+    def test_row_wider_than_the_size_refused(self):
+        with pytest.raises(ValueError, match="^row 0b1000 does not fit in width 3$"):
+            BinMatrix([8, 1, 2])
+
+    def test_product_of_different_sizes_refused(self):
+        with pytest.raises(ValueError, match="^matrix size mismatch$"):
+            BinMatrix.identity(2) @ BinMatrix.identity(3)
+
     def test_involution_is_its_own_inverse(self):
         # oracle first: squaring really gives the identity
         assert TAU3_MATRIX @ TAU3_MATRIX == BinMatrix.identity(3)
@@ -179,6 +187,10 @@ class TestFieldSpec:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FieldSpec(4, 0b1011)
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="^extension degree must be positive$"):
+            FieldSpec(0, 1)
 
     @pytest.mark.parametrize("modulus", [-1, -8, -11])
     def test_negative_modulus_rejected(self, modulus):

@@ -81,6 +81,10 @@ class TestAffineMap:
         x = 0b011
         assert g.then(g).apply(x) == g.apply(g.apply(x))
 
+    def test_translation_wider_than_the_matrix_refused(self):
+        with pytest.raises(ValueError, match="^translation does not fit the matrix width$"):
+            AffineMap(BinMatrix.identity(3), 8)
+
     def test_translation_fixture(self):
         t = AffineMap(BinMatrix.identity(4), 0b1001)
         assert t.apply(0) == 0b1001
@@ -121,6 +125,15 @@ class TestBuildGroup:
         assert (report["abelian"], report["regular"], report["elementary_abelian"]) == (
             False, None, None,
         )
+
+    def test_non_commuting_involutions_not_free(self):
+        # the translation by e_1 and x |-> x*M + e_2 with e_1*M = e_1 + e_2:
+        # both are involutions, but they do not commute
+        t = AffineMap(BinMatrix([1, 2]), 1)
+        g = AffineMap(BinMatrix([3, 2]), 2)
+        assert t.then(g) != g.then(t)
+        with pytest.raises(NotRegularError, match="^the action is not free$"):
+            HiddenSum([t, g])
 
     def test_closure_overflow(self):
         # four independent commuting involutions: their group has 16 > 2^3
@@ -686,6 +699,10 @@ class TestGroupSpecFiles:
     def test_missing_separator(self):
         with pytest.raises(ValueError):
             parse_group_spec("3\n100010001010")
+
+    def test_width_line_alone_refused(self):
+        with pytest.raises(ValueError, match="^no generators in group spec$"):
+            parse_group_spec("3\n")
 
     def test_wrong_field_lengths(self):
         with pytest.raises(ValueError):

@@ -702,6 +702,28 @@ def test_battery_power_maps_are_the_corpus_entries():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("width", range(9))
+def test_complement_of_zero_and_whole_space_matches_scan(width):
+    """The zero space and the whole space go through the general
+    complement path, which gives the unit vectors and () as the shared
+    tuples span_basis returns; both agree with the scan, both ways, and
+    the whole-space hull of vbf round-trips through its complement."""
+    zero = Subspace([], width)
+    whole = Subspace(range(1 << width), width)
+    assert whole.basis is span_basis(1 << i for i in range(width))
+    for s, other in ((zero, whole), (whole, zero)):
+        perp = _orthogonal_complement(s.basis, width)
+        assert perp == reference_orthogonal_complement(s) == other
+        assert perp.basis is other.basis and perp.width == width
+        assert perp.orthogonal_complement() == s
+    space = _whole_hull(width).space
+    assert _whole_hull(width).base == 0 and space.basis is whole.basis
+    assert space == whole == reference_orthogonal_complement(zero)
+    back = space.orthogonal_complement()
+    assert back == zero == reference_orthogonal_complement(space)
+    assert back.orthogonal_complement() == space
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_complement_memo_per_basis_and_width(width):
     """Each (basis, width) is computed once and then shared by every
