@@ -116,8 +116,8 @@ class AffineRepr:
     """The recovered cipher: coords(f(v)) = coords(v)*M + t.
 
     Both directions are lookup tables over the state space, built from M
-    and t (and from matrix_inv) on first use.  Blocks outside 0..2^d - 1
-    are refused with ValueError.
+    and t (and from matrix_inv) on first use.  Blocks that are not ints
+    (bools pass) or lie outside 0..2^d - 1 are refused with ValueError.
     """
 
     __slots__ = ("matrix", "t_coords", "matrix_inv", "coord_map", "_forward", "_backward")
@@ -144,11 +144,11 @@ class AffineRepr:
 
     def apply(self, v: int) -> int:
         table = self._forward or self.forward_table()
-        if v >= 0:
-            try:
+        try:
+            if v >= 0:
                 return table[v]
-            except IndexError:
-                pass
+        except (TypeError, IndexError):  # a block that is no int, or too large
+            pass
         raise block_outside_state(v, self.coord_map.width)
 
     def apply_inverse(self, w: int) -> int:
@@ -159,11 +159,11 @@ class AffineRepr:
             table = self._backward = self.coord_map.affine_function(
                 minv, minv.apply(self.t_coords)
             )
-        if w >= 0:
-            try:
+        try:
+            if w >= 0:
                 return table[w]
-            except IndexError:
-                pass
+        except (TypeError, IndexError):  # a block that is no int, or too large
+            pass
         raise block_outside_state(w, self.coord_map.width)
 
 

@@ -30,18 +30,27 @@ MAX_ROUNDS = 1000
 class WidthKeySchedule:
     """A built-in key schedule on width-bit keys.  Besides ks(k, h) it gives
     a key's whole round-key sequence in one call, round_keys(k, rounds).
-    Both refuse a key outside 0..2^width - 1."""
+    Both refuse with ValueError a key that is not an int in 0..2^width - 1,
+    and a round index or count that is not an int or a negative count
+    (bools pass)."""
 
     def __init__(self, width: int):
         if isinstance(width, bool) or not isinstance(width, int) or width < 1:
             raise ValueError(f"key schedule width {width!r} is not a positive int")
         self.width = width
 
-    def _check_key(self, k: int) -> int:
-        """2^width, once k is known to be a key of that width."""
+    def _check_key(self, k: int, h: int, what: str = "index") -> int:
+        """2^width, once k is known to be a key of that width and h an int,
+        the round index or, if what is "count", a round count >= 0."""
+        if not isinstance(k, int):
+            raise ValueError(f"session key {k!r} is not an int")
         n = 1 << self.width
         if not 0 <= k < n:
             raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
+        if not isinstance(h, int):
+            raise ValueError(f"round {what} {h!r} is not an int")
+        if h < 0 and what == "count":
+            raise ValueError(f"round count {h} is negative")
         return n
 
 
@@ -54,13 +63,13 @@ class RotatingKeySchedule(WidthKeySchedule):
         self._shifts = range(width - 1, -1, -1)
 
     def __call__(self, k: int, h: int) -> int:
-        n = self._check_key(k)
+        n = self._check_key(k, h)
         w = self.width
         r = h % w
         return ((k << r) | (k >> (w - r))) & (n - 1)
 
     def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
-        n = self._check_key(k)
+        n = self._check_key(k, rounds, "count")
         w = self.width
         # k rotated left by h is bits w - h .. 2w - h - 1 of k | k << w;
         # only the rotations the rounds reach are made, then tiled
@@ -98,13 +107,13 @@ class PermutedKeySchedule(WidthKeySchedule):
         return drawn
 
     def __call__(self, k: int, h: int) -> int:
-        n = self._check_key(k)
+        n = self._check_key(k, h)
         if not 1 <= h <= MAX_ROUNDS:
             return self._permutation(h)[k]
         return self._draw(h)[(h - 1) * n + k]
 
     def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
-        n = self._check_key(k)
+        n = self._check_key(k, rounds, "count")
         return tuple(self._draw(rounds)[k : rounds * n : n])
 
 
@@ -120,7 +129,10 @@ def permuted_key_schedule(width: int, seed: int) -> PermutedKeySchedule:
 
 
 def block_outside_state(x: int, d: int) -> ValueError:
-    """The error for a block that is not a d-bit state."""
+    """The error for a block that is not a d-bit state: one that is not an
+    int (bools pass), or one outside 0..2^d - 1."""
+    if not isinstance(x, int):
+        return ValueError(f"block {x!r} is not an int")
     return ValueError(f"block {x} is outside the state space 0..{(1 << d) - 1}")
 
 
@@ -130,8 +142,7 @@ class CipherSpec:
     A key schedule must be a pure function of (k, h): the spec computes a
     key's round keys once and reuses them for every block of that key.
     Session keys, round keys and blocks outside 0..2^d - 1 are refused
-    with ValueError, as are session and round keys that are not ints
-    (bools pass).
+    with ValueError, as are those that are not ints (bools pass).
     A schedule with a round_keys(k, rounds) method gives the whole sequence
     in one call; a bare callable is called once per round.
     For d <= 8 the spec also holds the key's whole encryption function as
@@ -288,13 +299,13 @@ class CipherSpec:
             cached_k, _, table, _ = self._memo
             if cached_k is not k:  # equal keys of d <= 8 bits are one int object
                 table = self._entry(k)[2]
-            if x >= 0:
-                try:
+            try:  # a block that is no int fails the compare or the lookup
+                if x >= 0:
                     return table[x]
-                except IndexError:
-                    pass
+            except (TypeError, IndexError):
+                pass
             raise block_outside_state(x, self.d)
-        if not 0 <= x < 1 << self.d:
+        if not (isinstance(x, int) and 0 <= x < 1 << self.d):
             raise block_outside_state(x, self.d)
         core = self._round
         for rk in self.round_keys(k):
@@ -306,13 +317,13 @@ class CipherSpec:
             cached_k, _, _, table = self._memo
             if cached_k is not k or table is None:
                 table = self._decryption_table(k)
-            if y >= 0:
-                try:
+            try:
+                if y >= 0:
                     return table[y]
-                except IndexError:
-                    pass
+            except (TypeError, IndexError):
+                pass
             raise block_outside_state(y, self.d)
-        if not 0 <= y < 1 << self.d:
+        if not (isinstance(y, int) and 0 <= y < 1 << self.d):
             raise block_outside_state(y, self.d)
         core_inv = self._round_inv
         for rk in reversed(self.round_keys(k)):

@@ -49,8 +49,11 @@ class AffineMap:
     __slots__ = ("matrix", "translation")
 
     def __init__(self, matrix: BinMatrix, translation: int):
-        if translation < 0 or translation >> matrix.size:
-            raise ValueError("translation does not fit the matrix width")
+        try:
+            if translation >> matrix.size:  # negative, or wider than the matrix
+                raise ValueError("translation does not fit the matrix width")
+        except TypeError:  # a float, str, None, ...; bools pass
+            raise ValueError(f"translation {translation!r} is not an int") from None
         self.matrix = matrix
         self.translation = translation
 
@@ -132,26 +135,6 @@ def _off_the_space(n: int) -> ValueError:
     return ValueError(f"conjugate requires a table of {n} values in 0..{n - 1}")
 
 
-# Kept out of HiddenSum.conjugate and agl_membership: a comprehension there
-# would make cells of the names it reads and slow every byte-sized call.
-def _conjugate_scan(
-    table: Sequence[int], by_coeff: list[int], coords: list[int]
-) -> list[int] | None:
-    """coords(g(element(c))) for every c, or None if an entry is a float or
-    lies past the space (a negative one is left to the caller)."""
-    try:
-        return [coords[table[x]] for x in by_coeff]
-    except (TypeError, IndexError):
-        return None
-
-
-def _is_xor_affine(conj: Sequence[int], width: int) -> bool:
-    """Whether the table equals c*M + t, with t and the rows of M read off
-    it at 0 and at the unit vectors."""
-    t = conj[0]
-    return conj == BinMatrix([conj[1 << i] ^ t for i in range(width)]).affine_table(t)
-
-
 class HiddenSum:
     """The group operation on (F_2)^d induced by a regular group action.
 
@@ -163,11 +146,11 @@ class HiddenSum:
     Scope is limited to sums where every element is an involution, so
     -x = x; construction fails loudly on anything else: each generator's
     table, x*M + t at every x, must send each of its entries back to its
-    index.  The coordinate table doubles through those same tables.  Up to
-    BYTE_BITS bits, the first conjugate keeps the coordinate tables as bytes.
+    index.  The coordinate table doubles through those same tables.  The
+    tables and the basis are all a sum holds, and nothing is added later.
     """
 
-    __slots__ = ("width", "basis", "_by_coeff", "_by_element", "_bytes")
+    __slots__ = ("width", "basis", "_by_coeff", "_by_element")
 
     def __init__(self, generators: Sequence[AffineMap]):
         """The sum of the group the affine generators span.  That they
@@ -204,9 +187,6 @@ class HiddenSum:
         self.basis = tuple(basis)
         self._by_coeff = by_coeff
         self._by_element = by_element
-        # (by_coeff as bytes, by_element padded to a 256-byte translate
-        # table), made on the first conjugate when width <= 8
-        self._bytes: tuple[bytes, bytes] | None = None
         return self
 
     def op(self, x: int, y: int) -> int:
@@ -226,8 +206,9 @@ class HiddenSum:
         a coset of the sum exactly when its coordinates are an XOR coset.
 
         ValueError unless the table has 2^d int entries in 0..2^d - 1.  Up to
-        BYTE_BITS bits G is bytes: the element table translated through
-        g and then through coords, the pads of both never read."""
+        BYTE_BITS bits G is bytes: the element table translated through g
+        and then through coords, both turned into bytes on each call, the
+        pads never read.  Wider sums look every entry up."""
         n = len(self._by_coeff)
         if len(table) != n:
             raise _off_the_space(n)
@@ -235,12 +216,17 @@ class HiddenSum:
             g = table_bytes(table, self.width)
             if g is None:
                 raise _off_the_space(n)
-            if self._bytes is None:
-                self._bytes = (bytes(self._by_coeff), bytes(self._by_element).ljust(256, b"\0"))
-            element, coords = self._bytes
+            element = bytes(self._by_coeff)
+            coords = bytes(self._by_element).ljust(256, b"\0")
             return element.translate(g.ljust(256, b"\0")).translate(coords)
-        conj = _conjugate_scan(table, self._by_coeff, self._by_element)
-        if conj is None or min(table) < 0:
+        # a float entry, or one past the space, fails the lookup; a negative
+        # one would wrap, so the minimum is checked
+        coords = self._by_element
+        try:
+            conj = [coords[table[x]] for x in self._by_coeff]
+        except (TypeError, IndexError):
+            raise _off_the_space(n) from None
+        if min(table) < 0:
             raise _off_the_space(n)
         return conj
 
@@ -423,7 +409,8 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     Up to BYTE_BITS bits G is bytes, tested at every unit vector by
     half-swaps of one int (_steady_steps), as the brick test is.  Wider
     sums compare G with the table of c*M + t whose t and rows M are read
-    off G at 0 and at the unit vectors."""
+    off G at 0 and at the unit vectors.  ValueError unless the table is a
+    permutation of the space."""
     try:
         conj = hs.conjugate(g_table)
     except ValueError:
@@ -431,7 +418,8 @@ def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     if hs.width > BYTE_BITS:
         if len(set(conj)) != len(conj):
             raise ValueError(_NOT_BIJECTIVE)
-        return _is_xor_affine(conj, hs.width)
+        t = conj[0]
+        return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
     # the conjugate of a permutation takes every value
     if BYTE_VALUES[hs.width].translate(None, conj):
         raise ValueError(_NOT_BIJECTIVE)
@@ -687,11 +675,7 @@ def find_hidden_sums(
     at full width, so the results, their order and their bases (from the
     same part objects) are those of the unpruned product.  On the bundled
     cipher one candidate per brick survives, so one product sum is built
-    instead of 64.  On one planted round table (hs.affine_function of a
-    random invertible M, seed 12) the first search in an interpreter
-    returns exactly the planted sum in 1.5 ms at [3, 3, 3], 10-15 ms at
-    [4, 4] and about 10 ms at [3, 3, 3, 3], against 0.09, 0.5-0.6 and
-    5.3-5.6 s unpruned (Python 3.11, 2-core Xeon VM).
+    instead of 64.
     """
     if not brick_widths:
         raise ValueError("need at least one brick")

@@ -1,6 +1,7 @@
 """Reconstruction attack tests: query accounting, correctness, failure modes."""
 
 import random
+import re
 from functools import partial
 
 import pytest
@@ -23,11 +24,12 @@ from hiddensums.cipher import (
     builtin_toy_spec,
     permuted_key_schedule,
     rotating_key_schedule,
+    toy_brick_sum,
     toy_coordinate_basis,
     toy_state_sum,
 )
 from hiddensums.gf2 import BinMatrix
-from hiddensums.hidden_sum import AffineMap, BasisError, HiddenSum
+from hiddensums.hidden_sum import AffineMap, BasisError, HiddenSum, product_sum
 from hiddensums.vbf import VBF
 
 
@@ -484,6 +486,17 @@ class TestLookupTables:
         for call in (repr_.apply, repr_.apply_inverse):
             with pytest.raises(ValueError, match=r"outside the state space 0\.\.63"):
                 call(block)
+
+    @pytest.mark.parametrize("block", [2.0, "2", None])
+    @pytest.mark.parametrize("bricks", [2, 3], ids=["d6", "d9"])
+    def test_block_not_an_int_refused(self, bricks, block):
+        hs = product_sum([toy_brick_sum()] * bricks)
+        identity = BinMatrix.identity(hs.width)
+        repr_ = AffineRepr(identity, 5, identity, hs)
+        for call in (repr_.apply, repr_.apply_inverse):
+            with pytest.raises(ValueError, match=f"^block {re.escape(repr(block))} is not an int$"):
+                call(block)
+            assert call(True) == call(1)
 
     def test_corrupted_inverse_detected(self):
         repr_, _ = reconstruct_cp(

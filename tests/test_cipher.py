@@ -73,6 +73,47 @@ class TestKeySchedules:
             with pytest.raises(ValueError, match=rf"session key {key} is outside the key space 0\.\.63"):
                 call()
 
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    @pytest.mark.parametrize("key", [3.0, "3", None])
+    def test_key_not_an_int_refused(self, schedule, key):
+        ks = SCHEDULES[schedule]()
+        message = f"^session key {re.escape(repr(key))} is not an int$"
+        for call in (lambda: ks(key, 1), lambda: ks(key, 1000), lambda: ks.round_keys(key, 4)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    @pytest.mark.parametrize("h", [2.0, 2.5, "2", None])
+    def test_round_index_not_an_int_refused(self, schedule, h):
+        ks = SCHEDULES[schedule]()
+        with pytest.raises(ValueError, match=f"^round index {re.escape(repr(h))} is not an int$"):
+            ks(5, h)
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    @pytest.mark.parametrize("rounds", [3.0, "3", None])
+    def test_round_count_not_an_int_refused(self, schedule, rounds):
+        ks = SCHEDULES[schedule]()
+        with pytest.raises(ValueError, match=f"^round count {re.escape(repr(rounds))} is not an int$"):
+            ks.round_keys(5, rounds)
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    @pytest.mark.parametrize("rounds", [-1, -7])
+    def test_negative_round_count_refused(self, schedule, rounds):
+        # unchecked, the rotation gave 5 keys for -1, and the permuted
+        # schedule 2 after an earlier 3-round draw
+        ks = SCHEDULES[schedule]()
+        assert len(ks.round_keys(5, 3)) == 3
+        with pytest.raises(ValueError, match=f"^round count {rounds} is negative$"):
+            ks.round_keys(5, rounds)
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    def test_bools_and_zero_rounds_pass(self, schedule):
+        ks = SCHEDULES[schedule]()
+        assert ks(True, True) == ks(1, 1)
+        assert ks.round_keys(True, 3) == ks.round_keys(1, 3)
+        assert ks.round_keys(5, True) == ks.round_keys(5, 1) == (ks(5, 1),)
+        assert ks.round_keys(5, False) == ks.round_keys(5, 0) == ()
+
 
 class TestSpecValidation:
     def test_brick_must_fix_zero(self):
@@ -637,6 +678,18 @@ class TestOutOfRange:
             with pytest.raises(ValueError, match=r"outside the state space 0\.\.63"):
                 call(3, block)
 
+    @pytest.mark.parametrize("block", [2.0, "2", None])
+    def test_block_not_an_int_refused(self, block):
+        spec = builtin_toy_spec(7)
+        for call in (spec.encrypt, spec.decrypt):
+            with pytest.raises(ValueError, match=f"^block {re.escape(repr(block))} is not an int$"):
+                call(3, block)
+
+    def test_bool_block_is_block_one(self):
+        spec = builtin_toy_spec(7)
+        assert spec.encrypt(3, True) == spec.encrypt(3, 1)
+        assert spec.decrypt(3, True) == spec.decrypt(3, 1)
+
 
 @lru_cache(maxsize=None)
 def nine_bit_spec(rounds: int) -> CipherSpec:
@@ -676,6 +729,18 @@ class TestWideState:
         for call in (spec.encrypt, spec.decrypt):
             with pytest.raises(ValueError, match=r"outside the state space 0\.\.511"):
                 call(3, block)
+
+    @pytest.mark.parametrize("block", [2.0, "2", None])
+    def test_block_not_an_int_refused(self, block):
+        spec = nine_bit_spec(7)
+        for call in (spec.encrypt, spec.decrypt):
+            with pytest.raises(ValueError, match=f"^block {re.escape(repr(block))} is not an int$"):
+                call(3, block)
+
+    def test_bool_block_is_block_one(self):
+        spec = nine_bit_spec(7)
+        assert spec.encrypt(3, True) == spec.encrypt(3, 1)
+        assert spec.decrypt(3, True) == spec.decrypt(3, 1)
 
     @pytest.mark.parametrize("key", [-1, 512, 517])
     def test_session_key_outside_key_space_refused(self, key):

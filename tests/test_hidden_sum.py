@@ -7,6 +7,7 @@ frozen here.
 """
 
 import hashlib
+import re
 import time
 import tracemalloc
 
@@ -84,6 +85,17 @@ class TestAffineMap:
     def test_translation_wider_than_the_matrix_refused(self):
         with pytest.raises(ValueError, match="^translation does not fit the matrix width$"):
             AffineMap(BinMatrix.identity(3), 8)
+
+    @pytest.mark.parametrize("translation", [2.0, "1", None])
+    def test_translation_not_an_int_refused(self, translation):
+        message = f"^translation {re.escape(repr(translation))} is not an int$"
+        with pytest.raises(ValueError, match=message):
+            AffineMap(BinMatrix.identity(3), translation)
+
+    def test_negative_translation_refused_and_bool_passes(self):
+        with pytest.raises(ValueError, match="^translation does not fit the matrix width$"):
+            AffineMap(BinMatrix.identity(3), -1)
+        assert AffineMap(BinMatrix.identity(3), True).apply(0) == 1
 
     def test_translation_fixture(self):
         t = AffineMap(BinMatrix.identity(4), 0b1001)
@@ -370,6 +382,22 @@ class TestMembership:
             agl_membership(table, toy_brick_sum())
         with pytest.raises(ValueError, match="bijective table"):
             find_hidden_sums([table], [3])
+
+
+    @pytest.mark.parametrize("bricks", [2, 3], ids=["d6", "d9"])
+    def test_membership_fills_in_no_state(self, bricks):
+        """Every slot of a sum is set at construction, and conjugates and
+        membership tests, repeated, rebind none of them."""
+        hs = product_sum([toy_brick_sum()] * bricks)
+        before = {name: getattr(hs, name) for name in HiddenSum.__slots__}
+        values = {name: list(v) if isinstance(v, list) else v for name, v in before.items()}
+        identity = list(range(1 << hs.width))
+        for _ in range(2):
+            assert list(hs.conjugate(identity)) == identity
+            assert agl_membership(identity, hs)
+        for name, value in before.items():
+            assert getattr(hs, name) is value
+            assert value == values[name]
 
 
 class TestProductSum:
