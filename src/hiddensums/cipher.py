@@ -2,7 +2,9 @@
 
 The engine is generic: n parallel S-box bricks that fix 0, an invertible
 mixing matrix, round keys XORed in after the mixing layer, and a
-pluggable key schedule that must be surjective in at least one round.
+pluggable key schedule that must be surjective in at least one round;
+that is checked for states of up to 8 bits only, as a check of a 16-bit
+state would call the schedule 2^16 times per round.
 A spec keeps the keyless round (bricks, then mixing) as one table per
 direction, and runs states of up to gf2.BYTE_BITS = 8 bits as bytes.
 
@@ -114,7 +116,9 @@ class PermutedKeySchedule(WidthKeySchedule):
 
     def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
         n = self._check_key(k, rounds, "count")
-        return tuple(self._draw(rounds)[k : rounds * n : n])
+        kept = min(rounds, MAX_ROUNDS)
+        later = [self._permutation(h)[k] for h in range(MAX_ROUNDS + 1, rounds + 1)]
+        return tuple(self._draw(kept)[k : kept * n : n] + later)
 
 
 def rotating_key_schedule(width: int) -> RotatingKeySchedule:
@@ -144,7 +148,9 @@ class CipherSpec:
     Session keys, round keys and blocks outside 0..2^d - 1 are refused
     with ValueError, as are those that are not ints (bools pass).
     A schedule with a round_keys(k, rounds) method gives the whole sequence
-    in one call; a bare callable is called once per round.
+    in one call; a bare callable is called once per round.  For d <= 8 the
+    schedule must be surjective in at least one round, else ValueError;
+    wider schedules are not checked for it.
     For d <= 8 the spec also holds the key's whole encryption function as
     a byte table, built by translating the identity through one fused
     round table per round, and its decryption table, inverted from it on

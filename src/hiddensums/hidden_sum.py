@@ -9,14 +9,15 @@ where it agrees with XOR, and the associated nilpotent ring product, and
 decides membership of arbitrary permutations in the affine group of the
 new sum.  Each generator is read as one table, which both shows that it
 is an involution and doubles the sum's coordinate table.  Membership is
-asked of the map's conjugate in the sum's coordinates; for sums of up to
-gf2.BYTE_BITS = 8 bits, gf2.table_bytes checks the map's table, the
-conjugate is two bytes.translate calls, and its XOR-affinity is read off
-one int by swapping halves of its bytes.  The sums on one brick of up to
+asked of the map's conjugate in the sum's coordinates, one list lookup per
+point at every width, and compared with the XOR-affine table that
+read_affine, the attack's fit, gives.  The sums on one brick of up to
 MAX_BRICK_WIDTH bits are built as the orbits of a few representative
 products under GL(width, 2), and a search over their brick-parallel
 products finds all sums compatible with a given set of round functions,
-after a test on each brick alone has pruned that brick's candidates.
+after a test on each brick alone has pruned that brick's candidates; for
+states of up to gf2.BYTE_BITS = 8 bits that test alone runs on bytes,
+two bytes.translate calls and half-swaps of one int per table and sum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import index
 
-from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, table_bytes
+from .gf2 import BYTE_BITS, BYTE_ONES, table_bytes
 from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
 
 
@@ -103,7 +104,7 @@ def _common_width(generators: Sequence[AffineMap]) -> int:
 
 # per width d <= BYTE_BITS and bit i < d, (8 * 2^i, the big-endian mask of
 # the bytes whose index has bit i set), by which _steady_steps tests a table
-# of 2^d bytes on one int
+# of 2^d bytes on one int; the brick test of _brick_survivors is the only user
 _HALVES = [
     [
         (8 << i, int.from_bytes((bytes(1 << i) + b"\xff" * (1 << i)) * (1 << (d - i - 1)), "big"))
@@ -122,7 +123,9 @@ def _steady_steps(table: bytes, width: int, halves: Sequence[tuple[int, int]]) -
     h = 2^i, the bytes whose index has bit i set move h places towards byte
     0 and the others h places away, which swaps the halves of every run of
     2h bytes and puts table[c + 2^i] in byte c; XORed with v, every byte
-    must then read table[2^i] + table[0]."""
+    must then read table[2^i] + table[0].  Only _brick_survivors calls it,
+    where the byte kernel is measured to be several times faster than the
+    point-by-point _brick_scan."""
     v, t, ones = int.from_bytes(table, "big"), table[0], BYTE_ONES[width]
     for shift, mask in halves:
         if ((v & mask) << shift | (v >> shift) & mask) ^ v != (table[shift >> 3] ^ t) * ones:
@@ -198,29 +201,19 @@ class HiddenSum:
     def element(self, coeffs: int) -> int:
         return self._by_coeff[coeffs]
 
-    def conjugate(self, table: Sequence[int]) -> Sequence[int]:
+    def conjugate(self, table: Sequence[int]) -> list[int]:
         """C o g o C^-1 for the map g with the given table, C = coords: entry
         c is coords(g(element(c))).  The sum is XOR in coordinates, so g is
         affine for it exactly when the conjugate G is XOR-affine, Im D_a g
         (D_a g(x) = g(x # a) # g(x)) is element(Im D_{C(a)} G), and a set is
         a coset of the sum exactly when its coordinates are an XOR coset.
 
-        ValueError unless the table has 2^d int entries in 0..2^d - 1.  Up to
-        BYTE_BITS bits G is bytes: the element table translated through g
-        and then through coords, both turned into bytes on each call, the
-        pads never read.  Wider sums look every entry up."""
+        ValueError unless the table has 2^d int entries in 0..2^d - 1: a
+        float entry, or one past the space, fails the lookup, and a negative
+        one, which would wrap, fails the minimum."""
         n = len(self._by_coeff)
         if len(table) != n:
             raise _off_the_space(n)
-        if self.width <= BYTE_BITS:
-            g = table_bytes(table, self.width)
-            if g is None:
-                raise _off_the_space(n)
-            element = bytes(self._by_coeff)
-            coords = bytes(self._by_element).ljust(256, b"\0")
-            return element.translate(g.ljust(256, b"\0")).translate(coords)
-        # a float entry, or one past the space, fails the lookup; a negative
-        # one would wrap, so the minimum is checked
         coords = self._by_element
         try:
             conj = [coords[table[x]] for x in self._by_coeff]
@@ -403,27 +396,18 @@ _NOT_BIJECTIVE = "membership test requires a bijective table on the space"
 
 def agl_membership(g_table: Sequence[int], hs: HiddenSum) -> bool:
     """Whether the permutation is affine for the hidden sum: whether its
-    conjugate G is XOR-affine, that is, G(c + e_i) + G(c) is the same for
-    every c at each unit vector e_i.
-
-    Up to BYTE_BITS bits G is bytes, tested at every unit vector by
-    half-swaps of one int (_steady_steps), as the brick test is.  Wider
-    sums compare G with the table of c*M + t whose t and rows M are read
-    off G at 0 and at the unit vectors.  ValueError unless the table is a
-    permutation of the space."""
+    conjugate G is XOR-affine, that is, G is the table of c*M + t for the
+    M and t that read_affine, the attack's fit, reads off g at 0 and at
+    the basis.  ValueError unless the table is a permutation of the
+    space."""
     try:
         conj = hs.conjugate(g_table)
     except ValueError:
         raise ValueError(_NOT_BIJECTIVE) from None
-    if hs.width > BYTE_BITS:
-        if len(set(conj)) != len(conj):
-            raise ValueError(_NOT_BIJECTIVE)
-        t = conj[0]
-        return conj == BinMatrix([conj[1 << i] ^ t for i in range(hs.width)]).affine_table(t)
-    # the conjugate of a permutation takes every value
-    if BYTE_VALUES[hs.width].translate(None, conj):
+    if len(set(conj)) != len(conj):
         raise ValueError(_NOT_BIJECTIVE)
-    return _steady_steps(conj, hs.width, _HALVES[hs.width])
+    matrix, t = hs.read_affine(g_table.__getitem__)
+    return conj == matrix.affine_table(t)
 
 
 def product_sum(parts: Sequence[HiddenSum]) -> HiddenSum:

@@ -24,7 +24,7 @@ from hiddensums.cipher import (
     toy_mixing,
     toy_state_sum,
 )
-from hiddensums.gf2 import BinMatrix
+from hiddensums.gf2 import BinMatrix, FieldSpec
 from hiddensums.hidden_sum import agl_membership, xor_translation_table
 from hiddensums.vbf import VBF, derivative_image, diff_uniformity, is_anti_crooked, is_coset
 
@@ -57,6 +57,17 @@ class TestKeySchedules:
     def test_non_surjective_schedule_rejected(self):
         with pytest.raises(ValueError):
             builtin_toy_spec(key_schedule=lambda k, h: 0)
+
+    def test_non_surjective_schedule_rejected_at_8_bits(self):
+        # two x^14 bricks (inversion) over GF(2^4), identity mixing
+        brick = VBF.from_power(14, FieldSpec(4, 0b10011))
+        with pytest.raises(ValueError, match="^key schedule is not surjective in any round$"):
+            CipherSpec([brick, brick], BinMatrix.identity(8), 3, lambda k, h: 0)
+
+    def test_surjectivity_not_checked_above_8_bits(self):
+        # the check would cost 2^d schedule calls per round
+        spec = CipherSpec([toy_brick()] * 3, nine_bit_spec(1).mixing, 3, lambda k, h: 0)
+        assert spec.round_keys(5) == (0, 0, 0)
 
     @pytest.mark.parametrize("width", [0, -1, True, 2.0, "6", None])
     def test_width_not_a_positive_int_refused(self, width):
@@ -447,6 +458,15 @@ class TestRoundKeySequences:
             assert list(by_sequence.round_keys(k, 1000)) == [
                 by_late_round(k, h) for h in range(1, 1001)
             ]
+
+    def test_permuted_sequence_keeps_only_the_spec_rounds(self):
+        # rounds past MAX_ROUNDS are drawn per call, in a sequence too
+        ks = permuted_key_schedule(6, 99)
+        keys = ks.round_keys(0, 3000)
+        assert len(ks._drawn) == 1000 * 64
+        assert list(keys) == [ks(0, h) for h in range(1, 3001)]
+        assert list(keys) == [reference_permutation(99, h)[0] for h in range(1, 3001)]
+        assert len(ks._drawn) == 1000 * 64
 
     def test_permuted_rounds_outside_the_spec_range_still_drawn(self):
         ks = permuted_key_schedule(6, 99)

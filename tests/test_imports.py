@@ -331,6 +331,73 @@ def test_byte_format_definitions_reported():
     ]
 
 
+BYTE_FORMAT_NAMES = ("BYTE_BITS", "BYTE_ONES", "BYTE_VALUES", "table_bytes", "_HALVES", "_steady_steps")
+
+
+def byte_format_reads(source: str, qualname: str) -> list[str]:
+    """The names of BYTE_FORMAT_NAMES, with their lines, that the function
+    or method qualname ("f" or "Class.method") of the module mentions, as
+    a bare name or as the last attribute of a chain such as gf2.BYTE_BITS;
+    LookupError if the module defines no such function."""
+    scope = ast.parse(source)
+    for part in qualname.split("."):
+        scope = next(
+            (
+                node
+                for node in scope.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
+            ),
+            None,
+        )
+        if scope is None:
+            raise LookupError(qualname)
+    reads = [
+        (node.lineno, node.col_offset, getattr(node, "id", None) or getattr(node, "attr", None))
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    return [f"{name} (line {line})" for line, _, name in sorted(reads) if name in BYTE_FORMAT_NAMES]
+
+
+def test_membership_path_reads_no_byte_format():
+    """conjugate and agl_membership run one list path at every width; in
+    hidden_sum the byte kernel serves the brick pruning alone, where it is
+    measured to pay."""
+    source = (Path(hiddensums.__file__).parent / "hidden_sum.py").read_text()
+    path = ("HiddenSum.conjugate", "agl_membership")
+    assert {q: byte_format_reads(source, q) for q in path} == {q: [] for q in path}
+
+
+def test_byte_format_reads_reported():
+    module = (
+        "from .gf2 import BYTE_BITS, table_bytes\n"
+        "from . import gf2\n"
+        "_HALVES = []\n"
+        "def f(t):\n"
+        "    return table_bytes(t, BYTE_BITS)\n"
+        "def g(t):\n"
+        "    return len(t)\n"
+        "class C:\n"
+        "    def m(self, t):\n"
+        "        if len(t) <= gf2.BYTE_BITS:\n"
+        "            return _steady_steps(t, 3, _HALVES[3])\n"
+        "        return BYTE_ONES\n"
+        "    def n(self):\n"
+        "        return BYTE_VALUE\n"
+    )
+    assert byte_format_reads(module, "f") == ["table_bytes (line 5)", "BYTE_BITS (line 5)"]
+    assert byte_format_reads(module, "C.m") == [
+        "BYTE_BITS (line 10)",
+        "_steady_steps (line 11)",
+        "_HALVES (line 11)",
+        "BYTE_ONES (line 12)",
+    ]
+    assert byte_format_reads(module, "g") == byte_format_reads(module, "C.n") == []
+    for missing in ("h", "C.f", "g.m"):
+        with pytest.raises(LookupError):
+            byte_format_reads(module, missing)
+
+
 CORE = ("gf2", "vbf", "hidden_sum", "cipher")
 HEAVY = ("dataclasses", "typing", "inspect", "random", "re")
 # attack keeps AttackTranscript a frozen dataclass, which the benchmark's
