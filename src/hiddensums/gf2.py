@@ -11,7 +11,9 @@ The modulus is an int too (bit i = coefficient of x^i), e.g. 0b1011 is
 x^3 + x + 1.
 
 The byte-table format that vbf, hidden_sum and cipher share lives here:
-the BYTE_BITS = 8 limit, its tables, and table_bytes, the checked step.
+the BYTE_BITS = 8 limit, its tables (the values, the ones and the shifted
+points x + a of _shifted, through which vbf's derivative and hidden_sum's
+brick test translate a table), and table_bytes, the checked step.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ BYTE_BITS = 8
 # the big-endian int with a 1 in each of those 2^k bytes
 BYTE_VALUES = [bytes(range(1 << k)) for k in range(BYTE_BITS + 1)]
 BYTE_ONES = [int.from_bytes(b"\x01" * (1 << k), "big") for k in range(BYTE_BITS + 1)]
+
+
+@lru_cache(maxsize=None)
+def _shifted(m: int) -> list[bytes]:
+    """Per direction a < 2^m <= 256: the bytes x + a for x = 0, ..., 2^m - 1."""
+    ident, size = int.from_bytes(BYTE_VALUES[m], "big"), 1 << m
+    return [(ident ^ a * BYTE_ONES[m]).to_bytes(size, "big") for a in range(size)]
 
 
 def table_bytes(table: Sequence[int], k: int) -> bytes | None:

@@ -16,8 +16,10 @@ MAX_BRICK_WIDTH bits are built as the orbits of a few representative
 products under GL(width, 2), and a search over their brick-parallel
 products finds all sums compatible with a given set of round functions,
 after a test on each brick alone has pruned that brick's candidates; for
-states of up to gf2.BYTE_BITS = 8 bits that test alone runs on bytes,
-two bytes.translate calls and half-swaps of one int per table and sum.
+states of up to gf2.BYTE_BITS = 8 bits that test alone runs on bytes, as
+vbf's derivative does: the brick's coordinates under a sum are two
+translates of each table, and each derivative D_h of them is tested by
+two more through rows of gf2._shifted and one compare.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import index
 
-from .gf2 import BYTE_BITS, BYTE_ONES, table_bytes
+from .gf2 import BYTE_BITS, _shifted, table_bytes
 from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
 
 
@@ -100,37 +102,6 @@ def _common_width(generators: Sequence[AffineMap]) -> int:
     if any(g.width != width for g in generators):
         raise ValueError("generators have mixed widths")
     return width
-
-
-# per width d <= BYTE_BITS and bit i < d, (8 * 2^i, the big-endian mask of
-# the bytes whose index has bit i set), by which _steady_steps tests a table
-# of 2^d bytes on one int; the brick test of _brick_survivors is the only user
-_HALVES = [
-    [
-        (8 << i, int.from_bytes((bytes(1 << i) + b"\xff" * (1 << i)) * (1 << (d - i - 1)), "big"))
-        for i in range(d)
-    ]
-    for d in range(BYTE_BITS + 1)
-]
-
-
-def _steady_steps(table: bytes, width: int, halves: Sequence[tuple[int, int]]) -> bool:
-    """Whether table[c + 2^i] + table[c] is table[2^i] + table[0] for every
-    c of width bits, at each bit i whose (shift, mask) of _HALVES[width] is
-    in halves.
-
-    The table is packed in one big-endian int v, table[c] in byte c.  For
-    h = 2^i, the bytes whose index has bit i set move h places towards byte
-    0 and the others h places away, which swaps the halves of every run of
-    2h bytes and puts table[c + 2^i] in byte c; XORed with v, every byte
-    must then read table[2^i] + table[0].  Only _brick_survivors calls it,
-    where the byte kernel is measured to be several times faster than the
-    point-by-point _brick_scan."""
-    v, t, ones = int.from_bytes(table, "big"), table[0], BYTE_ONES[width]
-    for shift, mask in halves:
-        if ((v & mask) << shift | (v >> shift) & mask) ^ v != (table[shift >> 3] ^ t) * ones:
-            return False
-    return True
 
 
 def _off_the_space(n: int) -> ValueError:
@@ -602,14 +573,31 @@ def _brick_scan(table: Sequence[int], d: int, off: int, s: HiddenSum) -> bool:
     return True
 
 
+def _steps_constant(table: bytes, d: int, bits: range) -> bool:
+    """Whether D_h T, T(c + h) + T(c), is T(h) + T(0) at every c of d <=
+    BYTE_BITS bits, for each h = 2^k with k in bits, where T(c) is byte c
+    of table.  As in vbf's _derivative, the points c + h (a row of
+    gf2._shifted) are translated through T to T(c + h), which must equal T
+    translated through the row of T(h) + T(0), y |-> y + T(h) + T(0): two
+    translates and one compare per h, through tables padded to the 256
+    bytes that bytes.translate takes."""
+    pad, t, rows = table.ljust(256, b"\0"), table[0], _shifted(d)
+    for k in bits:
+        h = 1 << k
+        if rows[h].translate(pad) != table.translate(rows[table[h] ^ t].ljust(256, b"\0")):
+            return False
+    return True
+
+
 def _brick_survivors(
     tables: Sequence[Sequence[int]], brick_widths: Sequence[int]
 ) -> list[list[HiddenSum]]:
     """For each brick, the sums of translation_compatible_sums(width) that
     pass find_hidden_sums' brick test for every table, in their order.  The
     tables must be permutations of the space.  Up to BYTE_BITS bits each
-    T is two translates, tested at the brick's unit vectors by half-swaps
-    (_steady_steps); wider states are scanned point by point."""
+    T is two translates, and its derivatives at the brick's unit vectors
+    are tested on bytes (_steps_constant), several times faster than the
+    point-by-point _brick_scan that wider states take."""
     d = sum(brick_widths)
     packed = [table_bytes(t, d).ljust(256, b"\0") for t in tables] if d <= BYTE_BITS else None
     survivors, off = [], 0
@@ -621,12 +609,12 @@ def _brick_survivors(
                 if all(_brick_scan(t, d, off, s) for t in tables)
             ]
         else:
-            halves = _HALVES[d][off : off + w]
+            bits = range(off, off + w)
             kept = [
                 s
                 for s, place, project in _brick_bytes(d, off, w)
                 if all(
-                    _steady_steps(place.translate(rho).translate(project), d, halves)
+                    _steps_constant(place.translate(rho).translate(project), d, bits)
                     for rho in packed
                 )
             ]

@@ -388,20 +388,22 @@ def _evaluate(num: int, title: str, fn: Callable[[], str]) -> CriterionResult:
 
 
 def results(criteria: Sequence[int] | None = None) -> Iterator[CriterionResult]:
-    """The battery (or a subset), each check run as its result is taken.
-    Unknown criterion numbers raise ValueError at the call, before any
-    check runs."""
+    """The battery (criteria None) or a subset, each check run as its
+    result is taken.  An empty subset or unknown criterion numbers raise
+    ValueError at the call, before any check runs."""
     known = [num for num, _, _ in CRITERIA]
-    unknown = sorted(set(criteria or ()) - set(known))
-    if unknown:
-        raise ValueError(f"unknown criteria {unknown}; valid: {known[0]}-{known[-1]}")
-    wanted = set(criteria or known)
+    wanted = set(known if criteria is None else criteria)
+    unknown = sorted(wanted - set(known))
+    if unknown or not wanted:
+        what = f"unknown criteria {unknown}" if unknown else "no criteria"
+        raise ValueError(f"{what}; valid: {known[0]}-{known[-1]}")
     return (_evaluate(num, title, fn) for num, title, fn in CRITERIA if num in wanted)
 
 
 def run(criteria: Sequence[int] | None = None, out: Callable[[str], None] = print) -> bool:
-    """Run the battery (or a subset); one line per check; True iff all pass.
-    Unknown criterion numbers raise ValueError before any check runs."""
+    """Run the battery (criteria None) or a subset; one line per check;
+    True iff all pass.  An empty subset or unknown criterion numbers raise
+    ValueError before any check runs."""
     all_ok = True
     for result in results(criteria):
         out(result.line())

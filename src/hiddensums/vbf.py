@@ -16,10 +16,11 @@ object per exponent and field.
 Table entries must be ints (bools pass) of n bits; a float or any other
 entry is refused with ValueError.  A function with m, n <= gf2.BYTE_BITS
 = 8 is checked by gf2.table_bytes and kept as bytes: D_a f at all 2^m
-points is one translate of the points x + a (2^m bytes objects per m,
-built on first use), and its distinct values two more, in ascending
-order.  Wider functions are scanned point by point.  Only the derivative
-kernels, _derivative and _derivative_values, tell the two apart.
+points is one translate of the points x + a (gf2._shifted, 2^m bytes
+objects per m, built on first use), and its distinct values two more, in
+ascending order.  Wider functions are scanned point by point.  Only the
+derivative kernels, _derivative and _derivative_values, tell the two
+apart.
 
 Each function keeps, per direction a, the size of Im D_a f and, once it
 is read, the image's affine hull.  A direction is sized from the distinct
@@ -41,7 +42,7 @@ from operator import index
 
 from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, table_bytes
 from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, read_digits, span_basis
-from .gf2 import _orthogonal_complement
+from .gf2 import _orthogonal_complement, _shifted
 
 # Tables are exhaustive over 2^m inputs; refuse wider functions outright.
 TABLE_LIMIT_BITS = 16
@@ -176,18 +177,11 @@ def _scan_values(f: VBF, a: int, c: int) -> set[int]:
     }
 
 
-@lru_cache(maxsize=None)
-def _shifted(m: int) -> list[bytes]:
-    """Per direction a < 2^m <= 256: the bytes x + a for x = 0, ..., 2^m - 1."""
-    ident, size = int.from_bytes(BYTE_VALUES[m], "big"), 1 << m
-    return [(ident ^ a * BYTE_ONES[m]).to_bytes(size, "big") for a in range(size)]
-
-
 def _derivative(f: VBF, a: int, c: int = 0) -> Sequence[int]:
     """D_a f(x) + c for x = 0, ..., 2^m - 1, for 0 <= a < 2^m and c < 2^n.
     For m, n <= 8 it is one bytes object: the points x + a, read from
-    _shifted, are translated through the table to f(x + a), and one int
-    XOR adds f(x) and c to every byte."""
+    gf2._shifted, are translated through the table to f(x + a), and one
+    int XOR adds f(x) and c to every byte."""
     if f._bytes is None:
         return _scan(f, a, c)
     translate, packed = f._bytes

@@ -54,6 +54,18 @@ def test_battery_lines_match_golden():
     assert len(lines) == len(CHECKS)
 
 
+@pytest.mark.parametrize("criteria", [[], (), [1, 99]], ids=["list", "tuple", "unknown"])
+def test_subset_refused_before_any_check(criteria):
+    """An empty subset once ran the whole battery; it is refused, as an
+    unknown number is, at the call and naming the valid range."""
+    with pytest.raises(ValueError, match="valid: 1-14"):
+        reproduce.results(criteria)
+    lines = []
+    with pytest.raises(ValueError, match="valid: 1-14"):
+        reproduce.run(criteria, out=lines.append)
+    assert lines == []
+
+
 def test_criterion_11_refuses_swapped_coordinates(monkeypatch):
     """Two swapped coordinate entries still make tables additive for their
     own op, but criterion 11 computes # from the group's elements."""

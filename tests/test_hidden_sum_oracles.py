@@ -1216,14 +1216,21 @@ def reference_brick_test(table, widths, i, s):
 def brick_test_cases():
     """(round table, brick widths): the bundled, inversion and identity
     tables and seeded permutations at 6 bits, in every split into bricks
-    the search takes there, and planted tables on both sides of 8 bits,
-    also with two entries swapped where the last brick is all ones, which
-    only a test of every setting of the other bricks sees."""
+    the search takes there, seeded permutations at 7 and 8 bits, the
+    widest the byte kernel takes (at 8 its 256-byte rows need no padding),
+    and planted tables on both sides of 8 bits, also with two entries
+    swapped where the last brick is all ones, which only a test of every
+    setting of the other bricks sees."""
     six = [builtin_toy_spec().core_table(), inverse_brick_spec().core_table(), list(range(64))]
     six += seeded_permutations(6, 3, 606)
     for widths in ([3, 3], [2, 4], [4, 2], [1, 2, 3], [3, 2, 1]):
         for table in six:
             yield table, widths
+    for table in seeded_permutations(7, 2, 707):
+        yield table, [3, 4]
+        yield table, [4, 3]
+    for table in seeded_permutations(8, 2, 808):
+        yield table, [4, 4]
     for bricks, seed in [([4, 4], 44), ([3, 3, 3], 333), ([4, 3, 3], 433)]:
         table = planted_tables(bricks, seed)[1][0]
         yield table, bricks

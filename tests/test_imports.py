@@ -331,7 +331,7 @@ def test_byte_format_definitions_reported():
     ]
 
 
-BYTE_FORMAT_NAMES = ("BYTE_BITS", "BYTE_ONES", "BYTE_VALUES", "table_bytes", "_HALVES", "_steady_steps")
+BYTE_FORMAT_NAMES = ("BYTE_BITS", "BYTE_ONES", "BYTE_VALUES", "table_bytes", "_shifted", "_steps_constant")
 
 
 def byte_format_reads(source: str, qualname: str) -> list[str]:
@@ -372,7 +372,7 @@ def test_byte_format_reads_reported():
     module = (
         "from .gf2 import BYTE_BITS, table_bytes\n"
         "from . import gf2\n"
-        "_HALVES = []\n"
+        "from .gf2 import _shifted\n"
         "def f(t):\n"
         "    return table_bytes(t, BYTE_BITS)\n"
         "def g(t):\n"
@@ -380,7 +380,7 @@ def test_byte_format_reads_reported():
         "class C:\n"
         "    def m(self, t):\n"
         "        if len(t) <= gf2.BYTE_BITS:\n"
-        "            return _steady_steps(t, 3, _HALVES[3])\n"
+        "            return _steps_constant(t, 3, _shifted(3)[1])\n"
         "        return BYTE_ONES\n"
         "    def n(self):\n"
         "        return BYTE_VALUE\n"
@@ -388,8 +388,8 @@ def test_byte_format_reads_reported():
     assert byte_format_reads(module, "f") == ["table_bytes (line 5)", "BYTE_BITS (line 5)"]
     assert byte_format_reads(module, "C.m") == [
         "BYTE_BITS (line 10)",
-        "_steady_steps (line 11)",
-        "_HALVES (line 11)",
+        "_steps_constant (line 11)",
+        "_shifted (line 11)",
         "BYTE_ONES (line 12)",
     ]
     assert byte_format_reads(module, "g") == byte_format_reads(module, "C.n") == []
