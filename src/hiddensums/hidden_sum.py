@@ -596,8 +596,10 @@ def _brick_survivors(
     pass find_hidden_sums' brick test for every table, in their order.  The
     tables must be permutations of the space.  Up to BYTE_BITS bits each
     T is two translates, and its derivatives at the brick's unit vectors
-    are tested on bytes (_steps_constant), several times faster than the
-    point-by-point _brick_scan that wider states take."""
+    are tested on bytes (_steps_constant); wider states take the
+    point-by-point _brick_scan, which is slower at these widths even when
+    the byte tables are built cold, as in a search from a fresh
+    interpreter."""
     d = sum(brick_widths)
     packed = [table_bytes(t, d).ljust(256, b"\0") for t in tables] if d <= BYTE_BITS else None
     survivors, off = [], 0

@@ -16,8 +16,7 @@ without its translation checks (and with its brick pruning) with the
 unpruned search that ran them, the brick test's byte kernel and
 point-by-point scan with the lemma read off the tables point by point,
 the per-point spot check with the doubling table, and membership through the
-conjugate (by half-swaps of its bytes up to 8 bits) with the compare of
-the map's own points against that table.  The references are the former
+conjugate with the compare of the map's own points against that table.  The references are the former
 library code, kept here as unchanged as the current API allows.
 """
 
