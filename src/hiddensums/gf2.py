@@ -10,10 +10,10 @@ is the coefficient of a^i, where a is a root of the modulus polynomial.
 The modulus is an int too (bit i = coefficient of x^i), e.g. 0b1011 is
 x^3 + x + 1.
 
-The byte-table format that vbf, hidden_sum and cipher share lives here:
-the BYTE_BITS = 8 limit, its tables (the values, the ones and the shifted
-points x + a of _shifted, through which vbf's derivative and hidden_sum's
-brick test translate a table), and table_bytes, the checked step.
+The byte-table format that vbf and cipher share lives here: the
+BYTE_BITS = 8 limit, its tables (the values, the ones and the shifted
+points x + a of _shifted, through which vbf's derivative alone translates
+a table), and table_bytes, the checked step.
 """
 
 from __future__ import annotations

@@ -15,11 +15,8 @@ read_affine, the attack's fit, gives.  The sums on one brick of up to
 MAX_BRICK_WIDTH bits are built as the orbits of a few representative
 products under GL(width, 2), and a search over their brick-parallel
 products finds all sums compatible with a given set of round functions,
-after a test on each brick alone has pruned that brick's candidates; for
-states of up to gf2.BYTE_BITS = 8 bits that test alone runs on bytes, as
-vbf's derivative does: the brick's coordinates under a sum are two
-translates of each table, and each derivative D_h of them is tested by
-two more through rows of gf2._shifted and one compare.
+after a test on each brick alone, one list scan at every width, has
+pruned that brick's candidates.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import index
 
-from .gf2 import BYTE_BITS, _shifted, table_bytes
 from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
 
 
@@ -536,56 +532,25 @@ def translation_compatible_sums(width: int) -> tuple[HiddenSum, ...]:
     return tuple(HiddenSum(g) for g in enumerate_regular_groups(width))
 
 
-@lru_cache(maxsize=None)
-def _brick_bytes(d: int, off: int, width: int) -> tuple[tuple[HiddenSum, bytes, bytes], ...]:
-    """For each sum s of translation_compatible_sums(width), on the brick at
-    bits off.. of a state of d <= BYTE_BITS bits: s, the table of the state
-    with s's element of the brick's bits put in their place and the other
-    bits kept, and the 256-byte translate table that reads s's coordinates
-    off the brick's bits of a state."""
-    low = (1 << width) - 1
-    keep = (1 << d) - 1 ^ low << off
-    points = range(1 << d)
-    bricks = []
-    for s in translation_compatible_sums(width):
-        element, coords = s._by_coeff, s._by_element
-        place = bytes([x & keep | element[x >> off & low] << off for x in points])
-        project = bytes([coords[x >> off & low] for x in points]).ljust(256, b"\0")
-        bricks.append((s, place, project))
-    return tuple(bricks)
-
-
-def _brick_scan(table: Sequence[int], d: int, off: int, s: HiddenSum) -> bool:
+def _brick_passes(projected: Sequence[int], d: int, off: int, s: HiddenSum) -> bool:
     """The brick test of find_hidden_sums for the sum s on the brick at bits
-    off.. and one table on d bits, point by point: for each setting of the
-    other bits, T(c) over the brick's coordinates c must be T(0) plus the
-    linear map read off the first setting at the unit vectors."""
-    low, coords = (1 << s.width) - 1, s._by_element
+    off.. of a d-bit table, given as the brick's bits of each entry: for
+    each setting of the other bits, the row T(c) over the brick's
+    coordinates c must be its own T(0) doubled out by the steps
+    T(e_k) + T(0) read off the first row."""
+    coords = s._by_element
     placed = [e << off for e in s._by_coeff]
-    linear = None
+    steps = None
     for high in range(0, 1 << d, 1 << (off + s.width)):
         for x in range(high, high + (1 << off)):
-            row = [coords[table[x | p] >> off & low] for p in placed]
-            if linear is None:
-                linear = BinMatrix([row[1 << k] ^ row[0] for k in range(s.width)])
-            if row != linear.affine_table(row[0]):
+            row = [coords[projected[x | p]] for p in placed]
+            if steps is None:
+                steps = [row[1 << k] ^ row[0] for k in range(s.width)]
+            affine = [row[0]]
+            for step in steps:
+                affine += [y ^ step for y in affine]
+            if row != affine:
                 return False
-    return True
-
-
-def _steps_constant(table: bytes, d: int, bits: range) -> bool:
-    """Whether D_h T, T(c + h) + T(c), is T(h) + T(0) at every c of d <=
-    BYTE_BITS bits, for each h = 2^k with k in bits, where T(c) is byte c
-    of table.  As in vbf's _derivative, the points c + h (a row of
-    gf2._shifted) are translated through T to T(c + h), which must equal T
-    translated through the row of T(h) + T(0), y |-> y + T(h) + T(0): two
-    translates and one compare per h, through tables padded to the 256
-    bytes that bytes.translate takes."""
-    pad, t, rows = table.ljust(256, b"\0"), table[0], _shifted(d)
-    for k in bits:
-        h = 1 << k
-        if rows[h].translate(pad) != table.translate(rows[table[h] ^ t].ljust(256, b"\0")):
-            return False
     return True
 
 
@@ -593,34 +558,21 @@ def _brick_survivors(
     tables: Sequence[Sequence[int]], brick_widths: Sequence[int]
 ) -> list[list[HiddenSum]]:
     """For each brick, the sums of translation_compatible_sums(width) that
-    pass find_hidden_sums' brick test for every table, in their order.  The
-    tables must be permutations of the space.  Up to BYTE_BITS bits each
-    T is two translates, and its derivatives at the brick's unit vectors
-    are tested on bytes (_steps_constant); wider states take the
-    point-by-point _brick_scan, which is slower at these widths even when
-    the byte tables are built cold, as in a search from a fresh
-    interpreter."""
+    pass find_hidden_sums' brick test (_brick_passes) for every table, in
+    their order.  The tables must be permutations of the space; each is
+    projected onto a brick's bits once, for all of that brick's sums."""
     d = sum(brick_widths)
-    packed = [table_bytes(t, d).ljust(256, b"\0") for t in tables] if d <= BYTE_BITS else None
     survivors, off = [], 0
     for w in brick_widths:
-        if packed is None:
-            kept = [
+        low = (1 << w) - 1
+        projected = [[y >> off & low for y in t] for t in tables]
+        survivors.append(
+            [
                 s
                 for s in translation_compatible_sums(w)
-                if all(_brick_scan(t, d, off, s) for t in tables)
+                if all(_brick_passes(p, d, off, s) for p in projected)
             ]
-        else:
-            bits = range(off, off + w)
-            kept = [
-                s
-                for s, place, project in _brick_bytes(d, off, w)
-                if all(
-                    _steps_constant(place.translate(rho).translate(project), d, bits)
-                    for rho in packed
-                )
-            ]
-        survivors.append(kept)
+        )
         off += w
     return survivors
 

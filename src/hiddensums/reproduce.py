@@ -389,21 +389,27 @@ def _evaluate(num: int, title: str, fn: Callable[[], str]) -> CriterionResult:
 
 def results(criteria: Sequence[int] | None = None) -> Iterator[CriterionResult]:
     """The battery (criteria None) or a subset, each check run as its
-    result is taken.  An empty subset or unknown criterion numbers raise
-    ValueError at the call, before any check runs."""
+    result is taken.  An empty subset, or criterion numbers that are not
+    ints (a bool or 1.0 included) or not known, raise ValueError at the
+    call, before any check runs."""
     known = [num for num, _, _ in CRITERIA]
-    wanted = set(known if criteria is None else criteria)
-    unknown = sorted(wanted - set(known))
+    wanted = known if criteria is None else list(criteria)
+    valid = f"valid: {known[0]}-{known[-1]}"
+    # 1.0 and True would equal criterion 1 in a set
+    not_ints = [num for num in wanted if isinstance(num, bool) or not isinstance(num, int)]
+    if not_ints:
+        raise ValueError(f"criterion numbers {not_ints} are not ints; {valid}")
+    unknown = sorted(set(wanted) - set(known))
     if unknown or not wanted:
         what = f"unknown criteria {unknown}" if unknown else "no criteria"
-        raise ValueError(f"{what}; valid: {known[0]}-{known[-1]}")
+        raise ValueError(f"{what}; {valid}")
     return (_evaluate(num, title, fn) for num, title, fn in CRITERIA if num in wanted)
 
 
 def run(criteria: Sequence[int] | None = None, out: Callable[[str], None] = print) -> bool:
     """Run the battery (criteria None) or a subset; one line per check;
-    True iff all pass.  An empty subset or unknown criterion numbers raise
-    ValueError before any check runs."""
+    True iff all pass.  ValueError before any check runs for the subsets
+    that results refuses."""
     all_ok = True
     for result in results(criteria):
         out(result.line())

@@ -54,10 +54,15 @@ def test_battery_lines_match_golden():
     assert len(lines) == len(CHECKS)
 
 
-@pytest.mark.parametrize("criteria", [[], (), [1, 99]], ids=["list", "tuple", "unknown"])
+@pytest.mark.parametrize(
+    "criteria",
+    [[], (), [1, 99], [1.0], [True], [2, 13.0]],
+    ids=["list", "tuple", "unknown", "float", "bool", "int-and-float"],
+)
 def test_subset_refused_before_any_check(criteria):
-    """An empty subset once ran the whole battery; it is refused, as an
-    unknown number is, at the call and naming the valid range."""
+    """An empty subset once ran the whole battery, and 1.0 or True ran
+    criterion 1; each is refused, as an unknown number is, at the call and
+    naming the valid range."""
     with pytest.raises(ValueError, match="valid: 1-14"):
         reproduce.results(criteria)
     lines = []

@@ -13,8 +13,8 @@ translations with the triple-product filter and membership of the
 translations, the report's verdicts and the sum built from bare
 generators with the closure of the group they generate, the search
 without its translation checks (and with its brick pruning) with the
-unpruned search that ran them, the brick test's byte kernel and
-point-by-point scan with the lemma read off the tables point by point,
+unpruned search that ran them, the brick test's list scan, for one
+table and for several, with the lemma read off the tables point by point,
 the per-point spot check with the doubling table, and membership through the
 conjugate with the compare of the map's own points against that table.  The references are the former
 library code, kept here as unchanged as the current API allows.
@@ -1139,8 +1139,8 @@ def planted_tables(bricks, seed, count=1):
     return hs, tables
 
 
-# (brick widths, seed) of the planted search cases; at [3, 3, 3] (9 bits)
-# the brick test scans point by point, at the others it uses bytes
+# (brick widths, seed) of the planted search cases: splits of 6 bits, and
+# [3, 3, 3] at 9 bits
 PLANTED = [([2, 4], 24), ([4, 2], 42), ([1, 2, 3], 123), ([2, 2, 2], 222), ([3, 3, 3], 333)]
 
 
@@ -1215,9 +1215,8 @@ def reference_brick_test(table, widths, i, s):
 def brick_test_cases():
     """(round table, brick widths): the bundled, inversion and identity
     tables and seeded permutations at 6 bits, in every split into bricks
-    the search takes there, seeded permutations at 7 and 8 bits, the
-    widest the byte kernel takes (at 8 its 256-byte rows need no padding),
-    and planted tables on both sides of 8 bits, also with two entries
+    the search takes there, seeded permutations at 7 and 8 bits, and
+    planted tables on both sides of 8 bits, also with two entries
     swapped where the last brick is all ones, which only a test of every
     setting of the other bricks sees."""
     six = [builtin_toy_spec().core_table(), inverse_brick_spec().core_table(), list(range(64))]
@@ -1241,8 +1240,8 @@ def brick_test_cases():
 
 
 def test_brick_test_matches_lemma():
-    """The byte kernel and the point-by-point scan keep exactly the sums
-    that pass the lemma's test, read off the tables one point at a time."""
+    """The list scan keeps exactly the sums that pass the lemma's test,
+    read off the tables one point at a time, on both sides of 8 bits."""
     verdicts = set()
     for table, widths in brick_test_cases():
         survivors = _brick_survivors([table], widths)
@@ -1252,6 +1251,34 @@ def test_brick_test_matches_lemma():
                 assert verdict == reference_brick_test(table, widths, i, s), (widths, i)
                 verdicts.add((sum(widths) > 8, verdict))
     assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def several_tables_cases():
+    """(id, round tables, brick widths): at 6 and at 9 bits, tables that
+    keep the same sums, seeded permutations, and planted tables of two
+    sums, where a candidate passes for one table and fails for the other."""
+    spec = builtin_toy_spec()
+    yield "builtin-6", [spec.core_table(), spec.encrypt_table(5)], [3, 3]
+    yield "permutations-6", seeded_permutations(6, 2, 612), [2, 4]
+    yield "two-planted-6", [planted_tables([2, 4], seed)[1][0] for seed in (24, 31)], [2, 4]
+    yield "permutations-9", seeded_permutations(9, 2, 939), [3, 3, 3]
+    yield "one-planted-9", planted_tables([3, 3, 3], 333, 2)[1], [3, 3, 3]
+    yield "two-planted-9", [planted_tables([3, 3, 3], seed)[1][0] for seed in (333, 334)], [3, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "tables, widths",
+    [case[1:] for case in several_tables_cases()],
+    ids=[case[0] for case in several_tables_cases()],
+)
+def test_brick_test_of_several_tables(tables, widths):
+    """Each table is projected onto a brick on its own; a sum survives
+    exactly when the lemma's test holds for every table."""
+    survivors = _brick_survivors(tables, widths)
+    for i, w in enumerate(widths):
+        for s in translation_compatible_sums(w):
+            expected = all(reference_brick_test(t, widths, i, s) for t in tables)
+            assert (s in survivors[i]) == expected, (widths, i)
 
 
 @pytest.mark.parametrize("widths", [[3, 3], [2, 4], [4, 2], [1, 2, 3]], ids=str)

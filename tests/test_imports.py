@@ -334,11 +334,22 @@ def test_byte_format_definitions_reported():
 BYTE_FORMAT_NAMES = ("BYTE_BITS", "BYTE_ONES", "BYTE_VALUES", "table_bytes", "_shifted", "_steps_constant")
 
 
+def byte_format_mentions(node: ast.AST) -> list[str]:
+    """The names of BYTE_FORMAT_NAMES, with their lines, that the node
+    mentions: as a bare name, as the last attribute of a chain such as
+    gf2.BYTE_BITS, or as a name an import brings in."""
+    mentions = [
+        (n.lineno, n.col_offset, getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None))
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    ]
+    return [f"{name} (line {line})" for line, _, name in sorted(mentions) if name in BYTE_FORMAT_NAMES]
+
+
 def byte_format_reads(source: str, qualname: str) -> list[str]:
-    """The names of BYTE_FORMAT_NAMES, with their lines, that the function
-    or method qualname ("f" or "Class.method") of the module mentions, as
-    a bare name or as the last attribute of a chain such as gf2.BYTE_BITS;
-    LookupError if the module defines no such function."""
+    """byte_format_mentions of the function or method qualname ("f" or
+    "Class.method") of the module; LookupError if the module defines no
+    such function."""
     scope = ast.parse(source)
     for part in qualname.split("."):
         scope = next(
@@ -351,21 +362,23 @@ def byte_format_reads(source: str, qualname: str) -> list[str]:
         )
         if scope is None:
             raise LookupError(qualname)
-    reads = [
-        (node.lineno, node.col_offset, getattr(node, "id", None) or getattr(node, "attr", None))
-        for node in ast.walk(scope)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    ]
-    return [f"{name} (line {line})" for line, _, name in sorted(reads) if name in BYTE_FORMAT_NAMES]
+    return byte_format_mentions(scope)
 
 
 def test_membership_path_reads_no_byte_format():
-    """conjugate and agl_membership run one list path at every width; in
-    hidden_sum the byte kernel serves the brick pruning alone, where it is
-    measured to pay."""
+    """conjugate and agl_membership run one list path at every width, as
+    the rest of hidden_sum does (test_hidden_sum_reads_no_byte_format)."""
     source = (Path(hiddensums.__file__).parent / "hidden_sum.py").read_text()
     path = ("HiddenSum.conjugate", "agl_membership")
     assert {q: byte_format_reads(source, q) for q in path} == {q: [] for q in path}
+
+
+def test_hidden_sum_reads_no_byte_format():
+    """hidden_sum, its brick pruning included, tests every width with one
+    list path: nowhere does it import or read a name of the byte format,
+    which gf2 keeps for vbf and cipher."""
+    source = (Path(hiddensums.__file__).parent / "hidden_sum.py").read_text()
+    assert byte_format_mentions(ast.parse(source)) == []
 
 
 def test_byte_format_reads_reported():
@@ -393,6 +406,11 @@ def test_byte_format_reads_reported():
         "BYTE_ONES (line 12)",
     ]
     assert byte_format_reads(module, "g") == byte_format_reads(module, "C.n") == []
+    assert byte_format_mentions(ast.parse(module))[:3] == [
+        "BYTE_BITS (line 1)",
+        "table_bytes (line 1)",
+        "_shifted (line 3)",
+    ]
     for missing in ("h", "C.f", "g.m"):
         with pytest.raises(LookupError):
             byte_format_reads(module, missing)
@@ -441,8 +459,8 @@ def test_attack_import_loads_no_typing_or_random():
 def test_import_fills_no_cache():
     """A fresh python -S that imports hiddensums and every module of it
     finds each module-level lru_cache empty: the tables built on first
-    use, such as gf2._unit_basis and gf2._shifted (which vbf and
-    hidden_sum bind by import), cost no import time."""
+    use, such as gf2._unit_basis and gf2._shifted (which vbf binds by
+    import), cost no import time."""
     code = "\n".join(
         [
             "import sys",
