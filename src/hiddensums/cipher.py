@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .gf2 import BYTE_BITS, BYTE_VALUES, BinMatrix, FieldSpec, read_digits, table_bytes
 from .hidden_sum import HiddenSum, parse_group_spec, product_sum
-from .vbf import VBF
+from .vbf import TABLE_LIMIT_BITS, VBF
 
 KeySchedule = Callable[[int, int], int]
 
@@ -153,12 +153,12 @@ class CipherSpec:
     wider schedules are not checked for it.
     For d <= 8 the spec also holds the key's whole encryption function as
     a byte table, built by translating the identity through one fused
-    round table per round, and its decryption table, inverted from it on
-    first use.  When the round keys repeat every d rounds, as the
-    rotation's do, one period's table is raised to the power rounds // d
-    by repeated squaring, so a table costs O(d + log rounds)
+    round table per round; decryption reads that same table, finding the
+    block's position in it.  When the round keys repeat every d rounds,
+    as the rotation's do, one period's table is raised to the power
+    rounds // d by repeated squaring, so a table costs O(d + log rounds)
     translations.  Wider states run the rounds block by block.  Either
-    way only the last key's round keys and tables are held, so memory
+    way only the last key's round keys and table are held, so memory
     does not grow with the number of keys used.
     """
 
@@ -180,7 +180,7 @@ class CipherSpec:
             if b.table[0] != 0:
                 raise ValueError("bricks must fix 0")
         d = m * len(bricks)
-        if d > 16:
+        if d > TABLE_LIMIT_BITS:
             raise ValueError("the lookup-table engine handles at most 16 state bits")
         if mixing.size != d:
             raise ValueError(f"mixing matrix must be {d}x{d}")
@@ -197,9 +197,9 @@ class CipherSpec:
         self.mixing = mixing
         self.rounds = rounds
         self.key_schedule = key_schedule or rotating_key_schedule(d)
-        # (key, round keys, encryption table, decryption table or None) of
-        # the last key; the tables are bytes for d <= 8 and empty otherwise
-        self._memo: tuple[int | None, tuple[int, ...], bytes, bytes | None] = (None, (), b"", None)
+        # (key, round keys, encryption table) of the last key; the table is
+        # bytes for d <= 8, which decryption also reads, and empty otherwise
+        self._memo: tuple[int | None, tuple[int, ...], bytes] = (None, (), b"")
         self._fused: list[bytes] | None = None
         # The brick layer, built brick by brick: the entries for x < 2^(i*m)
         # are extended by brick i acting on the next m bits of x.
@@ -225,7 +225,7 @@ class CipherSpec:
         """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked."""
         return self._entry(k)[1]
 
-    def _entry(self, k: int) -> tuple[int, tuple[int, ...], bytes, bytes | None]:
+    def _entry(self, k: int) -> tuple[int, tuple[int, ...], bytes]:
         """The memo for k, made in place of the last key's if k is new."""
         if not isinstance(k, int):  # a float would read the memo of the int it equals
             raise ValueError(f"session key {k!r} is not an int")
@@ -233,7 +233,7 @@ class CipherSpec:
         if memo[0] != k:
             keys, p = self._schedule(k)
             enc = self._encryption_table(keys, p) if self.d <= BYTE_BITS else b""
-            memo = self._memo = (k, keys, enc, None)
+            memo = self._memo = (k, keys, enc)
         return memo
 
     def _schedule(self, k: int) -> tuple[tuple[int, ...], int]:
@@ -293,16 +293,9 @@ class CipherSpec:
             enc = enc.translate(fused[rk])
         return enc
 
-    def _decryption_table(self, k: int) -> bytes:
-        k, keys, enc, dec = self._entry(k)
-        if dec is None:
-            dec = bytes.maketrans(enc, BYTE_VALUES[self.d])[: len(enc)]
-            self._memo = (k, keys, enc, dec)
-        return dec
-
     def encrypt(self, k: int, x: int) -> int:
         if self.d <= BYTE_BITS:
-            cached_k, _, table, _ = self._memo
+            cached_k, _, table = self._memo
             if cached_k is not k:  # equal keys of d <= 8 bits are one int object
                 table = self._entry(k)[2]
             try:  # a block that is no int fails the compare or the lookup
@@ -320,13 +313,13 @@ class CipherSpec:
 
     def decrypt(self, k: int, y: int) -> int:
         if self.d <= BYTE_BITS:
-            cached_k, _, _, table = self._memo
-            if cached_k is not k or table is None:
-                table = self._decryption_table(k)
-            try:
-                if y >= 0:
-                    return table[y]
-            except (TypeError, IndexError):
+            cached_k, _, table = self._memo
+            if cached_k is not k:
+                table = self._entry(k)[2]
+            try:  # the compare keeps find from taking bytes as a subsequence
+                if y >= 0 and (x := table.find(y)) >= 0:
+                    return x
+            except (TypeError, ValueError):  # find refuses values past a byte
                 pass
             raise block_outside_state(y, self.d)
         if not (isinstance(y, int) and 0 <= y < 1 << self.d):

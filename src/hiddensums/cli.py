@@ -190,9 +190,9 @@ def _schedule(args, width: int):
     return None
 
 
-# Defaults of the builtin cipher's flags on encrypt and decrypt.  The parser
-# leaves them None, so that a flag given with --cipher, whose config sets
-# its own value, can be refused.
+# Defaults of the builtin cipher's flags on encrypt, decrypt and attack.  The
+# parser leaves them None, so that a flag given with --cipher, whose config
+# sets its own value, can be refused.
 _BUILTIN_DEFAULTS = {"rounds": 20, "schedule": "rotate", "seed": 0}
 
 
@@ -335,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="reconstruct the builtin cipher from 7 queries")
     p.add_argument("--mode", choices=["cp", "cpcc"], default="cp")
-    p.add_argument("--rounds", type=_decimal, default=20)
+    p.add_argument("--rounds", type=_decimal, help="default 20")
     p.add_argument("--key", default="random", help="hex block or 'random'")
-    p.add_argument("--schedule", choices=["rotate", "permute"], default="rotate")
-    p.add_argument("--seed", type=_decimal, default=0)
+    p.add_argument("--schedule", choices=["rotate", "permute"], help="default rotate")
+    p.add_argument("--seed", type=_decimal, help="default 0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_attack)
 

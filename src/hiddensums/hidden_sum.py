@@ -179,10 +179,10 @@ class HiddenSum:
         float entry, or one past the space, fails the lookup, and a negative
         one, which would wrap, fails the minimum."""
         n = len(self._by_coeff)
-        if len(table) != n:
-            raise _off_the_space(n)
         coords = self._by_element
-        try:
+        try:  # len, too, fails on a table that is no sequence, such as an iterator
+            if len(table) != n:
+                raise _off_the_space(n)
             conj = [coords[table[x]] for x in self._by_coeff]
         except (TypeError, IndexError):
             raise _off_the_space(n) from None
@@ -578,7 +578,7 @@ def _brick_survivors(
 
 
 def find_hidden_sums(
-    round_generators: Sequence[Sequence[int]], brick_widths: Sequence[int]
+    round_generators: Iterable[Sequence[int]], brick_widths: Sequence[int]
 ) -> list[HiddenSum]:
     """All brick-parallel hidden sums for which the given round functions
     and every XOR translation are affine, ordered by _key.
@@ -608,6 +608,7 @@ def find_hidden_sums(
     for w in brick_widths:
         if isinstance(w, bool) or not isinstance(w, int) or not 1 <= w <= MAX_BRICK_WIDTH:
             raise ValueError(f"brick width {w!r} is outside 1..{MAX_BRICK_WIDTH}")
+    round_generators = list(round_generators)  # read three times below
     space = set(range(1 << sum(brick_widths)))
     for table in round_generators:
         try:

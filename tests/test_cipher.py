@@ -393,7 +393,7 @@ class TestRoundKeys:
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
     @pytest.mark.parametrize("rounds", [1, 7, 1000])
     def test_decrypt_before_encrypt(self, rounds, schedule):
-        # a key's first use is a decryption: its decryption table comes first
+        # a key's first use is a decryption: it builds the encryption table
         spec = builtin_toy_spec(rounds, SCHEDULES[schedule]())
         blocks = random.Random(rounds).sample(range(64), 8)
         for k in (0, 17, 63):
@@ -691,14 +691,17 @@ class TestOutOfRange:
                 call()
         assert spec.encrypt_table(63) == before
 
-    @pytest.mark.parametrize("block", [-1, 64, 69])
+    # decryption finds the block in the byte table, whose search refuses
+    # values past a byte
+    @pytest.mark.parametrize("block", [-1, 64, 69, 256, 300, 2**70])
     def test_block_outside_state_refused(self, block):
         spec = builtin_toy_spec(7)
         for call in (spec.encrypt, spec.decrypt):
             with pytest.raises(ValueError, match=r"outside the state space 0\.\.63"):
                 call(3, block)
 
-    @pytest.mark.parametrize("block", [2.0, "2", None])
+    # bytes are no block, though the byte table's search would take them
+    @pytest.mark.parametrize("block", [2.0, "2", None, b"\x05", bytearray(b"\x05")])
     def test_block_not_an_int_refused(self, block):
         spec = builtin_toy_spec(7)
         for call in (spec.encrypt, spec.decrypt):
@@ -750,7 +753,7 @@ class TestWideState:
             with pytest.raises(ValueError, match=r"outside the state space 0\.\.511"):
                 call(3, block)
 
-    @pytest.mark.parametrize("block", [2.0, "2", None])
+    @pytest.mark.parametrize("block", [2.0, "2", None, b"\x05", bytearray(b"\x05")])
     def test_block_not_an_int_refused(self, block):
         spec = nine_bit_spec(7)
         for call in (spec.encrypt, spec.decrypt):

@@ -661,6 +661,12 @@ class TestSearch:
         found = find_hidden_sums([inverse_brick_spec().core_table()], [3, 3])
         assert found == []
 
+    @pytest.mark.parametrize("spec", [builtin_toy_spec, inverse_brick_spec], ids=["bundled", "inversion"])
+    def test_iterator_of_generators_gives_the_lists_result(self, spec):
+        # the generators are read more than once, so an iterator must not run dry
+        table = spec().core_table()
+        assert find_hidden_sums(iter([table]), [3, 3]) == find_hidden_sums([table], [3, 3])
+
     def test_identity_generator_degenerate(self):
         found = find_hidden_sums([list(range(64))], [3, 3])
         per_brick = translation_compatible_sums(3)

@@ -789,9 +789,10 @@ def test_membership_matches_inline_compare_at_the_byte_line(bricks):
 
 @pytest.mark.parametrize("bricks", [[3], [3, 4], [4, 4], [3, 3, 3]], ids=["d3", "d7", "d8", "d9"])
 def test_membership_refusals_match_across_the_byte_line(bricks):
-    """Floats, negative entries, entries past the space (those below 256
-    would read a 256-byte pad), duplicates and wrong lengths: the same
-    ValueError on both sides of gf2.BYTE_BITS, as list and as tuple."""
+    """Floats, negative entries, entries past the space (below 256 as well
+    as above), duplicates and wrong lengths: the same
+    ValueError on both sides of gf2.BYTE_BITS, as list, tuple and iterator.
+    An iterator has no length, so the identity is refused as one too."""
     (hs,) = seeded_product_sums(bricks, 1, 7)
     n = 1 << hs.width
     identity = list(range(n))
@@ -813,9 +814,11 @@ def test_membership_refusals_match_across_the_byte_line(bricks):
     ]
     bad += [patched(x, 255) for x in (0, n - 1) if n <= 255]
     for table in bad:
-        for form in (table, tuple(table)):
+        for form in (table, tuple(table), iter(table)):
             with pytest.raises(ValueError, match="^membership test requires a bijective table on the space$"):
                 agl_membership(form, hs)
+    with pytest.raises(ValueError, match="^membership test requires a bijective table on the space$"):
+        agl_membership(iter(identity), hs)
 
 
 @pytest.mark.parametrize("bricks", [[3], [4], [4, 4], [3, 3, 3]], ids=["d3", "d4", "d8", "d9"])
