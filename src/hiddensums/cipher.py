@@ -208,11 +208,12 @@ class CipherSpec:
             layer = [y | (z << (i * m)) for z in b.table for y in layer]
         mix = mixing.affine_table()
         self._round = [mix[y] for y in layer]
-        self._round_inv = [0] * (1 << d)
-        for x, y in enumerate(self._round):
-            self._round_inv[y] = x
-        if d <= 8:
+        if d <= BYTE_BITS:
             self._check_schedule_surjective()
+        else:  # the inverse round table, which only block-by-block decrypt reads
+            self._round_inv = [0] * (1 << d)
+            for x, y in enumerate(self._round):
+                self._round_inv[y] = x
 
     def _check_schedule_surjective(self) -> None:
         n = 1 << self.d

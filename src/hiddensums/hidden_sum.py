@@ -13,10 +13,14 @@ asked of the map's conjugate in the sum's coordinates, one list lookup per
 point at every width, and compared with the XOR-affine table that
 read_affine, the attack's fit, gives.  The sums on one brick of up to
 MAX_BRICK_WIDTH bits are built as the orbits of a few representative
-products under GL(width, 2), and a search over their brick-parallel
-products finds all sums compatible with a given set of round functions,
-after a test on each brick alone, one list scan at every width, has
-pruned that brick's candidates.
+products under GL(width, 2); the walk over an orbit reaches each product
+as a sum in a basis of its own, moving its parent's tables along.  A
+search over their brick-parallel products finds all sums compatible with
+a given set of round functions, after a test on each brick alone, one
+list scan at every width, has pruned that brick's candidates.  The test
+is run on the walk's products, as it does not depend on the basis, and
+the regular groups with their canonical generators are built only for a
+brick where some product passed.
 """
 
 from __future__ import annotations
@@ -419,40 +423,80 @@ def gl_generators(width: int) -> tuple[tuple[list[int], list[int]], ...]:
     return (swap, swap), (shift, unshift), (transvection, transvection)
 
 
+def _representative_sum(width: int, constants: dict[tuple[int, int], int]) -> HiddenSum:
+    """The sum x # y = x + y + x*y of the product with the given nonzero
+    constants {(i, j): e_i*e_j}, i < j, doubled through x # b over each b,
+    in increasing order, that it has not reached yet: the unit vectors are
+    not always free ((7, 7, 7) at width 3 has e_1 # e_3 = e_2)."""
+
+    def times(x: int, y: int) -> int:
+        # e_i*e_j occurs in x*y with the coefficient x_i y_j + x_j y_i
+        out = 0
+        for (i, j), v in constants.items():
+            if (x >> i & y >> j ^ x >> j & y >> i) & 1:
+                out ^= v
+        return out
+
+    by_coeff, basis = [0], []
+    for b in range(1, 1 << width):
+        if b not in by_coeff:
+            basis.append(b)
+            by_coeff += [x ^ b ^ times(x, b) for x in by_coeff]
+    return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
+
+
 def sum_orbits(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The orbit under GL(width, 2) of each of ORBIT_REPRESENTATIVES[width],
     each product as its constants e_i*e_j for the pairs i < j in the order
-    of combinations.
+    of combinations, as _orbit_walk reaches them."""
+    return tuple(tuple(constants for constants, _ in orbit) for orbit in _orbit_walk(width))
+
+
+@lru_cache(maxsize=None)
+def _orbit_walk(width: int) -> tuple[tuple[tuple[tuple[int, ...], HiddenSum], ...], ...]:
+    """Each orbit of sum_orbits, every product as (constants, sum), the sum
+    x # y = x + y + x*y in a basis of its own.
 
     A acts by x *' y = A^-1(Ax * Ay), again a commutative, associative
     product with x*x = 0, and each orbit is closed breadth first under
     gl_generators.  A move reads e_i *' e_j off the old constants, as
     Ae_i * Ae_j is the sum of e_a*e_b over the bits a of Ae_i and b of
-    Ae_j, a != b: one or two terms, since only e_1 goes to two bits."""
+    Ae_j, a != b: one or two terms, since only e_1 goes to two bits.
+
+    A is an isomorphism from #' to #, so a product reached through A takes
+    its parent's coordinates after A, C o A, and its elements before A^-1,
+    A^-1 o E: two lists of 2^width entries, and no generator."""
     pairs = list(itertools.combinations(range(width), 2))
     position = {}
     for p, (i, j) in enumerate(pairs):
         position[i, j] = position[j, i] = p
     moves = []
     for images, inverse_images in gl_generators(width):
-        inverse = [0]
-        for r in inverse_images:
-            inverse += [y ^ r for y in inverse]
+        forward, inverse = [0], [0]
+        for r, q in zip(images, inverse_images):
+            forward += [y ^ r for y in forward]
+            inverse += [y ^ q for y in inverse]
         bits = [[k for k in range(width) if v >> k & 1] for v in images]
         terms = [[position[a, b] for a in bits[i] for b in bits[j] if a != b] for i, j in pairs]
         # one-term sums are padded with the slot past the constants, 0 below
-        moves.append((inverse, [(t + [len(pairs)])[:2] for t in terms]))
+        moves.append((forward, inverse, [(t + [len(pairs)])[:2] for t in terms]))
     orbits = []
     for representative in ORBIT_REPRESENTATIVES[width]:
-        orbit = [tuple(representative.get(pair, 0) for pair in pairs)]
-        seen = set(orbit)
-        for constants in orbit:  # new products join the list behind the loop
+        constants = tuple(representative.get(pair, 0) for pair in pairs)
+        orbit = [(constants, _representative_sum(width, representative))]
+        seen = {constants}
+        for constants, parent in orbit:  # new products join the list behind the loop
             padded = constants + (0,)
-            for inverse, terms in moves:
+            for forward, inverse, terms in moves:
                 new = tuple([inverse[padded[a] ^ padded[b]] for a, b in terms])
                 if new not in seen:
                     seen.add(new)
-                    orbit.append(new)
+                    hs = HiddenSum.__new__(HiddenSum)
+                    hs.width, hs.basis = width, tuple([inverse[b] for b in parent.basis])
+                    hs._by_coeff = [inverse[e] for e in parent._by_coeff]
+                    coords = parent._by_element
+                    hs._by_element = [coords[a] for a in forward]
+                    orbit.append((new, hs))
         orbits.append(tuple(orbit))
     return tuple(orbits)
 
@@ -471,8 +515,8 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     involutions.  Each group is returned as its generators, chosen
     greedily, each the smallest element (by matrix rows, then translation)
     not yet generated.  The groups come in a canonical order, that of their
-    element rows.  Nothing is cached here: the one caller,
-    translation_compatible_sums, keeps its sums per width.
+    element rows.  Nothing is cached here but the orbits (_orbit_walk):
+    the one caller, translation_compatible_sums, keeps its sums per width.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"brick width {width!r} is not a positive int")
@@ -560,19 +604,38 @@ def _brick_survivors(
     """For each brick, the sums of translation_compatible_sums(width) that
     pass find_hidden_sums' brick test (_brick_passes) for every table, in
     their order.  The tables must be permutations of the space; each is
-    projected onto a brick's bits once, for all of that brick's sums."""
+    projected onto a brick's bits once, for all of that brick's sums.
+
+    The test runs on the products of _orbit_walk, each a sum in a basis of
+    its own, and translation_compatible_sums is asked for a brick's sums
+    only where some product passed; those whose constants passed are kept,
+    so a brick that keeps no candidate builds no group.  The verdict does
+    not depend on the basis: two bases of one sum differ by an invertible
+    linear map L of the coordinates, which is applied to the brick's input
+    and output coordinates alike, so T(c, x_rest) becomes
+    L T(L^-1 c, x_rest), and that is affine in c with the linear part
+    L M L^-1 for every x_rest exactly when T is with the linear part M."""
     d = sum(brick_widths)
     survivors, off = [], 0
     for w in brick_widths:
         low = (1 << w) - 1
         projected = [[y >> off & low for y in t] for t in tables]
-        survivors.append(
-            [
+        passed = {
+            constants
+            for orbit in _orbit_walk(w)
+            for constants, s in orbit
+            if all(_brick_passes(p, d, off, s) for p in projected)
+        }
+        kept = []
+        if passed:
+            # a sum's constants are e_i*e_j = e_i + e_j + (e_i # e_j), i < j
+            pairs = list(itertools.combinations([1 << i for i in range(w)], 2))
+            kept = [
                 s
                 for s in translation_compatible_sums(w)
-                if all(_brick_passes(p, d, off, s) for p in projected)
+                if tuple([a ^ b ^ s.op(a, b) for a, b in pairs]) in passed
             ]
-        )
+        survivors.append(kept)
         off += w
     return survivors
 
@@ -601,7 +664,12 @@ def find_hidden_sums(
     at full width, so the results, their order and their bases (from the
     same part objects) are those of the unpruned product.  On the bundled
     cipher one candidate per brick survives, so one product sum is built
-    instead of 64.
+    instead of 64.  The brick test is run on each brick's products as sums
+    in bases of their own, which gives the same verdicts (see
+    _brick_survivors), so translation_compatible_sums builds its groups
+    only for a width where some candidate passed: a search whose bricks
+    keep none, such as a seeded random permutation's or the inversion
+    bricks', builds no group at all.
     """
     if not brick_widths:
         raise ValueError("need at least one brick")

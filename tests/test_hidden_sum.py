@@ -7,6 +7,8 @@ frozen here.
 """
 
 import hashlib
+import itertools
+import random
 import re
 import time
 import tracemalloc
@@ -49,6 +51,7 @@ from hiddensums.hidden_sum import (
     translation_compatible_sums,
     xor_translation_table,
 )
+from hiddensums.hidden_sum import _orbit_walk
 
 
 def toy_generators():
@@ -637,6 +640,45 @@ class TestOrbits:
             product = BinMatrix(images) @ BinMatrix(inverse_images)
             assert product == BinMatrix.identity(width)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_walk_yields_every_sum_once(self, width):
+        """The walk's products, one sum each, are the enumerated sums, and
+        sum_orbits reads its constants off them."""
+        walk = [pair for orbit in _orbit_walk(width) for pair in orbit]
+        candidates = [hs for _, hs in walk]
+        assert len(set(candidates)) == len(candidates)
+        assert set(candidates) == set(translation_compatible_sums(width))
+        assert [c for c, _ in walk] == [c for orbit in sum_orbits(width) for c in orbit]
+        n = 1 << width
+        for _, hs in walk:
+            assert sorted(hs._by_coeff) == list(range(n))
+            assert [hs._by_element[e] for e in hs._by_coeff] == list(range(n))
+            assert hs.basis == tuple(hs._by_coeff[1 << i] for i in range(width))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_walk_sums_are_their_products(self, width):
+        """Each candidate's op is x + y + x*y, the product summed bit by
+        bit over its constants."""
+        pairs = list(itertools.combinations(range(width), 2))
+        for constants, hs in (pair for orbit in _orbit_walk(width) for pair in orbit):
+            value = dict(zip(pairs, constants))
+            for x in range(1 << width):
+                for y in range(1 << width):
+                    product = 0
+                    for i in range(width):
+                        for j in range(width):
+                            if i != j and x >> i & 1 and y >> j & 1:
+                                product ^= value[min(i, j), max(i, j)]
+                    assert hs.op(x, y) == x ^ y ^ product, (constants, x, y)
+
+    def test_walk_takes_a_free_basis_where_units_are_not(self):
+        """(7, 7, 7) at width 3 has e_1 # e_3 = e_2, so its unit vectors
+        generate only four elements; the walk's basis for it is free."""
+        hs = dict(pair for orbit in _orbit_walk(3) for pair in orbit)[7, 7, 7]
+        assert hs.op(0b001, 0b100) == 0b010
+        assert hs.basis != (1, 2, 4)
+        assert sorted(hs._by_coeff) == list(range(8))
+
     def test_enumeration_output_frozen(self):
         # sha256 of the concatenated group specs in canonical order, taken
         # from the structure-constant backtracking the orbits replaced
@@ -666,6 +708,21 @@ class TestSearch:
         # the generators are read more than once, so an iterator must not run dry
         table = spec().core_table()
         assert find_hidden_sums(iter([table]), [3, 3]) == find_hidden_sums([table], [3, 3])
+
+    def test_no_survivor_builds_no_group(self):
+        """A search whose bricks keep no candidate asks for no enumerated
+        sum; the bundled cipher's asks for width 3 alone."""
+        table = list(range(16))
+        random.Random(4).shuffle(table)
+        translation_compatible_sums.cache_clear()
+        assert find_hidden_sums([table], [4]) == []
+        assert find_hidden_sums([inverse_brick_spec().core_table()], [3, 3]) == []
+        assert translation_compatible_sums.cache_info().currsize == 0
+        assert len(find_hidden_sums([builtin_toy_spec().core_table()], [3, 3])) == 1
+        filled = translation_compatible_sums.cache_info()
+        assert filled.currsize == 1
+        translation_compatible_sums(3)
+        assert translation_compatible_sums.cache_info().misses == filled.misses
 
     def test_identity_generator_degenerate(self):
         found = find_hidden_sums([list(range(64))], [3, 3])

@@ -15,9 +15,12 @@ generators with the closure of the group they generate, the search
 without its translation checks (and with its brick pruning) with the
 unpruned search that ran them, the brick test's list scan, for one
 table and for several, with the lemma read off the tables point by point,
-the per-point spot check with the doubling table, and membership through the
-conjugate with the compare of the map's own points against that table.  The references are the former
-library code, kept here as unchanged as the current API allows.
+the brick survivors found by testing each product in a basis of its own
+with those of the canonical sums tested one by one, the per-point spot
+check with the doubling table, and membership through the conjugate with
+the compare of the map's own points against that table.  The references
+are the former library code, kept here as unchanged as the current API
+allows.
 """
 
 import itertools
@@ -45,6 +48,7 @@ from hiddensums.hidden_sum import (
     HiddenSum,
     NotElementaryAbelianError,
     NotRegularError,
+    _brick_passes,
     _brick_survivors,
     agl_membership,
     check_kappa_homomorphism,
@@ -1282,6 +1286,44 @@ def test_brick_test_of_several_tables(tables, widths):
         for s in translation_compatible_sums(w):
             expected = all(reference_brick_test(t, widths, i, s) for t in tables)
             assert (s in survivors[i]) == expected, (widths, i)
+
+
+def reference_brick_survivors(tables, brick_widths):
+    """For each brick, the sums of translation_compatible_sums(width) that
+    pass find_hidden_sums' brick test (_brick_passes) for every table, in
+    their order.  The tables must be permutations of the space; each is
+    projected onto a brick's bits once, for all of that brick's sums."""
+    d = sum(brick_widths)
+    survivors, off = [], 0
+    for w in brick_widths:
+        low = (1 << w) - 1
+        projected = [[y >> off & low for y in t] for t in tables]
+        survivors.append(
+            [
+                s
+                for s in translation_compatible_sums(w)
+                if all(_brick_passes(p, d, off, s) for p in projected)
+            ]
+        )
+        off += w
+    return survivors
+
+
+def test_products_survive_as_the_canonical_sums():
+    """Testing each brick's products in their own bases, and building the
+    canonical sums only where one passed, keeps the very sums of the
+    canonical test, in the same order, for one table and for several."""
+    cases = [([table], widths) for table, widths in brick_test_cases()]
+    cases += [case[1:] for case in several_tables_cases()]
+    kept = 0
+    for tables, widths in cases:
+        fast = _brick_survivors(tables, widths)
+        slow = reference_brick_survivors(tables, widths)
+        assert len(fast) == len(slow) == len(widths)
+        for f, s in zip(fast, slow):
+            assert len(f) == len(s) and all(a is b for a, b in zip(f, s)), widths
+            kept += len(f)
+    assert kept
 
 
 @pytest.mark.parametrize("widths", [[3, 3], [2, 4], [4, 2], [1, 2, 3]], ids=str)

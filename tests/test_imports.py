@@ -12,7 +12,8 @@ to definitions by name, as reads are.  vbf imports no package module but
 gf2, so it knows nothing of hidden sums.
 
 Every target the benchmark's tracer names (perfbench/tracer.py TARGETS)
-is still defined in the package.
+is still defined in the package, and a traced search pass of the
+benchmark calls each one it assigns to the search workload.
 
 The core modules also stay cheap to import: a fresh interpreter that
 imports the ones the benchmark's set-up uses and builds the bundled
@@ -22,6 +23,7 @@ HEAVY, and importing attack too loads none of ATTACK_HEAVY.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -510,3 +512,31 @@ def test_every_traced_target_is_defined():
         if attr not in home:
             missing.append(".".join(filter(None, (layer, owner, attr))))
     assert missing == []
+
+
+def test_every_search_target_is_called():
+    """A traced search pass of the benchmark, run in a fresh interpreter as
+    the benchmark runs it, calls every target the tracer assigns to the
+    search workload, so none of that workload's layer metrics reads 0.
+    AffineMap.apply is the one exception: the regular-group enumeration
+    spans each group through its matrix, and that metric already reads 0
+    (ROADMAP item 1)."""
+    code = "\n".join(
+        [
+            "import json, passes, tracer",
+            "t = tracer.Tracer()",
+            "passes.search_pass(tracer.Spans(), 1, t)",
+            "calls = {name: stat['calls'] for name, stat in t.snapshot().items()}",
+            "names = [tracer.target_name(*e[:3]) for e in tracer.TARGETS if e[4] == 'search']",
+            "print(json.dumps({name: calls[name] for name in names}))",
+        ]
+    )
+    src = Path(hiddensums.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(BENCHMARK_DIR)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert "hidden_sum.find_hidden_sums" in calls
+    assert {name for name, n in calls.items() if not n} <= {"hidden_sum.AffineMap.apply"}
