@@ -846,3 +846,37 @@ class TestReproduceCommand:
         assert code == 2
         assert out == ""
         assert "99" in err
+
+
+class TestProcess:
+    @staticmethod
+    def env(**extra):
+        src = os.path.dirname(os.path.dirname(hiddensums.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return dict(env, PYTHONPATH=src, **extra)
+
+    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe_exits_without_traceback(self, fmt, unbuffered):
+        """A reader that closes the pipe at once, as `| head -c 10` does
+        soon after, ends the command with exit 1 and no traceback, whether
+        the output fails as it is printed or as it is flushed."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hiddensums.cli", "reproduce", "--criteria", "1", *fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(**unbuffered),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert err.decode() == ""
+        assert proc.returncode == 1
+
+    def test_package_runs_as_a_module(self, capsys):
+        """python -m hiddensums runs the command line."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "hiddensums", "reproduce", "--criteria", "1"],
+            capture_output=True, text=True, timeout=30, env=self.env(),
+        )
+        code, out, _ = run(capsys, "reproduce", "--criteria", "1")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+        assert out.startswith("PASS [ 1] ")

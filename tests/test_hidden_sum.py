@@ -51,7 +51,7 @@ from hiddensums.hidden_sum import (
     translation_compatible_sums,
     xor_translation_table,
 )
-from hiddensums.hidden_sum import _orbit_walk
+from hiddensums.hidden_sum import _direction_passes, _orbit_walk, _unit_pair_preimages
 
 
 def toy_generators():
@@ -724,6 +724,41 @@ class TestSearch:
         translation_compatible_sums(3)
         assert translation_compatible_sums.cache_info().misses == filled.misses
 
+    @staticmethod
+    def passing_directions(table):
+        """The nonzero a on each 3-bit brick, shifted back to 1..7, that pass
+        the annihilator pre-test's unit-pair test."""
+        inverse = sorted(range(64), key=table.__getitem__)
+        preimages = _unit_pair_preimages(inverse)
+        return [
+            {a for a in range(1, 8) if _direction_passes(table, preimages, a << off)}
+            for off in (0, 3)
+        ]
+
+    def test_inversion_core_passes_no_direction(self):
+        """So no brick-parallel sum makes the inversion round affine."""
+        assert self.passing_directions(inverse_brick_spec().core_table()) == [set(), set()]
+
+    def test_bundled_core_passes_three_directions(self):
+        """The brick sum's annihilator is {0, 2}: 2 passes, and so do 5 and 7."""
+        assert self.passing_directions(builtin_toy_spec().core_table()) == [{2, 5, 7}] * 2
+
+    def test_rejected_search_walks_no_orbit(self):
+        """A round whose brick passes no direction is rejected before any
+        orbit is walked or any sum enumerated."""
+        table = list(range(16))
+        random.Random(4).shuffle(table)
+        _orbit_walk.cache_clear()
+        translation_compatible_sums.cache_clear()
+        assert find_hidden_sums([table], [4]) == []
+        # the same permutation on the high brick of [4, 4], the identity on
+        # the low one: the low brick passes, and the high brick is rejected
+        # on its own bits
+        layered = [table[x >> 4] << 4 | x & 15 for x in range(256)]
+        assert find_hidden_sums([layered], [4, 4]) == []
+        assert _orbit_walk.cache_info().currsize == 0
+        assert translation_compatible_sums.cache_info().currsize == 0
+
     def test_identity_generator_degenerate(self):
         found = find_hidden_sums([list(range(64))], [3, 3])
         per_brick = translation_compatible_sums(3)
@@ -750,8 +785,11 @@ class TestSearch:
             [float(x) for x in range(64)],
             list(range(63)),
             [0, 0] + list(range(2, 64)),
+            list(range(63)) + [-1],
+            [None] * 64,
+            iter(range(64)),
         ],
-        ids=["shifted-up", "shifted-down", "floats", "short", "duplicate"],
+        ids=["shifted-up", "shifted-down", "floats", "short", "duplicate", "wrapping", "none", "iterator"],
     )
     def test_generator_off_the_space_refused_up_front(self, table):
         # each is refused before any membership test, with the search's message

@@ -17,8 +17,11 @@ unpruned search that ran them, the brick test's list scan, for one
 table and for several, with the lemma read off the tables point by point,
 the brick survivors found by testing each product in a basis of its own
 with those of the canonical sums tested one by one, the per-point spot
-check with the doubling table, and membership through the conjugate with
-the compare of the map's own points against that table.  The references
+check with the doubling table, membership through the conjugate with
+the compare of the map's own points against that table, and the search
+with its annihilator pre-test with the search without it, whose
+soundness rests on every annihilator direction of a sum passing the
+pre-test's unit-pair test for the sum's affine maps.  The references
 are the former library code, kept here as unchanged as the current API
 allows.
 """
@@ -31,6 +34,7 @@ from functools import lru_cache
 
 import pytest
 
+from hiddensums import hidden_sum
 from hiddensums.cipher import (
     TOY_GROUP_SPEC,
     builtin_toy_spec,
@@ -50,6 +54,8 @@ from hiddensums.hidden_sum import (
     NotRegularError,
     _brick_passes,
     _brick_survivors,
+    _direction_passes,
+    _unit_pair_preimages,
     agl_membership,
     check_kappa_homomorphism,
     check_ring_axioms,
@@ -1109,7 +1115,7 @@ def test_generator_sum_matches_reference_closure():
     assert outcomes["order four", "elementary_abelian"] == 2
 
 
-def reference_find_hidden_sums(round_generators, brick_widths):
+def reference_search_with_translation_checks(round_generators, brick_widths):
     """The search with its translation checks: per-brick candidates kept
     only if their triple products vanish, and each survivor re-checked
     against the XOR translations at full width."""
@@ -1181,7 +1187,7 @@ def search_cases():
 )
 def test_search_matches_search_with_translation_checks(tables, widths, count):
     fast = find_hidden_sums(tables, widths)
-    slow = reference_find_hidden_sums(tables, widths)
+    slow = reference_search_with_translation_checks(tables, widths)
     assert [hs._key() for hs in fast] == [hs._key() for hs in slow]
     assert [hs.basis for hs in fast] == [hs.basis for hs in slow]
     assert [hs.generators() for hs in fast] == [hs.generators() for hs in slow]
@@ -1348,6 +1354,89 @@ def test_rejected_bricks_never_pass_membership(widths):
     assert rejected
     if widths == [3, 3]:
         assert [len(s) for s in _brick_survivors([spec.core_table()], widths)] == [1, 1]
+
+
+def annihilator_cases():
+    """The bricks' sums of each sum the annihilator oracle takes: every sum
+    of translation_compatible_sums at widths 1 to 4 alone, and every
+    product at [3, 3] and at [2, 3]."""
+    for w in range(1, MAX_BRICK_WIDTH + 1):
+        yield from ([s] for s in translation_compatible_sums(w))
+    for widths in ([3, 3], [2, 3]):
+        yield from map(list, itertools.product(*map(translation_compatible_sums, widths)))
+
+
+def test_annihilator_directions_pass_the_pair_test():
+    """For three seeded affine maps of each sum, every nonzero a in the
+    annihilator U of a brick's sum, placed on that brick's bits, passes
+    the unit-pair test, so the pre-test accepts the map and the search
+    finds the sum."""
+    rng = random.Random(4141)
+    tested = 0
+    for parts in annihilator_cases():
+        hs, widths = product_sum(parts), [s.width for s in parts]
+        for _ in range(3):
+            table = hs.affine_function(random_invertible(hs.width, rng), rng.randrange(1 << hs.width))
+            inverse = sorted(range(len(table)), key=table.__getitem__)
+            preimages, off = _unit_pair_preimages(inverse), 0
+            for s in parts:
+                u = compute_U(s)
+                directions = [a for a in range(1, 1 << s.width) if a in u]
+                assert all(_direction_passes(table, preimages, a << off) for a in directions)
+                off += s.width
+            assert hs in find_hidden_sums([table], widths)
+            tested += 1
+    assert tested == 3 * (1 + 1 + 8 + 106 + 64 + 8)
+
+
+def reference_find_hidden_sums(round_generators, brick_widths):
+    """The search without the annihilator pre-test: every product of the
+    brick survivors, tested with agl_membership."""
+    results = []
+    for combo in itertools.product(*_brick_survivors(round_generators, brick_widths)):
+        hs = product_sum(list(combo))
+        if all(agl_membership(t, hs) for t in round_generators):
+            results.append(hs)
+    results.sort(key=HiddenSum._key)
+    return results
+
+
+def pretest_cases():
+    """(id, round tables, brick widths): seeded permutations at [3], [4],
+    [2, 3], [3, 3] and [4, 4], planted tables, the several-table cases,
+    the identity at [4], and the bundled and inversion cores."""
+    for widths, count in (([3], 20), ([4], 20), ([2, 3], 20), ([3, 3], 20), ([4, 4], 8)):
+        for k, table in enumerate(seeded_permutations(sum(widths), count, 4100 + sum(widths))):
+            yield f"permutation-{widths}-{k}", [table], widths
+    for bricks, seed in PLANTED + [([4, 4], 44)]:
+        yield f"planted-{bricks}", planted_tables(bricks, seed)[1], bricks
+    yield from several_tables_cases()
+    yield "identity-4", [list(range(16))], [4]
+    yield "bundled", [builtin_toy_spec().core_table()], [3, 3]
+    yield "inversion", [inverse_brick_spec().core_table()], [3, 3]
+
+
+def test_pretest_agrees_with_the_unfiltered_search(monkeypatch):
+    """The search with the annihilator pre-test returns the sums of the
+    search without it, in the same order; some cases are rejected by the
+    pre-test and some reach the brick pruning."""
+    reached = []
+
+    def counted(tables, widths):
+        reached.append(widths)
+        return _brick_survivors(tables, widths)
+
+    monkeypatch.setattr(hidden_sum, "_brick_survivors", counted)
+    verdicts = {True: 0, False: 0}
+    for name, tables, widths in pretest_cases():
+        reached.clear()
+        fast = find_hidden_sums(tables, widths)
+        slow = reference_find_hidden_sums(tables, widths)
+        assert [hs._key() for hs in fast] == [hs._key() for hs in slow], name
+        if name == "identity-4":
+            assert len(fast) == 106
+        verdicts[bool(reached)] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def reference_mismatch(hs, f, matrix, t, points):
