@@ -143,23 +143,25 @@ def block_outside_state(x: int, d: int) -> ValueError:
 class CipherSpec:
     """Bricks, mixing layer, round count and key schedule of one cipher.
 
-    A key schedule must be a pure function of (k, h): the spec computes a
-    key's round keys once and reuses them for every block of that key.
+    A key schedule must be a pure function of (k, h): the spec may compute
+    a key's round keys once and reuse them for later blocks of that key.
     Session keys, round keys and blocks outside 0..2^d - 1 are refused
     with ValueError, as are those that are not ints (bools pass).
     A schedule with a round_keys(k, rounds) method gives the whole sequence
     in one call; a bare callable is called once per round.  For d <= 8 the
     schedule must be surjective in at least one round, else ValueError;
     wider schedules are not checked for it.
-    For d <= 8 the spec also holds the key's whole encryption function as
+    For d <= 8 the spec also holds each key's whole encryption function as
     a byte table, built by translating the identity through one fused
     round table per round; decryption reads that same table, finding the
     block's position in it.  When the round keys repeat every d rounds,
     as the rotation's do, one period's table is raised to the power
     rounds // d by repeated squaring, so a table costs O(d + log rounds)
-    translations.  Wider states run the rounds block by block.  Either
-    way only the last key's round keys and table are held, so memory
-    does not grow with the number of keys used.
+    translations.  Each key's table is built on its first use and kept,
+    so the spec holds at most 2^d tables of 2^d bytes: 4 KiB at d = 6,
+    64 KiB at d = 8.  Wider states run the rounds block by block and keep
+    only the last key's round keys, so their memory does not grow with
+    the keys.
     """
 
     def __init__(
@@ -197,9 +199,11 @@ class CipherSpec:
         self.mixing = mixing
         self.rounds = rounds
         self.key_schedule = key_schedule or rotating_key_schedule(d)
-        # (key, round keys, encryption table) of the last key; the table is
-        # bytes for d <= 8, which decryption also reads, and empty otherwise
-        self._memo: tuple[int | None, tuple[int, ...], bytes] = (None, (), b"")
+        # (key, round keys) of the last key whose round keys were asked
+        self._memo: tuple[int | None, tuple[int, ...]] = (None, ())
+        # for d <= 8, every key's encryption table, which decryption also
+        # reads: at most 2^d tables of 2^d bytes; wider states keep none
+        self._tables: dict[int, bytes] = {}
         self._fused: list[bytes] | None = None
         # The brick layer, built brick by brick: the entries for x < 2^(i*m)
         # are extended by brick i acting on the next m bits of x.
@@ -223,25 +227,30 @@ class CipherSpec:
         raise ValueError("key schedule is not surjective in any round")
 
     def round_keys(self, k: int) -> tuple[int, ...]:
-        """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked."""
-        return self._entry(k)[1]
+        """(ks(k, 1), ..., ks(k, rounds)), kept for the last key asked only,
+        so memory does not grow with the keys."""
+        # a float would read the memo of the int it equals
+        if not isinstance(k, int) or self._memo[0] != k:
+            self._memo = (k, self._schedule(k)[0])
+        return self._memo[1]
 
-    def _entry(self, k: int) -> tuple[int, tuple[int, ...], bytes]:
-        """The memo for k, made in place of the last key's if k is new."""
-        if not isinstance(k, int):  # a float would read the memo of the int it equals
-            raise ValueError(f"session key {k!r} is not an int")
-        memo = self._memo
-        if memo[0] != k:
-            keys, p = self._schedule(k)
-            enc = self._encryption_table(keys, p) if self.d <= BYTE_BITS else b""
-            memo = self._memo = (k, keys, enc)
-        return memo
+    def _entry(self, k: int) -> bytes:
+        """k's encryption table, for d <= 8: built on k's first use and kept
+        with every other key's, at most 2^d tables of 2^d bytes.  A key that
+        is refused, or whose schedule is, leaves no table."""
+        # a float would read the table of the int it equals
+        table = self._tables.get(k) if isinstance(k, int) else None
+        if table is None:
+            table = self._tables[k] = self._encryption_table(*self._schedule(k))
+        return table
 
     def _schedule(self, k: int) -> tuple[tuple[int, ...], int]:
         """k's round keys, every one checked to be an int in 0..2^d - 1, and
         for d <= 8 the period the tables use: d if they repeat every d
         rounds, else 0."""
         n, d, rounds = 1 << self.d, self.d, self.rounds
+        if not isinstance(k, int):
+            raise ValueError(f"session key {k!r} is not an int")
         if not 0 <= k < n:
             # a schedule would wrap or shift such a key onto another one
             raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
@@ -296,9 +305,10 @@ class CipherSpec:
 
     def encrypt(self, k: int, x: int) -> int:
         if self.d <= BYTE_BITS:
-            cached_k, _, table = self._memo
-            if cached_k is not k:  # equal keys of d <= 8 bits are one int object
-                table = self._entry(k)[2]
+            # bools and floats equal an int key, so only an int takes the hit
+            table = self._tables.get(k) if type(k) is int else None
+            if table is None:
+                table = self._entry(k)
             try:  # a block that is no int fails the compare or the lookup
                 if x >= 0:
                     return table[x]
@@ -314,9 +324,9 @@ class CipherSpec:
 
     def decrypt(self, k: int, y: int) -> int:
         if self.d <= BYTE_BITS:
-            cached_k, _, table = self._memo
-            if cached_k is not k:
-                table = self._entry(k)[2]
+            table = self._tables.get(k) if type(k) is int else None
+            if table is None:
+                table = self._entry(k)
             try:  # the compare keeps find from taking bytes as a subsequence
                 if y >= 0 and (x := table.find(y)) >= 0:
                     return x
@@ -336,7 +346,7 @@ class CipherSpec:
 
     def encrypt_table(self, k: int) -> list[int]:
         if self.d <= BYTE_BITS:
-            return list(self._entry(k)[2])
+            return list(self._entry(k))
         return [self.encrypt(k, x) for x in range(1 << self.d)]
 
 

@@ -804,6 +804,114 @@ class TestWideState:
         assert [spec.encrypt(True, x) for x in range(512)] == spec.encrypt_table(1)
 
 
+@pytest.fixture
+def table_builds(monkeypatch) -> list:
+    """The round keys of every encryption table a spec builds, in order."""
+    builds = []
+    build = CipherSpec._encryption_table
+
+    def counting(spec, keys, p):
+        builds.append(keys)
+        return build(spec, keys, p)
+
+    monkeypatch.setattr(CipherSpec, "_encryption_table", counting)
+    return builds
+
+
+def offset_schedule(k: int, h: int) -> int:
+    """A bare callable, a bijection of the 6-bit keys in every round."""
+    return (5 * k + h) % 64
+
+
+class TestKeptTables:
+    """A byte spec keeps every key's encryption table: each is built once,
+    a refused key leaves none, and there are at most 2^d of them."""
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_alternating_keys_build_each_table_once(self, schedule, table_builds):
+        spec = builtin_toy_spec(1000, SCHEDULES[schedule]())
+        blocks = random.Random(42).sample(range(64), 32)
+        outputs, expected = [], []
+        for x in blocks:  # 128 calls, the key changing at every call
+            for k in (5, 6):
+                outputs.append(spec.encrypt(k, x))
+                expected.append(reference_encrypt(spec, k, x))
+            for k in (5, 6):
+                outputs.append(spec.decrypt(k, x))
+                expected.append(reference_decrypt(spec, k, x))
+        assert len(outputs) == 128
+        assert outputs == expected
+        assert len(table_builds) == 2
+
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted", "bare"])
+    @pytest.mark.parametrize("rounds", [7, 1000])
+    def test_round_keys_after_a_kept_table(self, schedule, rounds):
+        ks = offset_schedule if schedule == "bare" else SCHEDULES[schedule]()
+        spec = builtin_toy_spec(rounds, ks)
+        for k in (5, 40):
+            spec.encrypt(k, 1)
+        spec.round_keys(40)
+        for k in (5, 40, 5):
+            spec.decrypt(k, 2)  # a hit: k's table is kept
+            spec.encrypt(45 - k, 3)
+            assert list(spec.round_keys(k)) == [ks(k, h) for h in range(1, rounds + 1)]
+
+    @pytest.mark.parametrize("schedule, rounds", sorted(GOLDEN_TABLE_DIGESTS))
+    def test_golden_tables_in_interleaved_key_order(self, schedule, rounds):
+        spec = builtin_toy_spec(rounds, GOLDEN_SCHEDULES[schedule]())
+        interleaved = [k for i in range(32) for k in (i, 63 - i)]
+        first = {k: bytes(spec.encrypt_table(k)) for k in interleaved}
+        for tables in (first, {k: bytes(spec.encrypt_table(k)) for k in range(64)}):
+            digest = hashlib.sha256(b"".join(tables[k] for k in range(64))).hexdigest()
+            assert digest == GOLDEN_TABLE_DIGESTS[schedule, rounds]
+
+    def test_refused_key_is_never_kept(self, table_builds):
+        spec = builtin_toy_spec(2, lambda k, h: k + 64 if (h, k) == (2, 9) else k)
+        before = spec.encrypt_table(8)
+        for call in session_key_calls(spec, 9) * 2:
+            with pytest.raises(ValueError, match="round key 73 in round 2"):
+                call()
+        assert sorted(spec._tables) == [8]
+        assert len(table_builds) == 1
+        assert spec.encrypt_table(8) == before
+
+    def test_keys_equal_to_a_kept_one(self, table_builds):
+        """3.0 and "3" are refused after key 3's table is kept; True reads
+        key 1's table and builds none."""
+        spec = builtin_toy_spec(1000)
+        tables = {k: spec.encrypt_table(k) for k in (3, 1)}
+        for key in (3.0, "3"):
+            for call in session_key_calls(spec, key):
+                with pytest.raises(ValueError, match=f"^session key {re.escape(repr(key))} is not an int$"):
+                    call()
+        assert spec.encrypt_table(True) == tables[1]
+        assert [spec.encrypt(True, x) for x in range(64)] == tables[1]
+        assert [spec.decrypt(True, y) for y in tables[1]] == list(range(64))
+        assert spec.encrypt_table(3) == tables[3]
+        assert sorted(spec._tables) == [1, 3]
+        assert len(table_builds) == 2
+
+    def test_at_most_one_table_per_key_at_8_bits(self, table_builds):
+        brick = VBF.from_power(14, FieldSpec(4, 0b10011))
+        spec = CipherSpec([brick, brick], BinMatrix.identity(8), 20)
+        first = [spec.encrypt_table(k) for k in range(256)]
+        assert len(spec._tables) == 256
+        assert all(len(table) == 256 for table in spec._tables.values())
+        assert [spec.encrypt_table(k) for k in range(256)] == first
+        assert [spec.encrypt(k, 7) for k in range(256)] == [t[7] for t in first]
+        assert len(spec._tables) == 256
+        assert len(table_builds) == 256
+
+    def test_no_tables_above_8_bits(self, table_builds):
+        brick = toy_brick()
+        spec = CipherSpec([brick] * 3, BinMatrix.identity(9), 7)
+        for k in (0, 5, 511):
+            table = spec.encrypt_table(k)
+            assert [spec.decrypt(k, y) for y in table] == list(range(512))
+        assert spec._tables == {}
+        assert table_builds == []
+
+
 ROUND_TABLE_SPECS = {
     "bundled": lambda: builtin_toy_spec(1),
     "inversion": inverse_brick_spec,
