@@ -15,10 +15,10 @@ on SPOT_CHECKS seeded blocks; verify_global_deduction compares it with the
 oracle on every block.  In the sum's own basis the coordinates are the
 sum's own tables; another basis costs one CoordinateMap per recovery.
 The spot-check blocks are drawn once per seed.  An oracle output outside
-the state space fails the recovery with ConsistencyFailureError.  An
-oracle built from a CipherSpec answers verification with the key's whole
-codebook (CipherSpec.encrypt_table) in one call, still counted block by
-block.
+the state space, or one that is not an int (a bool passes), fails the
+recovery with ConsistencyFailureError.  An oracle built from a CipherSpec
+answers verification with the key's whole codebook
+(CipherSpec.encrypt_table) in one call, still counted block by block.
 """
 
 from __future__ import annotations
@@ -176,15 +176,15 @@ def spot_check_blocks(seed: int, n: int) -> tuple[int, ...]:
 
 
 def _in_state(query: Callable[[int], int], n: int) -> Callable[[int], int]:
-    """The query, refusing an output outside 0..n - 1, which a coordinate
-    table would miss or, if negative, silently wrap."""
+    """The query, refusing an output that is no int in 0..n - 1 (bools pass),
+    which a coordinate table would fail on or, if negative, silently wrap."""
 
     def checked(x: int) -> int:
         y = query(x)
-        if 0 <= y < n:
+        if isinstance(y, int) and 0 <= y < n:
             return y
         raise ConsistencyFailureError(
-            f"oracle output {y} for block {x} is outside the state space 0..{n - 1}"
+            f"oracle output {y!r} for block {x} is outside the state space 0..{n - 1}"
         )
 
     return checked

@@ -5,8 +5,8 @@ mixing matrix, round keys XORed in after the mixing layer, and a
 pluggable key schedule that must be surjective in at least one round;
 that is checked for states of up to 8 bits only, as a check of a 16-bit
 state would call the schedule 2^16 times per round.
-A spec keeps the keyless round (bricks, then mixing) as one table per
-direction, and runs states of up to gf2.BYTE_BITS = 8 bits as bytes.
+A spec keeps the keyless round (bricks, then mixing) as a table, its
+inverse only above gf2.BYTE_BITS = 8 bits, and runs narrower states as bytes.
 
 The bundled 6-bit instance uses two identical 3-bit bricks given by a
 polynomial over GF(2^3), tabulated in the field's ascending encoding, and
@@ -154,11 +154,9 @@ class CipherSpec:
     For d <= 8 the spec also holds each key's whole encryption function as
     a byte table, built by translating the identity through one fused
     round table per round; decryption reads that same table, finding the
-    block's position in it.  When the round keys repeat every d rounds,
-    as the rotation's do, one period's table is raised to the power
-    rounds // d by repeated squaring, so a table costs O(d + log rounds)
-    translations.  Each key's table is built on its first use and kept,
-    so the spec holds at most 2^d tables of 2^d bytes: 4 KiB at d = 6,
+    block's position in it.  Each key's table is built on its first use
+    and kept, so a table costs one translation per round once per key,
+    and the spec holds at most 2^d tables of 2^d bytes: 4 KiB at d = 6,
     64 KiB at d = 8.  Wider states run the rounds block by block and keep
     only the last key's round keys, so their memory does not grow with
     the keys.
@@ -231,7 +229,7 @@ class CipherSpec:
         so memory does not grow with the keys."""
         # a float would read the memo of the int it equals
         if not isinstance(k, int) or self._memo[0] != k:
-            self._memo = (k, self._schedule(k)[0])
+            self._memo = (k, self._schedule(k))
         return self._memo[1]
 
     def _entry(self, k: int) -> bytes:
@@ -241,13 +239,11 @@ class CipherSpec:
         # a float would read the table of the int it equals
         table = self._tables.get(k) if isinstance(k, int) else None
         if table is None:
-            table = self._tables[k] = self._encryption_table(*self._schedule(k))
+            table = self._tables[k] = self._encryption_table(self._schedule(k))
         return table
 
-    def _schedule(self, k: int) -> tuple[tuple[int, ...], int]:
-        """k's round keys, every one checked to be an int in 0..2^d - 1, and
-        for d <= 8 the period the tables use: d if they repeat every d
-        rounds, else 0."""
+    def _schedule(self, k: int) -> tuple[int, ...]:
+        """k's round keys, every one checked to be an int in 0..2^d - 1."""
         n, d, rounds = 1 << self.d, self.d, self.rounds
         if not isinstance(k, int):
             raise ValueError(f"session key {k!r} is not an int")
@@ -260,45 +256,25 @@ class CipherSpec:
             keys = tuple(sequence(k, rounds))
         else:
             keys = tuple(ks(k, h) for h in range(1, rounds + 1))
-        # for d <= 8 table_bytes checks every key in C, and the period is
-        # read off its bytes, not off the keys, where 3.0 == 3; wider
-        # states, and the keys it refuses, are checked one by one
-        packed = table_bytes(keys, d) if d <= BYTE_BITS else None
-        if packed is None:
+        # for d <= 8 table_bytes checks every key in C; wider states, and
+        # the keys it refuses, are checked one by one
+        if d > BYTE_BITS or table_bytes(keys, d) is None:
             for h, rk in enumerate(keys, 1):
                 if not (isinstance(rk, int) and 0 <= rk < n):
                     raise ValueError(
-                        f"key schedule gives round key {rk} in round {h}, outside 0..{n - 1}"
+                        f"key schedule gives round key {rk!r} in round {h}, outside 0..{n - 1}"
                     )
-            return keys, 0
-        return keys, d if d < rounds and packed[d:] == packed[:-d] else 0
+        return keys
 
-    def _encryption_table(self, keys: tuple[int, ...], p: int) -> bytes:
+    def _encryption_table(self, keys: tuple[int, ...]) -> bytes:
         """E_k as bytes, for d <= 8: each round translates the table through
-        that round's fused table core[x] ^ rk.  When the keys repeat every
-        p > 0 rounds, E_k is the table of the first rounds mod p round keys
-        after P^(rounds // p), where P is one period's table."""
+        that round's fused table core[x] ^ rk."""
         fused = self._fused
         if fused is None:
             core, pad = self._round, bytes(256 - len(self._round))
             fused = [bytes([y ^ rk for y in core]) + pad for rk in range(len(core))]
             self._fused = fused
         enc = BYTE_VALUES[self.d]
-        if p:
-            # P as a whole 256-entry translate table: the fused pads send
-            # the bytes past 2^d to 0, which no state reaches
-            power = BYTE_VALUES[BYTE_BITS]
-            for rk in keys[:p]:
-                power = power.translate(fused[rk])
-            q, r = divmod(self.rounds, p)
-            while True:
-                if q & 1:
-                    enc = enc.translate(power)
-                q >>= 1
-                if not q:
-                    break
-                power = power.translate(power)
-            keys = keys[:r]
         for rk in keys:
             enc = enc.translate(fused[rk])
         return enc

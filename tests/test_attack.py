@@ -168,6 +168,11 @@ def identity_except(block: int, output: int, direction: str = "encrypt") -> Orac
     return Oracle(lambda x: output if x == block else x, direction)
 
 
+def named(output, block: int) -> str:
+    """The start of the refusal of an output for a block, as a pattern."""
+    return re.escape(f"output {output!r} for block {block} ")
+
+
 def recover(mode: str, enc: Oracle, dec: Oracle | None = None):
     state, basis = toy_state_sum(), toy_coordinate_basis()
     if mode == "cp":
@@ -176,8 +181,9 @@ def recover(mode: str, enc: Oracle, dec: Oracle | None = None):
 
 
 class TestOutputsOutsideTheState:
-    """An oracle output outside 0..63 is refused, naming the block, before
-    a coordinate table can miss it or (if negative) wrap it."""
+    """An oracle output outside 0..63, or one that is not an int, is
+    refused by its repr, naming the block, before a coordinate table can
+    miss it, fail on it or (if negative) wrap it."""
 
     @pytest.mark.parametrize("mode", ["cp", "cpcc"])
     def test_every_output_too_large(self, mode):
@@ -185,26 +191,31 @@ class TestOutputsOutsideTheState:
             recover(mode, Oracle(lambda x: x + 64, "encrypt"))
 
     @pytest.mark.parametrize("mode", ["cp", "cpcc"])
-    @pytest.mark.parametrize("output", [64, 1000, -1, -64])
+    @pytest.mark.parametrize("output", [64, 1000, -1, -64, 3.0, None, "3"])
     @pytest.mark.parametrize("block", [0, 1, 32])
     def test_one_queried_block(self, mode, output, block):
-        with pytest.raises(ConsistencyFailureError, match=rf"output {output} for block {block} "):
+        with pytest.raises(ConsistencyFailureError, match=named(output, block)):
             recover(mode, identity_except(block, output))
 
-    @pytest.mark.parametrize("output", [64, -1])
+    @pytest.mark.parametrize("output", [64, -1, 3.0, None, "3"])
     @pytest.mark.parametrize("block", [0, 8])
     def test_decryption_side(self, output, block):
         dec = identity_except(block, output, "decrypt")
-        with pytest.raises(ConsistencyFailureError, match=rf"output {output} for block {block} "):
+        with pytest.raises(ConsistencyFailureError, match=named(output, block)):
             recover("cpcc", identity_oracle(), dec)
 
     @pytest.mark.parametrize("mode", ["cp", "cpcc"])
-    @pytest.mark.parametrize("output", [64, -1])
+    @pytest.mark.parametrize("output", [64, -1, 3.0, None, "3"])
     def test_spot_checked_block(self, mode, output):
         # a block that none of the attack queries (0 and the unit vectors) asks
         block = next(v for v in spot_check_blocks(0, 64) if v & (v - 1))
-        with pytest.raises(ConsistencyFailureError, match=rf"output {output} for block {block} "):
+        with pytest.raises(ConsistencyFailureError, match=named(output, block)):
             recover(mode, identity_except(block, output))
+
+    @pytest.mark.parametrize("mode", ["cp", "cpcc"])
+    def test_bool_output_passes(self, mode):
+        repr_, _ = recover(mode, identity_except(1, True))
+        assert repr_.forward_table() == list(range(64))
 
     @pytest.mark.parametrize("mode", ["cp", "cpcc"])
     def test_negative_outputs_do_not_wrap(self, mode):

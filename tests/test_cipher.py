@@ -506,16 +506,6 @@ class TestSquaredTables:
         for k in range(64):
             assert bytes(spec.encrypt_table(k)) == loop_encryption_table(spec, k)
 
-    @pytest.mark.parametrize(
-        "schedule, period",
-        [("rotation", 6), ("period 3", 6), ("period 4", 0), ("period 12", 0), ("aperiodic", 0)],
-    )
-    @pytest.mark.parametrize("rounds", [13, 1000])
-    def test_period_is_d_only_when_the_keys_repeat_with_it(self, rounds, schedule, period):
-        spec = builtin_toy_spec(rounds, PERIODIC_SCHEDULES[schedule]())
-        # keys whose rotations are all distinct (0 repeats every round)
-        assert [spec._schedule(k)[1] for k in (1, 5)] == [period] * 2
-
     @pytest.mark.parametrize("schedule", sorted(PERIODIC_SCHEDULES))
     @pytest.mark.parametrize("rounds", [7, 13, 1000])
     def test_any_schedule_gives_the_exact_table(self, rounds, schedule):
@@ -613,12 +603,15 @@ class TestOutOfRange:
             (255, ValueError, "round key 255 in round 4, outside 0..63"),
             (256, ValueError, "round key 256 in round 4, outside 0..63"),
             (300, ValueError, "round key 300 in round 4, outside 0..63"),
+            ("5", ValueError, "round key '5' in round 4, outside 0..63"),
+            (None, ValueError, "round key None in round 4, outside 0..63"),
         ],
     )
     def test_round_key_check_outcome_per_value(self, value, error, message, periodic):
-        """Every odd round key, a float equal to an int included, is named
-        with its first round, whether it lies in or beyond a byte, and
-        whether or not the keys repeat every 6 rounds."""
+        """Every odd round key, a float equal to an int, a string and None
+        included, is named by its repr with its first round, whether it
+        lies in or beyond a byte, and whether or not the keys repeat every
+        6 rounds."""
         if periodic:
             spec = builtin_toy_spec(12, lambda k, h: value if h % 6 == 4 else k)
         else:
@@ -810,9 +803,9 @@ def table_builds(monkeypatch) -> list:
     builds = []
     build = CipherSpec._encryption_table
 
-    def counting(spec, keys, p):
+    def counting(spec, keys):
         builds.append(keys)
-        return build(spec, keys, p)
+        return build(spec, keys)
 
     monkeypatch.setattr(CipherSpec, "_encryption_table", counting)
     return builds
