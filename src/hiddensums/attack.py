@@ -27,9 +27,10 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 
 from .cipher import CipherSpec, block_outside_state
-from .gf2 import BinMatrix, SingularMatrixError
+from .gf2 import BYTE_BITS, BinMatrix, SingularMatrixError, table_bytes
 from .hidden_sum import CoordinateMap, HiddenSum
 
 
@@ -278,13 +279,23 @@ def verify_global_deduction(
     verification query per block: a spec-backed oracle reads the key's
     whole codebook with one encrypt_table call, an oracle over a bare
     function asks block by block.  An answer outside the state space is
-    a mismatch.  The reported query totals are the attack-phase ones from
-    the transcript.
+    a mismatch, and so is one that is not an int (a bool passes), even if
+    it equals the right block, as 3.0 equals 3.  The reported query
+    totals are the attack-phase ones from the transcript.
     """
-    outputs = enc_oracle.verification_outputs(1 << repr_.coord_map.width)
+    d = repr_.coord_map.width
+    outputs = enc_oracle.verification_outputs(1 << d)
     forward = repr_.forward_table()
-    # one list comparison in C when they agree, as they do for a sound attack
-    mismatches = 0 if forward == outputs else sum(y != z for y, z in zip(forward, outputs))
+    # when they agree, as they do for a sound attack, one list comparison
+    # and one check that the outputs are ints, both in C
+    if forward == outputs and (
+        table_bytes(outputs, d) is not None
+        if d <= BYTE_BITS
+        else all(map(isinstance, outputs, repeat(int)))
+    ):
+        mismatches = 0
+    else:
+        mismatches = sum(not isinstance(z, int) or y != z for y, z in zip(forward, outputs))
     return DeductionReport(
         verified_blocks=len(outputs),
         mismatches=mismatches,

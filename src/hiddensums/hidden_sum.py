@@ -14,17 +14,15 @@ point at every width, and compared with the XOR-affine table that
 read_affine, the attack's fit, gives.  The sums on one brick of up to
 MAX_BRICK_WIDTH bits are built as the orbits of a few representative
 products under GL(width, 2); the walk over an orbit reaches each product
-as a sum in a basis of its own, moving its parent's tables along.  A
+as a sum in a basis of its own, moving its parent's tables along, and
+each regular group's canonical generators are read off that sum.  A
 search over their brick-parallel products finds all sums compatible with
 a given set of round functions, after a test on each brick alone, one
-list scan at every width, has pruned that brick's candidates.  The test
-is run on the walk's products, as it does not depend on the basis, and
-the regular groups with their canonical generators are built only for a
-brick where some product passed.  Before any of that, a round is
-rejected outright when some brick has no direction a that could lie in
-the annihilator of a sum making it affine: every such a turns
-rho(rho^-1(y) + a) into an XOR-affine map of y, which a test on the
-pairs of unit vectors reads off rho and its inverse alone.
+list scan at every width, has pruned that brick's candidates.  Before
+any of that, a round is rejected outright when some brick has no
+direction a that could lie in the annihilator of a sum making it affine:
+every such a turns rho(rho^-1(y) + a) into an XOR-affine map of y, which
+a test on the pairs of unit vectors reads off rho and its inverse alone.
 """
 
 from __future__ import annotations
@@ -449,23 +447,19 @@ def _representative_sum(width: int, constants: dict[tuple[int, int], int]) -> Hi
     return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
 
 
-def sum_orbits(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The orbit under GL(width, 2) of each of ORBIT_REPRESENTATIVES[width],
-    each product as its constants e_i*e_j for the pairs i < j in the order
-    of combinations, as _orbit_walk reaches them."""
-    return tuple(tuple(constants for constants, _ in orbit) for orbit in _orbit_walk(width))
-
-
 @lru_cache(maxsize=None)
-def _orbit_walk(width: int) -> tuple[tuple[tuple[tuple[int, ...], HiddenSum], ...], ...]:
-    """Each orbit of sum_orbits, every product as (constants, sum), the sum
-    x # y = x + y + x*y in a basis of its own.
+def _orbit_walk(width: int) -> tuple[tuple[HiddenSum, ...], ...]:
+    """The orbit under GL(width, 2) of each of ORBIT_REPRESENTATIVES[width],
+    every product as its sum x # y = x + y + x*y in a basis of its own:
+    the one place where a product becomes a sum.
 
     A acts by x *' y = A^-1(Ax * Ay), again a commutative, associative
     product with x*x = 0, and each orbit is closed breadth first under
-    gl_generators.  A move reads e_i *' e_j off the old constants, as
-    Ae_i * Ae_j is the sum of e_a*e_b over the bits a of Ae_i and b of
-    Ae_j, a != b: one or two terms, since only e_1 goes to two bits.
+    gl_generators.  A product is tracked by its constants e_i*e_j for the
+    pairs i < j in the order of combinations, and a move reads e_i *' e_j
+    off the old constants, as Ae_i * Ae_j is the sum of e_a*e_b over the
+    bits a of Ae_i and b of Ae_j, a != b: one or two terms, since only e_1
+    goes to two bits.
 
     A is an isomorphism from #' to #, so a product reached through A takes
     its parent's coordinates after A, C o A, and its elements before A^-1,
@@ -501,7 +495,7 @@ def _orbit_walk(width: int) -> tuple[tuple[tuple[tuple[int, ...], HiddenSum], ..
                     coords = parent._by_element
                     hs._by_element = [coords[a] for a in forward]
                     orbit.append((new, hs))
-        orbits.append(tuple(orbit))
+        orbits.append(tuple(hs for _, hs in orbit))
     return tuple(orbits)
 
 
@@ -513,14 +507,15 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     (Caranti, Dalla Volta & Sala, "Abelian regular subgroups of the affine
     group and radical rings"; Calderini & Sala, "Elementary abelian regular
     subgroups as hidden sums for cryptographic trapdoors"), and the
-    products are those of sum_orbits.  The list is complete: the tests
-    compare it at every width with a backtracking over the structure
-    constants and with a search over generator chains of affine
-    involutions.  Each group is returned as its generators, chosen
-    greedily, each the smallest element (by matrix rows, then translation)
-    not yet generated.  The groups come in a canonical order, that of their
-    element rows.  Nothing is cached here but the orbits (_orbit_walk):
-    the one caller, translation_compatible_sums, keeps its sums per width.
+    products are those of _orbit_walk, each read off its walk sum.  The
+    list is complete: the tests compare it at every width with a
+    backtracking over the structure constants and with a search over
+    generator chains of affine involutions.  Each group is returned as its
+    generators, chosen greedily, each the smallest element (by matrix
+    rows, then translation) not yet generated.  The groups come in a
+    canonical order, that of their element rows.  Nothing is cached here
+    but the orbits: the one caller, translation_compatible_sums, keeps its
+    sums per width.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"brick width {width!r} is not a positive int")
@@ -528,33 +523,22 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
         raise ValueError(
             f"regular-group enumeration is exhaustive only up to width {MAX_BRICK_WIDTH}"
         )
-    mask = (1 << width) - 1
-    # an element's rows packed in one int, row 0 highest, so that the ints
-    # compare as the tuples of rows do; columns[k] places each e_i*e_k
-    shifts = [width * (width - 1 - i) for i in range(width)]
-    identity = sum(1 << i << s for i, s in enumerate(shifts))
-    columns = [[] for _ in shifts]
-    for p, (i, j) in enumerate(itertools.combinations(range(width), 2)):
-        columns[i].append((p, shifts[j]))
-        columns[j].append((p, shifts[i]))
     groups = []
-    for orbit in sum_orbits(width):
-        for constants in orbit:
-            # the element sending 0 to y is x |-> x(I + delta_y) + y, row i
-            # of delta_y being e_i*y: adding e_k to y adds e_i*e_k to row i
-            elements = [identity]
-            for column in columns:
-                delta = 0
-                for p, s in column:
-                    delta ^= constants[p] << s
-                elements += [e ^ delta for e in elements]
-            span, generators = {0}, []
-            for y in sorted(range(len(elements)), key=elements.__getitem__):
-                if y not in span:
-                    g = AffineMap(BinMatrix([elements[y] >> s & mask for s in shifts]), y)
-                    generators.append(g)
-                    span |= {g.matrix.apply(x) ^ y for x in span}  # g(x), one call less
-            groups.append((elements, tuple(generators)))
+    for orbit in _orbit_walk(width):
+        for s in orbit:
+            element, coords = s._by_coeff, s._by_element
+            # the element sending 0 to y is x |-> x # y, whose linear part
+            # has row i e_i # y + y; column i over all y, read in coordinates
+            units = [coords[1 << i] for i in range(width)]
+            columns = [[element[u ^ c] ^ y for y, c in enumerate(coords)] for u in units]
+            rows = list(zip(*columns))
+            reached, generators = {0}, []
+            for y in sorted(range(len(rows)), key=rows.__getitem__):
+                c = coords[y]
+                if c not in reached:
+                    generators.append(AffineMap(BinMatrix(rows[y]), y))
+                    reached |= {x ^ c for x in reached}
+            groups.append((rows, tuple(generators)))
     groups.sort(key=lambda group: group[0])
     return tuple(generators for _, generators in groups)
 
@@ -608,38 +592,20 @@ def _brick_survivors(
     """For each brick, the sums of translation_compatible_sums(width) that
     pass find_hidden_sums' brick test (_brick_passes) for every table, in
     their order.  The tables must be permutations of the space; each is
-    projected onto a brick's bits once, for all of that brick's sums.
-
-    The test runs on the products of _orbit_walk, each a sum in a basis of
-    its own, and translation_compatible_sums is asked for a brick's sums
-    only where some product passed; those whose constants passed are kept,
-    so a brick that keeps no candidate builds no group.  The verdict does
-    not depend on the basis: two bases of one sum differ by an invertible
-    linear map L of the coordinates, which is applied to the brick's input
-    and output coordinates alike, so T(c, x_rest) becomes
-    L T(L^-1 c, x_rest), and that is affine in c with the linear part
-    L M L^-1 for every x_rest exactly when T is with the linear part M."""
+    projected onto a brick's bits once, for all of that brick's sums, and
+    the test runs on the canonical sums themselves."""
     d = sum(brick_widths)
     survivors, off = [], 0
     for w in brick_widths:
         low = (1 << w) - 1
         projected = [[y >> off & low for y in t] for t in tables]
-        passed = {
-            constants
-            for orbit in _orbit_walk(w)
-            for constants, s in orbit
-            if all(_brick_passes(p, d, off, s) for p in projected)
-        }
-        kept = []
-        if passed:
-            # a sum's constants are e_i*e_j = e_i + e_j + (e_i # e_j), i < j
-            pairs = list(itertools.combinations([1 << i for i in range(w)], 2))
-            kept = [
+        survivors.append(
+            [
                 s
                 for s in translation_compatible_sums(w)
-                if tuple([a ^ b ^ s.op(a, b) for a, b in pairs]) in passed
+                if all(_brick_passes(p, d, off, s) for p in projected)
             ]
-        survivors.append(kept)
+        )
         off += w
     return survivors
 
@@ -715,11 +681,10 @@ def find_hidden_sums(
     at full width, so the results, their order and their bases (from the
     same part objects) are those of the unpruned product.  On the bundled
     cipher one candidate per brick survives, so one product sum is built
-    instead of 64.  The brick test is run on each brick's products as sums
-    in bases of their own, which gives the same verdicts (see
-    _brick_survivors), so translation_compatible_sums builds its groups
-    only for a width where some candidate passed: a search whose bricks
-    keep none builds no group at all.
+    instead of 64.  The brick test runs on the canonical sums of
+    translation_compatible_sums, so a round that passes the pre-test
+    builds every sum of each of its brick widths once, and a round that
+    the pre-test rejects builds none.
     """
     if not brick_widths:
         raise ValueError("need at least one brick")

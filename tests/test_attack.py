@@ -357,6 +357,28 @@ class TestGlobalDeduction:
         assert report.verified_blocks == 64
         assert report.mismatches == 1
 
+    @pytest.mark.parametrize("d", [6, 9])
+    @pytest.mark.parametrize("convert", [float, str], ids=["float", "str"])
+    def test_output_that_is_no_int_is_a_mismatch(self, convert, d):
+        """An oracle answering float(x) or str(x) for every block x matches
+        the identity on no block, though 3.0 equals 3; one such answer
+        among ints is one mismatch.  Up to 8 bits the outputs are checked
+        as bytes, past 8 one by one."""
+        xor = HiddenSum([AffineMap(BinMatrix.identity(d), 1 << i) for i in range(d)])
+        repr_, transcript = reconstruct_cp(identity_oracle(), xor, xor.basis)
+        assert verify_global_deduction(repr_, identity_oracle(), transcript).ok
+        report = verify_global_deduction(repr_, Oracle(convert, "encrypt"), transcript)
+        assert (report.verified_blocks, report.mismatches) == (1 << d, 1 << d)
+        one = verify_global_deduction(repr_, identity_except(5, convert(5)), transcript)
+        assert one.mismatches == 1
+
+    def test_bool_output_is_its_int(self):
+        repr_, transcript = reconstruct_cp(
+            identity_oracle(), toy_state_sum(), toy_coordinate_basis()
+        )
+        oracle = Oracle(lambda x: bool(x) if x < 2 else x, "encrypt")
+        assert verify_global_deduction(repr_, oracle, transcript).mismatches == 0
+
 
 def reference_apply(repr_: AffineRepr, v: int) -> int:
     """The per-block body the lookup table replaced: coordinates, M, t."""

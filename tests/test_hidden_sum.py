@@ -47,11 +47,15 @@ from hiddensums.hidden_sum import (
     parse_group_spec,
     product_sum,
     ring_product,
-    sum_orbits,
     translation_compatible_sums,
     xor_translation_table,
 )
-from hiddensums.hidden_sum import _direction_passes, _orbit_walk, _unit_pair_preimages
+from hiddensums.hidden_sum import (
+    _brick_survivors,
+    _direction_passes,
+    _orbit_walk,
+    _unit_pair_preimages,
+)
 
 
 def toy_generators():
@@ -600,7 +604,7 @@ class TestEnumeration:
 
 def product_constants(hs):
     """e_i*e_j = e_i + e_j + (e_i # e_j) for the pairs i < j in the order
-    of combinations, as sum_orbits gives a product."""
+    of combinations, as _orbit_walk tracks a product."""
     units = [1 << i for i in range(hs.width)]
     return tuple(a ^ b ^ hs.op(a, b) for i, a in enumerate(units) for b in units[i + 1 :])
 
@@ -619,12 +623,12 @@ def closure_order(width):
 
 class TestOrbits:
     def test_orbit_sizes_frozen(self):
-        sizes = {w: [len(orbit) for orbit in sum_orbits(w)] for w in range(1, 5)}
+        sizes = {w: [len(orbit) for orbit in _orbit_walk(w)] for w in range(1, 5)}
         assert sizes == {1: [1], 2: [1], 3: [1, 7], 4: [1, 105]}
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_orbits_partition_the_enumerated_sums(self, width):
-        orbits = sum_orbits(width)
+        orbits = [[product_constants(hs) for hs in orbit] for orbit in _orbit_walk(width)]
         assert sum(len(orbit) for orbit in orbits) == len(enumerate_regular_groups(width))
         for g in enumerate_regular_groups(width):
             constants = product_constants(HiddenSum(g))
@@ -642,25 +646,23 @@ class TestOrbits:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_walk_yields_every_sum_once(self, width):
-        """The walk's products, one sum each, are the enumerated sums, and
-        sum_orbits reads its constants off them."""
-        walk = [pair for orbit in _orbit_walk(width) for pair in orbit]
-        candidates = [hs for _, hs in walk]
+        """The walk's products, one sum each, are the enumerated sums."""
+        candidates = [hs for orbit in _orbit_walk(width) for hs in orbit]
         assert len(set(candidates)) == len(candidates)
         assert set(candidates) == set(translation_compatible_sums(width))
-        assert [c for c, _ in walk] == [c for orbit in sum_orbits(width) for c in orbit]
         n = 1 << width
-        for _, hs in walk:
+        for hs in candidates:
             assert sorted(hs._by_coeff) == list(range(n))
             assert [hs._by_element[e] for e in hs._by_coeff] == list(range(n))
             assert hs.basis == tuple(hs._by_coeff[1 << i] for i in range(width))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_walk_sums_are_their_products(self, width):
-        """Each candidate's op is x + y + x*y, the product summed bit by
-        bit over its constants."""
+        """Each walk sum's op is x + y + x*y for a bilinear product: the
+        one its unit pairs give (product_constants), summed bit by bit."""
         pairs = list(itertools.combinations(range(width), 2))
-        for constants, hs in (pair for orbit in _orbit_walk(width) for pair in orbit):
+        for hs in (hs for orbit in _orbit_walk(width) for hs in orbit):
+            constants = product_constants(hs)
             value = dict(zip(pairs, constants))
             for x in range(1 << width):
                 for y in range(1 << width):
@@ -674,7 +676,8 @@ class TestOrbits:
     def test_walk_takes_a_free_basis_where_units_are_not(self):
         """(7, 7, 7) at width 3 has e_1 # e_3 = e_2, so its unit vectors
         generate only four elements; the walk's basis for it is free."""
-        hs = dict(pair for orbit in _orbit_walk(3) for pair in orbit)[7, 7, 7]
+        walk = {product_constants(hs): hs for orbit in _orbit_walk(3) for hs in orbit}
+        hs = walk[7, 7, 7]
         assert hs.op(0b001, 0b100) == 0b010
         assert hs.basis != (1, 2, 4)
         assert sorted(hs._by_coeff) == list(range(8))
@@ -709,9 +712,9 @@ class TestSearch:
         table = spec().core_table()
         assert find_hidden_sums(iter([table]), [3, 3]) == find_hidden_sums([table], [3, 3])
 
-    def test_no_survivor_builds_no_group(self):
-        """A search whose bricks keep no candidate asks for no enumerated
-        sum; the bundled cipher's asks for width 3 alone."""
+    def test_pretest_rejected_round_builds_no_group(self):
+        """A round that the annihilator pre-test rejects asks for no
+        enumerated sum; the bundled cipher's asks for width 3 alone."""
         table = list(range(16))
         random.Random(4).shuffle(table)
         translation_compatible_sums.cache_clear()
@@ -723,6 +726,19 @@ class TestSearch:
         assert filled.currsize == 1
         translation_compatible_sums(3)
         assert translation_compatible_sums.cache_info().misses == filled.misses
+
+    def test_pretest_passing_round_without_candidates_finds_none(self):
+        """A 4-bit permutation that passes the pre-test (direction 11 alone)
+        but keeps no brick candidate: the search finds no sum, as an
+        exhaustive membership check over all 106 width-4 sums does."""
+        table = list(range(16))
+        random.Random(44215).shuffle(table)
+        preimages = _unit_pair_preimages(sorted(range(16), key=table.__getitem__))
+        assert [a for a in range(1, 16) if _direction_passes(table, preimages, a)] == [11]
+        assert _brick_survivors([table], [4]) == [[]]
+        sums = translation_compatible_sums(4)
+        assert len(sums) == 106
+        assert find_hidden_sums([table], [4]) == [s for s in sums if agl_membership(table, s)] == []
 
     @staticmethod
     def passing_directions(table):

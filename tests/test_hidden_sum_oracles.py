@@ -52,7 +52,6 @@ from hiddensums.hidden_sum import (
     HiddenSum,
     NotElementaryAbelianError,
     NotRegularError,
-    _brick_passes,
     _brick_survivors,
     _direction_passes,
     _unit_pair_preimages,
@@ -1292,44 +1291,6 @@ def test_brick_test_of_several_tables(tables, widths):
         for s in translation_compatible_sums(w):
             expected = all(reference_brick_test(t, widths, i, s) for t in tables)
             assert (s in survivors[i]) == expected, (widths, i)
-
-
-def reference_brick_survivors(tables, brick_widths):
-    """For each brick, the sums of translation_compatible_sums(width) that
-    pass find_hidden_sums' brick test (_brick_passes) for every table, in
-    their order.  The tables must be permutations of the space; each is
-    projected onto a brick's bits once, for all of that brick's sums."""
-    d = sum(brick_widths)
-    survivors, off = [], 0
-    for w in brick_widths:
-        low = (1 << w) - 1
-        projected = [[y >> off & low for y in t] for t in tables]
-        survivors.append(
-            [
-                s
-                for s in translation_compatible_sums(w)
-                if all(_brick_passes(p, d, off, s) for p in projected)
-            ]
-        )
-        off += w
-    return survivors
-
-
-def test_products_survive_as_the_canonical_sums():
-    """Testing each brick's products in their own bases, and building the
-    canonical sums only where one passed, keeps the very sums of the
-    canonical test, in the same order, for one table and for several."""
-    cases = [([table], widths) for table, widths in brick_test_cases()]
-    cases += [case[1:] for case in several_tables_cases()]
-    kept = 0
-    for tables, widths in cases:
-        fast = _brick_survivors(tables, widths)
-        slow = reference_brick_survivors(tables, widths)
-        assert len(fast) == len(slow) == len(widths)
-        for f, s in zip(fast, slow):
-            assert len(f) == len(s) and all(a is b for a, b in zip(f, s)), widths
-            kept += len(f)
-    assert kept
 
 
 @pytest.mark.parametrize("widths", [[3, 3], [2, 4], [4, 2], [1, 2, 3]], ids=str)

@@ -518,9 +518,11 @@ def test_every_search_target_is_called():
     """A traced search pass of the benchmark, run in a fresh interpreter as
     the benchmark runs it, calls every target the tracer assigns to the
     search workload, so none of that workload's layer metrics reads 0.
-    AffineMap.apply is the one exception: the regular-group enumeration
-    spans each group through its matrix, and that metric already reads 0
-    (ROADMAP item 1)."""
+    AffineMap.apply is the one exception, and that metric already reads 0
+    (ROADMAP item 1): the regular-group enumeration closes each group by
+    XOR in its walk sum's coordinates, and HiddenSum reads a generator as
+    its matrix's affine table, so nothing on the search path applies an
+    affine map point by point."""
     code = "\n".join(
         [
             "import json, passes, tracer",
