@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from itertools import repeat
 
 from .cipher import CipherSpec, block_outside_state
-from .gf2 import BYTE_BITS, BinMatrix, SingularMatrixError, table_bytes
+from .gf2 import BinMatrix, SingularMatrixError
 from .hidden_sum import CoordinateMap, HiddenSum
 
 
@@ -288,11 +288,7 @@ def verify_global_deduction(
     forward = repr_.forward_table()
     # when they agree, as they do for a sound attack, one list comparison
     # and one check that the outputs are ints, both in C
-    if forward == outputs and (
-        table_bytes(outputs, d) is not None
-        if d <= BYTE_BITS
-        else all(map(isinstance, outputs, repeat(int)))
-    ):
+    if forward == outputs and all(map(isinstance, outputs, repeat(int))):
         mismatches = 0
     else:
         mismatches = sum(not isinstance(z, int) or y != z for y, z in zip(forward, outputs))

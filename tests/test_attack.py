@@ -168,6 +168,21 @@ def identity_except(block: int, output: int, direction: str = "encrypt") -> Orac
     return Oracle(lambda x: output if x == block else x, direction)
 
 
+class IndexOnly:
+    """An output that equals its int and converts to it, but is no int."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __eq__(self, other) -> bool:
+        return other == self.value
+
+    __hash__ = None
+
+
 def named(output, block: int) -> str:
     """The start of the refusal of an output for a block, as a pattern."""
     return re.escape(f"output {output!r} for block {block} ")
@@ -358,12 +373,14 @@ class TestGlobalDeduction:
         assert report.mismatches == 1
 
     @pytest.mark.parametrize("d", [6, 9])
-    @pytest.mark.parametrize("convert", [float, str], ids=["float", "str"])
+    @pytest.mark.parametrize(
+        "convert", [float, str, IndexOnly], ids=["float", "str", "index_only"]
+    )
     def test_output_that_is_no_int_is_a_mismatch(self, convert, d):
-        """An oracle answering float(x) or str(x) for every block x matches
-        the identity on no block, though 3.0 equals 3; one such answer
-        among ints is one mismatch.  Up to 8 bits the outputs are checked
-        as bytes, past 8 one by one."""
+        """An oracle answering float(x), str(x) or an object that only
+        converts to x for every block x matches the identity on no block,
+        though 3.0 equals 3; one such answer among ints is one mismatch.
+        The verdict is the same at every width."""
         xor = HiddenSum([AffineMap(BinMatrix.identity(d), 1 << i) for i in range(d)])
         repr_, transcript = reconstruct_cp(identity_oracle(), xor, xor.basis)
         assert verify_global_deduction(repr_, identity_oracle(), transcript).ok
