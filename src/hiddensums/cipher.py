@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
+from itertools import repeat
 
-from .gf2 import BYTE_BITS, BYTE_VALUES, BinMatrix, FieldSpec, read_digits, table_bytes
+from .gf2 import BYTE_BITS, BYTE_VALUES, BinMatrix, FieldSpec, read_digits
 from .hidden_sum import HiddenSum, parse_group_spec, product_sum
 from .vbf import TABLE_LIMIT_BITS, VBF
 
@@ -244,7 +245,7 @@ class CipherSpec:
 
     def _schedule(self, k: int) -> tuple[int, ...]:
         """k's round keys, every one checked to be an int in 0..2^d - 1."""
-        n, d, rounds = 1 << self.d, self.d, self.rounds
+        n, rounds = 1 << self.d, self.rounds
         if not isinstance(k, int):
             raise ValueError(f"session key {k!r} is not an int")
         if not 0 <= k < n:
@@ -256,9 +257,11 @@ class CipherSpec:
             keys = tuple(sequence(k, rounds))
         else:
             keys = tuple(ks(k, h) for h in range(1, rounds + 1))
-        # for d <= 8 table_bytes checks every key in C; wider states, and
-        # the keys it refuses, are checked one by one
-        if d > BYTE_BITS or table_bytes(keys, d) is None:
+        # one check in C at every width: isinstance refuses what only
+        # converts to an int, and the keys that fail it are named one by one
+        if keys and not (
+            all(map(isinstance, keys, repeat(int))) and min(keys) >= 0 and max(keys) < n
+        ):
             for h, rk in enumerate(keys, 1):
                 if not (isinstance(rk, int) and 0 <= rk < n):
                     raise ValueError(

@@ -10,10 +10,10 @@ is the coefficient of a^i, where a is a root of the modulus polynomial.
 The modulus is an int too (bit i = coefficient of x^i), e.g. 0b1011 is
 x^3 + x + 1.
 
-The byte-table format that vbf and cipher share lives here: the
-BYTE_BITS = 8 limit, its tables (the values, the ones and the shifted
-points x + a of _shifted, through which vbf's derivative alone translates
-a table), and table_bytes, the checked step.
+The byte-table format lives here: the BYTE_BITS = 8 limit and the values
+of each width, which vbf and cipher share, and what vbf alone uses: the
+ones, the shifted points x + a of _shifted, through which its derivative
+translates a table, and table_bytes, its checked step to bytes.
 """
 
 from __future__ import annotations

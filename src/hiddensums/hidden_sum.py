@@ -12,10 +12,10 @@ is an involution and doubles the sum's coordinate table.  Membership is
 asked of the map's conjugate in the sum's coordinates, one list lookup per
 point at every width, and compared with the XOR-affine table that
 read_affine, the attack's fit, gives.  The sums on one brick of up to
-MAX_BRICK_WIDTH bits are built as the orbits of a few representative
-products under GL(width, 2); the walk over an orbit reaches each product
-as a sum in a basis of its own, moving its parent's tables along, and
-each regular group's canonical generators are read off that sum.  A
+MAX_BRICK_WIDTH bits come from the orbits of a few representative
+products under GL(width, 2); the walk over an orbit lists each product's
+structure constants, each regular group's canonical generators are read
+off those, and the sum is built from the generators alone.  A
 search over their brick-parallel products finds all sums compatible with
 a given set of round functions, after a test on each brick alone, one
 list scan at every width, has pruned that brick's candidates.  Before
@@ -417,7 +417,8 @@ def gl_generators(width: int) -> tuple[tuple[list[int], list[int]], ...]:
     """Generators of GL(width, 2) as the images of the unit vectors under A
     and, written out, under A^-1: swap e_1 and e_2, shift e_i to e_(i+1)
     cyclically, and the transvection e_1 -> e_1 + e_2 (at width 1, where
-    there is no e_2, all three are the identity)."""
+    there is no e_2, all three are the identity).  The orbit walk moves a
+    product's constants with A's images and A^-1's table."""
     units = [1 << i for i in range(width)]
     swap = units[1::-1] + units[2:]
     shift, unshift = units[1:] + units[:1], units[-1:] + units[:-1]
@@ -425,77 +426,50 @@ def gl_generators(width: int) -> tuple[tuple[list[int], list[int]], ...]:
     return (swap, swap), (shift, unshift), (transvection, transvection)
 
 
-def _representative_sum(width: int, constants: dict[tuple[int, int], int]) -> HiddenSum:
-    """The sum x # y = x + y + x*y of the product with the given nonzero
-    constants {(i, j): e_i*e_j}, i < j, doubled through x # b over each b,
-    in increasing order, that it has not reached yet: the unit vectors are
-    not always free ((7, 7, 7) at width 3 has e_1 # e_3 = e_2)."""
-
-    def times(x: int, y: int) -> int:
-        # e_i*e_j occurs in x*y with the coefficient x_i y_j + x_j y_i
-        out = 0
-        for (i, j), v in constants.items():
-            if (x >> i & y >> j ^ x >> j & y >> i) & 1:
-                out ^= v
-        return out
-
-    by_coeff, basis = [0], []
-    for b in range(1, 1 << width):
-        if b not in by_coeff:
-            basis.append(b)
-            by_coeff += [x ^ b ^ times(x, b) for x in by_coeff]
-    return HiddenSum.__new__(HiddenSum)._adopt(by_coeff, basis)
+def _pair_slots(width: int) -> list[list[int]]:
+    """slot[i][j], for i != j, is the position of e_i*e_j among a product's
+    constants, the pairs i < j in the order of combinations; slot[i][i] is
+    the padding slot past them, read as 0 since e_i*e_i = 0."""
+    pad = width * (width - 1) // 2
+    slot = [[pad] * width for _ in range(width)]
+    for p, (i, j) in enumerate(itertools.combinations(range(width), 2)):
+        slot[i][j] = slot[j][i] = p
+    return slot
 
 
 @lru_cache(maxsize=None)
-def _orbit_walk(width: int) -> tuple[tuple[HiddenSum, ...], ...]:
+def _orbit_walk(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The orbit under GL(width, 2) of each of ORBIT_REPRESENTATIVES[width],
-    every product as its sum x # y = x + y + x*y in a basis of its own:
-    the one place where a product becomes a sum.
+    every product as its constants e_i*e_j for the pairs i < j in the order
+    of combinations.
 
     A acts by x *' y = A^-1(Ax * Ay), again a commutative, associative
     product with x*x = 0, and each orbit is closed breadth first under
-    gl_generators.  A product is tracked by its constants e_i*e_j for the
-    pairs i < j in the order of combinations, and a move reads e_i *' e_j
-    off the old constants, as Ae_i * Ae_j is the sum of e_a*e_b over the
-    bits a of Ae_i and b of Ae_j, a != b: one or two terms, since only e_1
-    goes to two bits.
-
-    A is an isomorphism from #' to #, so a product reached through A takes
-    its parent's coordinates after A, C o A, and its elements before A^-1,
-    A^-1 o E: two lists of 2^width entries, and no generator."""
+    gl_generators.  A move reads e_i *' e_j off the old constants, as
+    Ae_i * Ae_j is the sum of e_a*e_b over the bits a of Ae_i and b of
+    Ae_j: one or two terms, since only e_1 goes to two bits, and a term
+    with a = b is the padding slot."""
     pairs = list(itertools.combinations(range(width), 2))
-    position = {}
-    for p, (i, j) in enumerate(pairs):
-        position[i, j] = position[j, i] = p
+    slot = _pair_slots(width)
     moves = []
     for images, inverse_images in gl_generators(width):
-        forward, inverse = [0], [0]
-        for r, q in zip(images, inverse_images):
-            forward += [y ^ r for y in forward]
-            inverse += [y ^ q for y in inverse]
+        inverse = BinMatrix(inverse_images).affine_table()
         bits = [[k for k in range(width) if v >> k & 1] for v in images]
-        terms = [[position[a, b] for a in bits[i] for b in bits[j] if a != b] for i, j in pairs]
-        # one-term sums are padded with the slot past the constants, 0 below
-        moves.append((forward, inverse, [(t + [len(pairs)])[:2] for t in terms]))
+        terms = [[slot[a][b] for a in bits[i] for b in bits[j]] for i, j in pairs]
+        # a one-term sum takes the padding slot as its second term
+        moves.append((inverse, [(t + [len(pairs)])[:2] for t in terms]))
     orbits = []
     for representative in ORBIT_REPRESENTATIVES[width]:
-        constants = tuple(representative.get(pair, 0) for pair in pairs)
-        orbit = [(constants, _representative_sum(width, representative))]
-        seen = {constants}
-        for constants, parent in orbit:  # new products join the list behind the loop
+        orbit = [tuple(representative.get(pair, 0) for pair in pairs)]
+        seen = set(orbit)
+        for constants in orbit:  # new products join the list behind the loop
             padded = constants + (0,)
-            for forward, inverse, terms in moves:
+            for inverse, terms in moves:
                 new = tuple([inverse[padded[a] ^ padded[b]] for a, b in terms])
                 if new not in seen:
                     seen.add(new)
-                    hs = HiddenSum.__new__(HiddenSum)
-                    hs.width, hs.basis = width, tuple([inverse[b] for b in parent.basis])
-                    hs._by_coeff = [inverse[e] for e in parent._by_coeff]
-                    coords = parent._by_element
-                    hs._by_element = [coords[a] for a in forward]
-                    orbit.append((new, hs))
-        orbits.append(tuple(hs for _, hs in orbit))
+                    orbit.append(new)
+        orbits.append(tuple(orbit))
     return tuple(orbits)
 
 
@@ -507,7 +481,7 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
     (Caranti, Dalla Volta & Sala, "Abelian regular subgroups of the affine
     group and radical rings"; Calderini & Sala, "Elementary abelian regular
     subgroups as hidden sums for cryptographic trapdoors"), and the
-    products are those of _orbit_walk, each read off its walk sum.  The
+    products are those of _orbit_walk, each read off its constants.  The
     list is complete: the tests compare it at every width with a
     backtracking over the structure constants and with a search over
     generator chains of affine involutions.  Each group is returned as its
@@ -523,21 +497,32 @@ def enumerate_regular_groups(width: int) -> tuple[tuple[AffineMap, ...], ...]:
         raise ValueError(
             f"regular-group enumeration is exhaustive only up to width {MAX_BRICK_WIDTH}"
         )
+    slot = _pair_slots(width)
+    # a linear part is packed into one int, row 0 highest, so that packed
+    # ints order as their row tuples do
+    shifts = [width * (width - 1 - i) for i in range(width)]
+    identity, low = sum(1 << i << s for i, s in enumerate(shifts)), (1 << width) - 1
     groups = []
     for orbit in _orbit_walk(width):
-        for s in orbit:
-            element, coords = s._by_coeff, s._by_element
-            # the element sending 0 to y is x |-> x # y, whose linear part
-            # has row i e_i # y + y; column i over all y, read in coordinates
-            units = [coords[1 << i] for i in range(width)]
-            columns = [[element[u ^ c] ^ y for y, c in enumerate(coords)] for u in units]
-            rows = list(zip(*columns))
+        for constants in orbit:
+            padded = constants + (0,)
+            # the element sending 0 to y is x |-> x + y + x*y, whose linear
+            # part has row i e_i + e_i*y, so y + e_j adds e_i*e_j to row i
+            rows = [identity]
+            for slots in slot:  # slot[j] holds e_i*e_j for each row i
+                step = 0
+                for s, t in zip(slots, shifts):
+                    step |= padded[s] << t
+                rows += [r ^ step for r in rows]
             reached, generators = {0}, []
             for y in sorted(range(len(rows)), key=rows.__getitem__):
-                c = coords[y]
-                if c not in reached:
-                    generators.append(AffineMap(BinMatrix(rows[y]), y))
-                    reached |= {x ^ c for x in reached}
+                if y not in reached:
+                    matrix = BinMatrix([rows[y] >> s & low for s in shifts])
+                    generators.append(AffineMap(matrix, y))
+                    if len(generators) == width:  # every element is reached
+                        break
+                    table = matrix.affine_table(y)
+                    reached |= {table[x] for x in reached}
             groups.append((rows, tuple(generators)))
     groups.sort(key=lambda group: group[0])
     return tuple(generators for _, generators in groups)

@@ -572,7 +572,38 @@ def late_overflow_schedule(k: int, h: int) -> int:
     return k + 64 if h == 2 else k
 
 
+class IndexOnly:
+    """A round key that converts to its int but is no int."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"I({self.value})"
+
+
+def index_only_in_round_2(k: int, h: int):
+    return IndexOnly(k) if h == 2 else k
+
+
 class TestOutOfRange:
+    @pytest.mark.parametrize("bits", [6, 9])
+    def test_round_key_that_only_converts_refused(self, bits):
+        """A round key with __index__ but no int is refused in a byte-table
+        state and in a wider one alike, by every entry point that takes a
+        session key."""
+        if bits == 6:
+            spec = builtin_toy_spec(3, index_only_in_round_2)
+        else:
+            spec = CipherSpec([toy_brick()] * 3, nine_bit_spec(1).mixing, 3, index_only_in_round_2)
+        message = rf"^key schedule gives round key I\(1\) in round 2, outside 0\.\.{(1 << bits) - 1}$"
+        for call in session_key_calls(spec, 1):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     @pytest.mark.parametrize("rounds", [2, 3])
     def test_round_key_outside_state_refused(self, rounds):
         spec = builtin_toy_spec(rounds, late_overflow_schedule)

@@ -8,14 +8,19 @@ frozen here.
 
 import hashlib
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from test_hidden_sum_oracles import reference_is_involution
 
+import hiddensums
 from hiddensums.cipher import (
     TOY_GROUP_SPEC,
     builtin_toy_spec,
@@ -628,7 +633,7 @@ class TestOrbits:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_orbits_partition_the_enumerated_sums(self, width):
-        orbits = [[product_constants(hs) for hs in orbit] for orbit in _orbit_walk(width)]
+        orbits = _orbit_walk(width)
         assert sum(len(orbit) for orbit in orbits) == len(enumerate_regular_groups(width))
         for g in enumerate_regular_groups(width):
             constants = product_constants(HiddenSum(g))
@@ -646,24 +651,25 @@ class TestOrbits:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_walk_yields_every_sum_once(self, width):
-        """The walk's products, one sum each, are the enumerated sums."""
-        candidates = [hs for orbit in _orbit_walk(width) for hs in orbit]
-        assert len(set(candidates)) == len(candidates)
-        assert set(candidates) == set(translation_compatible_sums(width))
-        n = 1 << width
-        for hs in candidates:
-            assert sorted(hs._by_coeff) == list(range(n))
-            assert [hs._by_element[e] for e in hs._by_coeff] == list(range(n))
-            assert hs.basis == tuple(hs._by_coeff[1 << i] for i in range(width))
+        """The walk's products, one tuple of constants each, are those of
+        the enumerated sums."""
+        walk = [constants for orbit in _orbit_walk(width) for constants in orbit]
+        assert len(set(walk)) == len(walk)
+        assert set(walk) == {product_constants(hs) for hs in translation_compatible_sums(width)}
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_walk_sums_are_their_products(self, width):
-        """Each walk sum's op is x + y + x*y for a bilinear product: the
-        one its unit pairs give (product_constants), summed bit by bit."""
+        """Each canonical sum's op is x + y + x*y for the bilinear product
+        of its walk constants, summed bit by bit.  At width 3 the walk
+        holds (7, 7, 7), whose unit vectors are not free: e_1 # e_3 = e_2."""
         pairs = list(itertools.combinations(range(width), 2))
-        for hs in (hs for orbit in _orbit_walk(width) for hs in orbit):
-            constants = product_constants(hs)
-            value = dict(zip(pairs, constants))
+        sums = {product_constants(hs): hs for hs in translation_compatible_sums(width)}
+        walk = [constants for orbit in _orbit_walk(width) for constants in orbit]
+        if width == 3:
+            assert (7, 7, 7) in walk
+            assert sums[7, 7, 7].op(0b001, 0b100) == 0b010
+        for constants in walk:
+            hs, value = sums[constants], dict(zip(pairs, constants))
             for x in range(1 << width):
                 for y in range(1 << width):
                     product = 0
@@ -673,14 +679,34 @@ class TestOrbits:
                                 product ^= value[min(i, j), max(i, j)]
                     assert hs.op(x, y) == x ^ y ^ product, (constants, x, y)
 
-    def test_walk_takes_a_free_basis_where_units_are_not(self):
-        """(7, 7, 7) at width 3 has e_1 # e_3 = e_2, so its unit vectors
-        generate only four elements; the walk's basis for it is free."""
-        walk = {product_constants(hs): hs for orbit in _orbit_walk(3) for hs in orbit}
-        hs = walk[7, 7, 7]
-        assert hs.op(0b001, 0b100) == 0b010
-        assert hs.basis != (1, 2, 4)
-        assert sorted(hs._by_coeff) == list(range(8))
+    def test_cold_sums_are_built_once(self):
+        """A cold translation_compatible_sums creates one HiddenSum per
+        regular group, 8 at width 3 and 106 at width 4: the walk lists
+        constants and builds no sum.  HiddenSum.__new__ is wrapped in a
+        fresh interpreter: a __new__ once set on a class cannot be deleted
+        cleanly, as object.__new__ would then get the constructor's
+        arguments and refuse them."""
+        code = "\n".join(
+            [
+                "from hiddensums.hidden_sum import HiddenSum, translation_compatible_sums",
+                "created = []",
+                "def counting_new(cls, *args):",
+                "    created.append(cls.__name__)",
+                "    return object.__new__(cls)",
+                "HiddenSum.__new__ = counting_new",
+                "for width in (3, 4):",
+                "    created.clear()",
+                "    sums = translation_compatible_sums(width)",
+                "    print(len(sums), *sorted(set(created)), len(created))",
+            ]
+        )
+        src = Path(hiddensums.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["8 HiddenSum 8", "106 HiddenSum 106"]
 
     def test_enumeration_output_frozen(self):
         # sha256 of the concatenated group specs in canonical order, taken
