@@ -660,15 +660,10 @@ class TestOrbits:
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_walk_sums_are_their_products(self, width):
         """Each canonical sum's op is x + y + x*y for the bilinear product
-        of its walk constants, summed bit by bit.  At width 3 the walk
-        holds (7, 7, 7), whose unit vectors are not free: e_1 # e_3 = e_2."""
+        of its walk constants, summed bit by bit."""
         pairs = list(itertools.combinations(range(width), 2))
         sums = {product_constants(hs): hs for hs in translation_compatible_sums(width)}
-        walk = [constants for orbit in _orbit_walk(width) for constants in orbit]
-        if width == 3:
-            assert (7, 7, 7) in walk
-            assert sums[7, 7, 7].op(0b001, 0b100) == 0b010
-        for constants in walk:
+        for constants in (constants for orbit in _orbit_walk(width) for constants in orbit):
             hs, value = sums[constants], dict(zip(pairs, constants))
             for x in range(1 << width):
                 for y in range(1 << width):
@@ -678,6 +673,16 @@ class TestOrbits:
                             if i != j and x >> i & 1 and y >> j & 1:
                                 product ^= value[min(i, j), max(i, j)]
                     assert hs.op(x, y) == x ^ y ^ product, (constants, x, y)
+
+    def test_walk_takes_a_free_basis_where_units_are_not(self):
+        """(7, 7, 7) at width 3 has e_1 # e_3 = e_2, so its unit vectors
+        generate only four elements; the basis of its canonical sum, built
+        from the generators read off the walk constants, is free."""
+        assert (7, 7, 7) in (constants for orbit in _orbit_walk(3) for constants in orbit)
+        hs = {product_constants(hs): hs for hs in translation_compatible_sums(3)}[7, 7, 7]
+        assert hs.op(0b001, 0b100) == 0b010
+        assert hs.basis != (1, 2, 4)
+        assert sorted(hs._by_coeff) == list(range(8))
 
     def test_cold_sums_are_built_once(self):
         """A cold translation_compatible_sums creates one HiddenSum per
