@@ -27,10 +27,9 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
 
 from .cipher import CipherSpec, block_outside_state
-from .gf2 import BinMatrix, SingularMatrixError
+from .gf2 import BinMatrix, SingularMatrixError, first_outside
 from .hidden_sum import CoordinateMap, HiddenSum
 
 
@@ -287,8 +286,8 @@ def verify_global_deduction(
     outputs = enc_oracle.verification_outputs(1 << d)
     forward = repr_.forward_table()
     # when they agree, as they do for a sound attack, one list comparison
-    # and one check that the outputs are ints, both in C
-    if forward == outputs and all(map(isinstance, outputs, repeat(int))):
+    # and one gf2.first_outside check that the outputs are d-bit ints
+    if forward == outputs and first_outside(outputs, d) is None:
         mismatches = 0
     else:
         mismatches = sum(not isinstance(z, int) or y != z for y, z in zip(forward, outputs))

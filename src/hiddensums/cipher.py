@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from itertools import repeat
 
-from .gf2 import BYTE_BITS, BYTE_VALUES, BinMatrix, FieldSpec, read_digits
+from .gf2 import BYTE_BITS, BYTE_VALUES, BinMatrix, FieldSpec, first_outside, read_digits
 from .hidden_sum import HiddenSum, parse_group_spec, product_sum
 from .vbf import TABLE_LIMIT_BITS, VBF
 
@@ -148,9 +147,10 @@ class CipherSpec:
     a key's round keys once and reuse them for later blocks of that key.
     Session keys, round keys and blocks outside 0..2^d - 1 are refused
     with ValueError, as are those that are not ints (bools pass).
-    A schedule with a round_keys(k, rounds) method gives the whole sequence
-    in one call; a bare callable is called once per round.  For d <= 8 the
-    schedule must be surjective in at least one round, else ValueError;
+    A built-in schedule gives a key's d-bit round keys by construction, in
+    one round_keys(k, rounds) call, so they are not checked again; any other
+    callable is called once per round, and its keys are checked.  For d <= 8
+    the schedule must be surjective in at least one round, else ValueError;
     wider schedules are not checked for it.
     For d <= 8 the spec also holds each key's whole encryption function as
     a byte table, built by translating the identity through one fused
@@ -244,29 +244,22 @@ class CipherSpec:
         return table
 
     def _schedule(self, k: int) -> tuple[int, ...]:
-        """k's round keys, every one checked to be an int in 0..2^d - 1."""
-        n, rounds = 1 << self.d, self.rounds
+        """k's round keys: a built-in schedule checks k and is trusted."""
+        ks, rounds = self.key_schedule, self.rounds
+        if type(ks) in (RotatingKeySchedule, PermutedKeySchedule):
+            return ks.round_keys(k, rounds)
+        n = 1 << self.d
         if not isinstance(k, int):
             raise ValueError(f"session key {k!r} is not an int")
         if not 0 <= k < n:
             # a schedule would wrap or shift such a key onto another one
             raise ValueError(f"session key {k} is outside the key space 0..{n - 1}")
-        ks = self.key_schedule
-        sequence = getattr(ks, "round_keys", None)
-        if sequence is not None:
-            keys = tuple(sequence(k, rounds))
-        else:
-            keys = tuple(ks(k, h) for h in range(1, rounds + 1))
-        # one check in C at every width: isinstance refuses what only
-        # converts to an int, and the keys that fail it are named one by one
-        if keys and not (
-            all(map(isinstance, keys, repeat(int))) and min(keys) >= 0 and max(keys) < n
-        ):
-            for h, rk in enumerate(keys, 1):
-                if not (isinstance(rk, int) and 0 <= rk < n):
-                    raise ValueError(
-                        f"key schedule gives round key {rk!r} in round {h}, outside 0..{n - 1}"
-                    )
+        keys = tuple([ks(k, h) for h in range(1, rounds + 1)])
+        bad = first_outside(keys, self.d)
+        if bad is not None:
+            raise ValueError(
+                f"key schedule gives round key {keys[bad]!r} in round {bad + 1}, outside 0..{n - 1}"
+            )
         return keys
 
     def _encryption_table(self, keys: tuple[int, ...]) -> bytes:

@@ -10,16 +10,20 @@ is the coefficient of a^i, where a is a root of the modulus polynomial.
 The modulus is an int too (bit i = coefficient of x^i), e.g. 0b1011 is
 x^3 + x + 1.
 
+first_outside holds the package's one rule for a sequence of values of
+a width; each caller that checks one words its own refusal.
+
 The byte-table format lives here: the BYTE_BITS = 8 limit and the values
 of each width, which vbf and cipher share, and what vbf alone uses: the
-ones, the shifted points x + a of _shifted, through which its derivative
-translates a table, and table_bytes, its checked step to bytes.
+ones and the shifted points x + a of _shifted, through which its
+derivative translates a table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import repeat
 
 
 def dot(a: int, b: int) -> int:
@@ -68,15 +72,24 @@ def _shifted(m: int) -> list[bytes]:
     return [(ident ^ a * BYTE_ONES[m]).to_bytes(size, "big") for a in range(size)]
 
 
-def table_bytes(table: Sequence[int], k: int) -> bytes | None:
-    """The table as bytes if every entry is an int in 0..2^k - 1, for
-    0 <= k <= 8, else None: one bytes() and one translate deletion."""
-    try:
-        # bytes() of any other buffer would copy its raw memory
-        packed = bytes(table if isinstance(table, (list, tuple)) else iter(table))
-    except (TypeError, ValueError):  # a float, or an entry outside 0..255
-        return None
-    return None if packed.translate(None, BYTE_VALUES[k]) else packed
+def first_outside(values: Sequence[int], bits: int) -> int | None:
+    """The position of the first value that is not an int in 0..2^bits - 1
+    (bools pass, an object with only __index__ does not), else None.  If
+    all pass, one isinstance scan, then up to BYTE_BITS bits one bytes()
+    and one translate deletion, else a min and a max, all in C."""
+    limit = 1 << bits
+    if all(map(isinstance, values, repeat(int))):
+        if bits <= BYTE_BITS:
+            try:  # bytes() of any other buffer would copy its raw memory
+                packed = bytes(values if isinstance(values, (list, tuple)) else iter(values))
+                if not packed.translate(None, BYTE_VALUES[bits]):
+                    return None
+            except ValueError:  # an int outside 0..255
+                pass
+        elif not values or (min(values) >= 0 and max(values) < limit):
+            return None
+    outside = (i for i, v in enumerate(values) if not (isinstance(v, int) and 0 <= v < limit))
+    return next(outside, None)
 
 
 class SingularMatrixError(ValueError):

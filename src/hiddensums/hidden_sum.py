@@ -31,9 +31,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from operator import index
 
-from .gf2 import BinMatrix, Subspace, read_digits, vec_from_str, vec_to_str
+from .gf2 import BinMatrix, Subspace, first_outside, read_digits, vec_from_str, vec_to_str
 
 
 class NotRegularError(ValueError):
@@ -181,20 +180,17 @@ class HiddenSum:
         (D_a g(x) = g(x # a) # g(x)) is element(Im D_{C(a)} G), and a set is
         a coset of the sum exactly when its coordinates are an XOR coset.
 
-        ValueError unless the table has 2^d int entries in 0..2^d - 1: a
-        float entry, or one past the space, fails the lookup, and a negative
-        one, which would wrap, fails the minimum."""
+        ValueError unless the table has 2^d int entries in 0..2^d - 1, as
+        gf2.first_outside checks before any lookup: a negative entry would
+        wrap."""
         n = len(self._by_coeff)
         coords = self._by_element
-        try:  # len, too, fails on a table that is no sequence, such as an iterator
-            if len(table) != n:
-                raise _off_the_space(n)
-            conj = [coords[table[x]] for x in self._by_coeff]
-        except (TypeError, IndexError):
-            raise _off_the_space(n) from None
-        if min(table) < 0:
-            raise _off_the_space(n)
-        return conj
+        try:  # len fails on a table that is no sequence, such as an iterator
+            if len(table) == n and first_outside(table, self.width) is None:
+                return [coords[table[x]] for x in self._by_coeff]
+        except TypeError:
+            pass
+        raise _off_the_space(n)
 
     def read_affine(self, f: Callable[[int], int]) -> tuple[BinMatrix, int]:
         """M and t of f in coordinates, from f(0) and then f(b_i): the only
@@ -255,9 +251,9 @@ class CoordinateMap(HiddenSum):
     def __init__(self, hs: HiddenSum, basis: Sequence[int]):
         if len(basis) != hs.width:
             raise BasisError(f"need exactly {hs.width} basis vectors")
-        for b in basis:
-            if not isinstance(b, int) or b < 0 or b >> hs.width:
-                raise BasisError(f"basis vector {b!r} is not in the {hs.width}-bit space")
+        bad = first_outside(basis, hs.width)
+        if bad is not None:
+            raise BasisError(f"basis vector {basis[bad]!r} is not in the {hs.width}-bit space")
         try:
             super().__init__([AffineMap(kappa(hs, b), b) for b in basis])
         except NotRegularError:
@@ -677,17 +673,18 @@ def find_hidden_sums(
         if isinstance(w, bool) or not isinstance(w, int) or not 1 <= w <= MAX_BRICK_WIDTH:
             raise ValueError(f"brick width {w!r} is outside 1..{MAX_BRICK_WIDTH}")
     round_generators = list(round_generators)  # read four times below
-    n = 1 << sum(brick_widths)
+    d = sum(brick_widths)
+    n = 1 << d
     inverses = []
     for table in round_generators:
         inverse = [-1] * n
         try:
-            # a float, even 3.0, fails index(), an entry past the space the
-            # store, and a negative one, which would wrap, the minimum
-            if len(table) == n and min(table) >= 0:
-                for x, y in enumerate(map(index, table)):
+            # a float, even 3.0, an entry past the space and a negative one,
+            # which would wrap, fail first_outside; len fails on an iterator
+            if len(table) == n and first_outside(table, d) is None:
+                for x, y in enumerate(table):
                     inverse[y] = x
-        except (TypeError, IndexError):
+        except TypeError:
             pass
         if -1 in inverse:
             raise ValueError("round generators must be bijective tables on the space")

@@ -13,9 +13,9 @@ GF(2^m) are tabulated in the field's ascending encoding (gf2), so a field
 element is its own coordinate vector, and from_power returns one shared
 object per exponent and field.
 
-Table entries must be ints (bools pass) of n bits; a float or any other
-entry is refused with ValueError.  A function with m, n <= gf2.BYTE_BITS
-= 8 is checked by gf2.table_bytes and kept as bytes: D_a f at all 2^m
+Table entries must be ints (bools pass) of n bits, as gf2.first_outside
+checks; any other entry is refused with ValueError at every width.  A
+function with m, n <= gf2.BYTE_BITS = 8 is kept as bytes: D_a f at all 2^m
 points is one translate of the points x + a (gf2._shifted, 2^m bytes
 objects per m, built on first use), and its distinct values two more, in
 ascending order.  Wider functions are scanned point by point.  Only the
@@ -38,9 +38,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from operator import index
 
-from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, table_bytes
+from .gf2 import BYTE_BITS, BYTE_ONES, BYTE_VALUES, first_outside
 from .gf2 import AffineSubspace, FieldSpec, Subspace, gf_mul, read_digits, span_basis
 from .gf2 import _orthogonal_complement, _shifted
 
@@ -71,20 +70,18 @@ class VBF:
         if len(table) != 1 << m:
             raise ValueError(f"table must have exactly {1 << m} entries")
         table = tuple(table)
-        packed = table_bytes(table, n) if m <= BYTE_BITS and n <= BYTE_BITS else None
+        bad = first_outside(table, n)
+        if bad is not None:
+            y = table[bad]
+            if not isinstance(y, int):
+                raise ValueError(f"table value {y!r} is not an int")
+            raise ValueError(f"table value 0b{y:b} does not fit in width {n}")
         # (table padded to a 256-byte translate table, table packed as one
         # big-endian int) when m, n <= 8, else None
         self._bytes: tuple[bytes, int] | None = None
-        if packed is not None:
+        if m <= BYTE_BITS and n <= BYTE_BITS:
+            packed = bytes(table)
             self._bytes = (packed.ljust(256, b"\0"), int.from_bytes(packed, "big"))
-        else:  # a wider table, or a refused one, entry by entry
-            for y in table:
-                try:
-                    v = index(y)
-                except TypeError:
-                    raise ValueError(f"table value {y!r} is not an int") from None
-                if v < 0 or v >> n:
-                    raise ValueError(f"table value 0b{v:b} does not fit in width {n}")
         self.m = m
         self.n = n
         self.table: tuple[int, ...] = table

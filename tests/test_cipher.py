@@ -345,6 +345,41 @@ class TestRoundKeys:
                 assert spec.encrypt(k, x) == reference_encrypt(spec, k, x)
                 assert spec.decrypt(k, x) == reference_decrypt(spec, k, x)
 
+    @pytest.mark.parametrize("d", [6, 9])
+    @pytest.mark.parametrize("schedule", ["rotating", "permuted"])
+    def test_built_in_schedules_give_d_bit_ints(self, schedule, d):
+        """A spec returns a built-in schedule's round keys unchecked, so
+        every key's sequence must be a tuple of d-bit ints by construction;
+        6 is the rotation period at d = 6, and 7 wraps past it."""
+        ks = rotating_key_schedule(d) if schedule == "rotating" else permuted_key_schedule(d, 99)
+        for rounds in (1, 6, 7, 100):
+            for k in range(1 << d):
+                keys = ks.round_keys(k, rounds)
+                assert type(keys) is tuple and len(keys) == rounds
+                assert all(type(rk) is int and 0 <= rk < 1 << d for rk in keys)
+
+    def test_schedule_that_is_not_built_in_is_called_per_round_and_checked(self):
+        """A round_keys method makes no schedule a built-in one: the spec
+        calls the schedule once per round and checks every key."""
+
+        class Foreign:
+            def __init__(self):
+                self.calls = []
+
+            def __call__(self, k: int, h: int) -> int:
+                self.calls.append((k, h))
+                return late_overflow_schedule(k, h)
+
+            def round_keys(self, k: int, rounds: int) -> tuple[int, ...]:
+                raise AssertionError("the spec reads a foreign sequence")
+
+        ks = Foreign()
+        spec = builtin_toy_spec(3, ks)
+        ks.calls.clear()
+        with pytest.raises(ValueError, match=r"^key schedule gives round key 67 in round 2, outside 0\.\.63$"):
+            spec.round_keys(3)
+        assert ks.calls == [(3, 1), (3, 2), (3, 3)]
+
     def test_round_keys_are_the_schedule(self):
         for rounds in (1, 7, 1000):
             spec = builtin_toy_spec(rounds, permuted_key_schedule(6, 99))
@@ -573,7 +608,7 @@ def late_overflow_schedule(k: int, h: int) -> int:
 
 
 class IndexOnly:
-    """A round key that converts to its int but is no int."""
+    """A value, such as a round key, that converts to its int but is no int."""
 
     def __init__(self, value: int):
         self.value = value

@@ -5,8 +5,12 @@ the test body (repeated multiplication, explicit matrix squaring) before
 being compared against the faster implementation path.
 """
 
+import itertools
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_cipher import IndexOnly
 
 from hiddensums.gf2 import (
     AffineSubspace,
@@ -15,6 +19,7 @@ from hiddensums.gf2 import (
     SingularMatrixError,
     Subspace,
     dot,
+    first_outside,
     gf_mul,
     gf_pow,
     read_digits,
@@ -283,3 +288,33 @@ def test_read_digits_refuses_all_but_sign_and_ascii_digits(token):
 def test_read_digits_reads_sign_and_digits():
     assert [read_digits(t, 10) for t in ("0", "-0", "49", "-1000")] == [0, 0, 49, -1000]
     assert (read_digits("-1000", 2), read_digits("Ff", 16)) == (-8, 255)
+
+
+def first_outside_reference(values, bits):
+    """The rule value by value: the first position whose value is not an
+    int in 0..2^bits - 1, else None."""
+    for i, v in enumerate(values):
+        if not (isinstance(v, int) and 0 <= v < 2**bits):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("bits", [0, 1, 3, 8, 9, 16])
+def test_first_outside_matches_the_per_value_rule(bits):
+    """Each odd value, alone, in a valid table at its start, middle or end,
+    or paired with another, is found where the per-value rule finds it, in
+    a list, a tuple and, for ints, an array, whose bytes() would be its
+    raw memory; the empty sequence has none."""
+    top = (1 << bits) - 1
+    odd = [0, top, 1 << bits, -1, 255, 256, True, 3.0, "5", None, IndexOnly(1)]
+    valid = [x & top for x in range(20)]
+    tables = [[v] for v in odd] + [list(pair) for pair in itertools.product(odd, repeat=2)]
+    for v, at in itertools.product(odd, (0, 9, 19)):
+        tables.append(valid[:at] + [v] + valid[at + 1 :])
+    for table in tables + [valid, []]:
+        expected = first_outside_reference(table, bits)
+        forms = [table, tuple(table)]
+        if all(type(v) in (int, bool) for v in table):
+            forms.append(array("q", table))
+        for form in forms:
+            assert first_outside(form, bits) == expected

@@ -18,6 +18,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from test_cipher import IndexOnly
 from test_hidden_sum_oracles import reference_is_involution
 
 import hiddensums
@@ -394,6 +395,20 @@ class TestMembership:
             agl_membership(table, toy_brick_sum())
         with pytest.raises(ValueError, match="bijective table"):
             find_hidden_sums([table], [3])
+
+    def test_index_only_entry_rejected(self):
+        """An entry that only converts to an int through __index__ indexes
+        a list as its int does, but is no int: conjugate and agl_membership
+        refuse it with their own ValueError, not a bare TypeError from a
+        comparison."""
+        table = builtin_toy_spec().core_table()
+        table[5] = IndexOnly(table[5])
+        with pytest.raises(ValueError, match=r"^conjugate requires a table of 64 values in 0\.\.63$"):
+            toy_state_sum().conjugate(table)
+        with pytest.raises(ValueError, match="^membership test requires a bijective table on the space$"):
+            agl_membership(table, toy_state_sum())
+        with pytest.raises(ValueError, match="^round generators must be bijective tables on the space$"):
+            find_hidden_sums([table], [3, 3])
 
 
     @pytest.mark.parametrize("bricks", [2, 3], ids=["d6", "d9"])

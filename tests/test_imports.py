@@ -11,6 +11,10 @@ the benchmark, by position, by keyword or by unpacking; calls are matched
 to definitions by name, as reads are.  vbf imports no package module but
 gf2, so it knows nothing of hidden sums.
 
+The integer rule (an int in range, bools pass, an object with only
+__index__ does not) is written once, in gf2.first_outside: no other
+module imports operator.index or scans with map(isinstance, ...).
+
 Every target the benchmark's tracer names (perfbench/tracer.py TARGETS)
 is still defined in the package, and a traced search pass of the
 benchmark calls each one it assigns to the search workload.
@@ -333,6 +337,49 @@ def test_byte_format_definitions_reported():
     ]
 
 
+def integer_checks(source: str) -> list[str]:
+    """The hand-written integer checks of the source, with their lines:
+    each import or attribute read of operator.index, and each call
+    map(isinstance, ...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            found += [(node.lineno, "operator.index") for a in node.names if a.name == "index"]
+        elif isinstance(node, ast.Attribute) and node.attr == "index":
+            if getattr(node.value, "id", None) == "operator":
+                found.append((node.lineno, "operator.index"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+            if node.args and getattr(node.args[0], "id", None) == "isinstance":
+                found.append((node.lineno, "map(isinstance, ...)"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_only_gf2_checks_integers():
+    """Every check of a whole table, round-key sequence, basis or codebook
+    calls gf2.first_outside, so the rule cannot drift between callers."""
+    found = {path.name: integer_checks(path.read_text()) for path in MODULES if path.name != "gf2.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_integer_checks_reported():
+    module = (
+        "import operator\n"
+        "from operator import index, itemgetter\n"
+        "from itertools import repeat\n"
+        "def f(t):\n"
+        "    return all(map(isinstance, t, repeat(int)))\n"
+        "def g(t):\n"
+        "    return [operator.index(x) for x in t] + list(map(int, t))\n"
+        "def h(s):\n"
+        "    return s.index(3), isinstance(s, int), itemgetter(0)(s)\n"
+    )
+    assert integer_checks(module) == [
+        "operator.index (line 2)",
+        "map(isinstance, ...) (line 5)",
+        "operator.index (line 7)",
+    ]
+
+
 BYTE_FORMAT_NAMES = ("BYTE_BITS", "BYTE_ONES", "BYTE_VALUES", "table_bytes", "_shifted", "_steps_constant")
 
 
@@ -519,10 +566,10 @@ def test_every_search_target_is_called():
     the benchmark runs it, calls every target the tracer assigns to the
     search workload, so none of that workload's layer metrics reads 0.
     AffineMap.apply is the one exception, and that metric already reads 0
-    (ROADMAP item 1): the regular-group enumeration closes each group by
-    XOR in its walk sum's coordinates, and HiddenSum reads a generator as
-    its matrix's affine table, so nothing on the search path applies an
-    affine map point by point."""
+    (ROADMAP item 1): the regular-group enumeration closes each group
+    through each kept generator's BinMatrix.affine_table, and HiddenSum
+    reads a generator as its matrix's affine table, so nothing on the
+    search path applies an affine map point by point."""
     code = "\n".join(
         [
             "import json, passes, tracer",

@@ -10,6 +10,7 @@ import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_cipher import IndexOnly
 
 from hiddensums.cipher import toy_brick_sum
 from hiddensums.gf2 import BinMatrix, FieldSpec, gf_mul, gf_pow
@@ -114,6 +115,16 @@ class TestConstruction:
             VBF(2, 2, [0, 1, 2, 2.5])
         with pytest.raises(ValueError, match=r"table value 1\.0 is not an int"):
             VBF(2, 2, [0, 1.0, 2, 3])
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_index_only_entry_refused(self, m):
+        """An entry that only converts to an int through __index__ is no
+        int: refused in a byte table and in a wider one alike, where it
+        was once kept in .table."""
+        table = list(range(1 << m))
+        table[1] = IndexOnly(1)
+        with pytest.raises(ValueError, match=r"^table value I\(1\) is not an int$"):
+            VBF(m, m, table)
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 9), (9, 1)])
     def test_bool_entries_accepted(self, m, n):
